@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from . import mediation
 from .data import Dataset, VariableRoles
 from .errors import InputError
-from .glm import FitResult, ModelSpec, build_design, fit_logistic, indicator, main
+from .glm import DesignMatrix, FitResult, ModelSpec, build_design, fit_logistic, indicator, main
 
 SCORE_EPS = 1e-12
 
@@ -41,8 +40,9 @@ class PropensityFit:
     base_weights: np.ndarray
 
 
-def fit_propensity(ds: Dataset, roles: VariableRoles, include_mediator: bool = False) -> PropensityFit:
-    """Logistic regression of the exposure on the adjustment covariates."""
+def propensity_design(ds: Dataset, roles: VariableRoles, include_mediator: bool = False) -> DesignMatrix:
+    """Design of the exposure model: intercept, the adjustment covariates
+    and, with ``include_mediator``, the mediators."""
     roles.validate(ds)
     terms = [main(c) for c in roles.adjustment_columns()]
     if include_mediator:
@@ -53,17 +53,29 @@ def fit_propensity(ds: Dataset, roles: VariableRoles, include_mediator: bool = F
         terms=tuple(terms),
         weight_source=ds.weight_column,
     )
-    design = build_design(ds, spec)
+    return build_design(ds, spec)
+
+
+def propensity_scores(design: DesignMatrix, exposure: np.ndarray, weights: np.ndarray):
+    """Fit the exposure model under ``weights``; returns the fit and the
+    per-row scores, clipped strictly into (0, 1)."""
+    fit = fit_logistic(design, exposure, weights)
+    return fit, np.clip(expit(design.matrix @ fit.beta), SCORE_EPS, 1.0 - SCORE_EPS)
+
+
+def fit_propensity(ds: Dataset, roles: VariableRoles, include_mediator: bool = False) -> PropensityFit:
+    """Logistic regression of the exposure on the adjustment covariates."""
+    design = propensity_design(ds, roles, include_mediator)
+    exposure = indicator(ds[roles.exposure])
     weights = ds.weights()
-    fit = fit_logistic(design, indicator(ds[roles.exposure]), weights)
-    scores = np.clip(expit(design.matrix @ fit.beta), SCORE_EPS, 1.0 - SCORE_EPS)
+    fit, scores = propensity_scores(design, exposure, weights)
     return PropensityFit(
         fit=fit,
         scores=scores,
         includes_mediator=include_mediator,
         covariate_names=design.names[1:],
         covariate_matrix=design.matrix[:, 1:],
-        exposure=indicator(ds[roles.exposure]),
+        exposure=exposure,
         base_weights=weights,
     )
 
@@ -216,61 +228,3 @@ def overlap_diagnostics(psfit: PropensityFit, exposure: np.ndarray, bins: int = 
             )
         )
     return DensitySummary(edges, proportions, tuple(smd_rows))
-
-
-# ---------------------------------------------------------------------------
-# Effect estimation under the two adjustment variants
-
-
-def ps_regression_effects(
-    ds: Dataset,
-    roles: VariableRoles,
-    *,
-    bootstrap_reps: int = 1000,
-    seed: int = 0,
-    ci_method: str = "percentile",
-    threads: int = 1,
-) -> mediation.EffectTriple:
-    """Effects with the mediator-free propensity score as a single covariate."""
-    return mediation.effect_triple(
-        ds,
-        roles,
-        "ps_regression",
-        bootstrap_reps=bootstrap_reps,
-        seed=seed,
-        ci_method=ci_method,
-        threads=threads,
-    )
-
-
-def ipw_effects(
-    ds: Dataset,
-    roles: VariableRoles,
-    *,
-    stabilized: bool = True,
-    trim: tuple[float, float] | None = None,
-    adjust_covariates: bool = False,
-    bootstrap_reps: int = 1000,
-    seed: int = 0,
-    ci_method: str = "percentile",
-    threads: int = 1,
-) -> mediation.EffectTriple:
-    """Effects from outcome regressions weighted by IPW times survey weights.
-
-    The outcome models contain the exposure (plus mediators for the direct
-    effect) only, unless ``adjust_covariates`` doubly adjusts. Sandwich
-    variance is always used.
-    """
-    options = mediation.VariantOptions(
-        ipw_stabilized=stabilized, ipw_trim=trim, ipw_adjust_covariates=adjust_covariates
-    )
-    return mediation.effect_triple(
-        ds,
-        roles,
-        "ipw",
-        bootstrap_reps=bootstrap_reps,
-        seed=seed,
-        ci_method=ci_method,
-        options=options,
-        threads=threads,
-    )

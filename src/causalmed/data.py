@@ -2,9 +2,9 @@
 
 Every cell is either observed, missing, or a survey non-response. The two
 unobserved states are deliberately distinct: non-response rows are excluded
-from every analysis, while missing cells may be multiply imputed. Datasets
-are immutable after construction; all operations return new datasets and are
-safe to share across threads.
+from every analysis, while rows with missing cells are dropped only by the
+complete-case row filter. Datasets are immutable after construction; all
+operations return new datasets.
 
 Discrete cell values are stored as small integer codes into the column kind's
 level list; continuous values as float64. Unobserved cells carry code -1 /
@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 

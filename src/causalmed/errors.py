@@ -47,18 +47,5 @@ class BootstrapError(CausalmedError):
     """Too many bootstrap replicates failed to produce an estimate."""
 
 
-class ImputationError(CausalmedError):
-    """An imputation model could not be fit."""
-
-    def __init__(self, variable, cycle, message):
-        self.variable = variable
-        self.cycle = cycle
-        super().__init__(f"imputation of {variable!r} failed in cycle {cycle}: {message}")
-
-
 class DagError(CausalmedError):
     """A graph violates the DAG contract (cycle, unknown node, bad query)."""
-
-
-class ConfigError(CausalmedError):
-    """An analysis configuration failed validation."""

@@ -10,7 +10,6 @@ information.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -121,22 +120,80 @@ def response_vector(ds: Dataset, outcome: str) -> np.ndarray:
     return indicator(_require_observed(ds, outcome))
 
 
-def _covariate_columns(ds, name, weights, center):
-    """Expand one covariate into (name, vector, offset) design columns."""
+def _covariate_columns(ds, name):
+    """Expand one covariate into uncentered (name, vector) design columns."""
     col = _require_observed(ds, name)
-    out = []
     if isinstance(col.kind, Continuous):
-        vec = col.values.astype(np.float64)
-        offset = float(np.average(vec, weights=weights)) if center else 0.0
-        out.append((name, vec - offset, offset))
-    else:
-        levels = kind_levels(col.kind)
-        for level in nonreference_levels(col.kind):
-            vec = (col.values == levels.index(level)).astype(np.float64)
-            offset = float(np.average(vec, weights=weights)) if center else 0.0
-            colname = name if isinstance(col.kind, Binary) else f"{name}={level}"
-            out.append((colname, vec - offset, offset))
+        return [(name, col.values.astype(np.float64))]
+    levels = kind_levels(col.kind)
+    out = []
+    for level in nonreference_levels(col.kind):
+        colname = name if isinstance(col.kind, Binary) else f"{name}={level}"
+        out.append((colname, (col.values == levels.index(level)).astype(np.float64)))
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class DesignTemplate:
+    """A model's design columns, expanded from the dataset once.
+
+    Centering is the only step that depends on the row weights, so
+    :meth:`design` yields the design matrix under any weight vector without
+    going back to the dataset. ``terms`` holds, per covariate design column,
+    the index into ``covariates`` and whether it is an exposure interaction.
+    """
+
+    names: tuple[str, ...]
+    leading: tuple[np.ndarray, ...]
+    covariates: tuple[tuple[str, np.ndarray], ...]
+    terms: tuple[tuple[int, bool], ...]
+    exposure: np.ndarray | None
+    center: bool
+
+    def design(self, weights: np.ndarray) -> DesignMatrix:
+        """The design with every covariate column shifted to weighted mean
+        zero under ``weights`` when centering is on; interaction columns are
+        the exposure indicator times the shifted covariate."""
+        shifted = [vec for _, vec in self.covariates]
+        centering = {}
+        if self.center:
+            offsets = [float(np.average(vec, weights=weights)) for vec in shifted]
+            shifted = [vec - off for vec, off in zip(shifted, offsets)]
+            centering = {self.covariates[k][0]: offsets[k] for k, inter in self.terms if not inter}
+        vectors = list(self.leading)
+        vectors.extend(self.exposure * shifted[k] if inter else shifted[k] for k, inter in self.terms)
+        empty = tuple(name for name, vec in zip(self.names[1:], vectors[1:]) if not np.any(vec != 0.0))
+        return DesignMatrix(np.column_stack(vectors), self.names, centering, empty)
+
+
+def design_template(ds: Dataset, spec: ModelSpec) -> DesignTemplate:
+    """Expand a model specification into design columns, uncentered.
+
+    Discrete covariates become reference-coded indicators; each covariate is
+    expanded once however many terms use it.
+    """
+    names = [INTERCEPT]
+    leading = [np.ones(ds.n_rows)]
+    exposure_vec = None
+    if spec.exposure is not None:
+        exposure_vec = indicator(_require_observed(ds, spec.exposure))
+        names.append(spec.exposure)
+        leading.append(exposure_vec)
+    covariates: list = []
+    expanded: dict[str, range] = {}
+    terms = []
+    for term in spec.terms:
+        if term.column not in expanded:
+            new = _covariate_columns(ds, term.column)
+            expanded[term.column] = range(len(covariates), len(covariates) + len(new))
+            covariates.extend(new)
+        for k in expanded[term.column]:
+            colname = covariates[k][0]
+            names.append(f"{spec.exposure}:{colname}" if term.interaction else colname)
+            terms.append((k, term.interaction))
+    return DesignTemplate(
+        tuple(names), tuple(leading), tuple(covariates), tuple(terms), exposure_vec, spec.center_covariates
+    )
 
 
 def build_design(ds: Dataset, spec: ModelSpec) -> DesignMatrix:
@@ -144,40 +201,13 @@ def build_design(ds: Dataset, spec: ModelSpec) -> DesignMatrix:
 
     Discrete covariates become reference-coded indicators. When centering is
     requested every covariate column (indicators included) is shifted to
-    weighted mean zero, and interaction columns are products of the exposure
-    indicator with the centered covariate columns, so the exposure
-    coefficient is the effect at covariate means.
+    weighted mean zero under the ``weight_source`` weights, and interaction
+    columns are products of the exposure indicator with the centered
+    covariate columns, so the exposure coefficient is the effect at
+    covariate means.
     """
     weights = np.ones(ds.n_rows) if spec.weight_source is None else ds.weights_from(spec.weight_source)
-    names = [INTERCEPT]
-    vectors = [np.ones(ds.n_rows)]
-    centering: dict[str, float] = {}
-    if spec.exposure is not None:
-        exposure_vec = indicator(_require_observed(ds, spec.exposure))
-        names.append(spec.exposure)
-        vectors.append(exposure_vec)
-    cache: dict[str, list] = {}
-
-    def expanded(column):
-        if column not in cache:
-            cache[column] = _covariate_columns(ds, column, weights, spec.center_covariates)
-        return cache[column]
-
-    for term in spec.terms:
-        for colname, vec, offset in expanded(term.column):
-            if term.interaction:
-                names.append(f"{spec.exposure}:{colname}")
-                vectors.append(exposure_vec * vec)
-            else:
-                names.append(colname)
-                vectors.append(vec)
-                if spec.center_covariates:
-                    centering[colname] = offset
-    matrix = np.column_stack(vectors)
-    empty = tuple(
-        name for name, vec in zip(names, vectors) if name != INTERCEPT and not np.any(vec != 0.0)
-    )
-    return DesignMatrix(matrix, tuple(names), centering, empty)
+    return design_template(ds, spec).design(weights)
 
 
 @dataclass(frozen=True, eq=False)

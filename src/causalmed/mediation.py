@@ -13,21 +13,27 @@ total OR / direct OR. Four estimator variants share this decomposition:
 * ``ipw``      - weighted regression under stabilized inverse-probability
   weights times the survey weights.
 
-Total and direct effects carry Wald sandwich CIs; the indirect effect has no
-closed-form SE here, so its CI comes from a deterministic nonparametric
-bootstrap that refits both models (and any propensity model) per replicate.
-Note the total effect from the mediator-free model is the standard two-model
-quantity, not a collapsibility-corrected marginal effect.
+Every variant is one estimator (:func:`variant_estimator`): design columns
+built once from the dataset, fitted under a row-weight vector. Point
+estimates use the survey weights. Total and direct effects carry Wald
+sandwich CIs; the indirect effect has no closed-form SE here, so its CI
+comes from a deterministic nonparametric bootstrap in which a replicate is
+a row-count vector: both models (and any propensity model) are refit on the
+full rows under the survey weights times the counts, which is the same fit
+as on the resampled rows. Note the total effect from the mediator-free model
+is the standard two-model quantity, not a collapsibility-corrected marginal
+effect.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import norm
 
-from ._parallel import parallel_map
+from .adjustment import ipw_weights, propensity_design, propensity_scores
 from .data import Column, Continuous, Dataset, VariableRoles
 from .errors import (
     BootstrapError,
@@ -37,10 +43,11 @@ from .errors import (
     SeparationError,
 )
 from .glm import (
+    DesignMatrix,
     FitResult,
     ModelSpec,
     Z95,
-    build_design,
+    design_template,
     fit_logistic,
     indicator,
     interaction,
@@ -55,15 +62,6 @@ VARIANTS = ("primary", "simple", "ps_regression", "ipw")
 PS_COLUMN = "propensity_score"
 
 FIT_FAILURES = (RankDeficiencyError, SeparationError, ConvergenceError)
-
-
-@dataclass(frozen=True)
-class VariantOptions:
-    """Estimator knobs that must stay fixed across bootstrap replicates."""
-
-    ipw_stabilized: bool = True
-    ipw_trim: tuple[float, float] | None = None
-    ipw_adjust_covariates: bool = False
 
 
 @dataclass(frozen=True)
@@ -106,6 +104,8 @@ class EffectTriple:
     indirect: EffectEstimate
     seed: int
     bootstrap_reps: int
+    #: Bootstrap replicates dropped as failed fits.
+    bootstrap_failed: int = 0
 
     def __post_init__(self):
         gap = abs(self.indirect.log_or - (self.total.log_or - self.direct.log_or))
@@ -122,6 +122,7 @@ class EffectTriple:
             "indirect": self.indirect.to_json_obj(),
             "seed": self.seed,
             "bootstrap_reps": self.bootstrap_reps,
+            "bootstrap_failed": self.bootstrap_failed,
         }
 
     def forest_rows(self):
@@ -134,86 +135,83 @@ class EffectTriple:
 
 
 # ---------------------------------------------------------------------------
-# Variant model fitting
+# The estimator: fixed designs, one weight vector
 
 
-def _outcome_spec(ds, roles, variant, include_mediators, extra_mains=()):
-    terms = [main(c) for c in (*extra_mains, *roles.adjustment_columns())]
+def _outcome_spec(roles, variant, include_mediators) -> ModelSpec:
+    if include_mediators and not roles.mediators:
+        raise InputError("direct effect requires at least one mediator column")
+    if variant == "ps_regression":
+        covariates = (PS_COLUMN,)
+    elif variant == "ipw":
+        covariates = ()
+    else:
+        covariates = roles.adjustment_columns()
+    terms = [main(c) for c in covariates]
     if include_mediators:
-        if not roles.mediators:
-            raise InputError("direct effect requires at least one mediator column")
         terms.extend(main(m) for m in roles.mediators)
     if variant == "primary":
-        terms.extend(interaction(c) for c in roles.adjustment_columns())
+        terms.extend(interaction(c) for c in covariates)
     return ModelSpec(
         outcome=roles.outcome,
         exposure=roles.exposure,
         terms=tuple(terms),
         center_covariates=(variant == "primary"),
-        weight_source=ds.weight_column,
     )
 
 
-def _fit_regression_variant(ds, roles, variant, include_mediators) -> FitResult:
-    spec = _outcome_spec(ds, roles, variant, include_mediators)
-    design = build_design(ds, spec)
-    return fit_logistic(design, response_vector(ds, roles.outcome), ds.weights())
+def variant_estimator(ds: Dataset, roles: VariableRoles, variant: str, include_mediators=(False, True)):
+    """The variant's estimator on ``ds``, as a function of a row-weight vector.
 
+    The design columns are built here, once. The returned function maps a
+    weight vector over the rows of ``ds`` (the survey weights, or the survey
+    weights times a bootstrap replicate's row counts) to one outcome fit per
+    entry of ``include_mediators``: the mediator-free model for False, the
+    mediator-adjusted model for True. Only three pieces depend on the
+    weights: the centering offsets of ``primary``, the propensity-score
+    column of ``ps_regression``, and the stabilized IPW factor of ``ipw``;
+    the last two come from the mediator-free propensity model refit under
+    the same weights.
 
-def _fit_ps_variant(ds, roles, include_mediators, psfit) -> FitResult:
-    ps_col = Column(Continuous(), psfit.scores, np.zeros(ds.n_rows, dtype=np.uint8))
-    augmented = ds.with_column(PS_COLUMN, ps_col)
-    terms = [main(PS_COLUMN)]
-    if include_mediators:
-        if not roles.mediators:
-            raise InputError("direct effect requires at least one mediator column")
-        terms.extend(main(m) for m in roles.mediators)
-    spec = ModelSpec(
-        outcome=roles.outcome,
-        exposure=roles.exposure,
-        terms=tuple(terms),
-        weight_source=ds.weight_column,
-    )
-    design = build_design(augmented, spec)
-    return fit_logistic(design, response_vector(augmented, roles.outcome), augmented.weights())
-
-
-def _fit_ipw_variant(ds, roles, include_mediators, options: VariantOptions, psfit) -> FitResult:
-    from . import adjustment
-
-    exposure_vec = indicator(ds[roles.exposure])
-    ipw = adjustment.ipw_weights(
-        psfit,
-        exposure_vec,
-        stabilized=options.ipw_stabilized,
-        trim=options.ipw_trim,
-        base_weights=ds.weights(),
-    )
-    combined = ds.weights() * ipw.weights
-    terms = []
-    if options.ipw_adjust_covariates:
-        terms.extend(main(c) for c in roles.adjustment_columns())
-    if include_mediators:
-        if not roles.mediators:
-            raise InputError("direct effect requires at least one mediator column")
-        terms.extend(main(m) for m in roles.mediators)
-    spec = ModelSpec(outcome=roles.outcome, exposure=roles.exposure, terms=tuple(terms))
-    design = build_design(ds, spec)
-    return fit_logistic(design, response_vector(ds, roles.outcome), combined)
-
-
-def _fit_variant(ds, roles, variant, include_mediators, options, psfit=None) -> FitResult:
-    if variant in ("primary", "simple"):
-        return _fit_regression_variant(ds, roles, variant, include_mediators)
-    if variant not in ("ps_regression", "ipw"):
+    Under integer row counts the coefficients equal those of the refit on
+    the resampled rows. The sandwich covariance does not, as it reads a
+    weight as a sampling weight rather than repeated rows; a bootstrap
+    replicate uses the coefficients only.
+    """
+    if variant not in VARIANTS:
         raise InputError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if psfit is None:
-        from . import adjustment
-
-        psfit = adjustment.fit_propensity(ds, roles, include_mediator=False)
+    roles.validate(ds)
+    y = response_vector(ds, roles.outcome)
     if variant == "ps_regression":
-        return _fit_ps_variant(ds, roles, include_mediators, psfit)
-    return _fit_ipw_variant(ds, roles, include_mediators, options, psfit)
+        placeholder = np.zeros(ds.n_rows)
+        ds = ds.with_column(PS_COLUMN, Column(Continuous(), placeholder, placeholder.astype(np.uint8)))
+    templates = [design_template(ds, _outcome_spec(roles, variant, m)) for m in include_mediators]
+    if variant == "primary":
+        return lambda w: tuple(fit_logistic(t.design(w), y, w) for t in templates)
+    designs = [t.design(ds.weights()) for t in templates]
+    if variant == "simple":
+        return lambda w: tuple(fit_logistic(d, y, w) for d in designs)
+    ps_design = propensity_design(ds, roles)
+    treat = indicator(ds[roles.exposure])
+    if variant == "ipw":
+
+        def fit_ipw(w):
+            _, scores = propensity_scores(ps_design, treat, w)
+            combined = w * ipw_weights(scores, treat, stabilized=True, base_weights=w).weights
+            return tuple(fit_logistic(d, y, combined) for d in designs)
+
+        return fit_ipw
+
+    def fit_ps(w):
+        _, scores = propensity_scores(ps_design, treat, w)
+        fits = []
+        for d in designs:
+            matrix = d.matrix.copy()
+            matrix[:, d.names.index(PS_COLUMN)] = scores
+            fits.append(fit_logistic(DesignMatrix(matrix, d.names, {}), y, w))
+        return tuple(fits)
+
+    return fit_ps
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,25 +236,14 @@ class EffectPair:
         return self.total_log_or - self.direct_log_or
 
 
-def estimate_pair(
-    ds: Dataset,
-    roles: VariableRoles,
-    variant: str,
-    options: VariantOptions = VariantOptions(),
-) -> EffectPair:
-    """Fit the mediator-free and mediator-adjusted models for one variant.
+def estimate_pair(ds: Dataset, roles: VariableRoles, variant: str) -> EffectPair:
+    """Fit the mediator-free and mediator-adjusted models for one variant
+    under the survey weights.
 
     The ps/ipw variants share one mediator-free propensity fit across both
     outcome models.
     """
-    roles.validate(ds)
-    psfit = None
-    if variant in ("ps_regression", "ipw"):
-        from . import adjustment
-
-        psfit = adjustment.fit_propensity(ds, roles, include_mediator=False)
-    total_fit = _fit_variant(ds, roles, variant, False, options, psfit)
-    direct_fit = _fit_variant(ds, roles, variant, True, options, psfit)
+    total_fit, direct_fit = variant_estimator(ds, roles, variant)(ds.weights())
     return EffectPair(total_fit, direct_fit, roles.exposure, ds.n_rows)
 
 
@@ -267,30 +254,18 @@ def _estimate_from_fit(kind, fit, roles, variant, n_used, level=0.95) -> EffectE
 
 
 def total_effect(
-    ds: Dataset,
-    roles: VariableRoles,
-    variant: str = "primary",
-    *,
-    options: VariantOptions = VariantOptions(),
-    level: float = 0.95,
+    ds: Dataset, roles: VariableRoles, variant: str = "primary", *, level: float = 0.95
 ) -> EffectEstimate:
     """Exposure effect from the outcome model excluding the mediators."""
-    roles.validate(ds)
-    fit = _fit_variant(ds, roles, variant, include_mediators=False, options=options)
+    (fit,) = variant_estimator(ds, roles, variant, (False,))(ds.weights())
     return _estimate_from_fit("total", fit, roles, variant, ds.n_rows, level)
 
 
 def direct_effect(
-    ds: Dataset,
-    roles: VariableRoles,
-    variant: str = "primary",
-    *,
-    options: VariantOptions = VariantOptions(),
-    level: float = 0.95,
+    ds: Dataset, roles: VariableRoles, variant: str = "primary", *, level: float = 0.95
 ) -> EffectEstimate:
     """Exposure effect with mediator main effects added to the model."""
-    roles.validate(ds)
-    fit = _fit_variant(ds, roles, variant, include_mediators=True, options=options)
+    (fit,) = variant_estimator(ds, roles, variant, (True,))(ds.weights())
     return _estimate_from_fit("direct", fit, roles, variant, ds.n_rows, level)
 
 
@@ -326,31 +301,29 @@ class BootstrapInterval:
     reps: int
 
 
-def bootstrap_statistics(n_rows, reps, seed, replicate_fn, *, threads=1, max_failure_rate=0.1):
-    """Resampling engine: replicate i draws rows with generator seed+i.
+def bootstrap_statistics(n_rows, reps, seed, replicate_fn, *, max_failure_rate=0.1):
+    """Resampling engine: replicate i draws ``n_rows`` row indices with
+    generator seed+i and passes ``replicate_fn`` their per-row counts.
 
-    Replicates whose fit degenerates (rank deficiency, separation,
-    non-convergence) are dropped and counted; more than ``max_failure_rate``
-    failures is an error. The replicate-to-seed mapping is fixed, so thread
-    counts cannot change the output.
+    A replicate is thus a row-count vector over the full rows, the same draw
+    whatever the statistic. Replicates whose fit degenerates (rank
+    deficiency, separation, non-convergence) are dropped and counted; more
+    than ``max_failure_rate`` failures is an error.
     """
     if reps < 100:
         raise InputError("at least 100 bootstrap replicates required")
-
-    def one(i):
+    stats = []
+    for i in range(reps):
         rng = np.random.default_rng(seed + i)
-        idx = rng.integers(0, n_rows, n_rows)
+        counts = np.bincount(rng.integers(0, n_rows, n_rows), minlength=n_rows)
         try:
-            return replicate_fn(idx)
+            stats.append(replicate_fn(counts))
         except FIT_FAILURES:
-            return None
-
-    results = parallel_map(one, range(reps), threads=threads)
-    stats = np.array([r for r in results if r is not None], dtype=np.float64)
-    n_failed = reps - stats.size
+            pass
+    n_failed = reps - len(stats)
     if n_failed > max_failure_rate * reps:
         raise BootstrapError(f"{n_failed} of {reps} bootstrap replicates failed")
-    return stats, n_failed
+    return np.array(stats, dtype=np.float64), n_failed
 
 
 def _target_stat(pair: EffectPair, target: str) -> float:
@@ -373,37 +346,32 @@ def bootstrap_ci(
     *,
     method: str = "percentile",
     level: float = 0.95,
-    options: VariantOptions = VariantOptions(),
-    threads: int = 1,
 ) -> BootstrapInterval:
     """Nonparametric bootstrap interval on the odds-ratio scale.
 
-    Rows are resampled with replacement and both models are refit per
-    replicate (including the propensity model for the ps/ipw variants).
-    ``method="percentile"`` takes percentile limits of the replicate ORs;
-    ``method="delta"`` uses a normal interval around the full-sample estimate
-    with the replicate standard deviation.
+    Each replicate refits both outcome models (and, for the ps/ipw variants,
+    the propensity model) on the full rows of ``ds`` under the survey
+    weights times the replicate's row counts, which is the same fit as on
+    the resampled rows. ``method="percentile"`` takes percentile limits of
+    the replicate ORs; ``method="delta"`` uses a normal interval around the
+    full-sample estimate with the replicate standard deviation.
     """
     if method not in ("percentile", "delta"):
         raise InputError(f"unknown bootstrap method {method!r}")
-    roles.validate(ds)
+    fit = variant_estimator(ds, roles, variant)
+    w = ds.weights()
 
-    def replicate(idx):
-        pair = estimate_pair(ds.take(idx), roles, variant, options)
-        return _target_stat(pair, target)
+    def statistic(weights):
+        return _target_stat(EffectPair(*fit(weights), roles.exposure, ds.n_rows), target)
 
-    stats, n_failed = bootstrap_statistics(ds.n_rows, reps, seed, replicate, threads=threads)
+    stats, n_failed = bootstrap_statistics(ds.n_rows, reps, seed, lambda counts: statistic(w * counts))
     se = float(stats.std(ddof=1)) if stats.size > 1 else 0.0
     alpha = (1.0 - level) / 2.0
     if method == "percentile":
         lo, hi = np.percentile(np.exp(stats), [100 * alpha, 100 * (1 - alpha)])
     else:
-        point = _target_stat(estimate_pair(ds, roles, variant, options), target)
-        z = Z95 if level == 0.95 else None
-        if z is None:
-            from scipy.stats import norm
-
-            z = float(norm.ppf(1 - alpha))
+        point = statistic(w)
+        z = Z95 if level == 0.95 else float(norm.ppf(1 - alpha))
         lo, hi = math.exp(point - z * se), math.exp(point + z * se)
     return BootstrapInterval(float(lo), float(hi), se, n_failed, reps)
 
@@ -416,27 +384,16 @@ def effect_triple(
     bootstrap_reps: int = 1000,
     seed: int = 0,
     ci_method: str = "percentile",
-    options: VariantOptions = VariantOptions(),
-    threads: int = 1,
 ) -> EffectTriple:
     """Total, direct, and indirect effects for one variant on complete data.
 
     Total and direct carry Wald sandwich CIs from their fits; the indirect
-    CI is bootstrapped with the given seed and replicate count.
+    CI is bootstrapped with the given seed and replicate count, and the
+    replicates dropped as failed fits are reported with it.
     """
-    pair = estimate_pair(ds, roles, variant, options)
+    pair = estimate_pair(ds, roles, variant)
     total = _estimate_from_fit("total", pair.total_fit, roles, variant, pair.n_used)
     direct = _estimate_from_fit("direct", pair.direct_fit, roles, variant, pair.n_used)
-    interval = bootstrap_ci(
-        ds,
-        roles,
-        variant,
-        bootstrap_reps,
-        seed,
-        "indirect",
-        method=ci_method,
-        options=options,
-        threads=threads,
-    )
+    interval = bootstrap_ci(ds, roles, variant, bootstrap_reps, seed, "indirect", method=ci_method)
     indirect = combine(total, direct, ci_or=(interval.lo, interval.hi))
-    return EffectTriple(total, direct, indirect, seed, bootstrap_reps)
+    return EffectTriple(total, direct, indirect, seed, bootstrap_reps, interval.n_failed)

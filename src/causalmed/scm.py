@@ -14,9 +14,9 @@ reject enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Union
 
 import numpy as np
 from scipy.special import expit
@@ -204,7 +204,6 @@ class Joint:
         keep = [self.axis(n) for n in names]
         drop = tuple(i for i in range(len(self.names)) if i not in keep)
         marg = self.probs.sum(axis=drop)
-        order = np.argsort(np.argsort(keep))
         kept_sorted = sorted(keep)
         perm = [kept_sorted.index(k) for k in keep]
         return np.transpose(marg, axes=perm)

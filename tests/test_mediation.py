@@ -7,6 +7,8 @@ from scipy.special import expit
 from causalmed.data import Binary, Column, Continuous, Dataset, VariableRoles
 from causalmed.errors import BootstrapError, InputError, RankDeficiencyError, SeparationError
 from causalmed.mediation import (
+    FIT_FAILURES,
+    VARIANTS,
     EffectEstimate,
     EffectTriple,
     bootstrap_ci,
@@ -16,6 +18,7 @@ from causalmed.mediation import (
     effect_triple,
     estimate_pair,
     total_effect,
+    variant_estimator,
 )
 
 
@@ -71,7 +74,8 @@ class TestCombine:
         direct = estimate("direct", 1.13140211479)
         indirect = combine(total, direct)
         assert indirect.log_or == total.log_or - direct.log_or
-        EffectTriple(total, direct, indirect, seed=0, bootstrap_reps=0)
+        triple = EffectTriple(total, direct, indirect, seed=0, bootstrap_reps=0)
+        assert triple.bootstrap_failed == 0
 
     def test_variant_mismatch_rejected(self):
         with pytest.raises(InputError, match="variant mismatch"):
@@ -171,7 +175,7 @@ class TestEffects:
 
 class TestBootstrap:
     def test_constant_statistic_gives_zero_width(self):
-        stats, n_failed = bootstrap_statistics(50, 200, 4, lambda idx: 1.234)
+        stats, n_failed = bootstrap_statistics(50, 200, 4, lambda counts: 1.234)
         assert n_failed == 0
         lo, hi = np.percentile(np.exp(stats), [2.5, 97.5])
         assert lo == hi == pytest.approx(math.exp(1.234))
@@ -185,17 +189,24 @@ class TestBootstrap:
         c = bootstrap_ci(ds, ROLES, "simple", 120, seed=78)
         assert (a.lo, a.hi) != (c.lo, c.hi)
 
-    def test_threads_do_not_change_results(self):
-        rng = np.random.default_rng(22)
-        ds = sim_dataset(rng, 400, bm=0.3)
-        serial = bootstrap_ci(ds, ROLES, "simple", 120, seed=5, threads=1)
-        threaded = bootstrap_ci(ds, ROLES, "simple", 120, seed=5, threads=8)
-        assert (serial.lo, serial.hi, serial.se) == (threaded.lo, threaded.hi, threaded.se)
+    def test_replicate_is_count_vector_of_seeded_draw(self):
+        seen = []
+        bootstrap_statistics(30, 100, 11, lambda counts: seen.append(counts) or 0.0)
+        for i, counts in enumerate(seen):
+            idx = np.random.default_rng(11 + i).integers(0, 30, 30)
+            np.testing.assert_array_equal(counts, np.bincount(idx, minlength=30))
+
+    def test_triple_reports_failed_replicates(self):
+        ds = sim_dataset(np.random.default_rng(4), 50, bm=0.3)
+        triple = effect_triple(ds, ROLES, "primary", bootstrap_reps=100, seed=4)
+        interval = bootstrap_ci(ds, ROLES, "primary", 100, seed=4)
+        assert triple.bootstrap_failed == interval.n_failed > 0
+        assert triple.to_json_obj()["bootstrap_failed"] == interval.n_failed
 
     def test_failed_replicates_counted_and_bounded(self):
         calls = {"n": 0}
 
-        def flaky(idx):
+        def flaky(counts):
             calls["n"] += 1
             if calls["n"] <= 8:
                 raise SeparationError("boom")
@@ -207,7 +218,7 @@ class TestBootstrap:
 
         calls["n"] = 0
 
-        def very_flaky(idx):
+        def very_flaky(counts):
             calls["n"] += 1
             if calls["n"] <= 15:
                 raise SeparationError("boom")
@@ -218,7 +229,7 @@ class TestBootstrap:
 
     def test_minimum_replicates(self):
         with pytest.raises(InputError, match="100"):
-            bootstrap_statistics(50, 99, 1, lambda idx: 0.0)
+            bootstrap_statistics(50, 99, 1, lambda counts: 0.0)
 
     def test_delta_interval_centered_on_estimate(self):
         rng = np.random.default_rng(23)
@@ -227,6 +238,72 @@ class TestBootstrap:
         pair = estimate_pair(ds, ROLES, "simple")
         center = math.sqrt(interval.lo * interval.hi)
         assert center == pytest.approx(math.exp(pair.indirect_log_or), rel=1e-9)
+
+
+def take_replicate(ds, variant, idx):
+    """Reference replicate: both models refit on the resampled rows."""
+    return estimate_pair(ds.take(idx), ROLES, variant)
+
+
+def rel_close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+class TestReplicateEquivalence:
+    """A replicate fitted under the survey weights times its row counts
+    equals the refit on the resampled rows."""
+
+    @pytest.mark.parametrize("weight", [False, True])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_count_weights_match_resampled_rows(self, variant, weight):
+        for seed in (0, 1, 2):
+            rng = np.random.default_rng(500 + seed)
+            ds = sim_dataset(rng, 300, bm=0.3, weight=weight)
+            fit = variant_estimator(ds, ROLES, variant)
+            for _ in range(3):
+                idx = rng.integers(0, ds.n_rows, ds.n_rows)
+                counts = np.bincount(idx, minlength=ds.n_rows)
+                try:
+                    ref = take_replicate(ds, variant, idx)
+                except FIT_FAILURES as exc:
+                    with pytest.raises(type(exc)):
+                        fit(ds.weights() * counts)
+                    continue
+                for got, want in zip(fit(ds.weights() * counts), (ref.total_fit, ref.direct_fit)):
+                    assert got.names == want.names
+                    assert got.iterations == want.iterations
+                    scale = np.abs(want.beta).max()
+                    np.testing.assert_allclose(got.beta, want.beta, rtol=0, atol=1e-12 * scale)
+                    assert rel_close(got.coef("q"), want.coef("q"))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bootstrap_interval_matches_resampled_rows(self, variant):
+        ds = sim_dataset(np.random.default_rng(31), 300, bm=0.3, weight=True)
+        interval = bootstrap_ci(ds, ROLES, variant, 100, seed=8)
+        stats = []
+        for i in range(100):
+            idx = np.random.default_rng(8 + i).integers(0, ds.n_rows, ds.n_rows)
+            try:
+                stats.append(take_replicate(ds, variant, idx).indirect_log_or)
+            except FIT_FAILURES:
+                pass
+        stats = np.array(stats)
+        assert interval.n_failed == 100 - stats.size
+        lo, hi = np.percentile(np.exp(stats), [2.5, 97.5])
+        assert rel_close(interval.lo, lo) and rel_close(interval.hi, hi)
+        assert rel_close(interval.se, stats.std(ddof=1))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_draw_emptying_covariate_level_fails_alike(self, variant):
+        rng = np.random.default_rng(41)
+        ds = sim_dataset(rng, 300, bm=0.3, weight=True)
+        idx = rng.choice(np.flatnonzero(ds["x"].values == 0), ds.n_rows)
+        counts = np.bincount(idx, minlength=ds.n_rows)
+        with pytest.raises(FIT_FAILURES) as ref:
+            take_replicate(ds, variant, idx)
+        with pytest.raises(FIT_FAILURES) as got:
+            variant_estimator(ds, ROLES, variant)(ds.weights() * counts)
+        assert type(got.value) is type(ref.value)
 
 
 class TestCoverage:
