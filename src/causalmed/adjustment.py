@@ -1,10 +1,9 @@
 """Propensity scores, inverse-probability weighting, and balance diagnostics.
 
 The propensity model is a survey-weighted logistic regression of the
-exposure on the adjustment covariates, optionally also on the mediators (the
-with-mediator variant exists for the overlap diagnostic; effect estimation
-always weights from the mediator-free model). Stabilized weights multiply
-the inverse score by the marginal exposure probability and therefore average
+exposure on the adjustment covariates; the mediators never enter it, as
+they are measured after the exposure. Stabilized weights multiply the
+inverse score by the marginal exposure probability and therefore average
 one.
 """
 
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import Dataset, VariableRoles
+from .data import Dataset, VariableRoles, _open_text
 from .errors import InputError
 from .glm import DesignMatrix, FitResult, ModelSpec, build_design, fit_logistic, indicator, main
 
@@ -33,27 +32,17 @@ class PropensityFit:
 
     fit: FitResult
     scores: np.ndarray
-    includes_mediator: bool
     covariate_names: tuple[str, ...]
     covariate_matrix: np.ndarray
     exposure: np.ndarray
     base_weights: np.ndarray
 
 
-def propensity_design(ds: Dataset, roles: VariableRoles, include_mediator: bool = False) -> DesignMatrix:
-    """Design of the exposure model: intercept, the adjustment covariates
-    and, with ``include_mediator``, the mediators."""
+def propensity_design(ds: Dataset, roles: VariableRoles) -> DesignMatrix:
+    """Design of the exposure model: intercept and the adjustment covariates."""
     roles.validate(ds)
-    terms = [main(c) for c in roles.adjustment_columns()]
-    if include_mediator:
-        terms.extend(main(m) for m in roles.mediators)
-    spec = ModelSpec(
-        outcome=roles.exposure,
-        exposure=None,
-        terms=tuple(terms),
-        weight_source=ds.weight_column,
-    )
-    return build_design(ds, spec)
+    terms = tuple(main(c) for c in roles.adjustment_columns())
+    return build_design(ds, ModelSpec(outcome=roles.exposure, exposure=None, terms=terms))
 
 
 def propensity_scores(design: DesignMatrix, exposure: np.ndarray, weights: np.ndarray):
@@ -63,16 +52,15 @@ def propensity_scores(design: DesignMatrix, exposure: np.ndarray, weights: np.nd
     return fit, np.clip(expit(design.matrix @ fit.beta), SCORE_EPS, 1.0 - SCORE_EPS)
 
 
-def fit_propensity(ds: Dataset, roles: VariableRoles, include_mediator: bool = False) -> PropensityFit:
+def fit_propensity(ds: Dataset, roles: VariableRoles) -> PropensityFit:
     """Logistic regression of the exposure on the adjustment covariates."""
-    design = propensity_design(ds, roles, include_mediator)
+    design = propensity_design(ds, roles)
     exposure = indicator(ds[roles.exposure])
     weights = ds.weights()
     fit, scores = propensity_scores(design, exposure, weights)
     return PropensityFit(
         fit=fit,
         scores=scores,
-        includes_mediator=include_mediator,
         covariate_names=design.names[1:],
         covariate_matrix=design.matrix[:, 1:],
         exposure=exposure,
@@ -89,7 +77,7 @@ class IpwWeights:
 
 
 def ipw_weights(
-    psfit: "PropensityFit | np.ndarray",
+    scores: np.ndarray,
     exposure: np.ndarray,
     stabilized: bool = True,
     trim: tuple[float, float] | None = None,
@@ -100,10 +88,9 @@ def ipw_weights(
 
     Stabilization multiplies by the marginal exposure probability (computed
     with ``base_weights`` when given). Trimming clamps the scores at the
-    given score quantiles before weighting and counts affected rows. A bare
-    score vector may stand in for a full propensity fit.
+    given score quantiles before weighting and counts affected rows.
     """
-    scores = psfit.scores if isinstance(psfit, PropensityFit) else np.asarray(psfit, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
     if ((scores <= 0.0) | (scores >= 1.0)).any():
         raise InputError("propensity scores must lie strictly in (0, 1)")
     exposure = np.asarray(exposure, dtype=np.float64)
@@ -154,35 +141,21 @@ class DensitySummary:
         }
 
     def histogram_to_csv(self, dest) -> None:
-        close = False
-        if not hasattr(dest, "write"):
-            dest = open(dest, "w", encoding="utf-8", newline="")
-            close = True
-        try:
-            writer = csv.writer(dest)
+        with _open_text(dest, "w") as fh:
+            writer = csv.writer(fh)
             writer.writerow(["group", "bin_lo", "bin_hi", "proportion"])
             for group, props in self.proportions.items():
                 for i, p in enumerate(props):
                     writer.writerow(
                         [group, repr(float(self.bin_edges[i])), repr(float(self.bin_edges[i + 1])), repr(float(p))]
                     )
-        finally:
-            if close:
-                dest.close()
 
     def smd_to_csv(self, dest) -> None:
-        close = False
-        if not hasattr(dest, "write"):
-            dest = open(dest, "w", encoding="utf-8", newline="")
-            close = True
-        try:
-            writer = csv.writer(dest)
+        with _open_text(dest, "w") as fh:
+            writer = csv.writer(fh)
             writer.writerow(["covariate", "smd_before", "smd_after"])
             for row in self.smd:
                 writer.writerow([row.covariate, repr(row.before), repr(row.after)])
-        finally:
-            if close:
-                dest.close()
 
 
 def _weighted_smd(values, exposure, weights) -> float:
@@ -215,7 +188,7 @@ def overlap_diagnostics(psfit: PropensityFit, exposure: np.ndarray, bins: int = 
             raise InputError(f"exposure group {int(group)} is empty")
         counts, _ = np.histogram(psfit.scores[sel], bins=edges)
         proportions[str(int(group))] = counts / counts.sum()
-    ipw = ipw_weights(psfit, exposure, stabilized=True, base_weights=psfit.base_weights)
+    ipw = ipw_weights(psfit.scores, exposure, stabilized=True, base_weights=psfit.base_weights)
     after_w = psfit.base_weights * ipw.weights
     smd_rows = []
     for j, name in enumerate(psfit.covariate_names):

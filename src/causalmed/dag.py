@@ -293,18 +293,15 @@ def is_valid_adjustment(
     )
 
 
-def valid_adjustment_sets(
-    dag: CausalDag, exposure: str, outcome: str, max_size: int | None = None
-) -> tuple[tuple[str, ...], ...]:
+def valid_adjustment_sets(dag: CausalDag, exposure: str, outcome: str) -> tuple[tuple[str, ...], ...]:
     """Exhaustively search subsets of observed non-descendant nodes that
     block every backdoor path; smallest sets first."""
     validate(dag)
     dag.require(exposure, outcome)
     forbidden = {exposure, outcome} | dag.descendants(exposure)
     candidates = [n for n in dag.observed_nodes if n not in forbidden]
-    limit = len(candidates) if max_size is None else min(max_size, len(candidates))
     found = []
-    for size in range(limit + 1):
+    for size in range(len(candidates) + 1):
         for subset in itertools.combinations(candidates, size):
             report = is_valid_adjustment(dag, exposure, outcome, subset)
             if report.valid:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import enum
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -34,6 +35,9 @@ NONRESPONSE = CellState.NONRESPONSE
 
 #: Token used by :func:`write_csv` to encode non-response cells.
 NONRESPONSE_TOKEN = "__NR__"
+
+#: Survey answers that :func:`sgm_survey_rules` recodes to non-response.
+NONRESPONSE_LABELS = ("Refused", "Don't know", "don't know")
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +120,12 @@ class Column:
                 raise DataError(f"non-finite observed value at row {bad[0]}")
             values = np.where(state == CellState.OBSERVED, values, np.nan)
         else:
-            values = values.astype(np.int16)
+            # Range-check the codes as given: narrowing first would wrap
+            # out-of-range codes onto valid ones.
             obs = state == CellState.OBSERVED
-            if obs.any():
-                codes = values[obs]
-                if codes.min() < 0 or codes.max() >= len(levels):
-                    raise DataError("code outside declared levels")
+            codes = values[obs]
+            if codes.size and (codes.min() < 0 or codes.max() >= len(levels)):
+                raise DataError("code outside declared levels")
             values = np.where(obs, values, -1).astype(np.int16)
         values.setflags(write=False)
         state.setflags(write=False)
@@ -239,31 +243,12 @@ class Dataset:
             return np.ones(self.n_rows)
         return self.columns[self.weight_column].values.astype(np.float64)
 
-    def weights_from(self, source: str) -> np.ndarray:
-        """A named column validated as an analysis-weight vector."""
-        col = self[source]
-        if not isinstance(col.kind, Continuous):
-            raise InputError(f"weight source {source!r} must be continuous")
-        if not col.observed.all():
-            raise DataError(f"weight source {source!r} has unobserved cells")
-        vals = col.values.astype(np.float64)
-        if (vals < 0).any():
-            raise DataError("weights must be non-negative")
-        return vals
-
     def take(self, rows) -> "Dataset":
         rows = np.asarray(rows)
         out = object.__new__(Dataset)
         object.__setattr__(out, "columns", {n: c.take(rows) for n, c in self.columns.items()})
         object.__setattr__(out, "weight_column", self.weight_column)
         return out
-
-    def with_column(self, name: str, column: Column) -> "Dataset":
-        if name in self.columns:
-            raise InputError(f"column {name!r} already exists")
-        cols = dict(self.columns)
-        cols[name] = column
-        return Dataset(cols, self.weight_column)
 
     def replace_columns(self, updates: Mapping[str, Column]) -> "Dataset":
         cols = dict(self.columns)
@@ -330,6 +315,23 @@ class VariableRoles:
 # CSV ingestion / serialization
 
 
+@contextmanager
+def _open_text(target, mode: str):
+    """Yield ``target`` itself when it is an open text stream; otherwise open
+    the path it names as UTF-8 in ``mode`` ("r" or "w"), close it on exit,
+    and report a path that cannot be opened as a DataError."""
+    verb = "read" if mode == "r" else "write"
+    if hasattr(target, verb):
+        yield target
+        return
+    try:
+        fh = open(target, mode, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot {verb} {target}: {exc}") from exc
+    with fh:
+        yield fh
+
+
 def ingest_csv(
     source,
     schema: Mapping[str, ColumnKind],
@@ -349,15 +351,7 @@ def ingest_csv(
     missing = frozenset(missing_tokens)
     nonresponse = frozenset(nonresponse_tokens)
     names = list(schema)
-    if hasattr(source, "read"):
-        fh, close = source, False
-    else:
-        try:
-            fh = open(source, "r", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise DataError(f"cannot read {source}: {exc}") from exc
-        close = True
-    try:
+    with _open_text(source, "r") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -402,9 +396,6 @@ def ingest_csv(
                         )
                     raw[name].append(index[token])
                 states[name].append(int(CellState.OBSERVED))
-    finally:
-        if close:
-            fh.close()
     columns = {}
     for name in names:
         kind = schema[name]
@@ -430,31 +421,22 @@ def write_csv(
     ``nonresponse_token``; continuous values use shortest round-trip float
     formatting.
     """
-    if hasattr(dest, "write"):
-        fh, close = dest, False
-    else:
-        fh = open(dest, "w", encoding="utf-8", newline="")
-        close = True
-    try:
+    tokens = ((CellState.MISSING, missing_token), (CellState.NONRESPONSE, nonresponse_token))
+    cells = []
+    for col in ds.columns.values():
+        # One string per cell, a column at a time; unobserved cells (NaN, or
+        # code -1) get a placeholder here and their token below.
+        levels = kind_levels(col.kind)
+        values = col.values.tolist()
+        strings = [repr(v) for v in values] if levels is None else [levels[c] for c in values]
+        for state, token in tokens:
+            for i in np.flatnonzero(col.state == state).tolist():
+                strings[i] = token
+        cells.append(strings)
+    with _open_text(dest, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(ds.names)
-        cols = [ds.columns[name] for name in ds.names]
-        for i in range(ds.n_rows):
-            row = []
-            for col in cols:
-                st = col.state[i]
-                if st == CellState.MISSING:
-                    row.append(missing_token)
-                elif st == CellState.NONRESPONSE:
-                    row.append(nonresponse_token)
-                elif kind_levels(col.kind) is None:
-                    row.append(repr(float(col.values[i])))
-                else:
-                    row.append(kind_levels(col.kind)[int(col.values[i])])
-            writer.writerow(row)
-    finally:
-        if close:
-            fh.close()
+        writer.writerows(zip(*cells))
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +513,16 @@ def recode(ds: Dataset, rules: RecodeRuleSet) -> Dataset:
 
 
 def sgm_survey_rules(
-    *,
-    orientation: str = "orientation",
-    depression: str = "depression",
-    nonresponse_labels: Sequence[str] = ("Refused", "Don't know", "don't know"),
+    *, orientation: str = "orientation", depression: str = "depression"
 ) -> dict[str, RecodeRule]:
     """Canned recode rules for NHIS-style sexual-orientation extracts.
 
     Orientation responses gay/lesbian, bisexual, and "something else" code to
-    exposure level "1"; "straight" to "0". Refusals and don't-know responses
-    become non-response. Depression "Yes"/"No" codes to "1"/"0".
+    exposure level "1"; "straight" to "0". The :data:`NONRESPONSE_LABELS`
+    (refusals and don't-know responses) become non-response. Depression
+    "Yes"/"No" codes to "1"/"0".
     """
-    nr = {label: CellState.NONRESPONSE for label in nonresponse_labels}
+    nr = {label: CellState.NONRESPONSE for label in NONRESPONSE_LABELS}
     return {
         orientation: RecodeRule(
             Binary(),
@@ -633,12 +613,7 @@ class DescriptiveTable:
         ]
 
     def to_csv(self, dest) -> None:
-        if hasattr(dest, "write"):
-            fh, close = dest, False
-        else:
-            fh = open(dest, "w", encoding="utf-8", newline="")
-            close = True
-        try:
+        with _open_text(dest, "w") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.CSV_HEADER)
             for r in self.rows:
@@ -653,9 +628,6 @@ class DescriptiveTable:
                         "" if r.sd is None else repr(r.sd),
                     ]
                 )
-        finally:
-            if close:
-                fh.close()
 
 
 def describe(
@@ -683,7 +655,7 @@ def describe(
                 vals = col.values[use]
                 w = weights[use]
                 n = int(use.sum())
-                if n == 0:
+                if float(w.sum()) == 0:  # no rows, or only zero weights
                     mean = sd = None
                 else:
                     mean = float(np.average(vals, weights=w))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.special import expit
-from scipy.stats import norm
 
 from .data import Binary, Column, Continuous, Dataset, kind_levels, nonreference_levels
 from .errors import (
@@ -32,7 +31,8 @@ INTERCEPT = "(Intercept)"
 
 DEFAULT_MAX_ITER = 50
 DEFAULT_TOL = 1e-8
-DEFAULT_SEPARATION_BOUND = 30.0
+#: Coefficient magnitude past which an improving fit counts as separated.
+SEPARATION_BOUND = 30.0
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,9 @@ class ModelSpec:
     exposure: str | None
     terms: tuple[Term, ...]
     center_covariates: bool = False
-    weight_source: str | None = None
-    max_iter: int = DEFAULT_MAX_ITER
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.tol <= 0:
-            raise InputError("tol must be positive")
-        if self.max_iter < 1:
-            raise InputError("max_iter must be at least 1")
         for term in self.terms:
             if term.column == self.outcome:
                 raise InputError(f"outcome {self.outcome!r} cannot appear among terms")
@@ -201,13 +194,12 @@ def build_design(ds: Dataset, spec: ModelSpec) -> DesignMatrix:
 
     Discrete covariates become reference-coded indicators. When centering is
     requested every covariate column (indicators included) is shifted to
-    weighted mean zero under the ``weight_source`` weights, and interaction
+    weighted mean zero under the dataset's analysis weights, and interaction
     columns are products of the exposure indicator with the centered
     covariate columns, so the exposure coefficient is the effect at
     covariate means.
     """
-    weights = np.ones(ds.n_rows) if spec.weight_source is None else ds.weights_from(spec.weight_source)
-    return design_template(ds, spec).design(weights)
+    return design_template(ds, spec).design(ds.weights())
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,12 +286,11 @@ def fit_logistic(
     *,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
-    separation_bound: float = DEFAULT_SEPARATION_BOUND,
 ) -> FitResult:
     """Maximize the weighted Bernoulli log-likelihood by IRLS.
 
     Convergence means the max-abs weighted score falls below ``tol``.
-    Coefficients passing ``separation_bound`` in absolute value while the
+    Coefficients passing :data:`SEPARATION_BOUND` in absolute value while the
     deviance still improves are reported as quasi-complete separation.
     Failure to converge within ``max_iter`` accepted steps raises; returned
     fits always have ``converged=True``.
@@ -351,9 +342,9 @@ def fit_logistic(
         improving = ll_cand > ll + 1e-8
         beta, eta, ll = cand, eta_cand, ll_cand
         iterations += 1
-        if np.abs(beta).max() > separation_bound and improving:
+        if np.abs(beta).max() > SEPARATION_BOUND and improving:
             raise SeparationError(
-                f"coefficient magnitude exceeded {separation_bound} while the deviance "
+                f"coefficient magnitude exceeded {SEPARATION_BOUND} while the deviance "
                 "still improved; data are quasi-completely separated"
             )
 
@@ -381,20 +372,14 @@ def fit_logistic(
     )
 
 
-def wald_interval(
-    fit: FitResult, index, level: float = 0.95, variance: str = "sandwich"
-) -> tuple[float, float]:
-    """Wald confidence interval for one coefficient, on the log-odds scale."""
+def wald_interval(fit: FitResult, index) -> tuple[float, float]:
+    """95% Wald confidence interval for one coefficient, on the log-odds
+    scale, from the sandwich standard error."""
     if not fit.converged:
         raise InputError("fit did not converge")
-    if variance not in ("sandwich", "model_based"):
-        raise InputError(f"unknown variance {variance!r}")
-    if not 0 < level < 1:
-        raise InputError("level must be in (0, 1)")
     idx = fit._index(index)
-    z = Z95 if level == 0.95 else float(norm.ppf(0.5 + level / 2.0))
-    se = fit.se(idx, variance)
+    se = fit.se(idx)
     est = float(fit.beta[idx])
-    return (est - z * se, est + z * se)
+    return (est - Z95 * se, est + Z95 * se)
 
 

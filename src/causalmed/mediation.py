@@ -31,10 +31,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .adjustment import ipw_weights, propensity_design, propensity_scores
-from .data import Column, Continuous, Dataset, VariableRoles
+from .data import Dataset, VariableRoles
 from .errors import (
     BootstrapError,
     ConvergenceError,
@@ -58,10 +57,15 @@ from .glm import (
 
 VARIANTS = ("primary", "simple", "ps_regression", "ipw")
 
-#: Name of the derived column holding fitted propensity scores.
+#: Name of the ``ps_regression`` design column holding the fitted
+#: propensity scores, which sit right after the exposure.
 PS_COLUMN = "propensity_score"
 
 FIT_FAILURES = (RankDeficiencyError, SeparationError, ConvergenceError)
+
+#: Largest share of bootstrap replicates that may fail before the interval
+#: is refused.
+MAX_FAILURE_RATE = 0.1
 
 
 @dataclass(frozen=True)
@@ -125,14 +129,6 @@ class EffectTriple:
             "bootstrap_failed": self.bootstrap_failed,
         }
 
-    def forest_rows(self):
-        """Rows for the forest-plot CSV: (variant, effect, or, ci_lo, ci_hi)."""
-        rows = []
-        for est in self.estimates():
-            lo, hi = est.ci_or if est.ci_or is not None else (None, None)
-            rows.append((est.variant, est.kind, est.odds_ratio, lo, hi))
-        return rows
-
 
 # ---------------------------------------------------------------------------
 # The estimator: fixed designs, one weight vector
@@ -141,12 +137,7 @@ class EffectTriple:
 def _outcome_spec(roles, variant, include_mediators) -> ModelSpec:
     if include_mediators and not roles.mediators:
         raise InputError("direct effect requires at least one mediator column")
-    if variant == "ps_regression":
-        covariates = (PS_COLUMN,)
-    elif variant == "ipw":
-        covariates = ()
-    else:
-        covariates = roles.adjustment_columns()
+    covariates = () if variant in ("ps_regression", "ipw") else roles.adjustment_columns()
     terms = [main(c) for c in covariates]
     if include_mediators:
         terms.extend(main(m) for m in roles.mediators)
@@ -182,9 +173,6 @@ def variant_estimator(ds: Dataset, roles: VariableRoles, variant: str, include_m
         raise InputError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     roles.validate(ds)
     y = response_vector(ds, roles.outcome)
-    if variant == "ps_regression":
-        placeholder = np.zeros(ds.n_rows)
-        ds = ds.with_column(PS_COLUMN, Column(Continuous(), placeholder, placeholder.astype(np.uint8)))
     templates = [design_template(ds, _outcome_spec(roles, variant, m)) for m in include_mediators]
     if variant == "primary":
         return lambda w: tuple(fit_logistic(t.design(w), y, w) for t in templates)
@@ -202,14 +190,14 @@ def variant_estimator(ds: Dataset, roles: VariableRoles, variant: str, include_m
 
         return fit_ipw
 
+    ps_names = [d.names[:2] + (PS_COLUMN,) + d.names[2:] for d in designs]
+
     def fit_ps(w):
         _, scores = propensity_scores(ps_design, treat, w)
-        fits = []
-        for d in designs:
-            matrix = d.matrix.copy()
-            matrix[:, d.names.index(PS_COLUMN)] = scores
-            fits.append(fit_logistic(DesignMatrix(matrix, d.names, {}), y, w))
-        return tuple(fits)
+        return tuple(
+            fit_logistic(DesignMatrix(np.insert(d.matrix, 2, scores, axis=1), names, {}), y, w)
+            for d, names in zip(designs, ps_names)
+        )
 
     return fit_ps
 
@@ -247,26 +235,22 @@ def estimate_pair(ds: Dataset, roles: VariableRoles, variant: str) -> EffectPair
     return EffectPair(total_fit, direct_fit, roles.exposure, ds.n_rows)
 
 
-def _estimate_from_fit(kind, fit, roles, variant, n_used, level=0.95) -> EffectEstimate:
+def _estimate_from_fit(kind, fit, roles, variant, n_used) -> EffectEstimate:
     log_or = fit.coef(roles.exposure)
-    lo, hi = wald_interval(fit, roles.exposure, level=level)
+    lo, hi = wald_interval(fit, roles.exposure)
     return EffectEstimate.from_log_or(kind, log_or, (math.exp(lo), math.exp(hi)), variant, n_used)
 
 
-def total_effect(
-    ds: Dataset, roles: VariableRoles, variant: str = "primary", *, level: float = 0.95
-) -> EffectEstimate:
+def total_effect(ds: Dataset, roles: VariableRoles, variant: str = "primary") -> EffectEstimate:
     """Exposure effect from the outcome model excluding the mediators."""
     (fit,) = variant_estimator(ds, roles, variant, (False,))(ds.weights())
-    return _estimate_from_fit("total", fit, roles, variant, ds.n_rows, level)
+    return _estimate_from_fit("total", fit, roles, variant, ds.n_rows)
 
 
-def direct_effect(
-    ds: Dataset, roles: VariableRoles, variant: str = "primary", *, level: float = 0.95
-) -> EffectEstimate:
+def direct_effect(ds: Dataset, roles: VariableRoles, variant: str = "primary") -> EffectEstimate:
     """Exposure effect with mediator main effects added to the model."""
     (fit,) = variant_estimator(ds, roles, variant, (True,))(ds.weights())
-    return _estimate_from_fit("direct", fit, roles, variant, ds.n_rows, level)
+    return _estimate_from_fit("direct", fit, roles, variant, ds.n_rows)
 
 
 def combine(
@@ -301,14 +285,14 @@ class BootstrapInterval:
     reps: int
 
 
-def bootstrap_statistics(n_rows, reps, seed, replicate_fn, *, max_failure_rate=0.1):
+def bootstrap_statistics(n_rows, reps, seed, replicate_fn):
     """Resampling engine: replicate i draws ``n_rows`` row indices with
     generator seed+i and passes ``replicate_fn`` their per-row counts.
 
     A replicate is thus a row-count vector over the full rows, the same draw
     whatever the statistic. Replicates whose fit degenerates (rank
     deficiency, separation, non-convergence) are dropped and counted; more
-    than ``max_failure_rate`` failures is an error.
+    than :data:`MAX_FAILURE_RATE` of them failing is an error.
     """
     if reps < 100:
         raise InputError("at least 100 bootstrap replicates required")
@@ -321,7 +305,7 @@ def bootstrap_statistics(n_rows, reps, seed, replicate_fn, *, max_failure_rate=0
         except FIT_FAILURES:
             pass
     n_failed = reps - len(stats)
-    if n_failed > max_failure_rate * reps:
+    if n_failed > MAX_FAILURE_RATE * reps:
         raise BootstrapError(f"{n_failed} of {reps} bootstrap replicates failed")
     return np.array(stats, dtype=np.float64), n_failed
 
@@ -345,9 +329,8 @@ def bootstrap_ci(
     target: str = "indirect",
     *,
     method: str = "percentile",
-    level: float = 0.95,
 ) -> BootstrapInterval:
-    """Nonparametric bootstrap interval on the odds-ratio scale.
+    """Nonparametric 95% bootstrap interval on the odds-ratio scale.
 
     Each replicate refits both outcome models (and, for the ps/ipw variants,
     the propensity model) on the full rows of ``ds`` under the survey
@@ -366,13 +349,13 @@ def bootstrap_ci(
 
     stats, n_failed = bootstrap_statistics(ds.n_rows, reps, seed, lambda counts: statistic(w * counts))
     se = float(stats.std(ddof=1)) if stats.size > 1 else 0.0
-    alpha = (1.0 - level) / 2.0
+    # (1 - 0.95) / 2 differs from 0.025 in the last bits; the limits keep it.
+    alpha = (1.0 - 0.95) / 2.0
     if method == "percentile":
         lo, hi = np.percentile(np.exp(stats), [100 * alpha, 100 * (1 - alpha)])
     else:
         point = statistic(w)
-        z = Z95 if level == 0.95 else float(norm.ppf(1 - alpha))
-        lo, hi = math.exp(point - z * se), math.exp(point + z * se)
+        lo, hi = math.exp(point - Z95 * se), math.exp(point + Z95 * se)
     return BootstrapInterval(float(lo), float(hi), se, n_failed, reps)
 
 
@@ -383,17 +366,16 @@ def effect_triple(
     *,
     bootstrap_reps: int = 1000,
     seed: int = 0,
-    ci_method: str = "percentile",
 ) -> EffectTriple:
     """Total, direct, and indirect effects for one variant on complete data.
 
     Total and direct carry Wald sandwich CIs from their fits; the indirect
-    CI is bootstrapped with the given seed and replicate count, and the
-    replicates dropped as failed fits are reported with it.
+    CI is a percentile bootstrap with the given seed and replicate count,
+    and the replicates dropped as failed fits are reported with it.
     """
     pair = estimate_pair(ds, roles, variant)
     total = _estimate_from_fit("total", pair.total_fit, roles, variant, pair.n_used)
     direct = _estimate_from_fit("direct", pair.direct_fit, roles, variant, pair.n_used)
-    interval = bootstrap_ci(ds, roles, variant, bootstrap_reps, seed, "indirect", method=ci_method)
+    interval = bootstrap_ci(ds, roles, variant, bootstrap_reps, seed, "indirect")
     indirect = combine(total, direct, ci_or=(interval.lo, interval.hi))
     return EffectTriple(total, direct, indirect, seed, bootstrap_reps, interval.n_failed)

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -113,6 +114,71 @@ class TestRoundTrip:
             weight_column="w",
         )
         assert back == ds
+
+    def test_write_csv_bytes_exact(self):
+        kindc = Categorical(("lo", "hi, quoted"), "lo")
+        ds = Dataset(
+            {
+                "x": Column.build(Continuous(), [1.25, None, 3e-7, NONRESPONSE, 0.1 + 0.2]),
+                "g": Column.build(kindc, ["lo", "hi, quoted", None, "hi, quoted", NONRESPONSE]),
+                "w": Column.build(Continuous(), [1.0, 2.0, 0.5, -0.0, 1e22]),
+            }
+        )
+        buf = io.StringIO()
+        write_csv(ds, buf)
+        assert buf.getvalue() == (
+            "x,g,w\r\n"
+            '1.25,lo,1.0\r\n'
+            ',"hi, quoted",2.0\r\n'
+            "3e-07,,0.5\r\n"
+            '__NR__,"hi, quoted",-0.0\r\n'
+            "0.30000000000000004,__NR__,1e+22\r\n"
+        )
+        buf = io.StringIO()
+        write_csv(ds, buf, missing_token="NA", nonresponse_token="NR")
+        assert buf.getvalue().splitlines()[2:] == [
+            'NA,"hi, quoted",2.0',
+            "3e-07,NA,0.5",
+            'NR,"hi, quoted",-0.0',
+            "0.30000000000000004,NR,1e+22",
+        ]
+
+    def test_write_csv_matches_cell_by_cell_reference(self):
+        rng = np.random.default_rng(11)
+        n = 400
+        kinds = {"x": Continuous(), "g": Categorical(("a", "b", "c"), "a"), "q": Binary()}
+        states = {name: rng.choice(3, n, p=[0.8, 0.1, 0.1]).astype(np.uint8) for name in kinds}
+        values = {
+            "x": rng.normal(0, 1e3, n) * 10.0 ** rng.integers(-9, 9, n),
+            "g": rng.integers(0, 3, n),
+            "q": rng.integers(0, 2, n),
+        }
+        ds = Dataset({name: Column(kind, values[name], states[name]) for name, kind in kinds.items()})
+        tokens = {CellState.MISSING: "", CellState.NONRESPONSE: "__NR__"}
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(ds.names)
+        for i in range(n):
+            row = []
+            for col in ds.columns.values():
+                if col.state[i] != CellState.OBSERVED:
+                    row.append(tokens[col.state[i]])
+                elif isinstance(col.kind, Continuous):
+                    row.append(repr(float(col.values[i])))
+                else:
+                    row.append(col.label(i))
+            writer.writerow(row)
+        got = io.StringIO()
+        write_csv(ds, got)
+        assert got.getvalue() == want.getvalue()
+
+    def test_unwritable_path_is_data_error(self, tmp_path):
+        ds = Dataset({"x": Column.build(Continuous(), [1.0])})
+        with pytest.raises(DataError, match="cannot write"):
+            write_csv(ds, tmp_path / "no_such_dir" / "out.csv")
+        table = describe(Dataset({"g": Column.build(Binary(), ["0"])}), "g", ["g"])
+        with pytest.raises(DataError, match="cannot write"):
+            table.to_csv(tmp_path / "no_such_dir" / "table.csv")
 
 
 class TestRecode:
@@ -300,6 +366,22 @@ class TestDescribe:
             total = sum(r.pct for r in table.rows if r.stratum == stratum and r.pct is not None)
             assert total == pytest.approx(100.0, abs=0.01)
 
+    def test_weighted_continuous_in_zero_weight_stratum_has_no_mean(self):
+        ds = Dataset(
+            {
+                "g": Column.build(Binary(("A", "B"), "A"), ["A", "A", "B", "B"]),
+                "v": Column.build(Continuous(), [1.0, 3.0, 5.0, 7.0]),
+                "d": Column.build(Binary(), ["0", "1", "0", "1"]),
+                "w": Column.build(Continuous(), [1.0, 3.0, 0.0, 0.0]),
+            },
+            weight_column="w",
+        )
+        rows = describe(ds, "g", ["v", "d"], weighted=True).rows
+        a, b = (next(r for r in rows if r.variable == "v" and r.stratum == s) for s in ("A", "B"))
+        assert a.mean == pytest.approx(2.5)
+        assert (b.n, b.mean, b.sd) == (2, None, None)
+        assert all(r.pct is None for r in rows if r.variable == "d" and r.stratum == "B")
+
     def test_unknown_column(self):
         ds = Dataset({"g": Column.build(Binary(), ["0", "1"])})
         with pytest.raises(InputError):
@@ -343,6 +425,11 @@ class TestDatasetInvariants:
             Categorical(("a", "b"), "c")
         with pytest.raises(InputError):
             Binary(("a", "a"), "a")
+
+    @pytest.mark.parametrize("codes", [[0, 65536, 65537], [0, -65536, 1]])
+    def test_codes_out_of_range_before_narrowing_rejected(self, codes):
+        with pytest.raises(DataError, match="outside declared levels"):
+            Column(Categorical(("a", "b"), "a"), np.asarray(codes), np.zeros(3, dtype=np.uint8))
 
     def test_take_preserves_kinds(self):
         ds = Dataset(

@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causalmed
 from causalmed.data import Binary, Categorical, Column, Continuous, Dataset
 from causalmed.errors import (
     ConvergenceError,
@@ -115,7 +119,7 @@ class TestBuildDesign:
             },
             weight_column="w",
         )
-        spec = ModelSpec("y", "q", (main("x"),), center_covariates=True, weight_source="w")
+        spec = ModelSpec("y", "q", (main("x"),), center_covariates=True)
         design = build_design(ds, spec)
         w = ds.weights()
         assert abs(np.average(design.column("x"), weights=w)) < 1e-10
@@ -308,3 +312,18 @@ def _fixed_fit(beta, se):
         converged=True,
         n_obs=10,
     )
+
+
+def test_no_module_imports_scipy_stats():
+    # scipy.stats costs a large share of import time and memory; the
+    # package needs only scipy.linalg and scipy.special.
+    code = (
+        "import importlib, pkgutil, sys, causalmed\n"
+        "for m in pkgutil.iter_modules(causalmed.__path__):\n"
+        "    importlib.import_module('causalmed.' + m.name)\n"
+        "assert 'causalmed.mediation' in sys.modules\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = str(Path(causalmed.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
