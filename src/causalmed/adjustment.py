@@ -13,11 +13,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, VariableRoles, _open_text
 from .errors import InputError
-from .glm import DesignMatrix, FitResult, ModelSpec, build_design, fit_logistic, indicator, main
+from .glm import DesignMatrix, FitResult, ModelSpec, build_design, expit, fit_logistic, indicator, main
 
 SCORE_EPS = 1e-12
 

@@ -242,10 +242,10 @@ def backdoor_paths(
 class AdjustmentReport:
     """Verdict for a candidate adjustment set.
 
-    ``valid`` means every backdoor path is blocked and no mediator is
-    conditioned. Conditioning on a mediator is flagged separately because it
-    changes the estimand from the total to the direct effect rather than
-    making the analysis wrong.
+    ``valid`` means every backdoor path is blocked and no descendant of the
+    exposure is conditioned; descendants are named in ``explanation``.
+    Conditioning on a mediator is also flagged separately because it changes
+    the estimand from the total to the direct effect rather than biasing it.
     """
 
     valid: bool
@@ -270,8 +270,8 @@ def is_valid_adjustment(
         raise DagError("adjustment set cannot contain the exposure or outcome")
     reports = backdoor_paths(dag, exposure, outcome, z)
     open_paths = tuple(r for r in reports if r.is_open)
-    causal_nodes = dag.descendants(exposure) & dag.ancestors(outcome)
-    mediators = tuple(sorted(z & causal_nodes))
+    descendants = z & dag.descendants(exposure)
+    mediators = tuple(sorted(descendants & dag.ancestors(outcome)))
     blocked = not open_paths
     estimand = "direct" if mediators else "total"
     parts = []
@@ -283,8 +283,11 @@ def is_valid_adjustment(
         parts.append(
             "mediator conditioned (" + ", ".join(mediators) + "): direct-effect estimand"
         )
+    others = sorted(descendants.difference(mediators))
+    if others:
+        parts.append("descendant of the exposure conditioned (" + ", ".join(others) + "): biased")
     return AdjustmentReport(
-        valid=blocked and not mediators,
+        valid=blocked and not descendants,
         backdoor_blocked=blocked,
         open_backdoor_paths=open_paths,
         mediators_conditioned=mediators,

@@ -124,6 +124,8 @@ class Column:
             # out-of-range codes onto valid ones.
             obs = state == CellState.OBSERVED
             codes = values[obs]
+            if not np.array_equal(codes, np.trunc(codes)):
+                raise DataError("observed codes must be finite integers")
             if codes.size and (codes.min() < 0 or codes.max() >= len(levels)):
                 raise DataError("code outside declared levels")
             values = np.where(obs, values, -1).astype(np.int16)

@@ -4,7 +4,8 @@ The fitter is iteratively reweighted least squares with step-halving on
 deviance increases, started at zero coefficients. Survey weights enter as
 likelihood weights; inference defaults to the sandwich covariance, which is
 robust to that weighting. The model-based covariance is the inverse observed
-information.
+information. A rank-deficient design is reported by naming, from left to
+right, each column that adds no rank to the columns before it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import expit
 
 from .data import Binary, Column, Continuous, Dataset, kind_levels, nonreference_levels
 from .errors import (
@@ -33,6 +32,12 @@ DEFAULT_MAX_ITER = 50
 DEFAULT_TOL = 1e-8
 #: Coefficient magnitude past which an improving fit counts as separated.
 SEPARATION_BOUND = 30.0
+
+
+def expit(x):
+    """The logistic function; 0.0, without an overflow warning, where exp(-x) overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -220,6 +225,8 @@ class FitResult:
 
     def se(self, index, variance: str = "sandwich") -> float:
         idx = self._index(index)
+        if variance not in ("sandwich", "model_based"):
+            raise InputError(f"unknown variance {variance!r}; expected 'sandwich' or 'model_based'")
         cov = self.cov_sandwich if variance == "sandwich" else self.cov_model
         return float(np.sqrt(cov[idx, idx]))
 
@@ -260,17 +267,20 @@ class FitResult:
 def _diagnose_singular_information(X, w, names):
     """Name the collinear columns behind a singular information matrix.
 
-    If the weighted design is actually full rank the singularity came from
-    degenerate fitted probabilities instead, which is separation territory.
+    Scanning the sqrt(w)-scaled design from left to right, each column that
+    adds no rank to the columns kept before it is named. If the weighted
+    design is actually full rank the singularity came from degenerate fitted
+    probabilities instead, which is separation territory.
     """
     Xw = X * np.sqrt(w)[:, None]
-    _, R, piv = scipy.linalg.qr(Xw, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        raise RankDeficiencyError(names)
-    rank = int((diag > diag[0] * max(X.shape) * np.finfo(float).eps).sum())
-    if rank < X.shape[1]:
-        raise RankDeficiencyError([names[j] for j in piv[rank:]])
+    kept, collinear = [], []
+    for j in range(X.shape[1]):
+        if np.linalg.matrix_rank(Xw[:, kept + [j]]) > len(kept):
+            kept.append(j)
+        else:
+            collinear.append(names[j])
+    if collinear:
+        raise RankDeficiencyError(collinear)
     raise SeparationError("information matrix is singular (fitted probabilities degenerate)")
 
 
@@ -318,17 +328,16 @@ def fit_logistic(
         mu = expit(eta)
         resid = y - mu
         score = np.einsum("ij,i->j", X, w * resid)
+        A = np.einsum("ij,i,ik->jk", X, w * mu * (1.0 - mu), X)
         if np.abs(score).max() < tol:
             break
         if iterations == max_iter:
             raise ConvergenceError(f"no convergence in {max_iter} iterations")
-        info_w = w * mu * (1.0 - mu)
-        A = np.einsum("ij,i,ik->jk", X, info_w, X)
         try:
-            chol = np.linalg.cholesky(A)
+            np.linalg.cholesky(A)  # the positive-definiteness gate
         except np.linalg.LinAlgError:
             _diagnose_singular_information(X, w, design.names)
-        delta = scipy.linalg.cho_solve((chol, True), score, check_finite=False)
+        delta = np.linalg.solve(A, score)
         step = 1.0
         for _halving in range(31):
             cand = beta + step * delta
@@ -348,10 +357,6 @@ def fit_logistic(
                 "still improved; data are quasi-completely separated"
             )
 
-    mu = expit(eta)
-    resid = y - mu
-    info_w = w * mu * (1.0 - mu)
-    A = np.einsum("ij,i,ik->jk", X, info_w, X)
     try:
         cov_model = np.linalg.inv(A)
     except np.linalg.LinAlgError:

@@ -14,17 +14,25 @@ reject enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Union
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Binary, Categorical, Column, Continuous, Dataset
 from .errors import DataError, InputError, PositivityError
 
 MAX_ENUMERABLE_STATES = 10**6
+
+
+@np.vectorize
+def _expit(v):
+    """The logistic function elementwise through libm's ``exp``: the oracle's
+    exact checks rely on its bits, and numpy's ``exp`` can differ by one ulp.
+    Where ``exp(-v)`` would overflow, past log(DBL_MAX), the value is 0.0."""
+    return 0.0 if -v > 709.782712893384 else 1.0 / (1.0 + math.exp(-v))
 
 
 @dataclass(frozen=True)
@@ -184,7 +192,7 @@ def _conditional_table(spec: ScmSpec, var: ScmVariable) -> np.ndarray:
     eta = np.full(parent_shape, var.intercept)
     for coef, grid in zip(var.coefficients, grids):
         eta = eta + coef * grid
-    p1 = expit(eta)
+    p1 = _expit(eta)
     return np.stack([1.0 - p1, p1], axis=-1)
 
 
@@ -465,7 +473,7 @@ def _draw_variable(spec, var, values, noise):
         eta = np.full(noise.shape, var.intercept)
         for coef, parent in zip(var.coefficients, var.parents):
             eta = eta + coef * values[parent].astype(np.float64)
-        return (noise < expit(eta)).astype(np.int16)
+        return (noise < _expit(eta)).astype(np.int16)
     table = np.asarray(var.table)
     if var.parents:
         rows = table[_parent_row_index(spec, var, values)]

@@ -109,6 +109,17 @@ class TestAdjustment:
         assert not report.valid
         assert "direct-effect estimand" in report.explanation
 
+    def test_conditioning_on_a_collider_descendant_is_invalid(self):
+        # C is a common effect of X and Y: {U} blocks the only backdoor path,
+        # but adding C opens X -> C <- Y and biases the total effect.
+        dag = dag_of([("X", "Y"), ("X", "C"), ("Y", "C"), ("U", "X"), ("U", "Y")])
+        report = is_valid_adjustment(dag, "X", "Y", {"U", "C"})
+        assert report.backdoor_blocked
+        assert not report.mediators_conditioned
+        assert not report.valid
+        assert "descendant of the exposure conditioned (C)" in report.explanation
+        assert is_valid_adjustment(dag, "X", "Y", {"U"}).valid
+
     def test_empty_set_leaves_backdoor_open(self):
         dag = load_fixture("sgm_joint")
         report = is_valid_adjustment(dag, "Q", "Y", set())

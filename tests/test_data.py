@@ -431,6 +431,15 @@ class TestDatasetInvariants:
         with pytest.raises(DataError, match="outside declared levels"):
             Column(Categorical(("a", "b"), "a"), np.asarray(codes), np.zeros(3, dtype=np.uint8))
 
+    @pytest.mark.parametrize("codes", [[0.5, 1.7], [0.0, np.nan]])
+    def test_non_integer_codes_rejected(self, codes):
+        with pytest.raises(DataError, match="finite integers"):
+            Column(Categorical(("a", "b"), "a"), np.asarray(codes), np.zeros(2, dtype=np.uint8))
+
+    def test_integral_float_codes_accepted(self):
+        col = Column(Categorical(("a", "b"), "a"), np.array([1.0, 0.0]), np.zeros(2, dtype=np.uint8))
+        assert col.values.tolist() == [1, 0]
+
     def test_take_preserves_kinds(self):
         ds = Dataset(
             {

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from causalmed.glm import (
     ModelSpec,
     Z95,
     build_design,
+    expit,
     fit_logistic,
     interaction,
     main,
@@ -227,6 +229,20 @@ class TestFitLogistic:
             fit_logistic(design, y)
         assert set(err.value.columns) & {"x", "x2"}
 
+    @pytest.mark.parametrize("name", ["x2", "b", "z"])
+    def test_collinear_columns_named_left_to_right(self, name):
+        # The column that adds no rank to those before it is named: twice x,
+        # the complement of the indicator a (the dummy trap), a zero column.
+        n = 50
+        x = np.linspace(0, 1, n)
+        a = (np.arange(n) % 2).astype(float)
+        last = {"x2": 2 * x, "b": 1.0 - a, "z": np.zeros(n)}[name]
+        X = np.column_stack([np.ones(n), x, a, last])
+        design = DesignMatrix(X, ("(Intercept)", "x", "a", name), {})
+        with pytest.raises(RankDeficiencyError) as err:
+            fit_logistic(design, ((np.arange(n) // 3) % 2).astype(float))
+        assert err.value.columns == (name,)
+
     def test_constant_exposure_is_rank_deficient(self):
         ds = Dataset(
             {
@@ -283,6 +299,11 @@ class TestWaldInterval:
         fit = _fixed_fit(beta=1.5, se=0.0)
         assert wald_interval(fit, 0) == (1.5, 1.5)
 
+    def test_unknown_variance_rejected(self):
+        fit = _fixed_fit(beta=0.0, se=1.0)
+        with pytest.raises(InputError, match="sandwhich"):
+            fit.se(0, "sandwhich")
+
     def test_index_out_of_range(self):
         fit = _fixed_fit(beta=0.0, se=1.0)
         with pytest.raises(InputError):
@@ -314,16 +335,33 @@ def _fixed_fit(beta, se):
     )
 
 
-def test_no_module_imports_scipy_stats():
-    # scipy.stats costs a large share of import time and memory; the
-    # package needs only scipy.linalg and scipy.special.
+def test_package_runs_without_scipy():
+    # numpy is the only dependency: with scipy unimportable every module
+    # imports, the collinearity diagnosis names a column, and the exact SCM
+    # oracle runs.
     code = (
-        "import importlib, pkgutil, sys, causalmed\n"
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np, causalmed\n"
         "for m in pkgutil.iter_modules(causalmed.__path__):\n"
         "    importlib.import_module('causalmed.' + m.name)\n"
         "assert 'causalmed.mediation' in sys.modules\n"
-        "print('scipy.stats' in sys.modules)\n"
+        "from causalmed import glm, scm\n"
+        "from causalmed.errors import RankDeficiencyError\n"
+        "x = np.linspace(0, 1, 50)\n"
+        "X = np.column_stack([np.ones(50), x, 2 * x])\n"
+        "try:\n"
+        "    glm.fit_logistic(glm.DesignMatrix(X, ('(Intercept)', 'x', 'x2'), {}), (x > 0.5) * 1.0)\n"
+        "except RankDeficiencyError as err:\n"
+        "    print(err.columns)\n"
+        "print(scm.oracle_estimands(scm.load_fixture('mediation_binary')).x_levels)\n"
     )
     src = str(Path(causalmed.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["('x2',)", "('0', '1')"]
+
+
+def test_expit_saturates_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert expit(np.array([-1000.0, 0.0, 1000.0])).tolist() == [0.0, 0.5, 1.0]

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from causalmed.data import Binary, Column, Continuous, Dataset, VariableRoles
 from causalmed.errors import BootstrapError, InputError, RankDeficiencyError, SeparationError
+from causalmed.glm import expit
 from causalmed.mediation import (
     FIT_FAILURES,
     VARIANTS,
