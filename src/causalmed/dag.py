@@ -1,9 +1,12 @@
 """Causal DAGs: backdoor paths, d-separation, and adjustment-set checks.
 
-Graphs are immutable and small (tens of nodes); queries are pure functions.
-``d_separated`` uses the linear-time reachability algorithm over active
-trails, while ``backdoor_paths`` enumerates simple paths explicitly so each
-one can be reported with its open/blocked status.
+Graphs are immutable, small (tens of nodes) and checked once, when built;
+queries are pure functions. ``d_separated``, the linear-time reachability
+algorithm over active trails, is the one rule that decides blocking: a set
+blocks every backdoor path exactly when it d-separates exposure and outcome
+in the backdoor graph, the graph without the exposure's out-edges.
+``backdoor_paths`` enumerates simple paths explicitly only so that each one
+can be reported with its open/blocked status.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from .errors import DagError, InputError
 
 @dataclass(frozen=True)
 class CausalDag:
-    """Directed graph over named nodes with observability flags.
+    """Directed acyclic graph over named nodes with observability flags.
 
-    Construction does not verify acyclicity; call :func:`validate` (or any
-    query, which validates lazily) to enforce the DAG contract.
+    Construction runs :func:`validate`, so every instance is a DAG whose edge
+    endpoints and latent nodes are declared nodes.
     """
 
     nodes: tuple[str, ...]
@@ -33,6 +36,7 @@ class CausalDag:
         object.__setattr__(self, "nodes", tuple(dict.fromkeys(self.nodes)))
         object.__setattr__(self, "edges", tuple(dict.fromkeys(tuple(e) for e in self.edges)))
         object.__setattr__(self, "latent", frozenset(self.latent))
+        validate(self)
 
     @property
     def observed_nodes(self) -> tuple[str, ...]:
@@ -123,7 +127,6 @@ def _find_cycle(dag: CausalDag) -> list[str] | None:
 
 def d_separated(dag: CausalDag, a: str, b: str, conditioned: Iterable[str] = ()) -> bool:
     """True iff every path between a and b is blocked given the conditioning set."""
-    validate(dag)
     z = frozenset(conditioned)
     dag.require(a, b, *z)
     if a == b:
@@ -166,14 +169,9 @@ class PathReport:
     """One exposure-outcome path annotated under d-separation rules."""
 
     path: tuple[str, ...]
-    is_backdoor: bool
     is_open: bool
     blocked_by: tuple[str, ...]
     blocking_colliders: tuple[str, ...]
-
-    def render(self) -> str:
-        status = "open" if self.is_open else "blocked"
-        return f"[{status}] {' - '.join(self.path)}"
 
 
 def _annotate_path(dag: CausalDag, path: Sequence[str], z: frozenset[str]) -> PathReport:
@@ -188,9 +186,8 @@ def _annotate_path(dag: CausalDag, path: Sequence[str], z: frozenset[str]) -> Pa
                 blocking_colliders.append(node)
         elif node in z:
             blocked_by.append(node)
-    is_backdoor = (path[1], path[0]) in edge_set
     is_open = not blocked_by and not blocking_colliders
-    return PathReport(tuple(path), is_backdoor, is_open, tuple(blocked_by), tuple(blocking_colliders))
+    return PathReport(tuple(path), is_open, tuple(blocked_by), tuple(blocking_colliders))
 
 
 def _all_simple_paths(dag: CausalDag, a: str, b: str):
@@ -224,7 +221,6 @@ def backdoor_paths(
 ) -> tuple[PathReport, ...]:
     """All simple paths from exposure to outcome that start with an edge into
     the exposure, each annotated open/blocked under the conditioning set."""
-    validate(dag)
     z = frozenset(conditioned)
     dag.require(exposure, outcome, *z)
     if exposure == outcome:
@@ -242,8 +238,9 @@ def backdoor_paths(
 class AdjustmentReport:
     """Verdict for a candidate adjustment set.
 
-    ``valid`` means every backdoor path is blocked and no descendant of the
-    exposure is conditioned; descendants are named in ``explanation``.
+    ``valid`` means every backdoor path is blocked, no descendant of the
+    exposure is conditioned and no latent node is adjusted for; descendants
+    and latent nodes in the set are named in ``explanation``.
     Conditioning on a mediator is also flagged separately because it changes
     the estimand from the total to the direct effect rather than biasing it.
     """
@@ -259,20 +256,30 @@ class AdjustmentReport:
         return self.valid
 
 
+def _backdoor_graph(dag: CausalDag, exposure: str) -> CausalDag:
+    """The graph without the exposure's out-edges: exposure and outcome are
+    d-separated in it by exactly the sets that block every backdoor path."""
+    return CausalDag(dag.nodes, tuple(e for e in dag.edges if e[0] != exposure), dag.latent)
+
+
 def is_valid_adjustment(
     dag: CausalDag, exposure: str, outcome: str, adjust: Iterable[str]
 ) -> AdjustmentReport:
-    """Check a candidate adjustment set against the backdoor criterion."""
-    validate(dag)
+    """Check a candidate adjustment set against the backdoor criterion.
+
+    The set blocks every backdoor path iff it d-separates exposure and
+    outcome in the backdoor graph; the open paths are enumerated only when
+    it does not, to name them in the report.
+    """
     z = frozenset(adjust)
     dag.require(exposure, outcome, *z)
     if exposure in z or outcome in z:
         raise DagError("adjustment set cannot contain the exposure or outcome")
-    reports = backdoor_paths(dag, exposure, outcome, z)
-    open_paths = tuple(r for r in reports if r.is_open)
+    blocked = d_separated(_backdoor_graph(dag, exposure), exposure, outcome, z)
+    open_paths = () if blocked else tuple(r for r in backdoor_paths(dag, exposure, outcome, z) if r.is_open)
     descendants = z & dag.descendants(exposure)
     mediators = tuple(sorted(descendants & dag.ancestors(outcome)))
-    blocked = not open_paths
+    latent = sorted(z & dag.latent)
     estimand = "direct" if mediators else "total"
     parts = []
     if blocked:
@@ -286,8 +293,10 @@ def is_valid_adjustment(
     others = sorted(descendants.difference(mediators))
     if others:
         parts.append("descendant of the exposure conditioned (" + ", ".join(others) + "): biased")
+    if latent:
+        parts.append("latent node adjusted for (" + ", ".join(latent) + "): not measured")
     return AdjustmentReport(
-        valid=blocked and not descendants,
+        valid=blocked and not descendants and not latent,
         backdoor_blocked=blocked,
         open_backdoor_paths=open_paths,
         mediators_conditioned=mediators,
@@ -297,19 +306,20 @@ def is_valid_adjustment(
 
 
 def valid_adjustment_sets(dag: CausalDag, exposure: str, outcome: str) -> tuple[tuple[str, ...], ...]:
-    """Exhaustively search subsets of observed non-descendant nodes that
-    block every backdoor path; smallest sets first."""
-    validate(dag)
+    """Every set that :func:`is_valid_adjustment` calls valid, smallest first:
+    the subsets of the observed nodes other than the exposure, the outcome
+    and the exposure's descendants that d-separate exposure and outcome in
+    the backdoor graph."""
     dag.require(exposure, outcome)
     forbidden = {exposure, outcome} | dag.descendants(exposure)
     candidates = [n for n in dag.observed_nodes if n not in forbidden]
-    found = []
-    for size in range(len(candidates) + 1):
-        for subset in itertools.combinations(candidates, size):
-            report = is_valid_adjustment(dag, exposure, outcome, subset)
-            if report.valid:
-                found.append(subset)
-    return tuple(found)
+    backdoor = _backdoor_graph(dag, exposure)
+    return tuple(
+        subset
+        for size in range(len(candidates) + 1)
+        for subset in itertools.combinations(candidates, size)
+        if d_separated(backdoor, exposure, outcome, subset)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +352,7 @@ def parse_dag(text: str) -> CausalDag:
             note(fields[1])
         else:
             raise DagError(f"line {line_no}: cannot parse {raw!r}")
-    dag = CausalDag(tuple(nodes), tuple(edges), frozenset(latent))
-    validate(dag)
-    return dag
+    return CausalDag(tuple(nodes), tuple(edges), frozenset(latent))
 
 
 def format_dag(dag: CausalDag) -> str:
@@ -357,11 +365,6 @@ def format_dag(dag: CausalDag) -> str:
 def _isolated(dag: CausalDag) -> set[str]:
     touched = {n for e in dag.edges for n in e}
     return set(dag.nodes) - touched
-
-
-def load_dag(path) -> CausalDag:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_dag(fh.read())
 
 
 def load_fixture(name: str) -> CausalDag:

@@ -155,6 +155,7 @@ class DesignTemplate:
         shifted = [vec for _, vec in self.covariates]
         centering = {}
         if self.center:
+            _check_weights(weights, self.leading[0].size)
             offsets = [float(np.average(vec, weights=weights)) for vec in shifted]
             shifted = [vec - off for vec, off in zip(shifted, offsets)]
             centering = {self.covariates[k][0]: offsets[k] for k, inter in self.terms if not inter}
@@ -289,6 +290,17 @@ def _log_likelihood(eta, y, w) -> float:
     return float(np.sum(w * (y * eta - np.logaddexp(0.0, eta))))
 
 
+def _check_weights(w: np.ndarray, n: int) -> None:
+    """Raise InputError unless ``w`` holds n finite, non-negative weights,
+    not all zero."""
+    if w.shape != (n,):
+        raise InputError("weight length does not match design")
+    if (w < 0).any() or not np.isfinite(w).all():
+        raise InputError("weights must be finite and non-negative")
+    if not (w > 0).any():
+        raise InputError("weights must not all be zero")
+
+
 def fit_logistic(
     design: DesignMatrix,
     y: np.ndarray,
@@ -313,12 +325,7 @@ def fit_logistic(
     if not ((y == 0.0) | (y == 1.0)).all():
         raise InputError("response must be 0/1")
     w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
-    if w.shape != (n,):
-        raise InputError("weight length does not match design")
-    if (w < 0).any() or not np.isfinite(w).all():
-        raise InputError("weights must be finite and non-negative")
-    if not (w > 0).any():
-        raise InputError("weights must not all be zero")
+    _check_weights(w, n)
 
     beta = np.zeros(p)
     eta = X @ beta

@@ -216,15 +216,6 @@ class Joint:
         perm = [kept_sorted.index(k) for k in keep]
         return np.transpose(marg, axes=perm)
 
-    def prob(self, assignment: Mapping[str, str]) -> float:
-        idx = []
-        for i, name in enumerate(self.names):
-            if name in assignment:
-                idx.append(self.levels[i].index(assignment[name]))
-            else:
-                idx.append(slice(None))
-        return float(self.probs[tuple(idx)].sum())
-
 
 def enumerate_joint(spec: ScmSpec) -> Joint:
     """Exact joint probability of every configuration.
@@ -695,11 +686,6 @@ def format_scm(spec: ScmSpec) -> str:
     if roles:
         lines.append("roles " + " ".join(roles))
     return "\n".join(lines) + "\n"
-
-
-def load_scm(path) -> ScmSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scm(fh.read())
 
 
 def load_fixture(name: str) -> ScmSpec:

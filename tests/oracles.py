@@ -112,6 +112,26 @@ def dsep_brute_force(nodes, edges, a, b, conditioned):
     return True
 
 
+def backdoor_valid_brute_force(nodes, edges, exposure, outcome, adjust, latent=()):
+    """Backdoor criterion by enumerating every simple path.
+
+    Returns (valid, blocked, open_paths): ``open_paths`` is the set of open
+    paths that start with an edge into the exposure, ``blocked`` says it is
+    empty, and ``valid`` adds that the set holds no descendant of the
+    exposure and no latent node.
+    """
+    edge_set = set(edges)
+    z = set(adjust)
+    open_paths = {
+        tuple(path)
+        for path in _simple_paths(nodes, edges, exposure, outcome)
+        if (path[1], path[0]) in edge_set and path_is_open(edges, path, z)
+    }
+    blocked = not open_paths
+    valid = blocked and not (z & _descendants(edges, exposure)) and not (z & set(latent))
+    return valid, blocked, open_paths
+
+
 def random_dag(rng, max_nodes=8, edge_prob=0.4):
     """A random DAG over letter-named nodes, edges respecting an order."""
     n = int(rng.integers(3, max_nodes + 1))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from causalmed.dag import (
 )
 from causalmed.errors import DagError
 
-from oracles import dsep_brute_force, path_is_open, random_dag
+from oracles import backdoor_valid_brute_force, dsep_brute_force, path_is_open, random_dag
 
 
 def dag_of(edges, latent=()):
@@ -24,10 +26,13 @@ def dag_of(edges, latent=()):
 
 class TestValidate:
     def test_cycle_reported_with_nodes(self):
-        dag = CausalDag(("A", "B"), (("A", "B"), ("B", "A")))
         with pytest.raises(DagError) as err:
-            validate(dag)
+            CausalDag(("A", "B"), (("A", "B"), ("B", "A")))
         assert "A" in str(err.value) and "B" in str(err.value)
+
+    def test_parse_rejects_cycle(self):
+        with pytest.raises(DagError, match="cycle"):
+            parse_dag("edge A -> B\nedge B -> C\nedge C -> A\n")
 
     def test_empty_graph_ok(self):
         validate(CausalDag((), ()))
@@ -81,7 +86,6 @@ class TestBackdoorPaths:
         dag = load_fixture("sgm_domains")
         for report in backdoor_paths(dag, "behavior", "Y"):
             assert len(set(report.path)) == len(report.path)
-            assert report.is_backdoor
             assert (report.path[1], report.path[0]) in set(dag.edges)
 
     def test_unknown_node(self):
@@ -137,6 +141,35 @@ class TestAdjustment:
         assert sets[0] == ("X",)
         # H is latent so it never appears even though it would block the path.
         assert all("H" not in s for s in sets)
+
+    def test_latent_node_is_not_adjustable(self):
+        dag = load_fixture("sgm_joint")
+        report = is_valid_adjustment(dag, "Q", "Y", {"H"})
+        assert report.backdoor_blocked
+        assert not report.valid
+        assert "latent node adjusted for (H)" in report.explanation
+
+    def test_single_rule_matches_path_enumeration_on_random_dags(self):
+        rng = np.random.default_rng(405)
+        for _ in range(120):
+            nodes, edges = random_dag(rng, max_nodes=7, edge_prob=0.45)
+            exposure, outcome = (str(n) for n in rng.choice(nodes, size=2, replace=False))
+            others = [n for n in nodes if n not in (exposure, outcome)]
+            latent = {n for n in others if rng.random() < 0.25}
+            dag = CausalDag(tuple(nodes), tuple(edges), frozenset(latent))
+            expected_sets = []
+            for size in range(len(others) + 1):
+                for subset in itertools.combinations(others, size):
+                    valid, blocked, open_paths = backdoor_valid_brute_force(
+                        nodes, edges, exposure, outcome, subset, latent
+                    )
+                    report = is_valid_adjustment(dag, exposure, outcome, subset)
+                    assert report.valid == valid
+                    assert report.backdoor_blocked == blocked
+                    assert {r.path for r in report.open_backdoor_paths} == open_paths
+                    if valid:
+                        expected_sets.append(subset)
+            assert valid_adjustment_sets(dag, exposure, outcome) == tuple(expected_sets)
 
 
 class TestDSeparation:

@@ -172,6 +172,15 @@ class TestEffects:
         with pytest.raises(InputError, match="unknown variant"):
             total_effect(ds, ROLES, "weird")
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_all_zero_weights_rejected(self, variant):
+        rng = np.random.default_rng(4)
+        ds = sim_dataset(rng, 40)
+        zero = Column(Continuous(), np.zeros(40), np.zeros(40, dtype=np.uint8))
+        ds = Dataset({**ds.columns, "w": zero}, weight_column="w")
+        with pytest.raises(InputError, match="weights must not all be zero"):
+            total_effect(ds, ROLES, variant)
+
 
 class TestBootstrap:
     def test_constant_statistic_gives_zero_width(self):
