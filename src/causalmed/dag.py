@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -25,28 +25,38 @@ class CausalDag:
     """Directed acyclic graph over named nodes with observability flags.
 
     Construction runs :func:`validate`, so every instance is a DAG whose edge
-    endpoints and latent nodes are declared nodes.
+    endpoints and latent nodes are declared nodes. Parent and child sets are
+    built once, with the graph.
     """
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     latent: frozenset[str] = frozenset()
+    _parents: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    _children: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(dict.fromkeys(self.nodes)))
         object.__setattr__(self, "edges", tuple(dict.fromkeys(tuple(e) for e in self.edges)))
         object.__setattr__(self, "latent", frozenset(self.latent))
+        parents: dict[str, set[str]] = {}
+        children: dict[str, set[str]] = {}
+        for u, v in self.edges:
+            parents.setdefault(v, set()).add(u)
+            children.setdefault(u, set()).add(v)
+        object.__setattr__(self, "_parents", {n: frozenset(ps) for n, ps in parents.items()})
+        object.__setattr__(self, "_children", {n: frozenset(cs) for n, cs in children.items()})
         validate(self)
 
     @property
     def observed_nodes(self) -> tuple[str, ...]:
         return tuple(n for n in self.nodes if n not in self.latent)
 
-    def parents(self, node: str) -> set[str]:
-        return {u for u, v in self.edges if v == node}
+    def parents(self, node: str) -> frozenset[str]:
+        return self._parents.get(node, frozenset())
 
-    def children(self, node: str) -> set[str]:
-        return {v for u, v in self.edges if u == node}
+    def children(self, node: str) -> frozenset[str]:
+        return self._children.get(node, frozenset())
 
     def descendants(self, node: str) -> set[str]:
         out: set[str] = set()
@@ -175,13 +185,11 @@ class PathReport:
 
 
 def _annotate_path(dag: CausalDag, path: Sequence[str], z: frozenset[str]) -> PathReport:
-    edge_set = set(dag.edges)
     blocked_by: list[str] = []
     blocking_colliders: list[str] = []
     for i in range(1, len(path) - 1):
         prev, node, nxt = path[i - 1], path[i], path[i + 1]
-        is_collider = (prev, node) in edge_set and (nxt, node) in edge_set
-        if is_collider:
+        if prev in dag.parents(node) and nxt in dag.parents(node):
             if node not in z and not (dag.descendants(node) & z):
                 blocking_colliders.append(node)
         elif node in z:
@@ -191,12 +199,7 @@ def _annotate_path(dag: CausalDag, path: Sequence[str], z: frozenset[str]) -> Pa
 
 
 def _all_simple_paths(dag: CausalDag, a: str, b: str):
-    neighbors: dict[str, list[str]] = {n: [] for n in dag.nodes}
-    for u, v in dag.edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    for n in neighbors:
-        neighbors[n] = sorted(set(neighbors[n]))
+    neighbors = {n: sorted(dag.parents(n) | dag.children(n)) for n in dag.nodes}
     path = [a]
     on_path = {a}
 
@@ -225,13 +228,11 @@ def backdoor_paths(
     dag.require(exposure, outcome, *z)
     if exposure == outcome:
         raise DagError("exposure and outcome must differ")
-    edge_set = set(dag.edges)
-    reports = []
-    for path in _all_simple_paths(dag, exposure, outcome):
-        if (path[1], path[0]) not in edge_set:
-            continue
-        reports.append(_annotate_path(dag, path, z))
-    return tuple(reports)
+    return tuple(
+        _annotate_path(dag, path, z)
+        for path in _all_simple_paths(dag, exposure, outcome)
+        if path[1] in dag.parents(exposure)
+    )
 
 
 @dataclass(frozen=True)
@@ -363,8 +364,7 @@ def format_dag(dag: CausalDag) -> str:
 
 
 def _isolated(dag: CausalDag) -> set[str]:
-    touched = {n for e in dag.edges for n in e}
-    return set(dag.nodes) - touched
+    return {n for n in dag.nodes if not dag.parents(n) and not dag.children(n)}
 
 
 def load_fixture(name: str) -> CausalDag:

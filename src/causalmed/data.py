@@ -181,16 +181,7 @@ class Column:
         return levels[int(self.values[row])]
 
     def take(self, rows: np.ndarray) -> "Column":
-        # Row selection cannot break invariants; skip re-validation.
-        out = object.__new__(Column)
-        values = self.values[rows]
-        state = self.state[rows]
-        values.setflags(write=False)
-        state.setflags(write=False)
-        object.__setattr__(out, "kind", self.kind)
-        object.__setattr__(out, "values", values)
-        object.__setattr__(out, "state", state)
-        return out
+        return Column(self.kind, self.values[rows], self.state[rows])
 
     def __eq__(self, other):
         if not isinstance(other, Column):
@@ -247,10 +238,7 @@ class Dataset:
 
     def take(self, rows) -> "Dataset":
         rows = np.asarray(rows)
-        out = object.__new__(Dataset)
-        object.__setattr__(out, "columns", {n: c.take(rows) for n, c in self.columns.items()})
-        object.__setattr__(out, "weight_column", self.weight_column)
-        return out
+        return Dataset({n: c.take(rows) for n, c in self.columns.items()}, self.weight_column)
 
     def replace_columns(self, updates: Mapping[str, Column]) -> "Dataset":
         cols = dict(self.columns)

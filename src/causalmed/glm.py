@@ -83,7 +83,6 @@ class DesignMatrix:
     matrix: np.ndarray
     names: tuple[str, ...]
     centering: dict[str, float]
-    empty_columns: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not np.isfinite(self.matrix).all():
@@ -161,8 +160,7 @@ class DesignTemplate:
             centering = {self.covariates[k][0]: offsets[k] for k, inter in self.terms if not inter}
         vectors = list(self.leading)
         vectors.extend(self.exposure * shifted[k] if inter else shifted[k] for k, inter in self.terms)
-        empty = tuple(name for name, vec in zip(self.names[1:], vectors[1:]) if not np.any(vec != 0.0))
-        return DesignMatrix(np.column_stack(vectors), self.names, centering, empty)
+        return DesignMatrix(np.column_stack(vectors), self.names, centering)
 
 
 def design_template(ds: Dataset, spec: ModelSpec) -> DesignTemplate:

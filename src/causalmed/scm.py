@@ -5,10 +5,11 @@ joint distribution rather than Monte Carlo: the risk-difference
 decomposition and counterfactual identities are exact, so their checks are
 too. Sampling exists only to feed finite-sample estimator tests.
 
-Discrete variables carry conditional probability tables or a logistic
-response (binary targets, one coefficient per parent applied to the parent's
-level index). Linear-Gaussian variables are supported for sampling but
-reject enumeration.
+Every variable is discrete, with a conditional probability table or a
+logistic response (binary targets, one coefficient per parent applied to the
+parent's level index). Either way :func:`_conditional_table` gives P(var |
+parents) as one array, and enumeration, sampling and counterfactual forcing
+all read that array.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .data import Binary, Categorical, Column, Continuous, Dataset
+from .data import Binary, Categorical, Column, Dataset
 from .errors import DataError, InputError, PositivityError
 
 MAX_ENUMERABLE_STATES = 10**6
@@ -93,27 +94,7 @@ class LogitVariable:
         return 2
 
 
-@dataclass(frozen=True)
-class LinearVariable:
-    """Continuous variable: intercept + sum coef * parent index + Normal(0, sigma)."""
-
-    name: str
-    parents: tuple[str, ...] = ()
-    intercept: float = 0.0
-    coefficients: tuple[float, ...] = ()
-    sigma: float = 1.0
-    latent: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        if self.sigma < 0:
-            raise InputError(f"variable {self.name!r}: sigma must be non-negative")
-        if len(self.coefficients) != len(self.parents):
-            raise InputError(f"variable {self.name!r}: one coefficient per parent required")
-
-
-ScmVariable = Union[CptVariable, LogitVariable, LinearVariable]
+ScmVariable = Union[CptVariable, LogitVariable]
 
 
 @dataclass(frozen=True)
@@ -183,8 +164,6 @@ class ScmSpec:
 
 def _conditional_table(spec: ScmSpec, var: ScmVariable) -> np.ndarray:
     """P(var | parents) as an array with one axis per parent plus a level axis."""
-    if isinstance(var, LinearVariable):
-        raise DataError(f"variable {var.name!r} is continuous; enumeration unavailable")
     parent_shape = tuple(spec.variable(p).n_levels for p in var.parents)
     if isinstance(var, CptVariable):
         return np.asarray(var.table, dtype=np.float64).reshape(parent_shape + (var.n_levels,))
@@ -194,6 +173,16 @@ def _conditional_table(spec: ScmSpec, var: ScmVariable) -> np.ndarray:
         eta = eta + coef * grid
     p1 = _expit(eta)
     return np.stack([1.0 - p1, p1], axis=-1)
+
+
+def _on_joint_axes(table: np.ndarray, positions: list[int], ndim: int) -> np.ndarray:
+    """``table``, with one axis per entry of ``positions``, as an ``ndim``-axis
+    array that broadcasts against the joint: each axis moved to its variable's
+    position, unit axes elsewhere."""
+    shape = [1] * ndim
+    for k, pos in enumerate(positions):
+        shape[pos] = table.shape[k]
+    return np.transpose(table, axes=np.argsort(positions)).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,25 +209,17 @@ class Joint:
 def enumerate_joint(spec: ScmSpec) -> Joint:
     """Exact joint probability of every configuration.
 
-    Requires all variables discrete and the state space at most 10^6.
+    Requires the state space to be at most 10^6.
     """
     n_states = 1
     for var in spec.variables:
-        if isinstance(var, LinearVariable):
-            raise DataError(f"variable {var.name!r} is continuous; enumeration unavailable")
         n_states *= var.n_levels
         if n_states > MAX_ENUMERABLE_STATES:
             raise DataError(f"state space exceeds {MAX_ENUMERABLE_STATES} configurations")
     joint = np.ones(())
     for i, var in enumerate(spec.variables):
-        table = _conditional_table(spec, var)
-        parent_positions = [spec.index(p) for p in var.parents]
-        order = np.argsort(parent_positions)
-        table = np.transpose(table, axes=list(order) + [len(var.parents)])
-        shape = [1] * i + [var.n_levels]
-        for pos, parent_axis in enumerate(sorted(parent_positions)):
-            shape[parent_axis] = table.shape[pos]
-        joint = joint[..., None] * table.reshape(shape)
+        positions = [spec.index(p) for p in var.parents] + [i]
+        joint = joint[..., None] * _on_joint_axes(_conditional_table(spec, var), positions, i + 1)
     return Joint(
         names=spec.names,
         levels=tuple(tuple(v.levels) for v in spec.variables),
@@ -390,43 +371,30 @@ def counterfactual_check(spec: ScmSpec) -> CounterfactualReport:
     x_levels = joint.levels[x_axis]
     m_levels = joint.levels[m_axis]
 
-    table = _conditional_table(spec, y_var)  # parents axes + level axis
-    p_y1 = table[..., 1]
-    parent_positions = [spec.index(p) for p in y_var.parents]
-
-    def embed_forced(m_val):
-        """P(Y=1 | parents) over the full config space with the mediator forced."""
-        t = p_y1
-        if m in y_var.parents:
-            axis = y_var.parents.index(m)
-            t = np.take(t, m_val, axis=axis)
-            positions = [p for p in parent_positions if p != spec.index(m)]
-        else:
-            positions = list(parent_positions)
-        order = np.argsort(positions)
-        t = np.transpose(t, axes=list(order))
-        shape = [1] * n
-        for pos, parent_axis in enumerate(sorted(positions)):
-            shape[parent_axis] = t.shape[pos]
-        return t.reshape(shape)
+    p_y1 = _conditional_table(spec, y_var)[..., 1]  # one axis per parent
+    forced_axis = y_var.parents.index(m) if m in y_var.parents else None
+    positions = [spec.index(p) for p in y_var.parents if p != m]
 
     p_qmx = joint.marginal(q, m, x)
     p_qmxy = joint.marginal(q, m, x, y)
     p_qx = joint.marginal(q, x)
     cells = []
-    for m_val, x_val in itertools.product(range(len(m_levels)), range(len(x_levels))):
-        if p_qmx[1, m_val, x_val] <= 0.0 or p_qx[1, x_val] <= 0.0:
-            continue
-        observational = p_qmxy[1, m_val, x_val, 1] / p_qmx[1, m_val, x_val]
-        forced = embed_forced(m_val)
-        weighted = joint.probs * forced
-        idx = [slice(None)] * n
-        idx[q_axis] = 1
-        idx[x_axis] = x_val
-        counterfactual = float(weighted[tuple(idx)].sum() / p_qx[1, x_val])
-        cells.append(
-            CounterfactualCell(m_levels[m_val], x_levels[x_val], float(observational), counterfactual)
-        )
+    weighted = np.empty_like(joint.probs)  # one buffer, refilled per mediator level
+    for m_val in range(len(m_levels)):
+        # P(Y=1 | parents) over every configuration with the mediator forced.
+        forced = p_y1 if forced_axis is None else np.take(p_y1, m_val, axis=forced_axis)
+        np.multiply(joint.probs, _on_joint_axes(forced, positions, n), out=weighted)
+        for x_val in range(len(x_levels)):
+            if p_qmx[1, m_val, x_val] <= 0.0 or p_qx[1, x_val] <= 0.0:
+                continue
+            observational = p_qmxy[1, m_val, x_val, 1] / p_qmx[1, m_val, x_val]
+            idx = [slice(None)] * n
+            idx[q_axis] = 1
+            idx[x_axis] = x_val
+            counterfactual = float(weighted[tuple(idx)].sum() / p_qx[1, x_val])
+            cells.append(
+                CounterfactualCell(m_levels[m_val], x_levels[x_val], float(observational), counterfactual)
+            )
     return CounterfactualReport(tuple(cells))
 
 
@@ -436,41 +404,24 @@ def counterfactual_check(spec: ScmSpec) -> CounterfactualReport:
 
 @dataclass(frozen=True, eq=False)
 class SampleTrace:
-    """Sampled values for all variables plus the per-variable draws.
+    """Sampled level codes for all variables plus the per-variable draws.
 
-    ``noise[name]`` holds the uniforms (discrete variables) or standard
-    normals (linear variables) consumed by each draw, so counterfactual
-    replays can reuse them.
+    ``noise[name]`` holds the uniforms consumed by each variable's draw, so
+    counterfactual replays can reuse them.
     """
 
     values: dict[str, np.ndarray]
     noise: dict[str, np.ndarray]
 
 
-def _parent_row_index(spec, var, values):
-    idx = np.zeros(len(values[var.parents[0]]) if var.parents else 0, dtype=np.int64)
-    for parent in var.parents:
-        idx = idx * spec.variable(parent).n_levels + values[parent]
-    return idx
-
-
 def _draw_variable(spec, var, values, noise):
-    if isinstance(var, LinearVariable):
-        out = np.full(noise.shape, var.intercept)
-        for coef, parent in zip(var.coefficients, var.parents):
-            out = out + coef * values[parent].astype(np.float64)
-        return out + var.sigma * noise
+    """One level code per row from the table row of the row's parent codes:
+    level 1 when the uniform falls below P(level 1) for logistic responses,
+    else the first level whose cumulative probability reaches it."""
+    rows = _conditional_table(spec, var)[tuple(values[p] for p in var.parents)]
     if isinstance(var, LogitVariable):
-        eta = np.full(noise.shape, var.intercept)
-        for coef, parent in zip(var.coefficients, var.parents):
-            eta = eta + coef * values[parent].astype(np.float64)
-        return (noise < _expit(eta)).astype(np.int16)
-    table = np.asarray(var.table)
-    if var.parents:
-        rows = table[_parent_row_index(spec, var, values)]
-    else:
-        rows = np.broadcast_to(table[0], (noise.shape[0], var.n_levels))
-    cum = np.cumsum(rows, axis=1)
+        return (noise < rows[..., 1]).astype(np.int16)
+    cum = np.cumsum(np.broadcast_to(rows, (noise.shape[0], var.n_levels)), axis=1)
     drawn = (cum < noise[:, None]).sum(axis=1)
     return np.minimum(drawn, var.n_levels - 1).astype(np.int16)
 
@@ -483,21 +434,25 @@ def sample_trace(spec: ScmSpec, n: int, seed: int) -> SampleTrace:
     values: dict[str, np.ndarray] = {}
     noise: dict[str, np.ndarray] = {}
     for var in spec.variables:
-        u = rng.standard_normal(n) if isinstance(var, LinearVariable) else rng.random(n)
-        noise[var.name] = u
-        values[var.name] = _draw_variable(spec, var, values, u)
+        noise[var.name] = rng.random(n)
+        values[var.name] = _draw_variable(spec, var, values, noise[var.name])
     return SampleTrace(values, noise)
 
 
 def replay(spec: ScmSpec, trace: SampleTrace, interventions: Mapping[str, np.ndarray]) -> dict:
     """Re-evaluate the structural equations under forced values, reusing the
     trace's noise. Rows keep their factual draws wherever nothing upstream
-    changed, which makes consistency checks exact."""
+    changed, which makes consistency checks exact. Forced values must be
+    level codes of the variable they force."""
+    for name in interventions:
+        spec.variable(name)  # InputError for an unknown name
     values: dict[str, np.ndarray] = {}
     for var in spec.variables:
         if var.name in interventions:
-            forced = np.asarray(interventions[var.name])
-            values[var.name] = np.broadcast_to(forced, trace.noise[var.name].shape).copy()
+            forced = np.broadcast_to(np.asarray(interventions[var.name]), trace.noise[var.name].shape)
+            if not (np.array_equal(forced, np.trunc(forced)) and ((forced >= 0) & (forced < var.n_levels)).all()):
+                raise InputError(f"forced values of {var.name!r} must be level codes 0..{var.n_levels - 1}")
+            values[var.name] = forced.astype(np.int16)
         else:
             values[var.name] = _draw_variable(spec, var, values, trace.noise[var.name])
     return values
@@ -509,14 +464,11 @@ def dataset_from_values(spec: ScmSpec, values: Mapping[str, np.ndarray], *, incl
         if var.latent and not include_latent:
             continue
         vals = values[var.name]
-        if isinstance(var, LinearVariable):
-            columns[var.name] = Column(Continuous(), vals, np.zeros(len(vals), dtype=np.uint8))
+        if var.n_levels == 2:
+            kind = Binary(tuple(var.levels), var.levels[0])
         else:
-            if var.n_levels == 2:
-                kind = Binary(tuple(var.levels), var.levels[0])
-            else:
-                kind = Categorical(tuple(var.levels), var.levels[0])
-            columns[var.name] = Column(kind, vals, np.zeros(len(vals), dtype=np.uint8))
+            kind = Categorical(tuple(var.levels), var.levels[0])
+        columns[var.name] = Column(kind, vals, np.zeros(len(vals), dtype=np.uint8))
     return Dataset(columns)
 
 
@@ -534,10 +486,11 @@ def parse_scm(text: str) -> ScmSpec:
     """Parse the structured-text model format.
 
     Blocks start with ``var NAME : level level ...`` followed by ``latent``,
-    ``parents P1 P2 ...`` and one response line: ``cpt`` rows (one per parent
-    configuration, ``cpt <parent levels...> | p p ...``), ``logit intercept
-    coef...``, or ``linear intercept coef... | sigma``. A final ``roles``
-    line assigns q/x/m/y.
+    ``parents P1 P2 ...`` and one response: ``cpt`` rows (one per parent
+    configuration, ``cpt <parent levels...> | p p ...``) or one ``logit
+    intercept coef...`` line. A final ``roles`` line assigns q/x/m/y. Errors
+    raise DataError naming a line: a bad line names itself, and a variable
+    that cannot be built names the line of its ``var``.
     """
     variables: list[ScmVariable] = []
     roles: dict[str, str] = {}
@@ -549,25 +502,28 @@ def parse_scm(text: str) -> ScmSpec:
             return
         name, levels, parents, latent = (
             current["name"],
-            current["levels"],
-            current["parents"],
+            tuple(current["levels"]),
+            tuple(current["parents"]),
             current["latent"],
         )
-        if current["logit"] is not None:
-            intercept, coefs = current["logit"]
-            variables.append(
-                LogitVariable(name, tuple(parents), intercept, tuple(coefs), tuple(levels), latent)
-            )
-        elif current["linear"] is not None:
-            intercept, coefs, sigma = current["linear"]
-            variables.append(
-                LinearVariable(name, tuple(parents), intercept, tuple(coefs), sigma, latent)
-            )
-        elif current["cpt_rows"]:
-            rows = _order_cpt_rows(name, levels, parents, current["cpt_rows"], variables)
-            variables.append(CptVariable(name, tuple(levels), tuple(parents), rows, latent))
-        else:
-            raise DataError(f"variable {name!r} has no response definition")
+        declared = {v.name: v for v in variables}
+        try:
+            if name in declared:
+                raise DataError(f"duplicate variable {name!r}")
+            for parent in parents:
+                if parent not in declared:
+                    raise DataError(f"variable {name!r}: parent {parent!r} not declared earlier")
+            if current["logit"] is not None:
+                intercept, coefs = current["logit"]
+                variables.append(LogitVariable(name, parents, intercept, tuple(coefs), levels, latent))
+            elif current["cpt_rows"]:
+                parent_levels = [declared[p].levels for p in parents]
+                rows = _order_cpt_rows(name, parent_levels, current["cpt_rows"])
+                variables.append(CptVariable(name, levels, parents, rows, latent))
+            else:
+                raise DataError(f"variable {name!r} has no response definition")
+        except (InputError, DataError) as exc:
+            raise DataError(f"line {current['line']}: {exc}") from None
         current = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -575,9 +531,10 @@ def parse_scm(text: str) -> ScmSpec:
         if not line:
             continue
         fields = line.split()
+        if fields[0] in ("var", "roles"):
+            flush()
         try:
             if fields[0] == "var":
-                flush()
                 if ":" not in fields:
                     raise DataError("expected `var NAME : levels...`")
                 sep = fields.index(":")
@@ -590,10 +547,9 @@ def parse_scm(text: str) -> ScmSpec:
                     "latent": False,
                     "cpt_rows": [],
                     "logit": None,
-                    "linear": None,
+                    "line": line_no,
                 }
             elif fields[0] == "roles":
-                flush()
                 for item in fields[1:]:
                     key, _, value = item.partition("=")
                     if key not in ("q", "x", "m", "y") or not value:
@@ -617,14 +573,6 @@ def parse_scm(text: str) -> ScmSpec:
                 if not numbers:
                     raise DataError("logit needs an intercept")
                 current["logit"] = (numbers[0], numbers[1:])
-            elif fields[0] == "linear":
-                if "|" not in fields:
-                    raise DataError("linear needs `| sigma`")
-                sep = fields.index("|")
-                numbers = [float(v) for v in fields[1:sep]]
-                if not numbers:
-                    raise DataError("linear needs an intercept")
-                current["linear"] = (numbers[0], numbers[1:], float(fields[sep + 1]))
             else:
                 raise DataError(f"cannot parse {raw.strip()!r}")
         except (ValueError, DataError) as exc:
@@ -639,14 +587,8 @@ def parse_scm(text: str) -> ScmSpec:
     )
 
 
-def _order_cpt_rows(name, levels, parents, rows, declared):
-    by_name = {v.name: v for v in declared}
-    parent_levels = []
-    for parent in parents:
-        if parent not in by_name:
-            raise DataError(f"variable {name!r}: parent {parent!r} not declared earlier")
-        parent_levels.append(by_name[parent].levels)
-    expected = list(itertools.product(*parent_levels)) if parents else [()]
+def _order_cpt_rows(name, parent_levels, rows):
+    expected = list(itertools.product(*parent_levels))
     given = {config: probs for config, probs in rows}
     if set(given) != set(expected):
         raise DataError(f"variable {name!r}: cpt rows do not cover every parent configuration")
@@ -656,29 +598,20 @@ def _order_cpt_rows(name, levels, parents, rows, declared):
 def format_scm(spec: ScmSpec) -> str:
     lines = []
     for var in spec.variables:
-        levels = var.levels if not isinstance(var, LinearVariable) else ()
-        if isinstance(var, LinearVariable):
-            lines.append(f"var {var.name} : continuous")
-        else:
-            lines.append(f"var {var.name} : " + " ".join(levels))
+        lines.append(f"var {var.name} : " + " ".join(var.levels))
         if var.latent:
             lines.append("  latent")
         if var.parents:
             lines.append("  parents " + " ".join(var.parents))
         if isinstance(var, CptVariable):
-            parent_levels = [
-                next(v for v in spec.variables if v.name == p).levels for p in var.parents
-            ]
-            for config, row in zip(itertools.product(*parent_levels) if var.parents else [()], var.table):
+            parent_levels = [spec.variable(p).levels for p in var.parents]
+            for config, row in zip(itertools.product(*parent_levels), var.table):
                 prefix = " ".join(config)
                 probs = " ".join(repr(p) for p in row)
                 lines.append(f"  cpt {prefix} | {probs}".replace("cpt  |", "cpt |"))
-        elif isinstance(var, LogitVariable):
-            nums = " ".join(repr(v) for v in (var.intercept, *var.coefficients))
-            lines.append(f"  logit {nums}")
         else:
             nums = " ".join(repr(v) for v in (var.intercept, *var.coefficients))
-            lines.append(f"  linear {nums} | {var.sigma!r}")
+            lines.append(f"  logit {nums}")
     roles = []
     for key, value in (("q", spec.exposure), ("x", spec.baseline), ("m", spec.mediator), ("y", spec.outcome)):
         if value is not None:

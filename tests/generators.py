@@ -43,6 +43,27 @@ def random_mediation_scm(rng: np.random.Generator, *, confounded: bool = False) 
     return ScmSpec(tuple(variables), exposure="Q", baseline="X", mediator="M", outcome="Y")
 
 
+def random_categorical_scm(rng: np.random.Generator) -> ScmSpec:
+    """A random model with variables of three and four levels: latent H
+    (3 levels) drives baseline X (4 levels); exposure Q is a logit on the
+    level indices of X and H; mediator M (3 levels) responds to (Q, X) and
+    outcome Y to (M, Q, X, H). Q, M and Y list their parents out of
+    declaration order, so their tables must be transposed onto the joint's
+    axes."""
+
+    def cpt(n_levels, n_rows):
+        return tuple(tuple(row) for row in rng.dirichlet(np.ones(n_levels), n_rows))
+
+    variables = (
+        CptVariable("H", ("0", "1", "2"), (), cpt(3, 1), latent=True),
+        CptVariable("X", ("a", "b", "c", "d"), ("H",), cpt(4, 3)),
+        LogitVariable("Q", ("X", "H"), float(rng.uniform(-1.0, 0.0)), tuple(rng.uniform(-0.5, 0.5, 2))),
+        CptVariable("M", ("lo", "mid", "hi"), ("Q", "X"), cpt(3, 2 * 4)),
+        CptVariable("Y", ("0", "1"), ("M", "Q", "X", "H"), cpt(2, 3 * 2 * 4 * 3)),
+    )
+    return ScmSpec(variables, exposure="Q", baseline="X", mediator="M", outcome="Y")
+
+
 def logistic_outcome_scm(
     *,
     q_coef: float = 0.9,

@@ -98,16 +98,21 @@ class TestBuildDesign:
             build_design(ds, ModelSpec("y", "q", (main("x"),)))
 
     def test_absent_level_flagged(self):
+        # Level c never occurs, so its indicator is the only column that adds
+        # no rank, centered or not, and the fit names it.
         kind = Categorical(("a", "b", "c"), "a")
         ds = Dataset(
             {
-                "q": Column.build(Binary(), ["1", "0"]),
-                "y": Column.build(Binary(), ["1", "0"]),
-                "g": Column.build(kind, ["b", "a"]),
+                "q": Column.build(Binary(), ["1", "0", "1", "0"]),
+                "y": Column.build(Binary(), ["1", "0", "0", "1"]),
+                "g": Column.build(kind, ["b", "a", "a", "b"]),
             }
         )
-        design = build_design(ds, ModelSpec("y", "q", (main("g"),)))
-        assert design.empty_columns == ("g=c",)
+        for center in (False, True):
+            design = build_design(ds, ModelSpec("y", "q", (main("g"),), center))
+            with pytest.raises(RankDeficiencyError) as err:
+                fit_logistic(design, response_vector(ds, "y"))
+            assert err.value.columns == ("g=c",)
 
     def test_centered_columns_have_weighted_mean_zero(self):
         rng = np.random.default_rng(3)

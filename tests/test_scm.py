@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from causalmed.data import CellState
 from causalmed.errors import DataError, InputError, PositivityError
 from causalmed.scm import (
     CptVariable,
-    LinearVariable,
     LogitVariable,
     ScmSpec,
     counterfactual_check,
@@ -20,12 +18,47 @@ from causalmed.scm import (
     sample_trace,
 )
 
-from generators import random_mediation_scm
+from generators import random_categorical_scm, random_mediation_scm
 from oracles import enumerate_joint_brute
 
 
 def fair(name, latent=False):
     return CptVariable(name, ("0", "1"), (), ((0.5, 0.5),), latent=latent)
+
+
+def brute_force_joint(spec):
+    """The joint from ``enumerate_joint_brute``: each variable's distribution
+    is recomputed from its parameters for every configuration, with table
+    rows indexed row-major by the parents' level counts."""
+
+    def prob_fn(var):
+        def fn(assignment):
+            if isinstance(var, LogitVariable):
+                eta = var.intercept + sum(
+                    c * assignment[p] for c, p in zip(var.coefficients, var.parents)
+                )
+                p1 = 1.0 / (1.0 + np.exp(-eta))
+                return (1.0 - p1, p1)
+            row = 0
+            for parent in var.parents:
+                row = row * spec.variable(parent).n_levels + assignment[parent]
+            return var.table[row]
+
+        return fn
+
+    return enumerate_joint_brute([(var.name, var.levels, prob_fn(var)) for var in spec.variables])
+
+
+def assert_frequencies_match(spec, n, seed):
+    """Sampled configuration frequencies within 4 SE of the exact joint."""
+    joint = enumerate_joint(spec)
+    trace = sample_trace(spec, n, seed)
+    counts = np.zeros(joint.probs.shape)
+    idx = tuple(trace.values[name] for name in spec.names)
+    np.add.at(counts, idx, 1.0)
+    freq = counts / n
+    se = np.sqrt(joint.probs * (1 - joint.probs) / n)
+    assert (np.abs(freq - joint.probs) <= 4 * se + 1e-12).all()
 
 
 class TestEnumerate:
@@ -52,41 +85,23 @@ class TestEnumerate:
     def test_matches_brute_force_enumeration(self):
         spec = load_fixture("mediation_binary")
         joint = enumerate_joint(spec)
-
-        def cpt_fn(var):
-            def fn(assignment):
-                if not var.parents:
-                    return var.table[0]
-                row = 0
-                for parent in var.parents:
-                    row = row * 2 + assignment[parent]
-                return var.table[row]
-
-            return fn
-
-        def logit_fn(var):
-            def fn(assignment):
-                eta = var.intercept + sum(
-                    c * assignment[p] for c, p in zip(var.coefficients, var.parents)
-                )
-                p1 = 1.0 / (1.0 + np.exp(-eta))
-                return (1.0 - p1, p1)
-
-            return fn
-
-        variables = []
-        for var in spec.variables:
-            fn = cpt_fn(var) if isinstance(var, CptVariable) else logit_fn(var)
-            variables.append((var.name, var.levels, fn))
-        names, brute = enumerate_joint_brute(variables)
+        names, brute = brute_force_joint(spec)
         assert names == list(spec.names)
         for config, p in brute.items():
             assert joint.probs[config] == pytest.approx(p, abs=1e-14)
 
-    def test_continuous_variable_rejected(self):
-        spec = ScmSpec((fair("A"), LinearVariable("Z", ("A",), 0.0, (1.0,), 1.0)))
-        with pytest.raises(DataError, match="continuous"):
-            enumerate_joint(spec)
+    def test_categorical_models_match_brute_force_enumeration(self):
+        # 3- and 4-level parents, parents listed out of declaration order,
+        # and a logistic response on a categorical parent.
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            spec = random_categorical_scm(rng)
+            joint = enumerate_joint(spec)
+            assert joint.probs.shape == (3, 4, 2, 3, 2)
+            names, brute = brute_force_joint(spec)
+            assert names == list(spec.names)
+            for config, p in brute.items():
+                assert joint.probs[config] == pytest.approx(p, abs=1e-14)
 
     def test_state_space_bound(self):
         kind = tuple(str(i) for i in range(101))
@@ -206,6 +221,15 @@ class TestCounterfactualCheck:
                 hits += 1
         assert hits >= 0.95 * n
 
+    def test_categorical_model_matches_observational(self):
+        # Y depends on the latent H, but M does not, so given (Q, X) nothing
+        # latent confounds M and Y: every 3-level mediator cell agrees.
+        rng = np.random.default_rng(33)
+        for _ in range(5):
+            report = counterfactual_check(random_categorical_scm(rng))
+            assert len(report.cells) == 3 * 4
+            assert report.max_abs_diff < 1e-12
+
     def test_outcome_ignoring_mediator_gives_constant_cells(self):
         spec = ScmSpec(
             (
@@ -247,16 +271,11 @@ class TestSampling:
         assert "H" in full.names
 
     def test_frequencies_match_enumeration(self):
-        spec = load_fixture("mediation_binary")
-        joint = enumerate_joint(spec)
-        n = 1_000_000
-        trace = sample_trace(spec, n, 2718)
-        counts = np.zeros(joint.probs.shape)
-        idx = tuple(trace.values[name] for name in spec.names)
-        np.add.at(counts, idx, 1.0)
-        freq = counts / n
-        se = np.sqrt(joint.probs * (1 - joint.probs) / n)
-        assert (np.abs(freq - joint.probs) <= 4 * se + 1e-12).all()
+        assert_frequencies_match(load_fixture("mediation_binary"), 1_000_000, 2718)
+
+    def test_categorical_frequencies_match_enumeration(self):
+        spec = random_categorical_scm(np.random.default_rng(42))
+        assert_frequencies_match(spec, 1_000_000, 2719)
 
     def test_consistency_forcing_factual_mediator_reproduces_outcome(self):
         spec = load_fixture("mediation_binary")
@@ -273,16 +292,16 @@ class TestSampling:
         np.testing.assert_array_equal(forced["X"], trace.values["X"])
         assert (forced["M"] == 1).all()
 
-    def test_linear_variable_sampling(self):
-        spec = ScmSpec(
-            (fair("A"), LinearVariable("Z", ("A",), 1.0, (2.0,), 0.5)),
-        )
-        trace = sample_trace(spec, 50_000, 5)
-        z, a = trace.values["Z"], trace.values["A"]
-        assert abs(z[a == 1].mean() - 3.0) < 0.02
-        assert abs(z[a == 0].mean() - 1.0) < 0.02
-        ds = dataset_from_values(spec, trace.values)
-        assert (ds["Z"].state == CellState.OBSERVED).all()
+    @pytest.mark.parametrize(
+        "interventions",
+        [{"Mx": 1}, {"M": 2}, {"M": -1}, {"M": 0.5}, {"H": -1}, {"H": 2}],
+        ids=["unknown-name", "M=2", "M=-1", "M=0.5", "H=-1", "H=2"],
+    )
+    def test_forcing_requires_known_variables_and_level_codes(self, interventions):
+        spec = load_fixture("mediation_binary")
+        trace = sample_trace(spec, 100, 13)
+        with pytest.raises(InputError):
+            replay(spec, trace, interventions)
 
 
 class TestTextFormat:
@@ -294,6 +313,28 @@ class TestTextFormat:
     def test_parse_error_reports_line(self):
         with pytest.raises(DataError, match="line 2"):
             parse_scm("var A : 0 1\n  bogus stuff\n")
+
+    def test_categorical_round_trip(self):
+        spec = random_categorical_scm(np.random.default_rng(43))
+        assert parse_scm(format_scm(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            "var B : 0 1 2\n  parents A\n  logit 0.1 0.2\n",
+            "var B : 0 1\n  cpt | 0.6 0.5\n",
+            "var A : 0 1\n  cpt | 0.5 0.5\n",
+        ],
+        ids=["logit-with-three-levels", "cpt-row-sums-to-1.1", "duplicate-name"],
+    )
+    def test_invalid_variable_reports_its_var_line(self, block):
+        text = "var A : 0 1\n  cpt | 0.5 0.5\n" + block + "roles q=A\n"
+        with pytest.raises(DataError, match="line 3: (duplicate )?variable '[AB]'"):
+            parse_scm(text)
+
+    def test_linear_directive_rejected(self):
+        with pytest.raises(DataError, match="line 2: cannot parse"):
+            parse_scm("var A : 0 1\n  linear 0.0 | 1.0\n")
 
     def test_missing_cpt_row_detected(self):
         text = "var A : 0 1\n  cpt | 0.5 0.5\nvar B : 0 1\n  parents A\n  cpt 0 | 0.5 0.5\n"
