@@ -16,9 +16,12 @@ import numpy as np
 
 from .data import Dataset, VariableRoles, _open_text
 from .errors import InputError
-from .glm import DesignMatrix, FitResult, ModelSpec, build_design, expit, fit_logistic, indicator, main
+from .glm import DesignMatrix, FitResult, ModelSpec, build_design, expit, fit_logistic, main, response_vector
 
 SCORE_EPS = 1e-12
+
+#: Number of equal-width score bins in :func:`overlap_diagnostics`.
+OVERLAP_BINS = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,9 +55,12 @@ def propensity_scores(design: DesignMatrix, exposure: np.ndarray, weights: np.nd
 
 
 def fit_propensity(ds: Dataset, roles: VariableRoles) -> PropensityFit:
-    """Logistic regression of the exposure on the adjustment covariates."""
+    """Logistic regression of the exposure on the adjustment covariates.
+
+    The exposure must be observed on every row (a DataError names it).
+    """
     design = propensity_design(ds, roles)
-    exposure = indicator(ds[roles.exposure])
+    exposure = response_vector(ds, roles.exposure)
     weights = ds.weights()
     fit, scores = propensity_scores(design, exposure, weights)
     return PropensityFit(
@@ -67,48 +73,19 @@ def fit_propensity(ds: Dataset, roles: VariableRoles) -> PropensityFit:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class IpwWeights:
-    weights: np.ndarray
-    stabilized: bool
-    trim_quantiles: tuple[float, float] | None
-    n_trimmed: int
-
-
-def ipw_weights(
-    scores: np.ndarray,
-    exposure: np.ndarray,
-    stabilized: bool = True,
-    trim: tuple[float, float] | None = None,
-    *,
-    base_weights: np.ndarray | None = None,
-) -> IpwWeights:
-    """Inverse-probability weights: 1/e for the exposed, 1/(1-e) otherwise.
-
-    Stabilization multiplies by the marginal exposure probability (computed
-    with ``base_weights`` when given). Trimming clamps the scores at the
-    given score quantiles before weighting and counts affected rows.
-    """
+def ipw_weights(scores: np.ndarray, exposure: np.ndarray, base_weights: np.ndarray) -> np.ndarray:
+    """Stabilized inverse-probability weights: 1/e for the exposed and
+    1/(1-e) otherwise, times the marginal probability of the row's exposure
+    group computed under ``base_weights``, so they average one."""
     scores = np.asarray(scores, dtype=np.float64)
     if ((scores <= 0.0) | (scores >= 1.0)).any():
         raise InputError("propensity scores must lie strictly in (0, 1)")
     exposure = np.asarray(exposure, dtype=np.float64)
     if exposure.shape != scores.shape:
         raise InputError("exposure vector does not align with the propensity scores")
-    n_trimmed = 0
-    if trim is not None:
-        lo_q, hi_q = trim
-        if not 0.0 <= lo_q < hi_q <= 1.0:
-            raise InputError("trim quantiles must satisfy 0 <= lo < hi <= 1")
-        lo, hi = np.quantile(scores, [lo_q, hi_q])
-        clipped = np.clip(scores, lo, hi)
-        n_trimmed = int((clipped != scores).sum())
-        scores = clipped
     weights = np.where(exposure == 1.0, 1.0 / scores, 1.0 / (1.0 - scores))
-    if stabilized:
-        marginal = float(np.average(exposure, weights=base_weights))
-        weights = weights * np.where(exposure == 1.0, marginal, 1.0 - marginal)
-    return IpwWeights(weights, stabilized, trim, n_trimmed)
+    marginal = float(np.average(exposure, weights=base_weights))
+    return weights * np.where(exposure == 1.0, marginal, 1.0 - marginal)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +149,15 @@ def _weighted_smd(values, exposure, weights) -> float:
     return float(abs(stats[1.0][0] - stats[0.0][0]) / pooled)
 
 
-def overlap_diagnostics(psfit: PropensityFit, exposure: np.ndarray, bins: int = 10) -> DensitySummary:
-    """Score histograms by exposure group over [0, 1], each summing to one,
-    plus per-covariate standardized mean differences before and after
-    stabilized inverse-probability weighting."""
-    if bins < 2:
-        raise InputError("at least two bins required")
+def overlap_diagnostics(psfit: PropensityFit, exposure: np.ndarray) -> DensitySummary:
+    """Score histograms by exposure group over :data:`OVERLAP_BINS` equal
+    bins of [0, 1], each summing to one, plus per-covariate standardized
+    mean differences before and after stabilized inverse-probability
+    weighting. ``exposure`` must align with the fit's scores."""
     exposure = np.asarray(exposure, dtype=np.float64)
-    edges = np.linspace(0.0, 1.0, bins + 1)
+    if exposure.shape != psfit.scores.shape:
+        raise InputError("exposure vector does not align with the propensity scores")
+    edges = np.linspace(0.0, 1.0, OVERLAP_BINS + 1)
     proportions = {}
     for group in (0.0, 1.0):
         sel = exposure == group
@@ -187,8 +165,7 @@ def overlap_diagnostics(psfit: PropensityFit, exposure: np.ndarray, bins: int = 
             raise InputError(f"exposure group {int(group)} is empty")
         counts, _ = np.histogram(psfit.scores[sel], bins=edges)
         proportions[str(int(group))] = counts / counts.sum()
-    ipw = ipw_weights(psfit.scores, exposure, stabilized=True, base_weights=psfit.base_weights)
-    after_w = psfit.base_weights * ipw.weights
+    after_w = psfit.base_weights * ipw_weights(psfit.scores, exposure, psfit.base_weights)
     smd_rows = []
     for j, name in enumerate(psfit.covariate_names):
         col = psfit.covariate_matrix[:, j]

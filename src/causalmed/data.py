@@ -33,7 +33,8 @@ class CellState(enum.IntEnum):
 #: Sentinel used in cell lists passed to :meth:`Column.build`.
 NONRESPONSE = CellState.NONRESPONSE
 
-#: Token used by :func:`write_csv` to encode non-response cells.
+#: Token for non-response cells in CSV files: :func:`write_csv` writes it
+#: and :func:`ingest_csv` reads it.
 NONRESPONSE_TOKEN = "__NR__"
 
 #: Survey answers that :func:`sgm_survey_rules` recodes to non-response.
@@ -327,19 +328,18 @@ def ingest_csv(
     schema: Mapping[str, ColumnKind],
     missing_tokens: Iterable[str] = ("",),
     *,
-    nonresponse_tokens: Iterable[str] = (),
     weight_column: str | None = None,
 ) -> Dataset:
     """Read a CSV file (RFC-4180 quoting) into a Dataset.
 
     Only columns named in ``schema`` are ingested; the header must contain
-    every schema column. Cells matching ``missing_tokens`` become missing,
-    ``nonresponse_tokens`` become non-response; anything else must parse
-    under the declared kind, otherwise a DataError names the offending row
-    and column. ``source`` may be a path or an open text stream.
+    every schema column. Cells matching ``missing_tokens`` become missing and
+    cells equal to :data:`NONRESPONSE_TOKEN` become non-response, so the
+    output of :func:`write_csv` reads back unchanged; anything else must
+    parse under the declared kind, otherwise a DataError names the offending
+    row and column. ``source`` may be a path or an open text stream.
     """
     missing = frozenset(missing_tokens)
-    nonresponse = frozenset(nonresponse_tokens)
     names = list(schema)
     with _open_text(source, "r") as fh:
         reader = csv.reader(fh)
@@ -367,7 +367,7 @@ def ingest_csv(
                     raw[name].append(0)
                     states[name].append(int(CellState.MISSING))
                     continue
-                if token in nonresponse:
+                if token == NONRESPONSE_TOKEN:
                     raw[name].append(0)
                     states[name].append(int(CellState.NONRESPONSE))
                     continue
@@ -398,20 +398,15 @@ def ingest_csv(
     return Dataset(columns, weight_column)
 
 
-def write_csv(
-    ds: Dataset,
-    dest,
-    *,
-    missing_token: str = "",
-    nonresponse_token: str = NONRESPONSE_TOKEN,
-) -> None:
-    """Write a dataset to CSV so that :func:`ingest_csv` round-trips it.
+def write_csv(ds: Dataset, dest) -> None:
+    """Write a dataset to CSV so that :func:`ingest_csv` with its default
+    arguments reads it back unchanged.
 
-    Missing cells are written as ``missing_token`` and non-response cells as
-    ``nonresponse_token``; continuous values use shortest round-trip float
-    formatting.
+    Missing cells are written as empty fields and non-response cells as
+    :data:`NONRESPONSE_TOKEN`; continuous values use shortest round-trip
+    float formatting.
     """
-    tokens = ((CellState.MISSING, missing_token), (CellState.NONRESPONSE, nonresponse_token))
+    tokens = ((CellState.MISSING, ""), (CellState.NONRESPONSE, NONRESPONSE_TOKEN))
     cells = []
     for col in ds.columns.values():
         # One string per cell, a column at a time; unobserved cells (NaN, or
@@ -539,15 +534,13 @@ class ExclusionCounts:
 def filter_analysis_rows(
     ds: Dataset, roles: VariableRoles, policy: str
 ) -> tuple[Dataset, ExclusionCounts]:
-    """Drop rows unusable under the given missing-data policy.
-
-    ``complete_case`` drops any row with a missing or non-response cell among
-    the role columns; ``keep_missing_for_imputation`` drops only non-response
-    rows (non-response is never imputed). Dropped rows are counted by reason,
-    non-response taking precedence when a row has both.
+    """Drop every row with a missing or non-response cell among the role
+    columns (complete-case analysis, the only ``policy``: any other value is
+    an InputError). Dropped rows are counted by reason, non-response taking
+    precedence when a row has both.
     """
-    if policy not in ("complete_case", "keep_missing_for_imputation"):
-        raise InputError(f"unknown policy {policy!r}")
+    if policy != "complete_case":
+        raise InputError(f"unknown policy {policy!r}; only 'complete_case' is supported")
     roles.validate(ds)
     role_cols = [ds[name] for name in dict.fromkeys(roles.all_columns())]
     any_nonresponse = np.zeros(ds.n_rows, dtype=bool)
@@ -555,10 +548,7 @@ def filter_analysis_rows(
     for col in role_cols:
         any_nonresponse |= col.state == CellState.NONRESPONSE
         any_missing |= col.state == CellState.MISSING
-    if policy == "complete_case":
-        keep = ~(any_nonresponse | any_missing)
-    else:
-        keep = ~any_nonresponse
+    keep = ~(any_nonresponse | any_missing)
     dropped_nr = int(any_nonresponse.sum())
     dropped_missing = int((~keep & ~any_nonresponse).sum())
     counts = ExclusionCounts(dropped_nr, dropped_missing, int(keep.sum()))

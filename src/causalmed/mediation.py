@@ -45,10 +45,8 @@ from .glm import (
     DesignMatrix,
     FitResult,
     ModelSpec,
-    Z95,
     design_template,
     fit_logistic,
-    indicator,
     interaction,
     main,
     response_vector,
@@ -180,12 +178,12 @@ def variant_estimator(ds: Dataset, roles: VariableRoles, variant: str, include_m
     if variant == "simple":
         return lambda w: tuple(fit_logistic(d, y, w) for d in designs)
     ps_design = propensity_design(ds, roles)
-    treat = indicator(ds[roles.exposure])
+    treat = response_vector(ds, roles.exposure)
     if variant == "ipw":
 
         def fit_ipw(w):
             _, scores = propensity_scores(ps_design, treat, w)
-            combined = w * ipw_weights(scores, treat, stabilized=True, base_weights=w).weights
+            combined = w * ipw_weights(scores, treat, w)
             return tuple(fit_logistic(d, y, combined) for d in designs)
 
         return fit_ipw
@@ -296,6 +294,8 @@ def bootstrap_statistics(n_rows, reps, seed, replicate_fn):
     """
     if reps < 100:
         raise InputError("at least 100 bootstrap replicates required")
+    if seed < 0:
+        raise InputError(f"bootstrap seed must be non-negative, got {seed}")
     stats = []
     for i in range(reps):
         rng = np.random.default_rng(seed + i)
@@ -310,52 +310,27 @@ def bootstrap_statistics(n_rows, reps, seed, replicate_fn):
     return np.array(stats, dtype=np.float64), n_failed
 
 
-def _target_stat(pair: EffectPair, target: str) -> float:
-    if target == "total":
-        return pair.total_log_or
-    if target == "direct":
-        return pair.direct_log_or
-    if target == "indirect":
-        return pair.indirect_log_or
-    raise InputError(f"unknown target {target!r}")
-
-
-def bootstrap_ci(
-    ds: Dataset,
-    roles: VariableRoles,
-    variant: str,
-    reps: int,
-    seed: int,
-    target: str = "indirect",
-    *,
-    method: str = "percentile",
-) -> BootstrapInterval:
-    """Nonparametric 95% bootstrap interval on the odds-ratio scale.
+def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, seed: int) -> BootstrapInterval:
+    """Percentile 95% bootstrap interval of the indirect odds ratio.
 
     Each replicate refits both outcome models (and, for the ps/ipw variants,
     the propensity model) on the full rows of ``ds`` under the survey
     weights times the replicate's row counts, which is the same fit as on
-    the resampled rows. ``method="percentile"`` takes percentile limits of
-    the replicate ORs; ``method="delta"`` uses a normal interval around the
-    full-sample estimate with the replicate standard deviation.
+    the resampled rows. Its statistic is the indirect log odds ratio, total
+    minus direct; the limits are percentiles of the replicate odds ratios
+    and ``se`` is the replicates' standard deviation on the log scale.
     """
-    if method not in ("percentile", "delta"):
-        raise InputError(f"unknown bootstrap method {method!r}")
     fit = variant_estimator(ds, roles, variant)
     w = ds.weights()
 
-    def statistic(weights):
-        return _target_stat(EffectPair(*fit(weights), roles.exposure, ds.n_rows), target)
+    def indirect_log_or(counts):
+        return EffectPair(*fit(w * counts), roles.exposure, ds.n_rows).indirect_log_or
 
-    stats, n_failed = bootstrap_statistics(ds.n_rows, reps, seed, lambda counts: statistic(w * counts))
+    stats, n_failed = bootstrap_statistics(ds.n_rows, reps, seed, indirect_log_or)
     se = float(stats.std(ddof=1)) if stats.size > 1 else 0.0
     # (1 - 0.95) / 2 differs from 0.025 in the last bits; the limits keep it.
     alpha = (1.0 - 0.95) / 2.0
-    if method == "percentile":
-        lo, hi = np.percentile(np.exp(stats), [100 * alpha, 100 * (1 - alpha)])
-    else:
-        point = statistic(w)
-        lo, hi = math.exp(point - Z95 * se), math.exp(point + Z95 * se)
+    lo, hi = np.percentile(np.exp(stats), [100 * alpha, 100 * (1 - alpha)])
     return BootstrapInterval(float(lo), float(hi), se, n_failed, reps)
 
 
@@ -376,6 +351,6 @@ def effect_triple(
     pair = estimate_pair(ds, roles, variant)
     total = _estimate_from_fit("total", pair.total_fit, roles, variant, pair.n_used)
     direct = _estimate_from_fit("direct", pair.direct_fit, roles, variant, pair.n_used)
-    interval = bootstrap_ci(ds, roles, variant, bootstrap_reps, seed, "indirect")
+    interval = bootstrap_ci(ds, roles, variant, bootstrap_reps, seed)
     indirect = combine(total, direct, ci_or=(interval.lo, interval.hi))
     return EffectTriple(total, direct, indirect, seed, bootstrap_reps, interval.n_failed)

@@ -458,10 +458,12 @@ def replay(spec: ScmSpec, trace: SampleTrace, interventions: Mapping[str, np.nda
     return values
 
 
-def dataset_from_values(spec: ScmSpec, values: Mapping[str, np.ndarray], *, include_latent=False) -> Dataset:
+def dataset_from_values(spec: ScmSpec, values: Mapping[str, np.ndarray]) -> Dataset:
+    """Fully observed dataset of the spec's observed variables; latent
+    variables are left out."""
     columns = {}
     for var in spec.variables:
-        if var.latent and not include_latent:
+        if var.latent:
             continue
         vals = values[var.name]
         if var.n_levels == 2:
@@ -489,11 +491,13 @@ def parse_scm(text: str) -> ScmSpec:
     ``parents P1 P2 ...`` and one response: ``cpt`` rows (one per parent
     configuration, ``cpt <parent levels...> | p p ...``) or one ``logit
     intercept coef...`` line. A final ``roles`` line assigns q/x/m/y. Errors
-    raise DataError naming a line: a bad line names itself, and a variable
-    that cannot be built names the line of its ``var``.
+    raise DataError naming a line: a bad line names itself, a variable that
+    cannot be built names the line of its ``var``, and a role given twice or
+    naming an unknown variable names its ``roles`` line.
     """
     variables: list[ScmVariable] = []
     roles: dict[str, str] = {}
+    role_lines: dict[str, int] = {}
     current: dict | None = None
 
     def flush():
@@ -554,7 +558,10 @@ def parse_scm(text: str) -> ScmSpec:
                     key, _, value = item.partition("=")
                     if key not in ("q", "x", "m", "y") or not value:
                         raise DataError(f"bad role assignment {item!r}")
+                    if key in roles:
+                        raise DataError(f"role {key!r} assigned twice")
                     roles[key] = value
+                    role_lines[key] = line_no
             elif current is None:
                 raise DataError(f"directive {fields[0]!r} outside a var block")
             elif fields[0] == "latent" and len(fields) == 1:
@@ -578,6 +585,10 @@ def parse_scm(text: str) -> ScmSpec:
         except (ValueError, DataError) as exc:
             raise DataError(f"line {line_no}: {exc}") from None
     flush()
+    names = {v.name for v in variables}
+    for key, value in roles.items():
+        if value not in names:
+            raise DataError(f"line {role_lines[key]}: role {key!r} names unknown variable {value!r}")
     return ScmSpec(
         tuple(variables),
         exposure=roles.get("q"),

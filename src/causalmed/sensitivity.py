@@ -1,9 +1,11 @@
 """E-values: the minimum confounder strength needed to explain an effect away.
 
-On the risk-ratio scale, E = rr + sqrt(rr * (rr - 1)). Odds ratios for
-common outcomes are first converted by the square-root approximation;
-protective effects are inverted, since E(OR) = E(1/OR). The confidence-limit
-E-value uses the limit nearer the null and is 1 when the interval crosses 1.
+On the risk-ratio scale, E = rr + sqrt(rr * (rr - 1)). The outcome,
+depression, is common, so every odds ratio is first converted to a risk
+ratio by the square-root approximation rr = sqrt(OR) (VanderWeele & Ding
+2017); protective effects are inverted, since E(OR) = E(1/OR). The
+confidence-limit E-value uses the limit nearer the null and is 1 when the
+interval crosses 1.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass
 
 from .errors import InputError
 
-CONVERSIONS = ("sqrt_or", "identity")
-
 
 @dataclass(frozen=True)
 class EvalueResult:
@@ -22,12 +22,10 @@ class EvalueResult:
     rr_used: float
     evalue_point: float
     evalue_ci: float | None
-    conversion: str
 
     def to_json_obj(self):
         return {
             "or": self.input_or,
-            "conversion": self.conversion,
             "rr_used": self.rr_used,
             "evalue_point": self.evalue_point,
             "evalue_ci": self.evalue_ci,
@@ -40,30 +38,20 @@ def _e_from_rr(rr: float) -> float:
     return rr + math.sqrt(rr * (rr - 1.0))
 
 
-def evalue(
-    odds_ratio: float,
-    ci: tuple[float, float] | None = None,
-    conversion: str = "sqrt_or",
-) -> EvalueResult:
+def evalue(odds_ratio: float, ci: tuple[float, float] | None = None) -> EvalueResult:
     """E-value of an odds ratio and, optionally, of its confidence interval.
 
-    ``conversion="sqrt_or"`` applies the common-outcome OR-to-RR
-    approximation; ``"identity"`` treats the OR as a risk ratio (rare
-    outcomes). Estimates below 1 are inverted first.
+    Each odds ratio is converted to a risk ratio by the common-outcome
+    square-root approximation; estimates below 1 are inverted first.
     """
-    if conversion not in CONVERSIONS:
-        raise InputError(f"unknown conversion {conversion!r}")
     if not (isinstance(odds_ratio, (int, float)) and math.isfinite(odds_ratio)):
         raise InputError("odds ratio must be finite")
     if odds_ratio <= 0:
         raise InputError("odds ratio must be positive")
 
-    def to_rr(value: float) -> float:
-        return math.sqrt(value) if conversion == "sqrt_or" else value
-
     inverted = odds_ratio < 1.0
     point = 1.0 / odds_ratio if inverted else odds_ratio
-    rr = to_rr(point)
+    rr = math.sqrt(point)
     e_point = _e_from_rr(rr)
 
     e_ci = None
@@ -76,16 +64,9 @@ def evalue(
         if lo <= 1.0 <= hi:
             e_ci = 1.0
         else:
-            near = hi if inverted else lo
-            near = 1.0 / near if inverted else near
-            e_ci = _e_from_rr(to_rr(near))
-    return EvalueResult(
-        input_or=float(odds_ratio),
-        rr_used=rr,
-        evalue_point=e_point,
-        evalue_ci=e_ci,
-        conversion=conversion,
-    )
+            near = 1.0 / hi if inverted else lo
+            e_ci = _e_from_rr(math.sqrt(near))
+    return EvalueResult(input_or=float(odds_ratio), rr_used=rr, evalue_point=e_point, evalue_ci=e_ci)
 
 
 def implied_rr(e: float) -> float:

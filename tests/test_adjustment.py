@@ -3,8 +3,15 @@ import io
 import numpy as np
 import pytest
 
-from causalmed.adjustment import DensitySummary, SmdRow, fit_propensity, ipw_weights, overlap_diagnostics
-from causalmed.data import Binary, Column, Continuous, Dataset, VariableRoles
+from causalmed.adjustment import (
+    OVERLAP_BINS,
+    DensitySummary,
+    SmdRow,
+    fit_propensity,
+    ipw_weights,
+    overlap_diagnostics,
+)
+from causalmed.data import Binary, CellState, Column, Continuous, Dataset, VariableRoles
 from causalmed.errors import DataError, InputError
 
 ROLES = VariableRoles(exposure="q", outcome="y", baseline_support="x")
@@ -40,58 +47,50 @@ class TestBalance:
         assert row.after < 1e-6
 
 
+class TestFitPropensity:
+    def test_missing_exposure_rejected(self):
+        ds = confounded_dataset(np.random.default_rng(7), 40)
+        q = ds["q"]
+        state = q.state.copy()
+        state[[3, 17]] = CellState.MISSING
+        ds = ds.replace_columns({"q": Column(q.kind, q.values, state)})
+        with pytest.raises(DataError, match="'q'"):
+            fit_propensity(ds, ROLES)
+
+
 class TestIpwWeights:
     @pytest.mark.parametrize("scores", [[0.0, 0.5], [0.5, 1.0], [1.2, 0.5], [-0.1, 0.5]])
     def test_scores_outside_unit_interval_rejected(self, scores):
         with pytest.raises(InputError, match="strictly in"):
-            ipw_weights(np.asarray(scores), np.array([1.0, 0.0]))
+            ipw_weights(np.asarray(scores), np.array([1.0, 0.0]), np.ones(2))
 
     def test_misaligned_exposure_rejected(self):
         with pytest.raises(InputError, match="does not align"):
-            ipw_weights(np.array([0.2, 0.5, 0.7]), np.array([1.0, 0.0]))
-
-    def test_trimming_counts_clamped_rows(self):
-        scores = np.linspace(0.05, 0.95, 11)
-        exposure = np.array([1.0, 0.0] * 5 + [0.0])
-        result = ipw_weights(scores, exposure, stabilized=False, trim=(0.1, 0.9))
-        # Quantiles 0.1 and 0.9 of 11 evenly spaced scores are the second and
-        # the second-to-last score: only the two end rows move.
-        assert result.n_trimmed == 2
-        assert result.weights[0] == pytest.approx(1.0 / 0.14)
-        assert result.weights[-1] == pytest.approx(1.0 / (1.0 - 0.86))
-        assert result.weights[1:-1] == pytest.approx(
-            np.where(exposure[1:-1] == 1.0, 1.0 / scores[1:-1], 1.0 / (1.0 - scores[1:-1]))
-        )
-
-    def test_no_trimming_counts_zero(self):
-        result = ipw_weights(np.array([0.2, 0.8]), np.array([1.0, 0.0]))
-        assert result.n_trimmed == 0
-
-    def test_invalid_trim_quantiles_rejected(self):
-        with pytest.raises(InputError, match="trim"):
-            ipw_weights(np.array([0.2, 0.8]), np.array([1.0, 0.0]), trim=(0.9, 0.1))
+            ipw_weights(np.array([0.2, 0.5, 0.7]), np.array([1.0, 0.0]), np.ones(3))
 
 
 class TestOverlap:
     def test_proportions_sum_to_one_per_group(self):
         ds = confounded_dataset(np.random.default_rng(6), 500, weight=True)
         psfit = fit_propensity(ds, ROLES)
-        summary = overlap_diagnostics(psfit, psfit.exposure, bins=7)
-        assert summary.bin_edges.size == 8
+        summary = overlap_diagnostics(psfit, psfit.exposure)
+        assert OVERLAP_BINS == 10
+        assert summary.bin_edges.size == 11
         assert set(summary.proportions) == {"0", "1"}
         for props in summary.proportions.values():
-            assert props.size == 7
+            assert props.size == 10
             assert props.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_fewer_than_two_bins_rejected(self):
-        psfit = fit_propensity(confounded_dataset(np.random.default_rng(6), 200), ROLES)
-        with pytest.raises(InputError, match="two bins"):
-            overlap_diagnostics(psfit, psfit.exposure, bins=1)
 
     def test_empty_exposure_group_rejected(self):
         psfit = fit_propensity(confounded_dataset(np.random.default_rng(6), 200), ROLES)
         with pytest.raises(InputError, match="group 1 is empty"):
             overlap_diagnostics(psfit, np.zeros(psfit.scores.size))
+
+    @pytest.mark.parametrize("n", [39, 41])
+    def test_misaligned_exposure_rejected(self, n):
+        psfit = fit_propensity(confounded_dataset(np.random.default_rng(6), 40), ROLES)
+        with pytest.raises(InputError, match="does not align"):
+            overlap_diagnostics(psfit, np.resize(psfit.exposure, n))
 
 
 class TestDensityCsv:

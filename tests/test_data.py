@@ -95,24 +95,22 @@ class TestIngest:
 
 class TestRoundTrip:
     def test_write_then_ingest_restores_dataset(self, tmp_path):
+        # Missing and non-response cells in continuous, categorical and
+        # binary columns, read back with ingest_csv's default tokens.
         kindc = Categorical(("lo", "hi"), "lo")
         ds = Dataset(
             {
                 "x": Column.build(Continuous(), [1.25, None, 3e-7, NONRESPONSE, 0.1 + 0.2]),
                 "g": Column.build(kindc, ["lo", "hi", None, "hi", NONRESPONSE]),
+                "q": Column.build(Binary(), [NONRESPONSE, "1", "0", None, "1"]),
                 "w": Column.build(Continuous(), [1.0, 2.0, 0.5, 1.0, 1.0]),
             },
             weight_column="w",
         )
         path = tmp_path / "ds.csv"
         write_csv(ds, path)
-        back = ingest_csv(
-            path,
-            {"x": Continuous(), "g": kindc, "w": Continuous()},
-            missing_tokens={""},
-            nonresponse_tokens={"__NR__"},
-            weight_column="w",
-        )
+        schema = {"x": Continuous(), "g": kindc, "q": Binary(), "w": Continuous()}
+        back = ingest_csv(path, schema, weight_column="w")
         assert back == ds
 
     def test_write_csv_bytes_exact(self):
@@ -134,14 +132,6 @@ class TestRoundTrip:
             '__NR__,"hi, quoted",-0.0\r\n'
             "0.30000000000000004,__NR__,1e+22\r\n"
         )
-        buf = io.StringIO()
-        write_csv(ds, buf, missing_token="NA", nonresponse_token="NR")
-        assert buf.getvalue().splitlines()[2:] == [
-            'NA,"hi, quoted",2.0',
-            "3e-07,NA,0.5",
-            'NR,"hi, quoted",-0.0',
-            "0.30000000000000004,NR,1e+22",
-        ]
 
     def test_write_csv_matches_cell_by_cell_reference(self):
         rng = np.random.default_rng(11)
@@ -287,15 +277,6 @@ class TestFilter:
         assert out.n_rows == 42331
         assert counts.retained == 42331
         assert counts.nonresponse + counts.missing == flagged
-
-    def test_keep_missing_drops_only_nonresponse(self):
-        q = ["1", NONRESPONSE, "0", "1"]
-        x = [1.0, 2.0, None, 4.0]
-        ds, roles = _roles_dataset(q, ["1", "0", "1", "0"], x)
-        out, counts = filter_analysis_rows(ds, roles, "keep_missing_for_imputation")
-        assert out.n_rows == 3
-        assert counts.nonresponse == 1
-        assert (out["x"].state == CellState.MISSING).sum() == 1
 
     def test_empty_result_is_error(self):
         ds, roles = _roles_dataset([NONRESPONSE, NONRESPONSE], ["1", "0"], [1.0, 2.0])

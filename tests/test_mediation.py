@@ -142,7 +142,7 @@ class TestEffects:
         # inside the Monte Carlo noise at n = 100k.
         rng = np.random.default_rng(12)
         ds = sim_dataset(rng, 100_000, bq=0.7, bm=0.3, m_on_q=0.0)
-        interval = bootstrap_ci(ds, ROLES, "simple", 100, seed=5, target="indirect", method="delta")
+        interval = bootstrap_ci(ds, ROLES, "simple", 100, seed=5)
         pair = estimate_pair(ds, ROLES, "simple")
         assert abs(pair.indirect_log_or) < 3 * interval.se
 
@@ -240,13 +240,14 @@ class TestBootstrap:
         with pytest.raises(InputError, match="100"):
             bootstrap_statistics(50, 99, 1, lambda counts: 0.0)
 
-    def test_delta_interval_centered_on_estimate(self):
-        rng = np.random.default_rng(23)
-        ds = sim_dataset(rng, 500, bm=0.3)
-        interval = bootstrap_ci(ds, ROLES, "simple", 100, seed=3, method="delta")
-        pair = estimate_pair(ds, ROLES, "simple")
-        center = math.sqrt(interval.lo * interval.hi)
-        assert center == pytest.approx(math.exp(pair.indirect_log_or), rel=1e-9)
+    def test_negative_seed_rejected(self):
+        calls = []
+        with pytest.raises(InputError, match="non-negative"):
+            bootstrap_statistics(50, 100, -1, calls.append)
+        assert calls == []
+        ds = sim_dataset(np.random.default_rng(23), 200)
+        with pytest.raises(InputError, match="non-negative"):
+            bootstrap_ci(ds, ROLES, "simple", 100, seed=-1)
 
 
 def take_replicate(ds, variant, idx):

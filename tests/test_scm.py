@@ -267,8 +267,7 @@ class TestSampling:
         ds = sample(spec, 50, 3)
         assert "H" not in ds.names
         trace = sample_trace(spec, 50, 3)
-        full = dataset_from_values(spec, trace.values, include_latent=True)
-        assert "H" in full.names
+        assert "H" not in dataset_from_values(spec, trace.values).names
 
     def test_frequencies_match_enumeration(self):
         assert_frequencies_match(load_fixture("mediation_binary"), 1_000_000, 2718)
@@ -335,6 +334,15 @@ class TestTextFormat:
     def test_linear_directive_rejected(self):
         with pytest.raises(DataError, match="line 2: cannot parse"):
             parse_scm("var A : 0 1\n  linear 0.0 | 1.0\n")
+
+    @pytest.mark.parametrize(
+        "roles, message",
+        [("roles q=B", "role 'q' names unknown variable 'B'"), ("roles q=A q=A x=A", "role 'q' assigned twice")],
+        ids=["unknown-variable", "key-given-twice"],
+    )
+    def test_bad_roles_line_reports_its_line(self, roles, message):
+        with pytest.raises(DataError, match=f"line 3: {message}"):
+            parse_scm("var A : 0 1\n  cpt | 0.5 0.5\n" + roles + "\n")
 
     def test_missing_cpt_row_detected(self):
         text = "var A : 0 1\n  cpt | 0.5 0.5\nvar B : 0 1\n  parents A\n  cpt 0 | 0.5 0.5\n"

@@ -12,12 +12,12 @@ class TestEvalue:
         assert evalue(1.0).evalue_point == 1.0
 
     def test_direct_effect_value(self):
-        result = evalue(3.07, conversion="sqrt_or")
+        result = evalue(3.07)
         assert round(result.evalue_point, 1) == 2.9
         assert 2.85 <= result.evalue_point <= 2.95
 
     def test_indirect_effect_value(self):
-        result = evalue(1.07, conversion="sqrt_or")
+        result = evalue(1.07)
         assert round(result.evalue_point, 1) == 1.2
         assert 1.17 <= result.evalue_point <= 1.27
 
@@ -42,13 +42,8 @@ class TestEvalue:
         expected = evalue(1 / 0.8).evalue_point
         assert result.evalue_ci == pytest.approx(expected, abs=1e-12)
 
-    def test_identity_conversion(self):
-        rr = 2.0
-        result = evalue(rr, conversion="identity")
-        assert result.evalue_point == pytest.approx(rr + math.sqrt(rr * (rr - 1)), abs=1e-12)
-
     def test_monotone_in_rr(self):
-        values = [evalue(v, conversion="identity").evalue_point for v in np.linspace(1.0, 8.0, 50)]
+        values = [evalue(v).evalue_point for v in np.linspace(1.0, 8.0, 50)]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[0] == 1.0
 
@@ -59,8 +54,8 @@ class TestEvalue:
 
     def test_round_trip_through_implied_rr(self):
         for value in (1.01, 1.07, 2.0, 3.07, 9.5):
-            result = evalue(value, conversion="identity")
-            assert implied_rr(result.evalue_point) == pytest.approx(value, abs=1e-9)
+            result = evalue(value)
+            assert implied_rr(result.evalue_point) == pytest.approx(math.sqrt(value), abs=1e-9)
 
     def test_invalid_inputs(self):
         with pytest.raises(InputError):
@@ -73,9 +68,7 @@ class TestEvalue:
             evalue(float("inf"))
         with pytest.raises(InputError):
             evalue(2.0, ci=(3.0, 2.0))
-        with pytest.raises(InputError):
-            evalue(2.0, conversion="bogus")
 
     def test_json_keys(self):
         obj = evalue(3.07, ci=(2.64, 3.58)).to_json_obj()
-        assert set(obj) == {"or", "conversion", "rr_used", "evalue_point", "evalue_ci"}
+        assert set(obj) == {"or", "rr_used", "evalue_point", "evalue_ci"}
