@@ -76,15 +76,19 @@ def fit_propensity(ds: Dataset, roles: VariableRoles) -> PropensityFit:
 def ipw_weights(scores: np.ndarray, exposure: np.ndarray, base_weights: np.ndarray) -> np.ndarray:
     """Stabilized inverse-probability weights: 1/e for the exposed and
     1/(1-e) otherwise, times the marginal probability of the row's exposure
-    group computed under ``base_weights``, so they average one."""
+    group computed under ``base_weights``, so they average one.
+
+    ``scores`` and ``base_weights`` may be (B, n) stacks over the one
+    exposure vector; each row is then weighted on its own."""
     scores = np.asarray(scores, dtype=np.float64)
     if ((scores <= 0.0) | (scores >= 1.0)).any():
         raise InputError("propensity scores must lie strictly in (0, 1)")
     exposure = np.asarray(exposure, dtype=np.float64)
-    if exposure.shape != scores.shape:
+    if exposure.shape != scores.shape[-1:]:
         raise InputError("exposure vector does not align with the propensity scores")
     weights = np.where(exposure == 1.0, 1.0 / scores, 1.0 / (1.0 - scores))
-    marginal = float(np.average(exposure, weights=base_weights))
+    base_weights = np.asarray(base_weights, dtype=np.float64)
+    marginal = (exposure * base_weights).sum(axis=-1, keepdims=True) / base_weights.sum(axis=-1, keepdims=True)
     return weights * np.where(exposure == 1.0, marginal, 1.0 - marginal)
 
 

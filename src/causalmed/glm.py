@@ -32,6 +32,9 @@ DEFAULT_MAX_ITER = 50
 DEFAULT_TOL = 1e-8
 #: Coefficient magnitude past which an improving fit counts as separated.
 SEPARATION_BOUND = 30.0
+#: Largest condition number of the final information matrix of a fit that
+#: :func:`fit_logistic_stacked` keeps on its plain Newton path.
+STACKED_MAX_CONDITION = 1e6
 
 
 def expit(x):
@@ -162,6 +165,33 @@ class DesignTemplate:
         vectors.extend(self.exposure * shifted[k] if inter else shifted[k] for k, inter in self.terms)
         return DesignMatrix(np.column_stack(vectors), self.names, centering)
 
+    def take(self, rows) -> "DesignTemplate":
+        """The same design columns on the given rows only."""
+        return DesignTemplate(
+            self.names,
+            tuple(vec[rows] for vec in self.leading),
+            tuple((name, vec[rows]) for name, vec in self.covariates),
+            self.terms,
+            None if self.exposure is None else self.exposure[rows],
+            self.center,
+        )
+
+    def stacked_design(self, weights: np.ndarray) -> np.ndarray:
+        """The design under each row of a (B, n) weight array.
+
+        Without centering that is the one (n, p) matrix every row shares;
+        with it, a (B, n, p) stack whose covariate columns are shifted to
+        weighted mean zero under their own row of weights.
+        """
+        if not (self.center and self.covariates):
+            return self.design(weights[0]).matrix
+        covariates = np.column_stack([vec for _, vec in self.covariates])
+        offsets = (weights @ covariates) / weights.sum(axis=1)[:, None]
+        shifted = covariates - offsets[:, None, :]
+        vectors = [np.broadcast_to(vec, weights.shape) for vec in self.leading]
+        vectors.extend(self.exposure * shifted[..., k] if inter else shifted[..., k] for k, inter in self.terms)
+        return np.stack(vectors, axis=-1)
+
 
 def design_template(ds: Dataset, spec: ModelSpec) -> DesignTemplate:
     """Expand a model specification into design columns, uncentered.
@@ -216,7 +246,6 @@ class FitResult:
     cov_sandwich: np.ndarray
     log_likelihood: float
     iterations: int
-    converged: bool
     n_obs: int
 
     def coef(self, name: str) -> float:
@@ -258,7 +287,6 @@ class FitResult:
             "coefficients": rows,
             "log_likelihood": self.log_likelihood,
             "iterations": self.iterations,
-            "converged": self.converged,
             "n_obs": self.n_obs,
         }
 
@@ -283,9 +311,9 @@ def _diagnose_singular_information(X, w, names):
     raise SeparationError("information matrix is singular (fitted probabilities degenerate)")
 
 
-def _log_likelihood(eta, y, w) -> float:
-    # w * (y*eta - log(1 + exp(eta))), stable for large |eta|
-    return float(np.sum(w * (y * eta - np.logaddexp(0.0, eta))))
+def _log_likelihood(eta, y, w):
+    # w * (y*eta - log(1 + exp(eta))), stable for large |eta|, summed over rows
+    return np.sum(w * (y * eta - np.logaddexp(0.0, eta)), axis=-1)
 
 
 def _check_weights(w: np.ndarray, n: int) -> None:
@@ -312,8 +340,8 @@ def fit_logistic(
     Convergence means the max-abs weighted score falls below ``tol``.
     Coefficients passing :data:`SEPARATION_BOUND` in absolute value while the
     deviance still improves are reported as quasi-complete separation.
-    Failure to converge within ``max_iter`` accepted steps raises; returned
-    fits always have ``converged=True``.
+    Failure to converge within ``max_iter`` accepted steps raises, so every
+    returned fit has converged.
     """
     X = design.matrix
     y = np.asarray(y, dtype=np.float64)
@@ -327,7 +355,7 @@ def fit_logistic(
 
     beta = np.zeros(p)
     eta = X @ beta
-    ll = _log_likelihood(eta, y, w)
+    ll = float(_log_likelihood(eta, y, w))
     iterations = 0
     for _ in range(max_iter + 1):
         mu = expit(eta)
@@ -347,7 +375,7 @@ def fit_logistic(
         for _halving in range(31):
             cand = beta + step * delta
             eta_cand = X @ cand
-            ll_cand = _log_likelihood(eta_cand, y, w)
+            ll_cand = float(_log_likelihood(eta_cand, y, w))
             if ll_cand >= ll - 1e-12 * (1.0 + abs(ll)):
                 break
             step *= 0.5
@@ -377,16 +405,91 @@ def fit_logistic(
         cov_sandwich=cov_sandwich,
         log_likelihood=ll,
         iterations=iterations,
-        converged=True,
         n_obs=n,
     )
+
+
+def _newton_steps(A: np.ndarray, score: np.ndarray):
+    """Newton steps ``solve(A, score)`` for a (B, p, p) stack, and a mask of
+    the matrices that pass :func:`fit_logistic`'s Cholesky gate and solve;
+    a matrix that fails either gets a zero step."""
+    try:
+        np.linalg.cholesky(A)
+        return np.linalg.solve(A, score[..., None])[..., 0], np.ones(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    steps, ok = np.zeros_like(score), np.zeros(len(A), dtype=bool)
+    for i, (matrix, s) in enumerate(zip(A, score)):
+        try:
+            np.linalg.cholesky(matrix)
+            steps[i] = np.linalg.solve(matrix, s)
+        except np.linalg.LinAlgError:
+            continue
+        ok[i] = True
+    return steps, ok
+
+
+def fit_logistic_stacked(X: np.ndarray, y: np.ndarray, W: np.ndarray):
+    """Newton fits of one logistic model under B weight vectors at once.
+
+    ``X`` is an (n, p) design shared by every fit or a (B, n, p) stack, ``y``
+    the 0/1 response and ``W`` the (B, n) weights. Each fit keeps
+    :func:`fit_logistic`'s rules: it starts at zero, stops once the max-abs
+    score falls below :data:`DEFAULT_TOL`, and may take
+    :data:`DEFAULT_MAX_ITER` steps. Returns the (B, p) coefficients and a
+    (B,) mask of the fits that stayed on the plain Newton path.
+
+    A fit leaves that path, and its coefficients mean nothing, when the
+    Cholesky gate or the solve fails, when a full step would lower the
+    likelihood (``fit_logistic`` would halve it), when a coefficient passes
+    :data:`SEPARATION_BOUND`, when it does not converge, or when its final
+    information matrix has condition number above
+    :data:`STACKED_MAX_CONDITION`, where the stacked and the full-row
+    arithmetic may part by more than rounding. The caller redoes such a fit
+    with ``fit_logistic``, which then decides its coefficients or its
+    failure.
+    """
+    B, n = W.shape
+    p = X.shape[-1]
+    X = np.broadcast_to(X, (B, n, p))
+    beta = np.zeros((B, p))
+    eta = np.zeros((B, n))
+    ll = _log_likelihood(eta, y, W)
+    final_info = np.empty((B, p, p))
+    plain = np.ones(B, dtype=bool)
+    active = np.arange(B)
+    for iteration in range(DEFAULT_MAX_ITER + 1):
+        Xa = X[active]
+        Wa = W[active]
+        mu = expit(eta[active])
+        Xt = Xa.transpose(0, 2, 1)
+        score = (Xt @ (Wa * (y - mu))[..., None])[..., 0]
+        A = Xt @ (Xa * (Wa * mu * (1.0 - mu))[..., None])
+        done = np.abs(score).max(axis=1) < DEFAULT_TOL
+        final_info[active[done]] = A[done]
+        idx, Xa, A, score = active[~done], Xa[~done], A[~done], score[~done]
+        if iteration == DEFAULT_MAX_ITER or not idx.size:
+            plain[idx] = False
+            break
+        steps, gate = _newton_steps(A, score)
+        plain[idx[~gate]] = False
+        idx, Xa = idx[gate], Xa[gate]
+        cand = beta[idx] + steps[gate]
+        eta_cand = (Xa @ cand[..., None])[..., 0]
+        ll_cand = _log_likelihood(eta_cand, y, W[idx])
+        full_step = ll_cand >= ll[idx] - 1e-12 * (1.0 + np.abs(ll[idx]))
+        kept = full_step & (np.abs(cand).max(axis=1) <= SEPARATION_BOUND)
+        beta[idx], eta[idx], ll[idx] = cand, eta_cand, ll_cand
+        plain[idx[~kept]] = False
+        active = idx[kept]
+    eig = np.linalg.eigvalsh(final_info[plain])
+    plain[plain] = eig[:, -1] <= STACKED_MAX_CONDITION * eig[:, 0]
+    return beta, plain
 
 
 def wald_interval(fit: FitResult, index) -> tuple[float, float]:
     """95% Wald confidence interval for one coefficient, on the log-odds
     scale, from the sandwich standard error."""
-    if not fit.converged:
-        raise InputError("fit did not converge")
     idx = fit._index(index)
     se = fit.se(idx)
     est = float(fit.beta[idx])

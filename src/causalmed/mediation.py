@@ -20,9 +20,22 @@ sandwich CIs; the indirect effect has no closed-form SE here, so its CI
 comes from a deterministic nonparametric bootstrap in which a replicate is
 a row-count vector: both models (and any propensity model) are refit on the
 full rows under the survey weights times the counts, which is the same fit
-as on the resampled rows. Note the total effect from the mediator-free model
-is the standard two-model quantity, not a collapsibility-corrected marginal
-effect.
+as on the resampled rows.
+
+When every role column is discrete, the designs and the response are
+functions of K distinct role-column patterns, so the bootstrap fits each
+replicate on one row per pattern, weighted by its row weights summed within
+the pattern. Blocks of at most n // K replicates run their Newton iterations
+together, which keeps every stacked design within the size of the full-row
+one (large n bounds the block further, by its count matrix). A replicate whose stacked fit needs anything beyond plain Newton steps
+(a failed Cholesky gate, step-halving, the separation bound, no
+convergence) or ends on an information matrix with condition number above
+1e6 is refit on the full rows, and that fit decides its statistic or its
+failure. With a continuous role column every replicate is fitted on the
+full rows.
+
+Note the total effect from the mediator-free model is the standard
+two-model quantity, not a collapsibility-corrected marginal effect.
 """
 
 from __future__ import annotations
@@ -32,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjustment import ipw_weights, propensity_design, propensity_scores
-from .data import Dataset, VariableRoles
+from .adjustment import SCORE_EPS, ipw_weights, propensity_design, propensity_scores
+from .data import Continuous, Dataset, VariableRoles
 from .errors import (
     BootstrapError,
     ConvergenceError,
@@ -46,7 +59,9 @@ from .glm import (
     FitResult,
     ModelSpec,
     design_template,
+    expit,
     fit_logistic,
+    fit_logistic_stacked,
     interaction,
     main,
     response_vector,
@@ -283,50 +298,147 @@ class BootstrapInterval:
     reps: int
 
 
-def bootstrap_statistics(n_rows, reps, seed, replicate_fn):
-    """Resampling engine: replicate i draws ``n_rows`` row indices with
-    generator seed+i and passes ``replicate_fn`` their per-row counts.
+#: Most cells in the (B, n) row-count matrix of one block of replicates.
+BLOCK_CELLS = 1 << 20
 
-    A replicate is thus a row-count vector over the full rows, the same draw
-    whatever the statistic. Replicates whose fit degenerates (rank
-    deficiency, separation, non-convergence) are dropped and counted; more
-    than :data:`MAX_FAILURE_RATE` of them failing is an error.
+
+def bootstrap_statistics(n_rows, reps, seed, block_fn, block_size):
+    """Resampling engine: replicate i draws ``n_rows`` row indices with
+    generator seed+i, and its statistic comes from their per-row counts.
+
+    Replicates go to ``block_fn`` in order, ``block_size`` at a time (fewer
+    in the last block), as a (B, n_rows) count matrix. It returns their B
+    statistics, NaN for a replicate whose fit degenerated (rank deficiency,
+    separation, non-convergence). Failed replicates are dropped and counted;
+    more than :data:`MAX_FAILURE_RATE` of them failing is an error.
     """
     if reps < 100:
         raise InputError("at least 100 bootstrap replicates required")
     if seed < 0:
         raise InputError(f"bootstrap seed must be non-negative, got {seed}")
-    stats = []
-    for i in range(reps):
-        rng = np.random.default_rng(seed + i)
-        counts = np.bincount(rng.integers(0, n_rows, n_rows), minlength=n_rows)
-        try:
-            stats.append(replicate_fn(counts))
-        except FIT_FAILURES:
-            pass
-    n_failed = reps - len(stats)
+    stats = np.empty(reps)
+    for start in range(0, reps, block_size):
+        block = range(start, min(start + block_size, reps))
+        counts = np.array(
+            [np.bincount(np.random.default_rng(seed + i).integers(0, n_rows, n_rows), minlength=n_rows) for i in block]
+        )
+        stats[block.start : block.stop] = block_fn(counts)
+    failed = np.isnan(stats)
+    n_failed = int(failed.sum())
     if n_failed > MAX_FAILURE_RATE * reps:
         raise BootstrapError(f"{n_failed} of {reps} bootstrap replicates failed")
-    return np.array(stats, dtype=np.float64), n_failed
+    return stats[~failed], n_failed
+
+
+def _indirect_log_or(fit, weights, exposure) -> float:
+    """Total minus direct exposure coefficient of ``fit`` under ``weights``;
+    NaN when a fit fails."""
+    try:
+        total, direct = fit(weights)
+    except FIT_FAILURES:
+        return math.nan
+    return total.coef(exposure) - direct.coef(exposure)
+
+
+class _PatternReplicates:
+    """Replicate statistics of one variant, a block at a time, fitted on
+    one row per distinct role-column pattern (row ``first[k]`` for pattern
+    k; ``pattern`` maps each row to its pattern) under the replicate's row
+    weights summed within patterns. A replicate that any of its stacked fits
+    leaves off the plain Newton path is refit on the full rows."""
+
+    def __init__(self, ds, roles, variant, first, pattern):
+        self.ds, self.roles, self.variant = ds, roles, variant
+        self.weights = ds.weights()
+        self.pattern, self.n_patterns = pattern, first.size
+        self.y = response_vector(ds, roles.outcome)[first]
+        self.templates = [design_template(ds, _outcome_spec(roles, variant, m)).take(first) for m in (False, True)]
+        self.ps_design = None
+        if variant in ("ps_regression", "ipw"):
+            self.ps_design = propensity_design(ds, roles).matrix[first]
+            self.treat = response_vector(ds, roles.exposure)[first]
+        self._full_rows = None
+
+    def __call__(self, counts):
+        W = np.array([np.bincount(self.pattern, self.weights * c, self.n_patterns) for c in counts])
+        # A replicate with no weight is left to the full-row fit, which refuses it.
+        live = np.flatnonzero(W.any(axis=1))
+        W = W[live]
+        plain = np.ones(live.size, dtype=bool)
+        fit_weights, scores = W, None
+        if self.ps_design is not None:
+            beta, plain = fit_logistic_stacked(self.ps_design, self.treat, W)
+            scores = np.clip(expit(beta @ self.ps_design.T), SCORE_EPS, 1.0 - SCORE_EPS)
+            if self.variant == "ipw":
+                fit_weights = W * ipw_weights(scores, self.treat, W)
+        coefs = []
+        for template in self.templates:
+            beta, fit_plain = fit_logistic_stacked(self._design(template, W, scores), self.y, fit_weights)
+            coefs.append(beta[:, 1])
+            plain &= fit_plain
+        stats = np.empty(len(counts))
+        stats[live] = coefs[0] - coefs[1]
+        refit = np.ones(len(counts), dtype=bool)
+        refit[live[plain]] = False
+        for b in np.flatnonzero(refit):
+            stats[b] = self._refit(counts[b])
+        return stats
+
+    def _design(self, template, W, scores):
+        X = template.stacked_design(W)
+        if self.variant != "ps_regression":
+            return X
+        return np.insert(np.broadcast_to(X, (len(W), *X.shape)), 2, scores, axis=2)
+
+    def _refit(self, counts):
+        if self._full_rows is None:
+            self._full_rows = variant_estimator(self.ds, self.roles, self.variant)
+        return _indirect_log_or(self._full_rows, self.weights * counts, self.roles.exposure)
+
+
+def _replicate_blocks(ds, roles, variant):
+    """The replicate statistic of ``bootstrap_ci`` as a block function, and
+    its block size."""
+    if variant not in VARIANTS:
+        raise InputError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    roles.validate(ds)
+    columns = roles.all_columns()
+    if any(isinstance(ds[c].kind, Continuous) for c in columns):
+        fit, w = variant_estimator(ds, roles, variant), ds.weights()
+        return (lambda counts: [_indirect_log_or(fit, w * c, roles.exposure) for c in counts]), 1
+    codes = np.column_stack([ds[c].values for c in columns])
+    _, first, pattern = np.unique(codes, axis=0, return_index=True, return_inverse=True)
+    block_size = max(1, min(ds.n_rows // first.size, BLOCK_CELLS // ds.n_rows))
+    return _PatternReplicates(ds, roles, variant, first, pattern.ravel()), block_size
 
 
 def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, seed: int) -> BootstrapInterval:
     """Percentile 95% bootstrap interval of the indirect odds ratio.
 
-    Each replicate refits both outcome models (and, for the ps/ipw variants,
-    the propensity model) on the full rows of ``ds`` under the survey
-    weights times the replicate's row counts, which is the same fit as on
-    the resampled rows. Its statistic is the indirect log odds ratio, total
-    minus direct; the limits are percentiles of the replicate odds ratios
-    and ``se`` is the replicates' standard deviation on the log scale.
+    A replicate's statistic is the indirect log odds ratio, total minus
+    direct, from both outcome models (and, for the ps/ipw variants, the
+    propensity model) refit under the survey weights times its row counts,
+    which is the same fit as on the resampled rows. The limits are
+    percentiles of the replicate odds ratios and ``se`` is the replicates'
+    standard deviation on the log scale.
+
+    When every role column is discrete the rows collapse to their K distinct
+    role-column patterns, and replicates are fitted in blocks of at most
+    n // K, so no stacked (B, K, p) design outgrows the full-row one, and of
+    at most :data:`BLOCK_CELLS` / n, which bounds the block's count matrix.
+    A block's fits run their Newton iterations together over the patterns
+    (:func:`~causalmed.glm.fit_logistic_stacked`), under
+    :func:`~causalmed.glm.fit_logistic`'s start, stopping rule and limits.
+    A replicate that fails the Cholesky gate, would need step-halving,
+    passes the separation bound, does not converge, or ends on an
+    information matrix with condition number above
+    :data:`~causalmed.glm.STACKED_MAX_CONDITION` is refit on the full rows,
+    and that fit decides its statistic or its failure. When a role column is
+    continuous, rows do not collapse and every replicate is fitted on the
+    full rows, one at a time.
     """
-    fit = variant_estimator(ds, roles, variant)
-    w = ds.weights()
-
-    def indirect_log_or(counts):
-        return EffectPair(*fit(w * counts), roles.exposure, ds.n_rows).indirect_log_or
-
-    stats, n_failed = bootstrap_statistics(ds.n_rows, reps, seed, indirect_log_or)
+    block_fn, block_size = _replicate_blocks(ds, roles, variant)
+    stats, n_failed = bootstrap_statistics(ds.n_rows, reps, seed, block_fn, block_size)
     se = float(stats.std(ddof=1)) if stats.size > 1 else 0.0
     # (1 - 0.95) / 2 differs from 0.025 in the last bits; the limits keep it.
     alpha = (1.0 - 0.95) / 2.0

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from causalmed import glm
 from causalmed.data import Binary, Column, Continuous, Dataset, VariableRoles
-from causalmed.errors import BootstrapError, InputError, RankDeficiencyError, SeparationError
+from causalmed.errors import BootstrapError, InputError, RankDeficiencyError
 from causalmed.glm import expit
 from causalmed.mediation import (
     FIT_FAILURES,
@@ -184,7 +185,7 @@ class TestEffects:
 
 class TestBootstrap:
     def test_constant_statistic_gives_zero_width(self):
-        stats, n_failed = bootstrap_statistics(50, 200, 4, lambda counts: 1.234)
+        stats, n_failed = bootstrap_statistics(50, 200, 4, lambda counts: 1.234, 1)
         assert n_failed == 0
         lo, hi = np.percentile(np.exp(stats), [2.5, 97.5])
         assert lo == hi == pytest.approx(math.exp(1.234))
@@ -200,8 +201,9 @@ class TestBootstrap:
 
     def test_replicate_is_count_vector_of_seeded_draw(self):
         seen = []
-        bootstrap_statistics(30, 100, 11, lambda counts: seen.append(counts) or 0.0)
-        for i, counts in enumerate(seen):
+        bootstrap_statistics(30, 100, 11, lambda counts: seen.append(counts) or 0.0, 7)
+        assert [len(block) for block in seen] == [7] * 14 + [2]
+        for i, counts in enumerate(np.concatenate(seen)):
             idx = np.random.default_rng(11 + i).integers(0, 30, 30)
             np.testing.assert_array_equal(counts, np.bincount(idx, minlength=30))
 
@@ -213,15 +215,14 @@ class TestBootstrap:
         assert triple.to_json_obj()["bootstrap_failed"] == interval.n_failed
 
     def test_failed_replicates_counted_and_bounded(self):
+        # A block function marks a failed replicate with NaN.
         calls = {"n": 0}
 
         def flaky(counts):
             calls["n"] += 1
-            if calls["n"] <= 8:
-                raise SeparationError("boom")
-            return 0.5
+            return math.nan if calls["n"] <= 8 else 0.5
 
-        stats, n_failed = bootstrap_statistics(50, 100, 1, flaky)
+        stats, n_failed = bootstrap_statistics(50, 100, 1, flaky, 1)
         assert n_failed == 8
         assert stats.size == 92
 
@@ -229,21 +230,19 @@ class TestBootstrap:
 
         def very_flaky(counts):
             calls["n"] += 1
-            if calls["n"] <= 15:
-                raise SeparationError("boom")
-            return 0.5
+            return math.nan if calls["n"] <= 15 else 0.5
 
         with pytest.raises(BootstrapError, match="15 of 100"):
-            bootstrap_statistics(50, 100, 1, very_flaky)
+            bootstrap_statistics(50, 100, 1, very_flaky, 1)
 
     def test_minimum_replicates(self):
         with pytest.raises(InputError, match="100"):
-            bootstrap_statistics(50, 99, 1, lambda counts: 0.0)
+            bootstrap_statistics(50, 99, 1, lambda counts: 0.0, 1)
 
     def test_negative_seed_rejected(self):
         calls = []
         with pytest.raises(InputError, match="non-negative"):
-            bootstrap_statistics(50, 100, -1, calls.append)
+            bootstrap_statistics(50, 100, -1, calls.append, 1)
         assert calls == []
         ds = sim_dataset(np.random.default_rng(23), 200)
         with pytest.raises(InputError, match="non-negative"):
@@ -257,6 +256,24 @@ def take_replicate(ds, variant, idx):
 
 def rel_close(a, b, rel=1e-12):
     return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+def count_weight_interval(ds, roles, variant, reps, seed):
+    """Reference (lo, hi, se, n_failed): replicate by replicate, both models
+    refit on the full rows under the survey weights times the counts."""
+    fit = variant_estimator(ds, roles, variant)
+    stats = []
+    for i in range(reps):
+        idx = np.random.default_rng(seed + i).integers(0, ds.n_rows, ds.n_rows)
+        try:
+            total, direct = fit(ds.weights() * np.bincount(idx, minlength=ds.n_rows))
+        except FIT_FAILURES:
+            continue
+        stats.append(total.coef(roles.exposure) - direct.coef(roles.exposure))
+    stats = np.array(stats)
+    alpha = (1.0 - 0.95) / 2.0
+    lo, hi = np.percentile(np.exp(stats), [100 * alpha, 100 * (1 - alpha)])
+    return float(lo), float(hi), float(stats.std(ddof=1)), reps - stats.size
 
 
 class TestReplicateEquivalence:
@@ -302,6 +319,45 @@ class TestReplicateEquivalence:
         lo, hi = np.percentile(np.exp(stats), [2.5, 97.5])
         assert rel_close(interval.lo, lo) and rel_close(interval.hi, hi)
         assert rel_close(interval.se, stats.std(ddof=1))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize(
+        "n, data_seed, reps, seed",
+        [
+            (300, 31, 200, 8),  # plain replicates
+            (50, 4, 100, 4),  # failed replicates
+            (60, 0, 200, 0),  # near-separated replicates
+        ],
+    )
+    def test_bootstrap_interval_matches_count_weight_fits(self, variant, n, data_seed, reps, seed):
+        ds = sim_dataset(np.random.default_rng(data_seed), n, bm=0.3, weight=n == 300)
+        lo, hi, se, n_failed = count_weight_interval(ds, ROLES, variant, reps, seed)
+        interval = bootstrap_ci(ds, ROLES, variant, reps, seed)
+        assert interval.n_failed == n_failed
+        assert rel_close(interval.lo, lo) and rel_close(interval.hi, hi)
+        assert rel_close(interval.se, se)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_condition_bound_sends_near_separated_replicates_to_refit(self, variant, monkeypatch):
+        # The near-separated dataset above: kept on the stacked path, its
+        # ill-conditioned replicates drift from their full-row fits by far
+        # more than rounding.
+        ds = sim_dataset(np.random.default_rng(0), 60, bm=0.3)
+        _, _, se, _ = count_weight_interval(ds, ROLES, variant, 200, 0)
+        monkeypatch.setattr(glm, "STACKED_MAX_CONDITION", np.inf)
+        assert not rel_close(bootstrap_ci(ds, ROLES, variant, 200, 0).se, se)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_continuous_role_keeps_per_replicate_path(self, variant):
+        rng = np.random.default_rng(43)
+        ds = sim_dataset(rng, 200, bm=0.3, weight=True)
+        age = Column(Continuous(), rng.uniform(18.0, 80.0, ds.n_rows), np.zeros(ds.n_rows, dtype=np.uint8))
+        ds = Dataset({**ds.columns, "age": age}, weight_column="w")
+        roles = VariableRoles(exposure="q", outcome="y", baseline_support="x", mediators=("m",), covariates=("age",))
+        interval = bootstrap_ci(ds, roles, variant, 100, 6)
+        assert (interval.lo, interval.hi, interval.se, interval.n_failed) == count_weight_interval(
+            ds, roles, variant, 100, 6
+        )
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_draw_emptying_covariate_level_fails_alike(self, variant):
