@@ -9,12 +9,11 @@ one.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, VariableRoles, _open_text
+from .data import Dataset, VariableRoles
 from .errors import InputError
 from .glm import DesignMatrix, FitResult, ModelSpec, build_design, expit, fit_logistic, main, response_vector
 
@@ -47,11 +46,12 @@ def propensity_design(ds: Dataset, roles: VariableRoles) -> DesignMatrix:
     return build_design(ds, ModelSpec(outcome=roles.exposure, exposure=None, terms=terms))
 
 
-def propensity_scores(design: DesignMatrix, exposure: np.ndarray, weights: np.ndarray):
-    """Fit the exposure model under ``weights``; returns the fit and the
-    per-row scores, clipped strictly into (0, 1)."""
-    fit = fit_logistic(design, exposure, weights)
-    return fit, np.clip(expit(design.matrix @ fit.beta), SCORE_EPS, 1.0 - SCORE_EPS)
+def clipped_scores(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Propensity scores of the (n, p) exposure-model design ``X`` under
+    coefficients ``beta``, clipped strictly into (0, 1); a (B, p) stack of
+    coefficients gives (B, n) scores."""
+    eta = X @ beta if beta.ndim == 1 else beta @ X.T
+    return np.clip(expit(eta), SCORE_EPS, 1.0 - SCORE_EPS)
 
 
 def fit_propensity(ds: Dataset, roles: VariableRoles) -> PropensityFit:
@@ -62,10 +62,10 @@ def fit_propensity(ds: Dataset, roles: VariableRoles) -> PropensityFit:
     design = propensity_design(ds, roles)
     exposure = response_vector(ds, roles.exposure)
     weights = ds.weights()
-    fit, scores = propensity_scores(design, exposure, weights)
+    fit = fit_logistic(design, exposure, weights)
     return PropensityFit(
         fit=fit,
-        scores=scores,
+        scores=clipped_scores(design.matrix, fit.beta),
         covariate_names=design.names[1:],
         covariate_matrix=design.matrix[:, 1:],
         exposure=exposure,
@@ -119,23 +119,6 @@ class DensitySummary:
                 {"covariate": r.covariate, "before": r.before, "after": r.after} for r in self.smd
             ],
         }
-
-    def histogram_to_csv(self, dest) -> None:
-        with _open_text(dest, "w") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["group", "bin_lo", "bin_hi", "proportion"])
-            for group, props in self.proportions.items():
-                for i, p in enumerate(props):
-                    writer.writerow(
-                        [group, repr(float(self.bin_edges[i])), repr(float(self.bin_edges[i + 1])), repr(float(p))]
-                    )
-
-    def smd_to_csv(self, dest) -> None:
-        with _open_text(dest, "w") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["covariate", "smd_before", "smd_after"])
-            for row in self.smd:
-                writer.writerow([row.covariate, repr(row.before), repr(row.after)])
 
 
 def _weighted_smd(values, exposure, weights) -> float:

@@ -356,17 +356,6 @@ def parse_dag(text: str) -> CausalDag:
     return CausalDag(tuple(nodes), tuple(edges), frozenset(latent))
 
 
-def format_dag(dag: CausalDag) -> str:
-    lines = [f"node {n}" for n in dag.nodes if n in _isolated(dag)]
-    lines += [f"latent {n}" for n in dag.nodes if n in dag.latent]
-    lines += [f"edge {u} -> {v}" for u, v in dag.edges]
-    return "\n".join(lines) + "\n"
-
-
-def _isolated(dag: CausalDag) -> set[str]:
-    return {n for n in dag.nodes if not dag.parents(n) and not dag.children(n)}
-
-
 def load_fixture(name: str) -> CausalDag:
     """Load one of the bundled example graphs by file stem."""
     ref = resources.files("causalmed") / "fixtures" / f"{name}.dag"

@@ -576,8 +576,6 @@ class DescriptiveRow:
 class DescriptiveTable:
     rows: tuple[DescriptiveRow, ...]
 
-    CSV_HEADER = ("variable", "level", "stratum", "n", "pct", "mean", "sd")
-
     def to_json_obj(self):
         return [
             {
@@ -591,23 +589,6 @@ class DescriptiveTable:
             }
             for r in self.rows
         ]
-
-    def to_csv(self, dest) -> None:
-        with _open_text(dest, "w") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_HEADER)
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r.variable,
-                        "" if r.level is None else r.level,
-                        r.stratum,
-                        r.n,
-                        "" if r.pct is None else repr(r.pct),
-                        "" if r.mean is None else repr(r.mean),
-                        "" if r.sd is None else repr(r.sd),
-                    ]
-                )
 
 
 def describe(

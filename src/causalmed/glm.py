@@ -81,19 +81,14 @@ class ModelSpec:
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrix:
-    """A numeric design with named columns and recorded centering offsets."""
+    """A numeric (n, p) design with named columns."""
 
     matrix: np.ndarray
     names: tuple[str, ...]
-    centering: dict[str, float]
 
     def __post_init__(self):
         if not np.isfinite(self.matrix).all():
             raise DataError("design matrix contains non-finite entries")
-
-    @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
 
     def column(self, name: str) -> np.ndarray:
         return self.matrix[:, self.names.index(name)]
@@ -138,8 +133,8 @@ class DesignTemplate:
     """A model's design columns, expanded from the dataset once.
 
     Centering is the only step that depends on the row weights, so
-    :meth:`design` yields the design matrix under any weight vector without
-    going back to the dataset. ``terms`` holds, per covariate design column,
+    :meth:`design` yields the design matrix under any weights without going
+    back to the dataset. ``terms`` holds, per covariate design column,
     the index into ``covariates`` and whether it is an exposure interaction.
     """
 
@@ -150,47 +145,21 @@ class DesignTemplate:
     exposure: np.ndarray | None
     center: bool
 
-    def design(self, weights: np.ndarray) -> DesignMatrix:
-        """The design with every covariate column shifted to weighted mean
-        zero under ``weights`` when centering is on; interaction columns are
-        the exposure indicator times the shifted covariate."""
+    def design(self, weights: np.ndarray) -> np.ndarray:
+        """The design under ``weights``, a vector or a (B, n) array.
+
+        With centering on, every covariate column is shifted to weighted
+        mean zero under each row of weights, and an interaction column is
+        the exposure indicator times the shifted covariate: an (n, p) matrix
+        for a vector, a (B, n, p) stack for an array. Without centering the
+        weights play no part, and the one (n, p) matrix serves every row.
+        """
         shifted = [vec for _, vec in self.covariates]
-        centering = {}
         if self.center:
             _check_weights(weights, self.leading[0].size)
-            offsets = [float(np.average(vec, weights=weights)) for vec in shifted]
-            shifted = [vec - off for vec, off in zip(shifted, offsets)]
-            centering = {self.covariates[k][0]: offsets[k] for k, inter in self.terms if not inter}
-        vectors = list(self.leading)
-        vectors.extend(self.exposure * shifted[k] if inter else shifted[k] for k, inter in self.terms)
-        return DesignMatrix(np.column_stack(vectors), self.names, centering)
-
-    def take(self, rows) -> "DesignTemplate":
-        """The same design columns on the given rows only."""
-        return DesignTemplate(
-            self.names,
-            tuple(vec[rows] for vec in self.leading),
-            tuple((name, vec[rows]) for name, vec in self.covariates),
-            self.terms,
-            None if self.exposure is None else self.exposure[rows],
-            self.center,
-        )
-
-    def stacked_design(self, weights: np.ndarray) -> np.ndarray:
-        """The design under each row of a (B, n) weight array.
-
-        Without centering that is the one (n, p) matrix every row shares;
-        with it, a (B, n, p) stack whose covariate columns are shifted to
-        weighted mean zero under their own row of weights.
-        """
-        if not (self.center and self.covariates):
-            return self.design(weights[0]).matrix
-        covariates = np.column_stack([vec for _, vec in self.covariates])
-        offsets = (weights @ covariates) / weights.sum(axis=1)[:, None]
-        shifted = covariates - offsets[:, None, :]
-        vectors = [np.broadcast_to(vec, weights.shape) for vec in self.leading]
-        vectors.extend(self.exposure * shifted[..., k] if inter else shifted[..., k] for k, inter in self.terms)
-        return np.stack(vectors, axis=-1)
+            shifted = [vec - ((vec * weights).sum(axis=-1) / weights.sum(axis=-1))[..., None] for vec in shifted]
+        vectors = [*self.leading, *(self.exposure * shifted[k] if inter else shifted[k] for k, inter in self.terms)]
+        return np.stack(np.broadcast_arrays(*vectors), axis=-1)
 
 
 def design_template(ds: Dataset, spec: ModelSpec) -> DesignTemplate:
@@ -233,7 +202,8 @@ def build_design(ds: Dataset, spec: ModelSpec) -> DesignMatrix:
     covariate columns, so the exposure coefficient is the effect at
     covariate means.
     """
-    return design_template(ds, spec).design(ds.weights())
+    template = design_template(ds, spec)
+    return DesignMatrix(template.design(ds.weights()), template.names)
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,12 +288,12 @@ def _log_likelihood(eta, y, w):
 
 def _check_weights(w: np.ndarray, n: int) -> None:
     """Raise InputError unless ``w`` holds n finite, non-negative weights,
-    not all zero."""
-    if w.shape != (n,):
+    not all zero, or is a (B, n) array of such rows."""
+    if w.ndim not in (1, 2) or w.shape[-1] != n:
         raise InputError("weight length does not match design")
     if (w < 0).any() or not np.isfinite(w).all():
         raise InputError("weights must be finite and non-negative")
-    if not (w > 0).any():
+    if not (w > 0).any(axis=-1).all():
         raise InputError("weights must not all be zero")
 
 
@@ -351,6 +321,8 @@ def fit_logistic(
     if not ((y == 0.0) | (y == 1.0)).all():
         raise InputError("response must be 0/1")
     w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
+    if w.ndim != 1:
+        raise InputError("weight length does not match design")
     _check_weights(w, n)
 
     beta = np.zeros(p)
@@ -368,9 +340,9 @@ def fit_logistic(
             raise ConvergenceError(f"no convergence in {max_iter} iterations")
         try:
             np.linalg.cholesky(A)  # the positive-definiteness gate
+            delta = np.linalg.solve(A, score)
         except np.linalg.LinAlgError:
             _diagnose_singular_information(X, w, design.names)
-        delta = np.linalg.solve(A, score)
         step = 1.0
         for _halving in range(31):
             cand = beta + step * delta

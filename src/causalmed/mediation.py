@@ -13,26 +13,12 @@ total OR / direct OR. Four estimator variants share this decomposition:
 * ``ipw``      - weighted regression under stabilized inverse-probability
   weights times the survey weights.
 
-Every variant is one estimator (:func:`variant_estimator`): design columns
-built once from the dataset, fitted under a row-weight vector. Point
-estimates use the survey weights. Total and direct effects carry Wald
-sandwich CIs; the indirect effect has no closed-form SE here, so its CI
-comes from a deterministic nonparametric bootstrap in which a replicate is
-a row-count vector: both models (and any propensity model) are refit on the
-full rows under the survey weights times the counts, which is the same fit
-as on the resampled rows.
-
-When every role column is discrete, the designs and the response are
-functions of K distinct role-column patterns, so the bootstrap fits each
-replicate on one row per pattern, weighted by its row weights summed within
-the pattern. Blocks of at most n // K replicates run their Newton iterations
-together, which keeps every stacked design within the size of the full-row
-one (large n bounds the block further, by its count matrix). A replicate whose stacked fit needs anything beyond plain Newton steps
-(a failed Cholesky gate, step-halving, the separation bound, no
-convergence) or ends on an information matrix with condition number above
-1e6 is refit on the full rows, and that fit decides its statistic or its
-failure. With a continuous role column every replicate is fitted on the
-full rows.
+Every variant is one estimator (:class:`VariantEstimator`): design columns
+built once from the dataset, fitted under row weights. Point estimates use
+the survey weights. Total and direct effects carry Wald sandwich CIs; the
+indirect effect has no closed-form SE here, so its CI comes from a
+deterministic nonparametric bootstrap (:func:`bootstrap_ci`) that refits
+the same estimator under resampled row weights.
 
 Note the total effect from the mediator-free model is the standard
 two-model quantity, not a collapsibility-corrected marginal effect.
@@ -45,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjustment import SCORE_EPS, ipw_weights, propensity_design, propensity_scores
+from .adjustment import clipped_scores, ipw_weights, propensity_design
 from .data import Continuous, Dataset, VariableRoles
 from .errors import (
     BootstrapError,
@@ -59,7 +45,6 @@ from .glm import (
     FitResult,
     ModelSpec,
     design_template,
-    expit,
     fit_logistic,
     fit_logistic_stacked,
     interaction,
@@ -164,15 +149,17 @@ def _outcome_spec(roles, variant, include_mediators) -> ModelSpec:
     )
 
 
-def variant_estimator(ds: Dataset, roles: VariableRoles, variant: str, include_mediators=(False, True)):
-    """The variant's estimator on ``ds``, as a function of a row-weight vector.
+class VariantEstimator:
+    """One variant's estimator on one dataset: its design columns, built
+    once, fitted under row weights.
 
-    The design columns are built here, once. The returned function maps a
-    weight vector over the rows of ``ds`` (the survey weights, or the survey
-    weights times a bootstrap replicate's row counts) to one outcome fit per
-    entry of ``include_mediators``: the mediator-free model for False, the
-    mediator-adjusted model for True. Only three pieces depend on the
-    weights: the centering offsets of ``primary``, the propensity-score
+    Calling it with a weight vector over the rows of ``ds`` (the survey
+    weights, or the survey weights times a bootstrap replicate's row
+    counts) gives one :class:`~causalmed.glm.FitResult` per entry of
+    ``include_mediators``: the mediator-free model for False, the
+    mediator-adjusted model for True. :meth:`stacked` fits the models under
+    each row of a (B, n) weight array at once. Only three pieces depend on
+    the weights: the centering offsets of ``primary``, the propensity-score
     column of ``ps_regression``, and the stabilized IPW factor of ``ipw``;
     the last two come from the mediator-free propensity model refit under
     the same weights.
@@ -182,70 +169,72 @@ def variant_estimator(ds: Dataset, roles: VariableRoles, variant: str, include_m
     weight as a sampling weight rather than repeated rows; a bootstrap
     replicate uses the coefficients only.
     """
-    if variant not in VARIANTS:
-        raise InputError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    roles.validate(ds)
-    y = response_vector(ds, roles.outcome)
-    templates = [design_template(ds, _outcome_spec(roles, variant, m)) for m in include_mediators]
-    if variant == "primary":
-        return lambda w: tuple(fit_logistic(t.design(w), y, w) for t in templates)
-    designs = [t.design(ds.weights()) for t in templates]
-    if variant == "simple":
-        return lambda w: tuple(fit_logistic(d, y, w) for d in designs)
-    ps_design = propensity_design(ds, roles)
-    treat = response_vector(ds, roles.exposure)
-    if variant == "ipw":
 
-        def fit_ipw(w):
-            _, scores = propensity_scores(ps_design, treat, w)
-            combined = w * ipw_weights(scores, treat, w)
-            return tuple(fit_logistic(d, y, combined) for d in designs)
+    def __init__(self, ds: Dataset, roles: VariableRoles, variant: str, include_mediators=(False, True)):
+        if variant not in VARIANTS:
+            raise InputError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        roles.validate(ds)
+        self.ds, self.roles, self.variant, self.include_mediators = ds, roles, variant, include_mediators
+        self.y = response_vector(ds, roles.outcome)
+        self.templates = [design_template(ds, _outcome_spec(roles, variant, m)) for m in include_mediators]
+        # An uncentered design does not depend on the weights: build it once.
+        self.fixed = [None if t.center else t.design(ds.weights()) for t in self.templates]
+        self.names = [
+            t.names[:2] + (PS_COLUMN,) + t.names[2:] if variant == "ps_regression" else t.names for t in self.templates
+        ]
+        if variant in ("ps_regression", "ipw"):
+            self.ps_design = propensity_design(ds, roles)
+            self.treat = response_vector(ds, roles.exposure)
 
-        return fit_ipw
+    def take(self, rows) -> "VariantEstimator":
+        """The same estimator on the given rows only."""
+        return VariantEstimator(self.ds.take(rows), self.roles, self.variant, self.include_mediators)
 
-    ps_names = [d.names[:2] + (PS_COLUMN,) + d.names[2:] for d in designs]
+    def __call__(self, weights: np.ndarray) -> tuple[FitResult, ...]:
+        scores = None
+        if self.variant in ("ps_regression", "ipw"):
+            beta = fit_logistic(self.ps_design, self.treat, weights).beta
+            scores = clipped_scores(self.ps_design.matrix, beta)
+        fits = self._fit_models(lambda X, names, w: fit_logistic(DesignMatrix(X, names), self.y, w), weights, scores)
+        return tuple(fits)
 
-    def fit_ps(w):
-        _, scores = propensity_scores(ps_design, treat, w)
-        return tuple(
-            fit_logistic(DesignMatrix(np.insert(d.matrix, 2, scores, axis=1), names, {}), y, w)
-            for d, names in zip(designs, ps_names)
-        )
+    def stacked(self, W: np.ndarray):
+        """Fit every model under each row of the (B, n) weight array ``W``
+        with :func:`~causalmed.glm.fit_logistic_stacked`. Returns the (B, m)
+        exposure coefficients of the m models and a (B,) mask of the rows
+        whose fits, the propensity fit included, all kept to the plain
+        Newton path; the coefficients of any other row mean nothing."""
+        plain = np.ones(len(W), dtype=bool)
+        scores = None
+        if self.variant in ("ps_regression", "ipw"):
+            beta, plain = fit_logistic_stacked(self.ps_design.matrix, self.treat, W)
+            scores = clipped_scores(self.ps_design.matrix, beta)
+        fits = self._fit_models(lambda X, names, w: fit_logistic_stacked(X, self.y, w), W, scores)
+        for _, fit_plain in fits:
+            plain &= fit_plain
+        # The exposure is column 1 of every outcome design.
+        return np.column_stack([beta[:, 1] for beta, _ in fits]), plain
 
-    return fit_ps
+    def _fit_models(self, fit, W, scores):
+        """``fit(design, names, fit_weights)`` for each model under the row
+        weights ``W``, a vector or a (B, n) array, with the propensity
+        scores of the same shape for the ps/ipw variants.
 
-
-@dataclass(frozen=True, eq=False)
-class EffectPair:
-    """Both outcome fits on one dataset, with the exposure coefficients."""
-
-    total_fit: FitResult
-    direct_fit: FitResult
-    exposure: str
-    n_used: int
-
-    @property
-    def total_log_or(self) -> float:
-        return self.total_fit.coef(self.exposure)
-
-    @property
-    def direct_log_or(self) -> float:
-        return self.direct_fit.coef(self.exposure)
-
-    @property
-    def indirect_log_or(self) -> float:
-        return self.total_log_or - self.direct_log_or
-
-
-def estimate_pair(ds: Dataset, roles: VariableRoles, variant: str) -> EffectPair:
-    """Fit the mediator-free and mediator-adjusted models for one variant
-    under the survey weights.
-
-    The ps/ipw variants share one mediator-free propensity fit across both
-    outcome models.
-    """
-    total_fit, direct_fit = variant_estimator(ds, roles, variant)(ds.weights())
-    return EffectPair(total_fit, direct_fit, roles.exposure, ds.n_rows)
+        A design is (n, p), or (B, n, p) where ``primary``'s centering or
+        ``ps_regression``'s score column varies with the rows of ``W``. The
+        fit weights are ``W``, times the stabilized IPW factor for ``ipw``.
+        Each loop step rebinds ``X``, so no more than one model's full-row
+        design is alive at a time.
+        """
+        fit_weights = W * ipw_weights(scores, self.treat, W) if self.variant == "ipw" else W
+        results = []
+        for template, X, names in zip(self.templates, self.fixed, self.names):
+            if X is None:
+                X = template.design(W)
+            if self.variant == "ps_regression":
+                X = np.insert(np.broadcast_to(X, W.shape + X.shape[-1:]), 2, scores, axis=-1)
+            results.append(fit(X, names, fit_weights))
+        return results
 
 
 def _estimate_from_fit(kind, fit, roles, variant, n_used) -> EffectEstimate:
@@ -256,13 +245,13 @@ def _estimate_from_fit(kind, fit, roles, variant, n_used) -> EffectEstimate:
 
 def total_effect(ds: Dataset, roles: VariableRoles, variant: str = "primary") -> EffectEstimate:
     """Exposure effect from the outcome model excluding the mediators."""
-    (fit,) = variant_estimator(ds, roles, variant, (False,))(ds.weights())
+    (fit,) = VariantEstimator(ds, roles, variant, (False,))(ds.weights())
     return _estimate_from_fit("total", fit, roles, variant, ds.n_rows)
 
 
 def direct_effect(ds: Dataset, roles: VariableRoles, variant: str = "primary") -> EffectEstimate:
     """Exposure effect with mediator main effects added to the model."""
-    (fit,) = variant_estimator(ds, roles, variant, (True,))(ds.weights())
+    (fit,) = VariantEstimator(ds, roles, variant, (True,))(ds.weights())
     return _estimate_from_fit("direct", fit, roles, variant, ds.n_rows)
 
 
@@ -330,104 +319,71 @@ def bootstrap_statistics(n_rows, reps, seed, block_fn, block_size):
     return stats[~failed], n_failed
 
 
-def _indirect_log_or(fit, weights, exposure) -> float:
-    """Total minus direct exposure coefficient of ``fit`` under ``weights``;
+def _indirect_log_or(est, weights) -> float:
+    """Total minus direct exposure coefficient of ``est`` under ``weights``;
     NaN when a fit fails."""
     try:
-        total, direct = fit(weights)
+        total, direct = est(weights)
     except FIT_FAILURES:
         return math.nan
-    return total.coef(exposure) - direct.coef(exposure)
+    return total.coef(est.roles.exposure) - direct.coef(est.roles.exposure)
 
 
-class _PatternReplicates:
-    """Replicate statistics of one variant, a block at a time, fitted on
-    one row per distinct role-column pattern (row ``first[k]`` for pattern
-    k; ``pattern`` maps each row to its pattern) under the replicate's row
-    weights summed within patterns. A replicate that any of its stacked fits
-    leaves off the plain Newton path is refit on the full rows."""
-
-    def __init__(self, ds, roles, variant, first, pattern):
-        self.ds, self.roles, self.variant = ds, roles, variant
-        self.weights = ds.weights()
-        self.pattern, self.n_patterns = pattern, first.size
-        self.y = response_vector(ds, roles.outcome)[first]
-        self.templates = [design_template(ds, _outcome_spec(roles, variant, m)).take(first) for m in (False, True)]
-        self.ps_design = None
-        if variant in ("ps_regression", "ipw"):
-            self.ps_design = propensity_design(ds, roles).matrix[first]
-            self.treat = response_vector(ds, roles.exposure)[first]
-        self._full_rows = None
-
-    def __call__(self, counts):
-        W = np.array([np.bincount(self.pattern, self.weights * c, self.n_patterns) for c in counts])
-        # A replicate with no weight is left to the full-row fit, which refuses it.
-        live = np.flatnonzero(W.any(axis=1))
-        W = W[live]
-        plain = np.ones(live.size, dtype=bool)
-        fit_weights, scores = W, None
-        if self.ps_design is not None:
-            beta, plain = fit_logistic_stacked(self.ps_design, self.treat, W)
-            scores = np.clip(expit(beta @ self.ps_design.T), SCORE_EPS, 1.0 - SCORE_EPS)
-            if self.variant == "ipw":
-                fit_weights = W * ipw_weights(scores, self.treat, W)
-        coefs = []
-        for template in self.templates:
-            beta, fit_plain = fit_logistic_stacked(self._design(template, W, scores), self.y, fit_weights)
-            coefs.append(beta[:, 1])
-            plain &= fit_plain
-        stats = np.empty(len(counts))
-        stats[live] = coefs[0] - coefs[1]
-        refit = np.ones(len(counts), dtype=bool)
-        refit[live[plain]] = False
-        for b in np.flatnonzero(refit):
-            stats[b] = self._refit(counts[b])
-        return stats
-
-    def _design(self, template, W, scores):
-        X = template.stacked_design(W)
-        if self.variant != "ps_regression":
-            return X
-        return np.insert(np.broadcast_to(X, (len(W), *X.shape)), 2, scores, axis=2)
-
-    def _refit(self, counts):
-        if self._full_rows is None:
-            self._full_rows = variant_estimator(self.ds, self.roles, self.variant)
-        return _indirect_log_or(self._full_rows, self.weights * counts, self.roles.exposure)
-
-
-def _replicate_blocks(ds, roles, variant):
-    """The replicate statistic of ``bootstrap_ci`` as a block function, and
-    its block size."""
-    if variant not in VARIANTS:
-        raise InputError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    roles.validate(ds)
-    columns = roles.all_columns()
+def _bootstrap_interval(est: VariantEstimator, reps: int, seed: int) -> BootstrapInterval:
+    """:func:`bootstrap_ci` from an estimator already built on the rows."""
+    ds, weights = est.ds, est.ds.weights()
+    columns = est.roles.all_columns()
     if any(isinstance(ds[c].kind, Continuous) for c in columns):
-        fit, w = variant_estimator(ds, roles, variant), ds.weights()
-        return (lambda counts: [_indirect_log_or(fit, w * c, roles.exposure) for c in counts]), 1
-    codes = np.column_stack([ds[c].values for c in columns])
-    _, first, pattern = np.unique(codes, axis=0, return_index=True, return_inverse=True)
-    block_size = max(1, min(ds.n_rows // first.size, BLOCK_CELLS // ds.n_rows))
-    return _PatternReplicates(ds, roles, variant, first, pattern.ravel()), block_size
+        block_size = 1
+
+        def block_fn(counts):
+            return [_indirect_log_or(est, weights * c) for c in counts]
+
+    else:
+        codes = np.column_stack([ds[c].values for c in columns])
+        _, first, pattern = np.unique(codes, axis=0, return_index=True, return_inverse=True)
+        pattern, n_patterns, patterns = pattern.ravel(), first.size, est.take(first)
+        block_size = max(1, min(ds.n_rows // n_patterns, BLOCK_CELLS // ds.n_rows))
+
+        def block_fn(counts):
+            W = np.array([np.bincount(pattern, weights * c, n_patterns) for c in counts])
+            # A replicate with no weight is left to the full-row fit, which refuses it.
+            live = np.flatnonzero(W.any(axis=1))
+            coefs, plain = patterns.stacked(W[live])
+            stats = np.empty(len(counts))
+            stats[live] = coefs[:, 0] - coefs[:, 1]
+            refit = np.ones(len(counts), dtype=bool)
+            refit[live[plain]] = False
+            for b in np.flatnonzero(refit):
+                stats[b] = _indirect_log_or(est, weights * counts[b])
+            return stats
+
+    stats, n_failed = bootstrap_statistics(ds.n_rows, reps, seed, block_fn, block_size)
+    se = float(stats.std(ddof=1)) if stats.size > 1 else 0.0
+    # (1 - 0.95) / 2 differs from 0.025 in the last bits; the limits keep it.
+    alpha = (1.0 - 0.95) / 2.0
+    lo, hi = np.percentile(np.exp(stats), [100 * alpha, 100 * (1 - alpha)])
+    return BootstrapInterval(float(lo), float(hi), se, n_failed, reps)
 
 
 def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, seed: int) -> BootstrapInterval:
     """Percentile 95% bootstrap interval of the indirect odds ratio.
 
-    A replicate's statistic is the indirect log odds ratio, total minus
-    direct, from both outcome models (and, for the ps/ipw variants, the
-    propensity model) refit under the survey weights times its row counts,
-    which is the same fit as on the resampled rows. The limits are
-    percentiles of the replicate odds ratios and ``se`` is the replicates'
-    standard deviation on the log scale.
+    A replicate draws n rows with replacement, and its statistic is the
+    indirect log odds ratio, total minus direct, from both outcome models
+    (and, for the ps/ipw variants, the propensity model) refit on the full
+    rows under the survey weights times its row counts, which is the same
+    fit as on the resampled rows. The limits are percentiles of the
+    replicate odds ratios and ``se`` is the replicates' standard deviation
+    on the log scale.
 
-    When every role column is discrete the rows collapse to their K distinct
-    role-column patterns, and replicates are fitted in blocks of at most
+    When every role column is discrete the rows collapse to their K
+    distinct role-column patterns. Replicates are then fitted on one row per
+    pattern, under their row weights summed within it, in blocks of at most
     n // K, so no stacked (B, K, p) design outgrows the full-row one, and of
     at most :data:`BLOCK_CELLS` / n, which bounds the block's count matrix.
-    A block's fits run their Newton iterations together over the patterns
-    (:func:`~causalmed.glm.fit_logistic_stacked`), under
+    A block's fits run their Newton iterations together
+    (:meth:`VariantEstimator.stacked`) under
     :func:`~causalmed.glm.fit_logistic`'s start, stopping rule and limits.
     A replicate that fails the Cholesky gate, would need step-halving,
     passes the separation bound, does not converge, or ends on an
@@ -437,13 +393,7 @@ def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, see
     continuous, rows do not collapse and every replicate is fitted on the
     full rows, one at a time.
     """
-    block_fn, block_size = _replicate_blocks(ds, roles, variant)
-    stats, n_failed = bootstrap_statistics(ds.n_rows, reps, seed, block_fn, block_size)
-    se = float(stats.std(ddof=1)) if stats.size > 1 else 0.0
-    # (1 - 0.95) / 2 differs from 0.025 in the last bits; the limits keep it.
-    alpha = (1.0 - 0.95) / 2.0
-    lo, hi = np.percentile(np.exp(stats), [100 * alpha, 100 * (1 - alpha)])
-    return BootstrapInterval(float(lo), float(hi), se, n_failed, reps)
+    return _bootstrap_interval(VariantEstimator(ds, roles, variant), reps, seed)
 
 
 def effect_triple(
@@ -456,13 +406,16 @@ def effect_triple(
 ) -> EffectTriple:
     """Total, direct, and indirect effects for one variant on complete data.
 
-    Total and direct carry Wald sandwich CIs from their fits; the indirect
-    CI is a percentile bootstrap with the given seed and replicate count,
-    and the replicates dropped as failed fits are reported with it.
+    Total and direct carry Wald sandwich CIs from their fits under the
+    survey weights; the indirect CI is :func:`bootstrap_ci`'s percentile
+    bootstrap with the given seed and replicate count, from the same
+    estimator, and the replicates dropped as failed fits are reported with
+    it.
     """
-    pair = estimate_pair(ds, roles, variant)
-    total = _estimate_from_fit("total", pair.total_fit, roles, variant, pair.n_used)
-    direct = _estimate_from_fit("direct", pair.direct_fit, roles, variant, pair.n_used)
-    interval = bootstrap_ci(ds, roles, variant, bootstrap_reps, seed)
+    est = VariantEstimator(ds, roles, variant)
+    total_fit, direct_fit = est(ds.weights())
+    total = _estimate_from_fit("total", total_fit, roles, variant, ds.n_rows)
+    direct = _estimate_from_fit("direct", direct_fit, roles, variant, ds.n_rows)
+    interval = _bootstrap_interval(est, bootstrap_reps, seed)
     indirect = combine(total, direct, ci_or=(interval.lo, interval.hi))
     return EffectTriple(total, direct, indirect, seed, bootstrap_reps, interval.n_failed)

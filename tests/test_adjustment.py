@@ -1,12 +1,8 @@
-import io
-
 import numpy as np
 import pytest
 
 from causalmed.adjustment import (
     OVERLAP_BINS,
-    DensitySummary,
-    SmdRow,
     fit_propensity,
     ipw_weights,
     overlap_diagnostics,
@@ -91,32 +87,3 @@ class TestOverlap:
         psfit = fit_propensity(confounded_dataset(np.random.default_rng(6), 40), ROLES)
         with pytest.raises(InputError, match="does not align"):
             overlap_diagnostics(psfit, np.resize(psfit.exposure, n))
-
-
-class TestDensityCsv:
-    SUMMARY = DensitySummary(
-        np.array([0.0, 0.5, 1.0]),
-        {"0": np.array([0.75, 0.25]), "1": np.array([0.1, 0.9])},
-        (SmdRow("x", 0.625, 1e-9), SmdRow("age=30-44", 0.1 + 0.2, 0.0)),
-    )
-
-    def test_histogram_rows(self, tmp_path):
-        path = tmp_path / "hist.csv"
-        self.SUMMARY.histogram_to_csv(path)
-        assert path.read_bytes() == (
-            b"group,bin_lo,bin_hi,proportion\r\n"
-            b"0,0.0,0.5,0.75\r\n0,0.5,1.0,0.25\r\n"
-            b"1,0.0,0.5,0.1\r\n1,0.5,1.0,0.9\r\n"
-        )
-
-    def test_smd_rows(self):
-        buf = io.StringIO()
-        self.SUMMARY.smd_to_csv(buf)
-        assert buf.getvalue() == (
-            "covariate,smd_before,smd_after\r\nx,0.625,1e-09\r\nage=30-44,0.30000000000000004,0.0\r\n"
-        )
-
-    @pytest.mark.parametrize("method", ["histogram_to_csv", "smd_to_csv"])
-    def test_unwritable_path_is_data_error(self, tmp_path, method):
-        with pytest.raises(DataError, match="cannot write"):
-            getattr(self.SUMMARY, method)(tmp_path / "no_such_dir" / "out.csv")

@@ -7,7 +7,6 @@ from causalmed.dag import (
     CausalDag,
     backdoor_paths,
     d_separated,
-    format_dag,
     is_valid_adjustment,
     load_fixture,
     parse_dag,
@@ -227,17 +226,11 @@ class TestDSeparation:
 
 
 class TestTextFormat:
-    def test_round_trip(self):
-        dag = load_fixture("sgm_domains")
-        again = parse_dag(format_dag(dag))
-        assert set(again.edges) == set(dag.edges)
-        assert again.latent == dag.latent
-        assert set(again.nodes) == set(dag.nodes)
-
-    def test_isolated_nodes_survive(self):
-        dag = CausalDag(("A", "B", "C"), (("A", "B"),))
-        again = parse_dag(format_dag(dag))
-        assert set(again.nodes) == {"A", "B", "C"}
+    def test_node_and_latent_lines(self):
+        dag = parse_dag("node C\nlatent U\nedge U -> A\nedge A -> B\n")
+        assert dag.nodes == ("C", "U", "A", "B")
+        assert dag.edges == (("U", "A"), ("A", "B"))
+        assert dag.latent == {"U"}
 
     def test_parse_error_reports_line(self):
         with pytest.raises(DagError, match="line 2"):

@@ -166,9 +166,6 @@ class TestRoundTrip:
         ds = Dataset({"x": Column.build(Continuous(), [1.0])})
         with pytest.raises(DataError, match="cannot write"):
             write_csv(ds, tmp_path / "no_such_dir" / "out.csv")
-        table = describe(Dataset({"g": Column.build(Binary(), ["0"])}), "g", ["g"])
-        with pytest.raises(DataError, match="cannot write"):
-            table.to_csv(tmp_path / "no_such_dir" / "table.csv")
 
 
 class TestRecode:
@@ -367,17 +364,6 @@ class TestDescribe:
         ds = Dataset({"g": Column.build(Binary(), ["0", "1"])})
         with pytest.raises(InputError):
             describe(ds, "g", ["nope"])
-
-    def test_csv_serialization_header(self):
-        ds = Dataset(
-            {
-                "g": Column.build(Binary(), ["0", "1"]),
-                "v": Column.build(Continuous(), [1.0, 2.0]),
-            }
-        )
-        buf = io.StringIO()
-        describe(ds, "g", ["v"]).to_csv(buf)
-        assert buf.getvalue().splitlines()[0] == "variable,level,stratum,n,pct,mean,sd"
 
 
 class TestDatasetInvariants:

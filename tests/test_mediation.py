@@ -4,22 +4,32 @@ import numpy as np
 import pytest
 
 from causalmed import glm
+from causalmed.adjustment import fit_propensity, ipw_weights
 from causalmed.data import Binary, Column, Continuous, Dataset, VariableRoles
 from causalmed.errors import BootstrapError, InputError, RankDeficiencyError
-from causalmed.glm import expit
+from causalmed.glm import (
+    DesignMatrix,
+    ModelSpec,
+    build_design,
+    expit,
+    fit_logistic,
+    interaction,
+    main,
+    response_vector,
+)
 from causalmed.mediation import (
     FIT_FAILURES,
+    PS_COLUMN,
     VARIANTS,
     EffectEstimate,
     EffectTriple,
+    VariantEstimator,
     bootstrap_ci,
     bootstrap_statistics,
     combine,
     direct_effect,
     effect_triple,
-    estimate_pair,
     total_effect,
-    variant_estimator,
 )
 
 
@@ -47,6 +57,12 @@ def sim_dataset(rng, n, *, bq=0.8, bx=0.5, bm=0.0, m_on_q=0.8, confound=0.8, wei
 
 
 ROLES = VariableRoles(exposure="q", outcome="y", baseline_support="x", mediators=("m",))
+
+
+def indirect_log_or(fits):
+    """Total minus direct exposure coefficient of a (total, direct) fit pair."""
+    total, direct = fits
+    return total.coef("q") - direct.coef("q")
 
 
 def estimate(kind, log_or, variant="primary", ci=None, n=100):
@@ -102,11 +118,9 @@ class TestEffects:
     def test_direct_close_to_total_when_mediator_has_no_effect(self):
         rng = np.random.default_rng(7)
         ds = sim_dataset(rng, 60_000, bm=0.0)
-        pair = estimate_pair(ds, ROLES, "simple")
-        se = math.hypot(
-            pair.total_fit.se("q", "sandwich"), pair.direct_fit.se("q", "sandwich")
-        )
-        assert abs(pair.total_log_or - pair.direct_log_or) < 3 * se
+        total, direct = VariantEstimator(ds, ROLES, "simple")(ds.weights())
+        se = math.hypot(total.se("q", "sandwich"), direct.se("q", "sandwich"))
+        assert abs(indirect_log_or((total, direct))) < 3 * se
 
     def test_primary_equals_simple_on_additive_saturated_design(self):
         # Cell odds chosen so the exposure-covariate interaction is exactly
@@ -144,8 +158,7 @@ class TestEffects:
         rng = np.random.default_rng(12)
         ds = sim_dataset(rng, 100_000, bq=0.7, bm=0.3, m_on_q=0.0)
         interval = bootstrap_ci(ds, ROLES, "simple", 100, seed=5)
-        pair = estimate_pair(ds, ROLES, "simple")
-        assert abs(pair.indirect_log_or) < 3 * interval.se
+        assert abs(indirect_log_or(VariantEstimator(ds, ROLES, "simple")(ds.weights()))) < 3 * interval.se
 
     def test_triple_decomposition_and_cis(self):
         rng = np.random.default_rng(3)
@@ -251,7 +264,8 @@ class TestBootstrap:
 
 def take_replicate(ds, variant, idx):
     """Reference replicate: both models refit on the resampled rows."""
-    return estimate_pair(ds.take(idx), ROLES, variant)
+    rows = ds.take(idx)
+    return VariantEstimator(rows, ROLES, variant)(rows.weights())
 
 
 def rel_close(a, b, rel=1e-12):
@@ -261,7 +275,7 @@ def rel_close(a, b, rel=1e-12):
 def count_weight_interval(ds, roles, variant, reps, seed):
     """Reference (lo, hi, se, n_failed): replicate by replicate, both models
     refit on the full rows under the survey weights times the counts."""
-    fit = variant_estimator(ds, roles, variant)
+    fit = VariantEstimator(ds, roles, variant)
     stats = []
     for i in range(reps):
         idx = np.random.default_rng(seed + i).integers(0, ds.n_rows, ds.n_rows)
@@ -286,7 +300,7 @@ class TestReplicateEquivalence:
         for seed in (0, 1, 2):
             rng = np.random.default_rng(500 + seed)
             ds = sim_dataset(rng, 300, bm=0.3, weight=weight)
-            fit = variant_estimator(ds, ROLES, variant)
+            fit = VariantEstimator(ds, ROLES, variant)
             for _ in range(3):
                 idx = rng.integers(0, ds.n_rows, ds.n_rows)
                 counts = np.bincount(idx, minlength=ds.n_rows)
@@ -296,7 +310,7 @@ class TestReplicateEquivalence:
                     with pytest.raises(type(exc)):
                         fit(ds.weights() * counts)
                     continue
-                for got, want in zip(fit(ds.weights() * counts), (ref.total_fit, ref.direct_fit)):
+                for got, want in zip(fit(ds.weights() * counts), ref):
                     assert got.names == want.names
                     assert got.iterations == want.iterations
                     scale = np.abs(want.beta).max()
@@ -311,7 +325,7 @@ class TestReplicateEquivalence:
         for i in range(100):
             idx = np.random.default_rng(8 + i).integers(0, ds.n_rows, ds.n_rows)
             try:
-                stats.append(take_replicate(ds, variant, idx).indirect_log_or)
+                stats.append(indirect_log_or(take_replicate(ds, variant, idx)))
             except FIT_FAILURES:
                 pass
         stats = np.array(stats)
@@ -336,6 +350,23 @@ class TestReplicateEquivalence:
         assert interval.n_failed == n_failed
         assert rel_close(interval.lo, lo) and rel_close(interval.hi, hi)
         assert rel_close(interval.se, se)
+
+    @pytest.mark.parametrize("variant, n_failed", [("primary", 16), ("simple", 6), ("ipw", 1)])
+    def test_singular_solve_counts_as_failed_fit(self, variant, n_failed):
+        # Some refits here pass the Cholesky gate on an information matrix
+        # that the solve then finds singular; each counts as a failed fit.
+        ds = sim_dataset(np.random.default_rng(1010), 50, bm=0.3)
+        lo, hi, se, want_failed = count_weight_interval(ds, ROLES, variant, 200, 4)
+        interval = bootstrap_ci(ds, ROLES, variant, 200, 4)
+        assert interval.n_failed == want_failed == n_failed
+        assert rel_close(interval.lo, lo) and rel_close(interval.hi, hi)
+        assert rel_close(interval.se, se)
+
+    def test_failed_fits_past_the_rate_refuse_the_interval(self):
+        ds = sim_dataset(np.random.default_rng(1010), 50, bm=0.3)
+        n_failed = count_weight_interval(ds, ROLES, "ps_regression", 200, 4)[3]
+        with pytest.raises(BootstrapError, match=f"^{n_failed} of 200"):
+            bootstrap_ci(ds, ROLES, "ps_regression", 200, 4)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_condition_bound_sends_near_separated_replicates_to_refit(self, variant, monkeypatch):
@@ -368,8 +399,35 @@ class TestReplicateEquivalence:
         with pytest.raises(FIT_FAILURES) as ref:
             take_replicate(ds, variant, idx)
         with pytest.raises(FIT_FAILURES) as got:
-            variant_estimator(ds, ROLES, variant)(ds.weights() * counts)
+            VariantEstimator(ds, ROLES, variant)(ds.weights() * counts)
         assert type(got.value) is type(ref.value)
+
+
+class TestFullRowComposition:
+    """Full-sample fits equal, bit for bit, the fits composed from the
+    public design, propensity and weighting pieces."""
+
+    @pytest.mark.parametrize("weight", [False, True])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_fits_equal_public_composition(self, variant, weight):
+        ds = sim_dataset(np.random.default_rng(61), 400, bm=0.3, weight=weight)
+        w, y = ds.weights(), response_vector(ds, "y")
+        psfit = fit_propensity(ds, ROLES)
+        covariates = () if variant in ("ps_regression", "ipw") else (main("x"),)
+        interactions = (interaction("x"),) if variant == "primary" else ()
+        fits = VariantEstimator(ds, ROLES, variant)(w)
+        for got, mediators in zip(fits, ((), (main("m"),))):
+            spec = ModelSpec("y", "q", covariates + mediators + interactions, center_covariates=variant == "primary")
+            design, fit_weights = build_design(ds, spec), w
+            if variant == "ps_regression":
+                names = design.names[:2] + (PS_COLUMN,) + design.names[2:]
+                design = DesignMatrix(np.insert(design.matrix, 2, psfit.scores, axis=1), names)
+            if variant == "ipw":
+                fit_weights = w * ipw_weights(psfit.scores, psfit.exposure, w)
+            want = fit_logistic(design, y, fit_weights)
+            assert got.names == want.names
+            assert np.array_equal(got.beta, want.beta)
+            assert np.array_equal(got.cov_sandwich, want.cov_sandwich)
 
 
 class TestCoverage:
