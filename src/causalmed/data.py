@@ -336,8 +336,9 @@ def ingest_csv(
     every schema column. Cells matching ``missing_tokens`` become missing and
     cells equal to :data:`NONRESPONSE_TOKEN` become non-response, so the
     output of :func:`write_csv` reads back unchanged; anything else must
-    parse under the declared kind, otherwise a DataError names the offending
-    row and column. ``source`` may be a path or an open text stream.
+    parse under the declared kind, a continuous cell as a finite number,
+    otherwise a DataError names the offending row and column. ``source``
+    may be a path or an open text stream.
     """
     missing = frozenset(missing_tokens)
     names = list(schema)
@@ -392,6 +393,10 @@ def ingest_csv(
         state = np.asarray(states[name], dtype=np.uint8)
         if kind_levels(kind) is None:
             values = np.asarray(raw[name], dtype=np.float64)
+            # float() takes 'nan' and 'inf'; unobserved cells hold 0 here.
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise DataError(f"row {bad[0] + 1}, column {name!r}: {raw[name][bad[0]]!r} is not a finite number")
         else:
             values = np.asarray(raw[name], dtype=np.int16)
         columns[name] = Column(kind, values, state)

@@ -35,6 +35,8 @@ SEPARATION_BOUND = 30.0
 #: Largest condition number of the final information matrix of a fit that
 #: :func:`fit_logistic_stacked` keeps on its plain Newton path.
 STACKED_MAX_CONDITION = 1e6
+#: Rows per block when :func:`_gram` sums X'diag(v)X.
+GRAM_BLOCK_ROWS = 4096
 
 
 def expit(x):
@@ -153,13 +155,28 @@ class DesignTemplate:
         the exposure indicator times the shifted covariate: an (n, p) matrix
         for a vector, a (B, n, p) stack for an array. Without centering the
         weights play no part, and the one (n, p) matrix serves every row.
+        The result is allocated once and filled a column at a time: each
+        shifted column is written into its slice and an interaction column
+        is multiplied by the exposure there, so no per-column copy is kept.
         """
-        shifted = [vec for _, vec in self.covariates]
+        n = self.leading[0].size
+        vectors = [vec for _, vec in self.covariates]
+        offsets = None
         if self.center:
-            _check_weights(weights, self.leading[0].size)
-            shifted = [vec - ((vec * weights).sum(axis=-1) / weights.sum(axis=-1))[..., None] for vec in shifted]
-        vectors = [*self.leading, *(self.exposure * shifted[k] if inter else shifted[k] for k, inter in self.terms)]
-        return np.stack(np.broadcast_arrays(*vectors), axis=-1)
+            _check_weights(weights, n)
+            offsets = [((vec * weights).sum(axis=-1) / weights.sum(axis=-1))[..., None] for vec in vectors]
+        out = np.empty((weights.shape if self.center else (n,)) + (len(self.names),))
+        for j, vec in enumerate(self.leading):
+            out[..., j] = vec
+        for j, (k, inter) in enumerate(self.terms, start=len(self.leading)):
+            col = out[..., j]
+            if offsets is None:
+                col[...] = vectors[k]
+            else:
+                np.subtract(vectors[k], offsets[k], out=col)
+            if inter:
+                col *= self.exposure
+        return out
 
 
 def design_template(ds: Dataset, spec: ModelSpec) -> DesignTemplate:
@@ -297,6 +314,17 @@ def _check_weights(w: np.ndarray, n: int) -> None:
         raise InputError("weights must not all be zero")
 
 
+def _gram(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """X'diag(v)X for an (n, p) design, summed over blocks of
+    :data:`GRAM_BLOCK_ROWS` rows with one matrix product each, so no
+    temporary holds more than one block of the scaled design."""
+    A = np.zeros((X.shape[1], X.shape[1]))
+    for start in range(0, len(X), GRAM_BLOCK_ROWS):
+        Xb = X[start : start + GRAM_BLOCK_ROWS]
+        A += (Xb * v[start : start + GRAM_BLOCK_ROWS, None]).T @ Xb
+    return A
+
+
 def fit_logistic(
     design: DesignMatrix,
     y: np.ndarray,
@@ -312,6 +340,11 @@ def fit_logistic(
     deviance still improves are reported as quasi-complete separation.
     Failure to converge within ``max_iter`` accepted steps raises, so every
     returned fit has converged.
+
+    The score is ``X.T @ (w * resid)``. The information matrix A of each
+    iteration and the sandwich meat X'diag((w * resid)**2)X are formed by
+    :func:`_gram` over blocks of rows, so neither builds an (n, p)
+    temporary.
     """
     X = design.matrix
     y = np.asarray(y, dtype=np.float64)
@@ -332,8 +365,8 @@ def fit_logistic(
     for _ in range(max_iter + 1):
         mu = expit(eta)
         resid = y - mu
-        score = np.einsum("ij,i->j", X, w * resid)
-        A = np.einsum("ij,i,ik->jk", X, w * mu * (1.0 - mu), X)
+        score = X.T @ (w * resid)
+        A = _gram(X, w * mu * (1.0 - mu))
         if np.abs(score).max() < tol:
             break
         if iterations == max_iter:
@@ -367,7 +400,7 @@ def fit_logistic(
     except np.linalg.LinAlgError:
         _diagnose_singular_information(X, w, design.names)
     cov_model = (cov_model + cov_model.T) / 2.0
-    B = np.einsum("ij,i,ik->jk", X, (w * resid) ** 2, X)
+    B = _gram(X, (w * resid) ** 2)
     cov_sandwich = cov_model @ B @ cov_model
     cov_sandwich = (cov_sandwich + cov_sandwich.T) / 2.0
     return FitResult(

@@ -165,3 +165,21 @@ def enumerate_joint_brute(variables):
             p *= prob_fn(assignment)[value]
         joint[config] = p
     return names, joint
+
+
+# ---------------------------------------------------------------------------
+# Design matrices
+
+
+def design_by_stacking(template, weights):
+    """A design template's matrix under ``weights``, built the direct way:
+    each column as its own array (covariates shifted to weighted mean zero
+    when the template centers, interactions as exposure times the shifted
+    covariate), then all of them stacked along a new last axis."""
+    shifted = [vec for _, vec in template.covariates]
+    if template.center:
+        shifted = [vec - ((vec * weights).sum(axis=-1) / weights.sum(axis=-1))[..., None] for vec in shifted]
+    vectors = [*template.leading]
+    for k, inter in template.terms:
+        vectors.append(template.exposure * shifted[k] if inter else shifted[k])
+    return np.stack(np.broadcast_arrays(*vectors), axis=-1)

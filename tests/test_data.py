@@ -84,6 +84,11 @@ class TestIngest:
         with pytest.raises(DataError, match=r"row 1.*'a'.*'abc'"):
             _ingest_text("a\nabc\n", {"a": Continuous()})
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_number_names_row_and_column(self, token):
+        with pytest.raises(DataError, match=rf"row 3, column 'age': {token} is not a finite number"):
+            _ingest_text(f"age,w\n1,1\n2,1\n{token},1\n", {"age": Continuous(), "w": Continuous()})
+
     def test_missing_file(self):
         with pytest.raises(DataError, match="cannot read"):
             ingest_csv("/nonexistent/path.csv", {"a": Continuous()})

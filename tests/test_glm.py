@@ -17,19 +17,23 @@ from causalmed.errors import (
     SeparationError,
 )
 from causalmed.glm import (
+    GRAM_BLOCK_ROWS,
     DesignMatrix,
     ModelSpec,
     Z95,
+    _gram,
     build_design,
+    design_template,
     expit,
     fit_logistic,
+    fit_logistic_stacked,
     interaction,
     main,
     response_vector,
     wald_interval,
 )
 
-from oracles import fd_gradient, loglik_logistic
+from oracles import design_by_stacking, fd_gradient, loglik_logistic
 
 
 def two_group_dataset(n1, e1, n0, e0):
@@ -281,6 +285,73 @@ class TestFitLogistic:
             fit_logistic(design, np.array([0.0, 1.0, 1.0, 0.0]), np.array([1.0, -1.0, 1.0, 1.0]))
         with pytest.raises(InputError, match="all be zero"):
             fit_logistic(design, np.array([0.0, 1.0, 1.0, 0.0]), np.zeros(4))
+
+
+def survey_dataset(rng, n):
+    """n weighted rows: binary exposure q and outcome y, a continuous x, a
+    three-level race and a binary sex; y is logistic in q, x and race."""
+    q = rng.random(n) < 0.4
+    x = rng.normal(40.0, 12.0, n)
+    race = rng.integers(0, 3, n)
+    sex = rng.random(n) < 0.5
+    eta = -1.0 + 0.8 * q + 0.03 * (x - 40.0) + 0.4 * (race == 1) - 0.3 * (race == 2)
+    y = rng.random(n) < expit(eta)
+    labels = np.array(["a", "b", "c"])
+    return Dataset(
+        {
+            "q": Column.build(Binary(), np.where(q, "1", "0")),
+            "y": Column.build(Binary(), np.where(y, "1", "0")),
+            "x": Column.build(Continuous(), x),
+            "race": Column.build(Categorical(("a", "b", "c"), "a"), labels[race]),
+            "sex": Column.build(Binary(), np.where(sex, "1", "0")),
+            "w": Column.build(Continuous(), rng.uniform(0.2, 5.0, n)),
+        },
+        weight_column="w",
+    )
+
+
+class TestBlockedGram:
+    @pytest.mark.parametrize(
+        "n", [1, GRAM_BLOCK_ROWS - 1, GRAM_BLOCK_ROWS, GRAM_BLOCK_ROWS + 1, 3 * GRAM_BLOCK_ROWS + 5]
+    )
+    def test_matches_einsum(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 5))
+        X[:, 2] *= 1e3
+        v = rng.uniform(0.0, 3.0, n)
+        want = np.einsum("ij,i,ik->jk", X, v, X)
+        assert np.linalg.norm(_gram(X, v) - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_full_row_fit_agrees_with_stacked_fit(self):
+        # The two fitters form their information matrices with separate
+        # code; on rows spanning several Gram blocks they must agree.
+        ds = survey_dataset(np.random.default_rng(7), 3 * GRAM_BLOCK_ROWS + 5)
+        spec = ModelSpec("y", "q", (main("x"), main("race"), interaction("x")), center_covariates=True)
+        design, y, w = build_design(ds, spec), response_vector(ds, "y"), ds.weights()
+        beta, plain = fit_logistic_stacked(design.matrix, y, w[None])
+        assert plain.tolist() == [True]
+        want = fit_logistic(design, y, w).beta
+        assert np.abs(beta[0] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestDesignInPlace:
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("interactions", [False, True])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_equals_stacked_columns(self, center, interactions, stacked):
+        rng = np.random.default_rng(3)
+        ds = survey_dataset(rng, 200)
+        terms = [main("x"), main("race"), main("sex")]
+        if interactions:
+            terms += [interaction("x"), interaction("race"), interaction("sex")]
+        template = design_template(ds, ModelSpec("y", "q", tuple(terms), center_covariates=center))
+        weights = ds.weights()
+        if stacked:
+            weights = weights * rng.integers(0, 3, (4, ds.n_rows))
+        got = template.design(weights)
+        want = design_by_stacking(template, weights)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestWaldInterval:
