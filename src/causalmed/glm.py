@@ -147,7 +147,7 @@ class DesignTemplate:
     exposure: np.ndarray | None
     center: bool
 
-    def design(self, weights: np.ndarray) -> np.ndarray:
+    def design(self, weights: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """The design under ``weights``, a vector or a (B, n) array.
 
         With centering on, every covariate column is shifted to weighted
@@ -158,24 +158,33 @@ class DesignTemplate:
         The result is allocated once and filled a column at a time: each
         shifted column is written into its slice and an interaction column
         is multiplied by the exposure there, so no per-column copy is kept.
+
+        Given ``rows``, the design is built on those rows only, with n their
+        number and ``weights`` over them: each column is indexed as it is
+        written, so no sliced copy of the template is kept.
         """
-        n = self.leading[0].size
+
+        def pick(vec):
+            return vec if rows is None else vec[rows]
+
+        n = self.leading[0].size if rows is None else len(rows)
         vectors = [vec for _, vec in self.covariates]
         offsets = None
         if self.center:
             _check_weights(weights, n)
-            offsets = [((vec * weights).sum(axis=-1) / weights.sum(axis=-1))[..., None] for vec in vectors]
+            offsets = [((pick(vec) * weights).sum(axis=-1) / weights.sum(axis=-1))[..., None] for vec in vectors]
         out = np.empty((weights.shape if self.center else (n,)) + (len(self.names),))
         for j, vec in enumerate(self.leading):
-            out[..., j] = vec
+            out[..., j] = pick(vec)
+        exposure = pick(self.exposure) if any(inter for _, inter in self.terms) else None
         for j, (k, inter) in enumerate(self.terms, start=len(self.leading)):
             col = out[..., j]
             if offsets is None:
-                col[...] = vectors[k]
+                col[...] = pick(vectors[k])
             else:
-                np.subtract(vectors[k], offsets[k], out=col)
+                np.subtract(pick(vectors[k]), offsets[k], out=col)
             if inter:
-                col *= self.exposure
+                col *= exposure
         return out
 
 
@@ -299,8 +308,12 @@ def _diagnose_singular_information(X, w, names):
 
 
 def _log_likelihood(eta, y, w):
-    # w * (y*eta - log(1 + exp(eta))), stable for large |eta|, summed over rows
-    return np.sum(w * (y * eta - np.logaddexp(0.0, eta)), axis=-1)
+    # w * (y*eta - log(1 + exp(eta))), summed over rows. The softplus
+    # log(1 + exp(eta)) is taken as max(eta, 0) + log1p(exp(-|eta|)): exp
+    # never overflows, and it is cheaper than np.logaddexp(0, eta).
+    softplus = np.log1p(np.exp(-np.abs(eta)))
+    softplus += np.maximum(eta, 0.0)
+    return np.sum(w * (y * eta - softplus), axis=-1)
 
 
 def _check_weights(w: np.ndarray, n: int) -> None:
@@ -325,35 +338,21 @@ def _gram(X: np.ndarray, v: np.ndarray) -> np.ndarray:
     return A
 
 
-def fit_logistic(
-    design: DesignMatrix,
-    y: np.ndarray,
-    w: np.ndarray | None = None,
-    *,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> FitResult:
-    """Maximize the weighted Bernoulli log-likelihood by IRLS.
+def _newton_fit(X, y, w, names, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
+    """The input checks and Newton iterations of :func:`fit_logistic`, with
+    none of its covariances: returns the coefficients, the inverse of the
+    final information matrix, the final residuals y - mu, the
+    log-likelihood and the iteration count.
 
-    Convergence means the max-abs weighted score falls below ``tol``.
-    Coefficients passing :data:`SEPARATION_BOUND` in absolute value while the
-    deviance still improves are reported as quasi-complete separation.
-    Failure to converge within ``max_iter`` accepted steps raises, so every
-    returned fit has converged.
-
-    The score is ``X.T @ (w * resid)``. The information matrix A of each
-    iteration and the sandwich meat X'diag((w * resid)**2)X are formed by
-    :func:`_gram` over blocks of rows, so neither builds an (n, p)
-    temporary.
+    It ends on the final information check, so a fit that cannot be
+    inverted there raises as :func:`fit_logistic` does. A caller that needs
+    only the coefficients, such as a bootstrap replicate, calls it alone.
     """
-    X = design.matrix
-    y = np.asarray(y, dtype=np.float64)
     n, p = X.shape
     if y.shape != (n,):
         raise InputError("response length does not match design")
     if not ((y == 0.0) | (y == 1.0)).all():
         raise InputError("response must be 0/1")
-    w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise InputError("weight length does not match design")
     _check_weights(w, n)
@@ -375,7 +374,7 @@ def fit_logistic(
             np.linalg.cholesky(A)  # the positive-definiteness gate
             delta = np.linalg.solve(A, score)
         except np.linalg.LinAlgError:
-            _diagnose_singular_information(X, w, design.names)
+            _diagnose_singular_information(X, w, names)
         step = 1.0
         for _halving in range(31):
             cand = beta + step * delta
@@ -396,9 +395,38 @@ def fit_logistic(
             )
 
     try:
-        cov_model = np.linalg.inv(A)
+        A_inv = np.linalg.inv(A)
     except np.linalg.LinAlgError:
-        _diagnose_singular_information(X, w, design.names)
+        _diagnose_singular_information(X, w, names)
+    return beta, A_inv, resid, ll, iterations
+
+
+def fit_logistic(
+    design: DesignMatrix,
+    y: np.ndarray,
+    w: np.ndarray | None = None,
+    *,
+    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float = DEFAULT_TOL,
+) -> FitResult:
+    """Maximize the weighted Bernoulli log-likelihood by IRLS.
+
+    Convergence means the max-abs weighted score falls below ``tol``.
+    Coefficients passing :data:`SEPARATION_BOUND` in absolute value while the
+    deviance still improves are reported as quasi-complete separation.
+    Failure to converge within ``max_iter`` accepted steps raises, so every
+    returned fit has converged.
+
+    The score is ``X.T @ (w * resid)``. The information matrix A of each
+    iteration and the sandwich meat X'diag((w * resid)**2)X are formed by
+    :func:`_gram` over blocks of rows, so neither builds an (n, p)
+    temporary. The iterations are :func:`_newton_fit`'s; this adds the
+    covariances.
+    """
+    X = design.matrix
+    y = np.asarray(y, dtype=np.float64)
+    w = np.ones(len(X)) if w is None else np.asarray(w, dtype=np.float64)
+    beta, cov_model, resid, ll, iterations = _newton_fit(X, y, w, design.names, max_iter, tol)
     cov_model = (cov_model + cov_model.T) / 2.0
     B = _gram(X, (w * resid) ** 2)
     cov_sandwich = cov_model @ B @ cov_model
@@ -410,7 +438,7 @@ def fit_logistic(
         cov_sandwich=cov_sandwich,
         log_likelihood=ll,
         iterations=iterations,
-        n_obs=n,
+        n_obs=len(X),
     )
 
 

@@ -18,7 +18,10 @@ built once from the dataset, fitted under row weights. Point estimates use
 the survey weights. Total and direct effects carry Wald sandwich CIs; the
 indirect effect has no closed-form SE here, so its CI comes from a
 deterministic nonparametric bootstrap (:func:`bootstrap_ci`) that refits
-the same estimator under resampled row weights.
+the same estimator on each replicate's resampled rows: on one row per
+distinct pattern when every role column is discrete, on the rows the
+replicate drew when one is continuous. A replicate needs only the
+coefficients, so its fits skip the covariances.
 
 Note the total effect from the mediator-free model is the standard
 two-model quantity, not a collapsibility-corrected marginal effect.
@@ -26,6 +29,7 @@ two-model quantity, not a collapsibility-corrected marginal effect.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -44,6 +48,7 @@ from .glm import (
     DesignMatrix,
     FitResult,
     ModelSpec,
+    _newton_fit,
     design_template,
     fit_logistic,
     fit_logistic_stacked,
@@ -157,12 +162,13 @@ class VariantEstimator:
     weights, or the survey weights times a bootstrap replicate's row
     counts) gives one :class:`~causalmed.glm.FitResult` per entry of
     ``include_mediators``: the mediator-free model for False, the
-    mediator-adjusted model for True. :meth:`stacked` fits the models under
-    each row of a (B, n) weight array at once. Only three pieces depend on
-    the weights: the centering offsets of ``primary``, the propensity-score
-    column of ``ps_regression``, and the stabilized IPW factor of ``ipw``;
-    the last two come from the mediator-free propensity model refit under
-    the same weights.
+    mediator-adjusted model for True. :meth:`exposure_coefs` runs the same
+    fits for their exposure coefficients alone, and :meth:`stacked` fits
+    the models under each row of a (B, n) weight array at once. Only three
+    pieces depend on the weights: the centering offsets of ``primary``, the
+    propensity-score column of ``ps_regression``, and the stabilized IPW
+    factor of ``ipw``; the last two come from the mediator-free propensity
+    model refit under the same weights.
 
     Under integer row counts the coefficients equal those of the refit on
     the resampled rows. The sandwich covariance does not, as it reads a
@@ -174,11 +180,13 @@ class VariantEstimator:
         if variant not in VARIANTS:
             raise InputError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         roles.validate(ds)
-        self.ds, self.roles, self.variant, self.include_mediators = ds, roles, variant, include_mediators
+        self.roles, self.variant = roles, variant
         self.y = response_vector(ds, roles.outcome)
         self.templates = [design_template(ds, _outcome_spec(roles, variant, m)) for m in include_mediators]
         # An uncentered design does not depend on the weights: build it once.
         self.fixed = [None if t.center else t.design(ds.weights()) for t in self.templates]
+        # The rows of ``ds`` the estimator fits on (:meth:`take`); None for all.
+        self.rows = None
         self.names = [
             t.names[:2] + (PS_COLUMN,) + t.names[2:] if variant == "ps_regression" else t.names for t in self.templates
         ]
@@ -187,8 +195,17 @@ class VariantEstimator:
             self.treat = response_vector(ds, roles.exposure)
 
     def take(self, rows) -> "VariantEstimator":
-        """The same estimator on the given rows only."""
-        return VariantEstimator(self.ds.take(rows), self.roles, self.variant, self.include_mediators)
+        """The same estimator on the given rows only, with no dataset
+        rebuilt. The response, the propensity design and the exposure are
+        sliced to the rows; each model's design is taken on them only when
+        that model is fitted, so at most one is alive at a time."""
+        out = copy.copy(self)
+        out.rows = rows if self.rows is None else self.rows[rows]
+        out.y = self.y[rows]
+        if self.variant in ("ps_regression", "ipw"):
+            out.ps_design = DesignMatrix(self.ps_design.matrix[rows], self.ps_design.names)
+            out.treat = self.treat[rows]
+        return out
 
     def __call__(self, weights: np.ndarray) -> tuple[FitResult, ...]:
         scores = None
@@ -197,6 +214,19 @@ class VariantEstimator:
             scores = clipped_scores(self.ps_design.matrix, beta)
         fits = self._fit_models(lambda X, names, w: fit_logistic(DesignMatrix(X, names), self.y, w), weights, scores)
         return tuple(fits)
+
+    def exposure_coefs(self, weights: np.ndarray) -> np.ndarray:
+        """The exposure coefficient of each model under the weight vector
+        ``weights``. The fits are :meth:`__call__`'s, with the same
+        iterations and the same failures, but run by the Newton core
+        :func:`~causalmed.glm._newton_fit` alone, with no covariances."""
+        scores = None
+        if self.variant in ("ps_regression", "ipw"):
+            beta = _newton_fit(self.ps_design.matrix, self.treat, weights, self.ps_design.names)[0]
+            scores = clipped_scores(self.ps_design.matrix, beta)
+        # The exposure is column 1 of every outcome design.
+        fits = self._fit_models(lambda X, names, w: _newton_fit(X, self.y, w, names)[0][1], weights, scores)
+        return np.array(fits)
 
     def stacked(self, W: np.ndarray):
         """Fit every model under each row of the (B, n) weight array ``W``
@@ -212,7 +242,6 @@ class VariantEstimator:
         fits = self._fit_models(lambda X, names, w: fit_logistic_stacked(X, self.y, w), W, scores)
         for _, fit_plain in fits:
             plain &= fit_plain
-        # The exposure is column 1 of every outcome design.
         return np.column_stack([beta[:, 1] for beta, _ in fits]), plain
 
     def _fit_models(self, fit, W, scores):
@@ -223,14 +252,16 @@ class VariantEstimator:
         A design is (n, p), or (B, n, p) where ``primary``'s centering or
         ``ps_regression``'s score column varies with the rows of ``W``. The
         fit weights are ``W``, times the stabilized IPW factor for ``ipw``.
-        Each loop step rebinds ``X``, so no more than one model's full-row
-        design is alive at a time.
+        Each loop step rebinds ``X``, so no more than one model's
+        weight-dependent design is alive at a time.
         """
         fit_weights = W * ipw_weights(scores, self.treat, W) if self.variant == "ipw" else W
         results = []
         for template, X, names in zip(self.templates, self.fixed, self.names):
             if X is None:
-                X = template.design(W)
+                X = template.design(W, self.rows)
+            elif self.rows is not None:
+                X = X[self.rows]
             if self.variant == "ps_regression":
                 X = np.insert(np.broadcast_to(X, W.shape + X.shape[-1:]), 2, scores, axis=-1)
             results.append(fit(X, names, fit_weights))
@@ -323,21 +354,23 @@ def _indirect_log_or(est, weights) -> float:
     """Total minus direct exposure coefficient of ``est`` under ``weights``;
     NaN when a fit fails."""
     try:
-        total, direct = est(weights)
+        total, direct = est.exposure_coefs(weights)
     except FIT_FAILURES:
         return math.nan
-    return total.coef(est.roles.exposure) - direct.coef(est.roles.exposure)
+    return total - direct
 
 
-def _bootstrap_interval(est: VariantEstimator, reps: int, seed: int) -> BootstrapInterval:
-    """:func:`bootstrap_ci` from an estimator already built on the rows."""
-    ds, weights = est.ds, est.ds.weights()
+def _bootstrap_interval(ds: Dataset, est: VariantEstimator, reps: int, seed: int) -> BootstrapInterval:
+    """:func:`bootstrap_ci` from an estimator already built on the rows of ``ds``."""
+    weights = ds.weights()
     columns = est.roles.all_columns()
     if any(isinstance(ds[c].kind, Continuous) for c in columns):
         block_size = 1
 
         def block_fn(counts):
-            return [_indirect_log_or(est, weights * c) for c in counts]
+            (c,) = counts
+            rows = np.flatnonzero(c)
+            return [_indirect_log_or(est.take(rows), (weights * c)[rows])]
 
     else:
         codes = np.column_stack([ds[c].values for c in columns])
@@ -371,11 +404,12 @@ def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, see
 
     A replicate draws n rows with replacement, and its statistic is the
     indirect log odds ratio, total minus direct, from both outcome models
-    (and, for the ps/ipw variants, the propensity model) refit on the full
-    rows under the survey weights times its row counts, which is the same
-    fit as on the resampled rows. The limits are percentiles of the
-    replicate odds ratios and ``se`` is the replicates' standard deviation
-    on the log scale.
+    (and, for the ps/ipw variants, the propensity model) refit under the
+    survey weights times its row counts, which is the same fit as on the
+    resampled rows. Replicate fits stop at the coefficients
+    (:meth:`VariantEstimator.exposure_coefs`): no covariance is formed. The
+    limits are percentiles of the replicate odds ratios and ``se`` is the
+    replicates' standard deviation on the log scale.
 
     When every role column is discrete the rows collapse to their K
     distinct role-column patterns. Replicates are then fitted on one row per
@@ -390,10 +424,13 @@ def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, see
     information matrix with condition number above
     :data:`~causalmed.glm.STACKED_MAX_CONDITION` is refit on the full rows,
     and that fit decides its statistic or its failure. When a role column is
-    continuous, rows do not collapse and every replicate is fitted on the
-    full rows, one at a time.
+    continuous, rows do not collapse, and each replicate is fitted, one at a
+    time, on the rows it drew (:meth:`VariantEstimator.take`) under their
+    weights times counts; rows it did not draw, about 37% of them, carry
+    weight zero and are left out. ``primary`` centers its covariates over
+    the drawn rows under those weights, which is the full-row centering.
     """
-    return _bootstrap_interval(VariantEstimator(ds, roles, variant), reps, seed)
+    return _bootstrap_interval(ds, VariantEstimator(ds, roles, variant), reps, seed)
 
 
 def effect_triple(
@@ -416,6 +453,6 @@ def effect_triple(
     total_fit, direct_fit = est(ds.weights())
     total = _estimate_from_fit("total", total_fit, roles, variant, ds.n_rows)
     direct = _estimate_from_fit("direct", direct_fit, roles, variant, ds.n_rows)
-    interval = _bootstrap_interval(est, bootstrap_reps, seed)
+    interval = _bootstrap_interval(ds, est, bootstrap_reps, seed)
     indirect = combine(total, direct, ci_or=(interval.lo, interval.hi))
     return EffectTriple(total, direct, indirect, seed, bootstrap_reps, interval.n_failed)

@@ -64,7 +64,9 @@ def evalue(odds_ratio: float, ci: tuple[float, float] | None = None) -> EvalueRe
         if lo <= 1.0 <= hi:
             e_ci = 1.0
         else:
-            near = 1.0 / hi if inverted else lo
+            # The interval's own side of the null picks the near limit; a
+            # percentile interval need not contain its estimate.
+            near = lo if lo > 1.0 else 1.0 / hi
             e_ci = _e_from_rr(math.sqrt(near))
     return EvalueResult(input_or=float(odds_ratio), rr_used=rr, evalue_point=e_point, evalue_ci=e_ci)
 

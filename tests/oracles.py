@@ -19,10 +19,15 @@ import numpy as np
 # Logistic regression oracles
 
 
+def softplus_reference(eta):
+    """log(1 + exp(eta)) by numpy's own stable np.logaddexp(0, eta)."""
+    return np.logaddexp(0.0, eta)
+
+
 def loglik_logistic(X, y, w, beta):
     """Weighted Bernoulli log-likelihood, computed the slow stable way."""
     eta = X @ beta
-    return float(np.sum(w * (y * eta - np.logaddexp(0.0, eta))))
+    return float(np.sum(w * (y * eta - softplus_reference(eta))))
 
 
 def fd_gradient(fn, beta, h=1e-6):

@@ -22,6 +22,7 @@ from causalmed.glm import (
     ModelSpec,
     Z95,
     _gram,
+    _log_likelihood,
     build_design,
     design_template,
     expit,
@@ -33,7 +34,7 @@ from causalmed.glm import (
     wald_interval,
 )
 
-from oracles import design_by_stacking, fd_gradient, loglik_logistic
+from oracles import design_by_stacking, fd_gradient, loglik_logistic, softplus_reference
 
 
 def two_group_dataset(n1, e1, n0, e0):
@@ -354,6 +355,18 @@ class TestDesignInPlace:
         assert np.array_equal(got, want)
 
 
+    @pytest.mark.parametrize("center", [False, True])
+    def test_on_rows_equals_design_of_taken_rows(self, center):
+        rng = np.random.default_rng(4)
+        ds = survey_dataset(rng, 200)
+        terms = (main("x"), main("race"), interaction("x"), interaction("race"))
+        spec = ModelSpec("y", "q", terms, center_covariates=center)
+        rows = np.flatnonzero(rng.integers(0, 3, ds.n_rows))
+        w = ds.weights()[rows] * rng.integers(1, 4, rows.size)
+        want = design_template(ds.take(rows), spec).design(w)
+        assert np.array_equal(design_template(ds, spec).design(w, rows), want)
+
+
 class TestWaldInterval:
     def test_standard_normal_quantile(self):
         fit = _fixed_fit(beta=0.0, se=1.0)
@@ -440,3 +453,23 @@ def test_expit_saturates_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert expit(np.array([-1000.0, 0.0, 1000.0])).tolist() == [0.0, 0.5, 1.0]
+
+
+def test_log_likelihood_softplus_within_two_ulp_of_logaddexp():
+    # Per row, with y = 0 and w = 1, the log-likelihood is -softplus(eta).
+    eta = np.concatenate([np.linspace(-800.0, 800.0, 160_001), [0.0, -709.0, 709.0, -745.2, 745.2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = -_log_likelihood(eta[:, None], np.zeros(1), np.ones(1))
+    want = softplus_reference(eta)
+    assert (np.abs(got - want) <= 2 * np.spacing(want)).all()
+
+
+def test_log_likelihood_matches_oracle_sum():
+    rng = np.random.default_rng(5)
+    X = np.column_stack([np.ones(500), rng.normal(0.0, 3.0, (500, 3))])
+    beta = rng.normal(0.0, 2.0, 4)
+    y = (rng.random(500) < 0.4).astype(float)
+    w = rng.uniform(0.5, 2.0, 500)
+    want = loglik_logistic(X, y, w, beta)
+    assert abs(float(_log_likelihood(X @ beta, y, w)) - want) <= 1e-13 * abs(want)

@@ -6,7 +6,7 @@ import pytest
 from causalmed import glm
 from causalmed.adjustment import fit_propensity, ipw_weights
 from causalmed.data import Binary, Column, Continuous, Dataset, VariableRoles
-from causalmed.errors import BootstrapError, InputError, RankDeficiencyError
+from causalmed.errors import BootstrapError, InputError, RankDeficiencyError, SeparationError
 from causalmed.glm import (
     DesignMatrix,
     ModelSpec,
@@ -57,6 +57,14 @@ def sim_dataset(rng, n, *, bq=0.8, bx=0.5, bm=0.0, m_on_q=0.8, confound=0.8, wei
 
 
 ROLES = VariableRoles(exposure="q", outcome="y", baseline_support="x", mediators=("m",))
+AGE_ROLES = VariableRoles(exposure="q", outcome="y", baseline_support="x", mediators=("m",), covariates=("age",))
+
+
+def with_age(ds, rng):
+    """``ds`` plus a continuous covariate ``age``, uniform on [18, 80), so
+    its rows do not collapse into patterns."""
+    age = Column(Continuous(), rng.uniform(18.0, 80.0, ds.n_rows), np.zeros(ds.n_rows, dtype=np.uint8))
+    return Dataset({**ds.columns, "age": age}, weight_column=ds.weight_column)
 
 
 def indirect_log_or(fits):
@@ -262,10 +270,10 @@ class TestBootstrap:
             bootstrap_ci(ds, ROLES, "simple", 100, seed=-1)
 
 
-def take_replicate(ds, variant, idx):
+def take_replicate(ds, variant, idx, roles=ROLES):
     """Reference replicate: both models refit on the resampled rows."""
     rows = ds.take(idx)
-    return VariantEstimator(rows, ROLES, variant)(rows.weights())
+    return VariantEstimator(rows, roles, variant)(rows.weights())
 
 
 def rel_close(a, b, rel=1e-12):
@@ -317,15 +325,19 @@ class TestReplicateEquivalence:
                     np.testing.assert_allclose(got.beta, want.beta, rtol=0, atol=1e-12 * scale)
                     assert rel_close(got.coef("q"), want.coef("q"))
 
+    @pytest.mark.parametrize("age", [False, True])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_bootstrap_interval_matches_resampled_rows(self, variant):
-        ds = sim_dataset(np.random.default_rng(31), 300, bm=0.3, weight=True)
-        interval = bootstrap_ci(ds, ROLES, variant, 100, seed=8)
+    def test_bootstrap_interval_matches_resampled_rows(self, variant, age):
+        # With a continuous age the replicates are fitted on their drawn rows.
+        rng = np.random.default_rng(31)
+        ds = sim_dataset(rng, 300, bm=0.3, weight=True)
+        ds, roles = (with_age(ds, rng), AGE_ROLES) if age else (ds, ROLES)
+        interval = bootstrap_ci(ds, roles, variant, 100, seed=8)
         stats = []
         for i in range(100):
             idx = np.random.default_rng(8 + i).integers(0, ds.n_rows, ds.n_rows)
             try:
-                stats.append(indirect_log_or(take_replicate(ds, variant, idx)))
+                stats.append(indirect_log_or(take_replicate(ds, variant, idx, roles)))
             except FIT_FAILURES:
                 pass
         stats = np.array(stats)
@@ -379,16 +391,44 @@ class TestReplicateEquivalence:
         assert not rel_close(bootstrap_ci(ds, ROLES, variant, 200, 0).se, se)
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_continuous_role_keeps_per_replicate_path(self, variant):
+    def test_continuous_role_matches_count_weight_fits(self, variant):
         rng = np.random.default_rng(43)
-        ds = sim_dataset(rng, 200, bm=0.3, weight=True)
-        age = Column(Continuous(), rng.uniform(18.0, 80.0, ds.n_rows), np.zeros(ds.n_rows, dtype=np.uint8))
-        ds = Dataset({**ds.columns, "age": age}, weight_column="w")
-        roles = VariableRoles(exposure="q", outcome="y", baseline_support="x", mediators=("m",), covariates=("age",))
-        interval = bootstrap_ci(ds, roles, variant, 100, 6)
-        assert (interval.lo, interval.hi, interval.se, interval.n_failed) == count_weight_interval(
-            ds, roles, variant, 100, 6
-        )
+        ds = with_age(sim_dataset(rng, 200, bm=0.3, weight=True), rng)
+        lo, hi, se, n_failed = count_weight_interval(ds, AGE_ROLES, variant, 100, 6)
+        interval = bootstrap_ci(ds, AGE_ROLES, variant, 100, 6)
+        assert interval.n_failed == n_failed
+        assert rel_close(interval.lo, lo) and rel_close(interval.hi, hi)
+        assert rel_close(interval.se, se)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_drawn_row_failures_match_full_row_fits(self, variant):
+        # Continuous-role replicates are fitted on their drawn rows alone.
+        # On 50 rows some fail; each must fail as its full-row fit does.
+        rng = np.random.default_rng(9)
+        ds = with_age(sim_dataset(rng, 50, bm=0.3), rng)
+        est = VariantEstimator(ds, AGE_ROLES, variant)
+        failures = []
+        for i in range(100):
+            counts = np.bincount(np.random.default_rng(i).integers(0, ds.n_rows, ds.n_rows), minlength=ds.n_rows)
+            rows, weights = np.flatnonzero(counts), ds.weights() * counts
+            try:
+                est(weights)
+                want = None
+            except FIT_FAILURES as exc:
+                want = type(exc)
+            try:
+                est.take(rows).exposure_coefs(weights[rows])
+                got = None
+            except FIT_FAILURES as exc:
+                got = type(exc)
+            assert got is want, f"replicate {i}"
+            if want is not None:
+                failures.append(want)
+        if variant != "ipw":
+            assert failures
+        if variant == "primary":
+            assert set(failures) == {RankDeficiencyError, SeparationError}
+        assert bootstrap_ci(ds, AGE_ROLES, variant, 100, 0).n_failed == len(failures)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_draw_emptying_covariate_level_fails_alike(self, variant):

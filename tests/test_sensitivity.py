@@ -42,6 +42,13 @@ class TestEvalue:
         expected = evalue(1 / 0.8).evalue_point
         assert result.evalue_ci == pytest.approx(expected, abs=1e-12)
 
+    def test_near_limit_follows_the_interval_not_the_estimate(self):
+        # Percentile intervals need not contain the estimate; the limit
+        # nearer the null is the interval's, whichever side the estimate is on.
+        assert evalue(0.9, ci=(1.1, 1.5)).evalue_ci == evalue(1.1).evalue_point
+        assert evalue(2.0, ci=(2.5, 3.0)).evalue_ci == evalue(2.5).evalue_point
+        assert evalue(1.2, ci=(0.5, 0.8)).evalue_ci == pytest.approx(evalue(1 / 0.8).evalue_point, abs=1e-12)
+
     def test_monotone_in_rr(self):
         values = [evalue(v).evalue_point for v in np.linspace(1.0, 8.0, 50)]
         assert all(b >= a for a, b in zip(values, values[1:]))
