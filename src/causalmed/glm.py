@@ -1,16 +1,21 @@
 """Design matrices and weighted logistic regression.
 
-The fitter is iteratively reweighted least squares with step-halving on
-deviance increases, started at zero coefficients. Survey weights enter as
-likelihood weights; inference defaults to the sandwich covariance, which is
-robust to that weighting. The model-based covariance is the inverse observed
-information. A rank-deficient design is reported by naming, from left to
-right, each column that adds no rank to the columns before it.
+The package has one Newton loop, :func:`_irls`: iteratively reweighted
+least squares with step-halving on log-likelihood decreases, started at
+zero coefficients, run for B weight vectors at once on a shared or a
+stacked design. :func:`fit_logistic` is that loop on one weight vector,
+with its failures raised and the covariances added; a bootstrap replicate
+needs only the coefficients and calls the loop itself. Survey weights enter
+as likelihood weights; inference defaults to the sandwich covariance, which
+is robust to that weighting. The model-based covariance is the inverse
+observed information. A rank-deficient design is reported by naming, from
+left to right, each column that adds no rank to the columns before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +38,7 @@ DEFAULT_TOL = 1e-8
 #: Coefficient magnitude past which an improving fit counts as separated.
 SEPARATION_BOUND = 30.0
 #: Largest condition number of the final information matrix of a fit that
-#: :func:`fit_logistic_stacked` keeps on its plain Newton path.
+#: :func:`_irls` counts as plain.
 STACKED_MAX_CONDITION = 1e6
 #: Rows per block when :func:`_gram` sums X'diag(v)X.
 GRAM_BLOCK_ROWS = 4096
@@ -160,31 +165,35 @@ class DesignTemplate:
         is multiplied by the exposure there, so no per-column copy is kept.
 
         Given ``rows``, the design is built on those rows only, with n their
-        number and ``weights`` over them: each column is indexed as it is
-        written, so no sliced copy of the template is kept.
+        number and ``weights`` over them: each covariate's rows are gathered
+        once, and only one covariate's at a time, for its offset and all the
+        columns it enters, so no sliced copy of the template is kept.
         """
 
         def pick(vec):
             return vec if rows is None else vec[rows]
 
         n = self.leading[0].size if rows is None else len(rows)
-        vectors = [vec for _, vec in self.covariates]
-        offsets = None
         if self.center:
             _check_weights(weights, n)
-            offsets = [((pick(vec) * weights).sum(axis=-1) / weights.sum(axis=-1))[..., None] for vec in vectors]
         out = np.empty((weights.shape if self.center else (n,)) + (len(self.names),))
         for j, vec in enumerate(self.leading):
             out[..., j] = pick(vec)
         exposure = pick(self.exposure) if any(inter for _, inter in self.terms) else None
-        for j, (k, inter) in enumerate(self.terms, start=len(self.leading)):
-            col = out[..., j]
-            if offsets is None:
-                col[...] = pick(vectors[k])
-            else:
-                np.subtract(pick(vectors[k]), offsets[k], out=col)
-            if inter:
-                col *= exposure
+        for k, (_, vec) in enumerate(self.covariates):
+            vec = pick(vec)
+            if self.center:
+                offset = ((vec * weights).sum(axis=-1) / weights.sum(axis=-1))[..., None]
+            for j, (term_k, inter) in enumerate(self.terms, start=len(self.leading)):
+                if term_k != k:
+                    continue
+                col = out[..., j]
+                if self.center:
+                    np.subtract(vec, offset, out=col)
+                else:
+                    col[...] = vec
+                if inter:
+                    col *= exposure
         return out
 
 
@@ -328,196 +337,219 @@ def _check_weights(w: np.ndarray, n: int) -> None:
 
 
 def _gram(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """X'diag(v)X for an (n, p) design, summed over blocks of
-    :data:`GRAM_BLOCK_ROWS` rows with one matrix product each, so no
-    temporary holds more than one block of the scaled design."""
-    A = np.zeros((X.shape[1], X.shape[1]))
-    for start in range(0, len(X), GRAM_BLOCK_ROWS):
-        Xb = X[start : start + GRAM_BLOCK_ROWS]
-        A += (Xb * v[start : start + GRAM_BLOCK_ROWS, None]).T @ Xb
+    """X'diag(v)X, summed over blocks of :data:`GRAM_BLOCK_ROWS` rows with
+    one matrix product each, so no temporary holds more than one block of
+    rows of the scaled design. ``v`` holds n weights, or is (B, n) for a
+    (B, p, p) result; ``X`` is an (n, p) design shared by every row of
+    ``v``, or a (B, n, p) stack."""
+    A = 0.0
+    for start in range(0, v.shape[-1], GRAM_BLOCK_ROWS):
+        Xb = X[..., start : start + GRAM_BLOCK_ROWS, :]
+        A = A + np.swapaxes(Xb * v[..., start : start + GRAM_BLOCK_ROWS, None], -1, -2) @ Xb
     return A
 
 
-def _newton_fit(X, y, w, names, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
-    """The input checks and Newton iterations of :func:`fit_logistic`, with
-    none of its covariances: returns the coefficients, the inverse of the
-    final information matrix, the final residuals y - mu, the
-    log-likelihood and the iteration count.
+#: Outcomes of one fit of :func:`_irls`: it converged, or the Cholesky gate,
+#: the solve or the final inverse found its information matrix singular, or
+#: it separated, ran out of iterations, or could not improve by halving.
+CONVERGED, SINGULAR, SEPARATED, NOT_CONVERGED, NOT_IMPROVED = range(5)
 
-    It ends on the final information check, so a fit that cannot be
-    inverted there raises as :func:`fit_logistic` does. A caller that needs
-    only the coefficients, such as a bootstrap replicate, calls it alone.
+
+class _IrlsFits(NamedTuple):
+    """Per-fit results of :func:`_irls`, one row per row of the weights.
+
+    ``beta`` and ``info_inv`` (the inverse of the final information matrix)
+    mean something only where ``failure`` is :data:`CONVERGED`. ``plain`` marks the fits that converged without
+    step-halving, never passed :data:`SEPARATION_BOUND`, and ended on an
+    information matrix with condition number at most
+    :data:`STACKED_MAX_CONDITION`.
     """
-    n, p = X.shape
+
+    beta: np.ndarray
+    iterations: np.ndarray
+    failure: np.ndarray
+    plain: np.ndarray
+    info_inv: np.ndarray
+
+
+def _newton_step(A, score):
+    """Newton steps ``solve(A, score)`` for a (B, p, p) stack."""
+    np.linalg.cholesky(A)  # the positive-definiteness gate
+    return np.linalg.solve(A, score[..., None])[..., 0]
+
+
+def _per_fit(fn, out, *stacks):
+    """Write ``fn(*stacks)`` into ``out``, for all fits at once or, when that
+    raises LinAlgError, fit by fit with zero for a fit on which it raises.
+    Returns the mask of the fits on which it did not."""
+    ok = np.ones(len(out), dtype=bool)
+    try:
+        out[...] = fn(*stacks)
+    except np.linalg.LinAlgError:
+        for i, parts in enumerate(zip(*stacks)):
+            try:
+                out[i] = fn(*(a[None] for a in parts))[0]
+            except np.linalg.LinAlgError:
+                out[i], ok[i] = 0.0, False
+    return ok
+
+
+def _irls(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> _IrlsFits:
+    """Maximize the weighted Bernoulli log-likelihood by IRLS under each row
+    of the (B, n) weight array ``W``, all B fits iterating together.
+
+    ``X`` is an (n, p) design shared by every fit or a (B, n, p) stack, and
+    ``y`` the 0/1 response. Each fit starts at zero coefficients and stops
+    once its max-abs score falls below :data:`DEFAULT_TOL`. A step that
+    fails the Cholesky gate or the solve ends the fit as :data:`SINGULAR`; a
+    step that lowers the log-likelihood is halved, up to 30 times, or the
+    fit ends as :data:`NOT_IMPROVED`. Coefficients passing
+    :data:`SEPARATION_BOUND` while the log-likelihood still improves end it
+    as :data:`SEPARATED`, and a fit still short of the rule after
+    :data:`DEFAULT_MAX_ITER` steps ends as :data:`NOT_CONVERGED`. A
+    converged fit whose final information matrix cannot be inverted ends as
+    :data:`SINGULAR`.
+
+    Each iteration works on the fits still iterating only: their scores
+    are their weighted residuals times the design, and their information
+    matrices come from :func:`_gram`. A shared design is never copied per
+    fit; a stacked one is cut down only when a fit stops.
+    """
+    n, p = X.shape[-2:]
     if y.shape != (n,):
         raise InputError("response length does not match design")
     if not ((y == 0.0) | (y == 1.0)).all():
         raise InputError("response must be 0/1")
-    if w.ndim != 1:
-        raise InputError("weight length does not match design")
-    _check_weights(w, n)
+    _check_weights(W, n)
+    B = len(W)
+    out = _IrlsFits(
+        beta=np.zeros((B, p)),
+        iterations=np.zeros(B, dtype=int),
+        failure=np.zeros(B, dtype=int),
+        plain=np.ones(B, dtype=bool),
+        info_inv=np.zeros((B, p, p)),
+    )
+    final_info = np.zeros((B, p, p))
 
-    beta = np.zeros(p)
-    eta = X @ beta
-    ll = float(_log_likelihood(eta, y, w))
-    iterations = 0
-    for _ in range(max_iter + 1):
+    # The fits still iterating: their indices, and their rows of W, X and the state.
+    idx, Wa, Xa = np.arange(B), W, X
+    beta, eta = np.zeros((B, p)), np.zeros((B, n))
+    ll = _log_likelihood(eta, y, W)
+
+    def keep(mask, *arrays):
+        if mask.all():
+            return (Xa,) + arrays
+        return (Xa[mask] if Xa.ndim == 3 else Xa,) + tuple(a[mask] for a in arrays)
+
+    for iteration in range(DEFAULT_MAX_ITER + 1):
         mu = expit(eta)
-        resid = y - mu
-        score = X.T @ (w * resid)
-        A = _gram(X, w * mu * (1.0 - mu))
-        if np.abs(score).max() < tol:
-            break
-        if iterations == max_iter:
-            raise ConvergenceError(f"no convergence in {max_iter} iterations")
-        try:
-            np.linalg.cholesky(A)  # the positive-definiteness gate
-            delta = np.linalg.solve(A, score)
-        except np.linalg.LinAlgError:
-            _diagnose_singular_information(X, w, names)
-        step = 1.0
-        for _halving in range(31):
-            cand = beta + step * delta
-            eta_cand = X @ cand
-            ll_cand = float(_log_likelihood(eta_cand, y, w))
-            if ll_cand >= ll - 1e-12 * (1.0 + abs(ll)):
+        score = ((Wa * (y - mu))[:, None] @ Xa)[:, 0]
+        A = _gram(Xa, Wa * mu * (1.0 - mu))
+        done = np.abs(score).max(axis=1) < DEFAULT_TOL
+        if done.any():
+            fin = idx[done]
+            out.beta[fin], out.iterations[fin], final_info[fin] = beta[done], iteration, A[done]
+            Xa, idx, Wa, beta, ll, score, A = keep(~done, idx, Wa, beta, ll, score, A)
+            if not idx.size:
                 break
-            step *= 0.5
-        else:
-            raise ConvergenceError("step halving failed to improve the likelihood")
-        improving = ll_cand > ll + 1e-8
-        beta, eta, ll = cand, eta_cand, ll_cand
-        iterations += 1
-        if np.abs(beta).max() > SEPARATION_BOUND and improving:
-            raise SeparationError(
-                f"coefficient magnitude exceeded {SEPARATION_BOUND} while the deviance "
-                "still improved; data are quasi-completely separated"
-            )
+        if iteration == DEFAULT_MAX_ITER:
+            out.failure[idx] = NOT_CONVERGED
+            break
 
-    try:
-        A_inv = np.linalg.inv(A)
-    except np.linalg.LinAlgError:
-        _diagnose_singular_information(X, w, names)
-    return beta, A_inv, resid, ll, iterations
+        delta = np.empty_like(score)
+        failed = ~_per_fit(_newton_step, delta, A, score)
+        out.failure[idx[failed]] = SINGULAR
+        floor = ll - 1e-12 * (1.0 + np.abs(ll))
+        cand = beta + delta
+        eta = (Xa @ cand[..., None])[..., 0]
+        ll_cand = _log_likelihood(eta, y, Wa)
+        halving = ~failed & (ll_cand < floor)
+        if halving.any():
+            out.plain[idx[halving]] = False
+            step = 1.0
+            for _halving in range(30):
+                j = np.flatnonzero(halving)
+                if not j.size:
+                    break
+                step *= 0.5
+                cand[j] = beta[j] + step * delta[j]
+                eta[j] = ((Xa[j] if Xa.ndim == 3 else Xa) @ cand[j, :, None])[..., 0]
+                ll_cand[j] = _log_likelihood(eta[j], y, Wa[j])
+                halving[j] = ll_cand[j] < floor[j]
+            out.failure[idx[halving]] = NOT_IMPROVED
+            failed |= halving
+        passed = np.abs(cand).max(axis=1) > SEPARATION_BOUND
+        if passed.any():
+            out.plain[idx[passed]] = False
+            separated = passed & ~failed & (ll_cand > ll + 1e-8)
+            out.failure[idx[separated]] = SEPARATED
+            failed |= separated
+        beta, ll = cand, ll_cand
+        if failed.any():
+            Xa, idx, Wa, beta, eta, ll = keep(~failed, idx, Wa, beta, eta, ll)
+            if not idx.size:
+                break
+
+    ok = np.flatnonzero(out.failure == CONVERGED)
+    info_inv = np.empty((ok.size, p, p))
+    invertible = _per_fit(np.linalg.inv, info_inv, final_info[ok])
+    out.info_inv[ok] = info_inv
+    out.failure[ok[~invertible]] = SINGULAR
+    plain = out.plain
+    plain &= out.failure == CONVERGED
+    eig = np.linalg.eigvalsh(final_info[plain])
+    plain[plain] = eig[:, -1] <= STACKED_MAX_CONDITION * eig[:, 0]
+    return out
 
 
-def fit_logistic(
-    design: DesignMatrix,
-    y: np.ndarray,
-    w: np.ndarray | None = None,
-    *,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> FitResult:
+def fit_logistic(design: DesignMatrix, y: np.ndarray, w: np.ndarray | None = None) -> FitResult:
     """Maximize the weighted Bernoulli log-likelihood by IRLS.
 
-    Convergence means the max-abs weighted score falls below ``tol``.
-    Coefficients passing :data:`SEPARATION_BOUND` in absolute value while the
-    deviance still improves are reported as quasi-complete separation.
-    Failure to converge within ``max_iter`` accepted steps raises, so every
-    returned fit has converged.
+    This is :func:`_irls`, the package's one Newton loop, on one weight
+    vector, with its failures raised: a singular information matrix as the
+    :class:`RankDeficiencyError` naming the collinear columns (or as
+    :class:`SeparationError` when the weighted design has full rank),
+    separation as :class:`SeparationError`, and a fit that runs out of
+    iterations or cannot improve by step-halving as
+    :class:`ConvergenceError`. So every returned fit has converged.
 
-    The score is ``X.T @ (w * resid)``. The information matrix A of each
-    iteration and the sandwich meat X'diag((w * resid)**2)X are formed by
-    :func:`_gram` over blocks of rows, so neither builds an (n, p)
-    temporary. The iterations are :func:`_newton_fit`'s; this adds the
-    covariances.
+    The model-based covariance is the inverse of the final information
+    matrix, and the sandwich meat X'diag((w * resid)**2)X comes from
+    :func:`_gram` over blocks of rows.
     """
     X = design.matrix
     y = np.asarray(y, dtype=np.float64)
     w = np.ones(len(X)) if w is None else np.asarray(w, dtype=np.float64)
-    beta, cov_model, resid, ll, iterations = _newton_fit(X, y, w, design.names, max_iter, tol)
+    if w.ndim != 1:
+        raise InputError("weight length does not match design")
+    fits = _irls(X, y, w[None])
+    failure = fits.failure[0]
+    if failure == SINGULAR:
+        _diagnose_singular_information(X, w, design.names)
+    if failure != CONVERGED:
+        raise {
+            SEPARATED: SeparationError(
+                f"coefficient magnitude exceeded {SEPARATION_BOUND} while the deviance "
+                "still improved; data are quasi-completely separated"
+            ),
+            NOT_CONVERGED: ConvergenceError(f"no convergence in {DEFAULT_MAX_ITER} iterations"),
+            NOT_IMPROVED: ConvergenceError("step halving failed to improve the likelihood"),
+        }[failure]
+    beta, cov_model = fits.beta[0], fits.info_inv[0]
     cov_model = (cov_model + cov_model.T) / 2.0
-    B = _gram(X, (w * resid) ** 2)
-    cov_sandwich = cov_model @ B @ cov_model
+    eta = X @ beta
+    resid = y - expit(eta)
+    cov_sandwich = cov_model @ _gram(X, (w * resid) ** 2) @ cov_model
     cov_sandwich = (cov_sandwich + cov_sandwich.T) / 2.0
     return FitResult(
         names=design.names,
         beta=beta,
         cov_model=cov_model,
         cov_sandwich=cov_sandwich,
-        log_likelihood=ll,
-        iterations=iterations,
+        log_likelihood=float(_log_likelihood(eta, y, w)),
+        iterations=int(fits.iterations[0]),
         n_obs=len(X),
     )
-
-
-def _newton_steps(A: np.ndarray, score: np.ndarray):
-    """Newton steps ``solve(A, score)`` for a (B, p, p) stack, and a mask of
-    the matrices that pass :func:`fit_logistic`'s Cholesky gate and solve;
-    a matrix that fails either gets a zero step."""
-    try:
-        np.linalg.cholesky(A)
-        return np.linalg.solve(A, score[..., None])[..., 0], np.ones(len(A), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    steps, ok = np.zeros_like(score), np.zeros(len(A), dtype=bool)
-    for i, (matrix, s) in enumerate(zip(A, score)):
-        try:
-            np.linalg.cholesky(matrix)
-            steps[i] = np.linalg.solve(matrix, s)
-        except np.linalg.LinAlgError:
-            continue
-        ok[i] = True
-    return steps, ok
-
-
-def fit_logistic_stacked(X: np.ndarray, y: np.ndarray, W: np.ndarray):
-    """Newton fits of one logistic model under B weight vectors at once.
-
-    ``X`` is an (n, p) design shared by every fit or a (B, n, p) stack, ``y``
-    the 0/1 response and ``W`` the (B, n) weights. Each fit keeps
-    :func:`fit_logistic`'s rules: it starts at zero, stops once the max-abs
-    score falls below :data:`DEFAULT_TOL`, and may take
-    :data:`DEFAULT_MAX_ITER` steps. Returns the (B, p) coefficients and a
-    (B,) mask of the fits that stayed on the plain Newton path.
-
-    A fit leaves that path, and its coefficients mean nothing, when the
-    Cholesky gate or the solve fails, when a full step would lower the
-    likelihood (``fit_logistic`` would halve it), when a coefficient passes
-    :data:`SEPARATION_BOUND`, when it does not converge, or when its final
-    information matrix has condition number above
-    :data:`STACKED_MAX_CONDITION`, where the stacked and the full-row
-    arithmetic may part by more than rounding. The caller redoes such a fit
-    with ``fit_logistic``, which then decides its coefficients or its
-    failure.
-    """
-    B, n = W.shape
-    p = X.shape[-1]
-    X = np.broadcast_to(X, (B, n, p))
-    beta = np.zeros((B, p))
-    eta = np.zeros((B, n))
-    ll = _log_likelihood(eta, y, W)
-    final_info = np.empty((B, p, p))
-    plain = np.ones(B, dtype=bool)
-    active = np.arange(B)
-    for iteration in range(DEFAULT_MAX_ITER + 1):
-        Xa = X[active]
-        Wa = W[active]
-        mu = expit(eta[active])
-        Xt = Xa.transpose(0, 2, 1)
-        score = (Xt @ (Wa * (y - mu))[..., None])[..., 0]
-        A = Xt @ (Xa * (Wa * mu * (1.0 - mu))[..., None])
-        done = np.abs(score).max(axis=1) < DEFAULT_TOL
-        final_info[active[done]] = A[done]
-        idx, Xa, A, score = active[~done], Xa[~done], A[~done], score[~done]
-        if iteration == DEFAULT_MAX_ITER or not idx.size:
-            plain[idx] = False
-            break
-        steps, gate = _newton_steps(A, score)
-        plain[idx[~gate]] = False
-        idx, Xa = idx[gate], Xa[gate]
-        cand = beta[idx] + steps[gate]
-        eta_cand = (Xa @ cand[..., None])[..., 0]
-        ll_cand = _log_likelihood(eta_cand, y, W[idx])
-        full_step = ll_cand >= ll[idx] - 1e-12 * (1.0 + np.abs(ll[idx]))
-        kept = full_step & (np.abs(cand).max(axis=1) <= SEPARATION_BOUND)
-        beta[idx], eta[idx], ll[idx] = cand, eta_cand, ll_cand
-        plain[idx[~kept]] = False
-        active = idx[kept]
-    eig = np.linalg.eigvalsh(final_info[plain])
-    plain[plain] = eig[:, -1] <= STACKED_MAX_CONDITION * eig[:, 0]
-    return beta, plain
 
 
 def wald_interval(fit: FitResult, index) -> tuple[float, float]:

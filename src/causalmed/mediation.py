@@ -18,10 +18,10 @@ built once from the dataset, fitted under row weights. Point estimates use
 the survey weights. Total and direct effects carry Wald sandwich CIs; the
 indirect effect has no closed-form SE here, so its CI comes from a
 deterministic nonparametric bootstrap (:func:`bootstrap_ci`) that refits
-the same estimator on each replicate's resampled rows: on one row per
-distinct pattern when every role column is discrete, on the rows the
-replicate drew when one is continuous. A replicate needs only the
-coefficients, so its fits skip the covariances.
+the same estimator under each replicate's row counts. Its one path fits a
+block of replicates together on the row patterns they drew, with
+coefficients only; a replicate whose fit leaves the plain Newton path is
+refit on the full rows.
 
 Note the total effect from the mediator-free model is the standard
 two-model quantity, not a collapsibility-corrected marginal effect.
@@ -37,21 +37,15 @@ import numpy as np
 
 from .adjustment import clipped_scores, ipw_weights, propensity_design
 from .data import Continuous, Dataset, VariableRoles
-from .errors import (
-    BootstrapError,
-    ConvergenceError,
-    InputError,
-    RankDeficiencyError,
-    SeparationError,
-)
+from .errors import BootstrapError, InputError
 from .glm import (
+    CONVERGED,
     DesignMatrix,
     FitResult,
     ModelSpec,
-    _newton_fit,
+    _irls,
     design_template,
     fit_logistic,
-    fit_logistic_stacked,
     interaction,
     main,
     response_vector,
@@ -63,8 +57,6 @@ VARIANTS = ("primary", "simple", "ps_regression", "ipw")
 #: Name of the ``ps_regression`` design column holding the fitted
 #: propensity scores, which sit right after the exposure.
 PS_COLUMN = "propensity_score"
-
-FIT_FAILURES = (RankDeficiencyError, SeparationError, ConvergenceError)
 
 #: Largest share of bootstrap replicates that may fail before the interval
 #: is refused.
@@ -162,13 +154,13 @@ class VariantEstimator:
     weights, or the survey weights times a bootstrap replicate's row
     counts) gives one :class:`~causalmed.glm.FitResult` per entry of
     ``include_mediators``: the mediator-free model for False, the
-    mediator-adjusted model for True. :meth:`exposure_coefs` runs the same
-    fits for their exposure coefficients alone, and :meth:`stacked` fits
-    the models under each row of a (B, n) weight array at once. Only three
-    pieces depend on the weights: the centering offsets of ``primary``, the
-    propensity-score column of ``ps_regression``, and the stabilized IPW
-    factor of ``ipw``; the last two come from the mediator-free propensity
-    model refit under the same weights.
+    mediator-adjusted model for True. :meth:`coefs` runs the same fits
+    under each row of a (B, n) weight array at once, for their exposure
+    coefficients alone. Only three pieces depend on the weights: the
+    centering offsets of ``primary``, the propensity-score column of
+    ``ps_regression``, and the stabilized IPW factor of ``ipw``; the last
+    two come from the mediator-free propensity model refit under the same
+    weights.
 
     Under integer row counts the coefficients equal those of the refit on
     the resampled rows. The sandwich covariance does not, as it reads a
@@ -215,34 +207,22 @@ class VariantEstimator:
         fits = self._fit_models(lambda X, names, w: fit_logistic(DesignMatrix(X, names), self.y, w), weights, scores)
         return tuple(fits)
 
-    def exposure_coefs(self, weights: np.ndarray) -> np.ndarray:
-        """The exposure coefficient of each model under the weight vector
-        ``weights``. The fits are :meth:`__call__`'s, with the same
-        iterations and the same failures, but run by the Newton core
-        :func:`~causalmed.glm._newton_fit` alone, with no covariances."""
-        scores = None
+    def coefs(self, W: np.ndarray):
+        """The exposure coefficient of every model under each row of the
+        (B, n) weight array ``W``, by :func:`~causalmed.glm._irls` with no
+        covariances. Returns the (B, m) coefficients of the m models, NaN in
+        a row where any fit failed, the propensity fit included, and a (B,)
+        mask of the rows whose fits were all plain."""
+        fits, scores = [], None
         if self.variant in ("ps_regression", "ipw"):
-            beta = _newton_fit(self.ps_design.matrix, self.treat, weights, self.ps_design.names)[0]
-            scores = clipped_scores(self.ps_design.matrix, beta)
+            fits.append(_irls(self.ps_design.matrix, self.treat, W))
+            scores = clipped_scores(self.ps_design.matrix, fits[0].beta)
+        models = self._fit_models(lambda X, names, w: _irls(X, self.y, w), W, scores)
         # The exposure is column 1 of every outcome design.
-        fits = self._fit_models(lambda X, names, w: _newton_fit(X, self.y, w, names)[0][1], weights, scores)
-        return np.array(fits)
-
-    def stacked(self, W: np.ndarray):
-        """Fit every model under each row of the (B, n) weight array ``W``
-        with :func:`~causalmed.glm.fit_logistic_stacked`. Returns the (B, m)
-        exposure coefficients of the m models and a (B,) mask of the rows
-        whose fits, the propensity fit included, all kept to the plain
-        Newton path; the coefficients of any other row mean nothing."""
-        plain = np.ones(len(W), dtype=bool)
-        scores = None
-        if self.variant in ("ps_regression", "ipw"):
-            beta, plain = fit_logistic_stacked(self.ps_design.matrix, self.treat, W)
-            scores = clipped_scores(self.ps_design.matrix, beta)
-        fits = self._fit_models(lambda X, names, w: fit_logistic_stacked(X, self.y, w), W, scores)
-        for _, fit_plain in fits:
-            plain &= fit_plain
-        return np.column_stack([beta[:, 1] for beta, _ in fits]), plain
+        coefs = np.column_stack([fit.beta[:, 1] for fit in models])
+        fits += models
+        coefs[np.any([fit.failure != CONVERGED for fit in fits], axis=0)] = math.nan
+        return coefs, np.all([fit.plain for fit in fits], axis=0)
 
     def _fit_models(self, fit, W, scores):
         """``fit(design, names, fit_weights)`` for each model under the row
@@ -350,46 +330,28 @@ def bootstrap_statistics(n_rows, reps, seed, block_fn, block_size):
     return stats[~failed], n_failed
 
 
-def _indirect_log_or(est, weights) -> float:
-    """Total minus direct exposure coefficient of ``est`` under ``weights``;
-    NaN when a fit fails."""
-    try:
-        total, direct = est.exposure_coefs(weights)
-    except FIT_FAILURES:
-        return math.nan
-    return total - direct
-
-
 def _bootstrap_interval(ds: Dataset, est: VariantEstimator, reps: int, seed: int) -> BootstrapInterval:
     """:func:`bootstrap_ci` from an estimator already built on the rows of ``ds``."""
     weights = ds.weights()
     columns = est.roles.all_columns()
     if any(isinstance(ds[c].kind, Continuous) for c in columns):
-        block_size = 1
-
-        def block_fn(counts):
-            (c,) = counts
-            rows = np.flatnonzero(c)
-            return [_indirect_log_or(est.take(rows), (weights * c)[rows])]
-
+        # Rows with a continuous value do not repeat: each is its own pattern.
+        pattern, n_patterns, patterns = None, ds.n_rows, est
     else:
         codes = np.column_stack([ds[c].values for c in columns])
         _, first, pattern = np.unique(codes, axis=0, return_index=True, return_inverse=True)
         pattern, n_patterns, patterns = pattern.ravel(), first.size, est.take(first)
-        block_size = max(1, min(ds.n_rows // n_patterns, BLOCK_CELLS // ds.n_rows))
+    block_size = max(1, min(ds.n_rows // n_patterns, BLOCK_CELLS // ds.n_rows))
 
-        def block_fn(counts):
-            W = np.array([np.bincount(pattern, weights * c, n_patterns) for c in counts])
-            # A replicate with no weight is left to the full-row fit, which refuses it.
-            live = np.flatnonzero(W.any(axis=1))
-            coefs, plain = patterns.stacked(W[live])
-            stats = np.empty(len(counts))
-            stats[live] = coefs[:, 0] - coefs[:, 1]
-            refit = np.ones(len(counts), dtype=bool)
-            refit[live[plain]] = False
-            for b in np.flatnonzero(refit):
-                stats[b] = _indirect_log_or(est, weights * counts[b])
-            return stats
+    def block_fn(counts):
+        W = weights * counts
+        if pattern is not None:
+            W = np.array([np.bincount(pattern, w, n_patterns) for w in W])
+        drawn = np.flatnonzero(W.any(axis=0))
+        coefs, plain = patterns.take(drawn).coefs(W[:, drawn])
+        for b in np.flatnonzero(~plain):
+            coefs[b] = est.coefs(weights * counts[b : b + 1])[0][0]
+        return coefs[:, 0] - coefs[:, 1]
 
     stats, n_failed = bootstrap_statistics(ds.n_rows, reps, seed, block_fn, block_size)
     se = float(stats.std(ddof=1)) if stats.size > 1 else 0.0
@@ -406,29 +368,21 @@ def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, see
     indirect log odds ratio, total minus direct, from both outcome models
     (and, for the ps/ipw variants, the propensity model) refit under the
     survey weights times its row counts, which is the same fit as on the
-    resampled rows. Replicate fits stop at the coefficients
-    (:meth:`VariantEstimator.exposure_coefs`): no covariance is formed. The
-    limits are percentiles of the replicate odds ratios and ``se`` is the
-    replicates' standard deviation on the log scale.
+    resampled rows. The limits are percentiles of the replicate odds ratios
+    and ``se`` is the replicates' standard deviation on the log scale.
 
-    When every role column is discrete the rows collapse to their K
-    distinct role-column patterns. Replicates are then fitted on one row per
-    pattern, under their row weights summed within it, in blocks of at most
-    n // K, so no stacked (B, K, p) design outgrows the full-row one, and of
-    at most :data:`BLOCK_CELLS` / n, which bounds the block's count matrix.
-    A block's fits run their Newton iterations together
-    (:meth:`VariantEstimator.stacked`) under
-    :func:`~causalmed.glm.fit_logistic`'s start, stopping rule and limits.
-    A replicate that fails the Cholesky gate, would need step-halving,
-    passes the separation bound, does not converge, or ends on an
-    information matrix with condition number above
-    :data:`~causalmed.glm.STACKED_MAX_CONDITION` is refit on the full rows,
-    and that fit decides its statistic or its failure. When a role column is
-    continuous, rows do not collapse, and each replicate is fitted, one at a
-    time, on the rows it drew (:meth:`VariantEstimator.take`) under their
-    weights times counts; rows it did not draw, about 37% of them, carry
-    weight zero and are left out. ``primary`` centers its covariates over
-    the drawn rows under those weights, which is the full-row centering.
+    Rows collapse to their K distinct role-column patterns; with a
+    continuous role column no row repeats, and each row is its own pattern.
+    Replicates go in blocks of at most n // K, so no stacked design
+    outgrows the full-row one, and of at most :data:`BLOCK_CELLS` / n,
+    which bounds the block's count matrix. A block is fitted
+    (:meth:`VariantEstimator.coefs`) on one row per pattern that any of its
+    replicates drew, under their row weights summed within it, with
+    coefficients only. A replicate whose fit is not plain (it failed, was
+    step-halved, passed the separation bound, or ended on an information
+    matrix with condition number above
+    :data:`~causalmed.glm.STACKED_MAX_CONDITION`) is refit on the full
+    rows, and that fit decides its statistic or its failure.
     """
     return _bootstrap_interval(ds, VariantEstimator(ds, roles, variant), reps, seed)
 

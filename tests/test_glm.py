@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import causalmed
+from causalmed import glm
 from causalmed.data import Binary, Categorical, Column, Continuous, Dataset
 from causalmed.errors import (
     ConvergenceError,
@@ -22,12 +23,12 @@ from causalmed.glm import (
     ModelSpec,
     Z95,
     _gram,
+    _irls,
     _log_likelihood,
     build_design,
     design_template,
     expit,
     fit_logistic,
-    fit_logistic_stacked,
     interaction,
     main,
     response_vector,
@@ -207,7 +208,7 @@ class TestFitLogistic:
 
     def test_score_below_tolerance_at_solution(self):
         ds = two_group_dataset(90, 30, 110, 25)
-        fit = fit_two_group(ds, tol=1e-8)
+        fit = fit_two_group(ds)
         design = build_design(ds, ModelSpec("y", "q", ()))
         y = response_vector(ds, "y")
         mu = 1 / (1 + np.exp(-(design.matrix @ fit.beta)))
@@ -273,10 +274,11 @@ class TestFitLogistic:
         with pytest.raises(SeparationError):
             fit_logistic(design, y)
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
         ds = two_group_dataset(100, 20, 100, 10)
-        with pytest.raises(ConvergenceError):
-            fit_two_group(ds, max_iter=1, tol=1e-12)
+        monkeypatch.setattr(glm, "DEFAULT_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="no convergence in 1 iterations"):
+            fit_two_group(ds)
 
     def test_input_validation(self):
         design = DesignMatrix(np.ones((4, 1)), ("(Intercept)",))
@@ -312,27 +314,62 @@ def survey_dataset(rng, n):
 
 
 class TestBlockedGram:
+    @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize(
         "n", [1, GRAM_BLOCK_ROWS - 1, GRAM_BLOCK_ROWS, GRAM_BLOCK_ROWS + 1, 3 * GRAM_BLOCK_ROWS + 5]
     )
-    def test_matches_einsum(self, n):
+    def test_matches_einsum(self, n, stacked):
         rng = np.random.default_rng(n)
-        X = rng.normal(size=(n, 5))
-        X[:, 2] *= 1e3
-        v = rng.uniform(0.0, 3.0, n)
-        want = np.einsum("ij,i,ik->jk", X, v, X)
-        assert np.linalg.norm(_gram(X, v) - want) <= 1e-13 * np.linalg.norm(want)
+        if stacked:
+            X = rng.normal(size=(3, n, 5))
+            X[..., 2] *= 1e3
+            v = rng.uniform(0.0, 3.0, (3, n))
+            want = np.einsum("bij,bi,bik->bjk", X, v, X)
+        else:
+            X = rng.normal(size=(n, 5))
+            X[:, 2] *= 1e3
+            v = rng.uniform(0.0, 3.0, n)
+            want = np.einsum("ij,i,ik->jk", X, v, X)
+        got = _gram(X, v)
+        assert got.shape == want.shape
+        for g, w in zip(got.reshape(-1, 5, 5), want.reshape(-1, 5, 5)):
+            assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
 
-    def test_full_row_fit_agrees_with_stacked_fit(self):
-        # The two fitters form their information matrices with separate
-        # code; on rows spanning several Gram blocks they must agree.
+    def test_each_fit_of_a_batch_equals_its_single_fit(self):
+        # Three weight rows over rows spanning several Gram blocks, fitted
+        # together: each equals fit_logistic under that row alone.
         ds = survey_dataset(np.random.default_rng(7), 3 * GRAM_BLOCK_ROWS + 5)
         spec = ModelSpec("y", "q", (main("x"), main("race"), interaction("x")), center_covariates=True)
-        design, y, w = build_design(ds, spec), response_vector(ds, "y"), ds.weights()
-        beta, plain = fit_logistic_stacked(design.matrix, y, w[None])
-        assert plain.tolist() == [True]
-        want = fit_logistic(design, y, w).beta
-        assert np.abs(beta[0] - want).max() <= 1e-12 * np.abs(want).max()
+        design, y = build_design(ds, spec), response_vector(ds, "y")
+        W = ds.weights() * np.random.default_rng(8).integers(0, 3, (3, ds.n_rows))
+        fits = _irls(design.matrix, y, W)
+        assert fits.failure.tolist() == [glm.CONVERGED] * 3
+        assert fits.plain.tolist() == [True] * 3
+        for beta, iterations, w in zip(fits.beta, fits.iterations, W):
+            want = fit_logistic(design, y, w)
+            assert iterations == want.iterations
+            assert np.abs(beta - want.beta).max() <= 1e-12 * np.abs(want.beta).max()
+
+    def test_halving_fit_in_a_stacked_batch_leaves_the_plain_path(self):
+        # Six weighted points, each as a y=1 and a y=0 row. At seed 428 a
+        # later Newton step overshoots and is halved; the fits at seeds 0
+        # and 1 take only full steps. Fitted as one stacked batch, the
+        # halved fit is off the plain path and still equals its single fit.
+        def weighted_points(seed):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(6, 2)) * np.exp(1.5 * rng.normal(size=(6, 1)))
+            p, w = rng.uniform(0.0, 1.0, 6), np.exp(2.0 * rng.normal(size=6))
+            return np.repeat(X, 2, axis=0), np.column_stack([w * p, w * (1.0 - p)]).ravel()
+
+        X, W = map(np.stack, zip(*(weighted_points(seed) for seed in (0, 428, 1))))
+        y = np.tile([1.0, 0.0], 6)
+        fits = _irls(X, y, W)
+        assert fits.failure.tolist() == [glm.CONVERGED] * 3
+        assert fits.plain.tolist() == [True, False, True]
+        for Xb, w, beta, iterations in zip(X, W, fits.beta, fits.iterations):
+            want = fit_logistic(DesignMatrix(Xb, ("a", "b")), y, w)
+            assert iterations == want.iterations
+            assert np.abs(beta - want.beta).max() <= 1e-12 * np.abs(want.beta).max()
 
 
 class TestDesignInPlace:
