@@ -333,12 +333,12 @@ def ingest_csv(
     """Read a CSV file (RFC-4180 quoting) into a Dataset.
 
     Only columns named in ``schema`` are ingested; the header must contain
-    every schema column. Cells matching ``missing_tokens`` become missing and
-    cells equal to :data:`NONRESPONSE_TOKEN` become non-response, so the
-    output of :func:`write_csv` reads back unchanged; anything else must
-    parse under the declared kind, a continuous cell as a finite number,
-    otherwise a DataError names the offending row and column. ``source``
-    may be a path or an open text stream.
+    every schema column, each once. Cells matching ``missing_tokens`` become
+    missing and cells equal to :data:`NONRESPONSE_TOKEN` become non-response,
+    so the output of :func:`write_csv` reads back unchanged; anything else
+    must parse under the declared kind, a continuous cell as a finite
+    number, otherwise a DataError names the offending row and column.
+    ``source`` may be a path or an open text stream.
     """
     missing = frozenset(missing_tokens)
     names = list(schema)
@@ -352,6 +352,8 @@ def ingest_csv(
         for name in names:
             if name not in header:
                 raise DataError(f"column {name!r} not in header")
+            if header.count(name) > 1:
+                raise DataError(f"column {name!r} appears {header.count(name)} times in header")
             positions[name] = header.index(name)
         level_index = {
             name: ({lv: i for i, lv in enumerate(kind_levels(kind))} if kind_levels(kind) else None)

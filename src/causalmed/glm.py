@@ -123,7 +123,7 @@ def response_vector(ds: Dataset, outcome: str) -> np.ndarray:
 
 
 def _covariate_columns(ds, name):
-    """Expand one covariate into uncentered (name, vector) design columns."""
+    """Expand one covariate into new, uncentered (name, vector) design columns."""
     col = _require_observed(ds, name)
     if isinstance(col.kind, Continuous):
         return [(name, col.values.astype(np.float64))]
@@ -139,10 +139,13 @@ def _covariate_columns(ds, name):
 class DesignTemplate:
     """A model's design columns, expanded from the dataset once.
 
-    Centering is the only step that depends on the row weights, so
-    :meth:`design` yields the design matrix under any weights without going
-    back to the dataset. ``terms`` holds, per covariate design column,
-    the index into ``covariates`` and whether it is an exposure interaction.
+    No column depends on the row weights: a centered model's covariates are
+    shifted once, to the dataset's survey-weighted means, so :meth:`design`
+    yields the design matrix on any rows without going back to the dataset.
+    A fit under other weights reads its exposure effect at their covariate
+    means through :meth:`contrast`. ``terms`` holds, per covariate design
+    column, the index into ``covariates`` and whether it is an exposure
+    interaction.
     """
 
     names: tuple[str, ...]
@@ -150,58 +153,53 @@ class DesignTemplate:
     covariates: tuple[tuple[str, np.ndarray], ...]
     terms: tuple[tuple[int, bool], ...]
     exposure: np.ndarray | None
-    center: bool
 
-    def design(self, weights: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """The design under ``weights``, a vector or a (B, n) array.
-
-        With centering on, every covariate column is shifted to weighted
-        mean zero under each row of weights, and an interaction column is
-        the exposure indicator times the shifted covariate: an (n, p) matrix
-        for a vector, a (B, n, p) stack for an array. Without centering the
-        weights play no part, and the one (n, p) matrix serves every row.
-        The result is allocated once and filled a column at a time: each
-        shifted column is written into its slice and an interaction column
-        is multiplied by the exposure there, so no per-column copy is kept.
-
-        Given ``rows``, the design is built on those rows only, with n their
-        number and ``weights`` over them: each covariate's rows are gathered
-        once, and only one covariate's at a time, for its offset and all the
-        columns it enters, so no sliced copy of the template is kept.
-        """
+    def design(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The (n, p) design, on ``rows`` only when given, with n their
+        number. It is allocated once and filled a column at a time, an
+        interaction column multiplied by the exposure in place."""
 
         def pick(vec):
             return vec if rows is None else vec[rows]
 
-        n = self.leading[0].size if rows is None else len(rows)
-        if self.center:
-            _check_weights(weights, n)
-        out = np.empty((weights.shape if self.center else (n,)) + (len(self.names),))
+        out = np.empty((self.leading[0].size if rows is None else len(rows), len(self.names)))
         for j, vec in enumerate(self.leading):
-            out[..., j] = pick(vec)
+            out[:, j] = pick(vec)
         exposure = pick(self.exposure) if any(inter for _, inter in self.terms) else None
-        for k, (_, vec) in enumerate(self.covariates):
-            vec = pick(vec)
-            if self.center:
-                offset = ((vec * weights).sum(axis=-1) / weights.sum(axis=-1))[..., None]
-            for j, (term_k, inter) in enumerate(self.terms, start=len(self.leading)):
-                if term_k != k:
-                    continue
-                col = out[..., j]
-                if self.center:
-                    np.subtract(vec, offset, out=col)
-                else:
-                    col[...] = vec
-                if inter:
-                    col *= exposure
+        for j, (k, inter) in enumerate(self.terms, start=len(self.leading)):
+            out[:, j] = pick(self.covariates[k][1])
+            if inter:
+                out[:, j] *= exposure
         return out
+
+    def contrast(self, W: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+        """The contrast g(W) that reads, as g(W)·β, the exposure effect at
+        the W-weighted covariate means from the coefficients β of a fit
+        under ``W``, a weight vector or a (B, n) array over ``rows`` (all
+        rows for None).
+
+        g is the unit vector on the exposure (column 1) plus, in each
+        interaction column, the W-weighted mean of its covariate column.
+        Shifting a covariate by a constant only moves the intercept and the
+        exposure coefficient, so this is the exposure coefficient of the
+        fit whose covariates are centered at their W-weighted means.
+        """
+        g = np.zeros(W.shape[:-1] + (len(self.names),))
+        g[..., 1] = 1.0
+        for j, (k, inter) in enumerate(self.terms, start=len(self.leading)):
+            if inter:
+                vec = self.covariates[k][1]
+                g[..., j] = (W @ (vec if rows is None else vec[rows])) / W.sum(axis=-1)
+        return g
 
 
 def design_template(ds: Dataset, spec: ModelSpec) -> DesignTemplate:
-    """Expand a model specification into design columns, uncentered.
+    """Expand a model specification into design columns.
 
     Discrete covariates become reference-coded indicators; each covariate is
-    expanded once however many terms use it.
+    expanded once however many terms use it. When centering is requested
+    every covariate column (indicators included) is shifted to weighted mean
+    zero under the dataset's analysis weights.
     """
     names = [INTERCEPT]
     leading = [np.ones(ds.n_rows)]
@@ -210,21 +208,25 @@ def design_template(ds: Dataset, spec: ModelSpec) -> DesignTemplate:
         exposure_vec = indicator(_require_observed(ds, spec.exposure))
         names.append(spec.exposure)
         leading.append(exposure_vec)
+    if spec.center_covariates:
+        weights = ds.weights()
+        _check_weights(weights, ds.n_rows)
     covariates: list = []
     expanded: dict[str, range] = {}
     terms = []
     for term in spec.terms:
         if term.column not in expanded:
             new = _covariate_columns(ds, term.column)
+            if spec.center_covariates:
+                for _, vec in new:
+                    vec -= (vec * weights).sum() / weights.sum()
             expanded[term.column] = range(len(covariates), len(covariates) + len(new))
             covariates.extend(new)
         for k in expanded[term.column]:
             colname = covariates[k][0]
             names.append(f"{spec.exposure}:{colname}" if term.interaction else colname)
             terms.append((k, term.interaction))
-    return DesignTemplate(
-        tuple(names), tuple(leading), tuple(covariates), tuple(terms), exposure_vec, spec.center_covariates
-    )
+    return DesignTemplate(tuple(names), tuple(leading), tuple(covariates), tuple(terms), exposure_vec)
 
 
 def build_design(ds: Dataset, spec: ModelSpec) -> DesignMatrix:
@@ -238,7 +240,7 @@ def build_design(ds: Dataset, spec: ModelSpec) -> DesignMatrix:
     covariate means.
     """
     template = design_template(ds, spec)
-    return DesignMatrix(template.design(ds.weights()), template.names)
+    return DesignMatrix(template.design(), template.names)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,16 +6,20 @@ indirect effect is their difference on the log-odds scale, so indirect OR =
 total OR / direct OR. Four estimator variants share this decomposition:
 
 * ``primary``  - covariates centered at their weighted means, plus
-  exposure-by-covariate interaction terms (the exposure coefficient is then
-  the effect at covariate means);
+  exposure-by-covariate interaction terms (the exposure effect is read at
+  the covariate means);
 * ``simple``   - plain main-effects regression;
 * ``ps_regression`` - adjustment through a single propensity-score covariate;
 * ``ipw``      - weighted regression under stabilized inverse-probability
   weights times the survey weights.
 
 Every variant is one estimator (:class:`VariantEstimator`): design columns
-built once from the dataset, fitted under row weights. Point estimates use
-the survey weights. Total and direct effects carry Wald sandwich CIs; the
+built once from the dataset, ``primary``'s centered once at the survey-weighted
+means, fitted under row weights. A fit under any weights reads its exposure
+effect at their covariate means as one linear contrast of its coefficients
+(:meth:`~causalmed.glm.DesignTemplate.contrast`), which is the exposure
+coefficient for every variant but ``primary``. Point estimates use the
+survey weights. Total and direct effects carry Wald sandwich CIs; the
 indirect effect has no closed-form SE here, so its CI comes from a
 deterministic nonparametric bootstrap (:func:`bootstrap_ci`) that refits
 the same estimator under each replicate's row counts. Its one path fits a
@@ -40,6 +44,7 @@ from .data import Continuous, Dataset, VariableRoles
 from .errors import BootstrapError, InputError
 from .glm import (
     CONVERGED,
+    Z95,
     DesignMatrix,
     FitResult,
     ModelSpec,
@@ -49,7 +54,6 @@ from .glm import (
     interaction,
     main,
     response_vector,
-    wald_interval,
 )
 
 VARIANTS = ("primary", "simple", "ps_regression", "ipw")
@@ -154,13 +158,13 @@ class VariantEstimator:
     weights, or the survey weights times a bootstrap replicate's row
     counts) gives one :class:`~causalmed.glm.FitResult` per entry of
     ``include_mediators``: the mediator-free model for False, the
-    mediator-adjusted model for True. :meth:`coefs` runs the same fits
-    under each row of a (B, n) weight array at once, for their exposure
-    coefficients alone. Only three pieces depend on the weights: the
-    centering offsets of ``primary``, the propensity-score column of
-    ``ps_regression``, and the stabilized IPW factor of ``ipw``; the last
-    two come from the mediator-free propensity model refit under the same
-    weights.
+    mediator-adjusted model for True, and :meth:`contrasts` reads their
+    exposure effects. :meth:`coefs` runs the same fits under each row of a
+    (B, n) weight array at once, for their exposure effects alone. The
+    designs are fixed; only two pieces depend on the weights, the
+    propensity-score column of ``ps_regression`` and the stabilized IPW
+    factor of ``ipw``, and both come from the mediator-free propensity
+    model refit under the same weights.
 
     Under integer row counts the coefficients equal those of the refit on
     the resampled rows. The sandwich covariance does not, as it reads a
@@ -175,8 +179,6 @@ class VariantEstimator:
         self.roles, self.variant = roles, variant
         self.y = response_vector(ds, roles.outcome)
         self.templates = [design_template(ds, _outcome_spec(roles, variant, m)) for m in include_mediators]
-        # An uncentered design does not depend on the weights: build it once.
-        self.fixed = [None if t.center else t.design(ds.weights()) for t in self.templates]
         # The rows of ``ds`` the estimator fits on (:meth:`take`); None for all.
         self.rows = None
         self.names = [
@@ -189,8 +191,9 @@ class VariantEstimator:
     def take(self, rows) -> "VariantEstimator":
         """The same estimator on the given rows only, with no dataset
         rebuilt. The response, the propensity design and the exposure are
-        sliced to the rows; each model's design is taken on them only when
-        that model is fitted, so at most one is alive at a time."""
+        sliced to the rows; each model's design is gathered on them from its
+        template only when that model is fitted, so at most one is alive at
+        a time."""
         out = copy.copy(self)
         out.rows = rows if self.rows is None else self.rows[rows]
         out.y = self.y[rows]
@@ -207,19 +210,27 @@ class VariantEstimator:
         fits = self._fit_models(lambda X, names, w: fit_logistic(DesignMatrix(X, names), self.y, w), weights, scores)
         return tuple(fits)
 
+    def contrasts(self, W: np.ndarray) -> list[np.ndarray]:
+        """Per model, the contrast g(W) over the estimator's rows
+        (:meth:`~causalmed.glm.DesignTemplate.contrast`, with a zero for
+        ``ps_regression``'s score column): the model's exposure effect at the
+        W-weighted covariate means is g(W)·β for its fit under ``W``."""
+        gs = [t.contrast(W, self.rows) for t in self.templates]
+        return [np.insert(g, 2, 0.0, axis=-1) for g in gs] if self.variant == "ps_regression" else gs
+
     def coefs(self, W: np.ndarray):
-        """The exposure coefficient of every model under each row of the
-        (B, n) weight array ``W``, by :func:`~causalmed.glm._irls` with no
-        covariances. Returns the (B, m) coefficients of the m models, NaN in
-        a row where any fit failed, the propensity fit included, and a (B,)
-        mask of the rows whose fits were all plain."""
+        """The exposure effect of every model under each row of the (B, n)
+        weight array ``W``, read through :meth:`contrasts` from
+        :func:`~causalmed.glm._irls` coefficients, with no covariances.
+        Returns the (B, m) effects of the m models, NaN in a row where any
+        fit failed, the propensity fit included, and a (B,) mask of the rows
+        whose fits were all plain."""
         fits, scores = [], None
         if self.variant in ("ps_regression", "ipw"):
             fits.append(_irls(self.ps_design.matrix, self.treat, W))
             scores = clipped_scores(self.ps_design.matrix, fits[0].beta)
         models = self._fit_models(lambda X, names, w: _irls(X, self.y, w), W, scores)
-        # The exposure is column 1 of every outcome design.
-        coefs = np.column_stack([fit.beta[:, 1] for fit in models])
+        coefs = np.column_stack([(g * fit.beta).sum(axis=1) for fit, g in zip(models, self.contrasts(W))])
         fits += models
         coefs[np.any([fit.failure != CONVERGED for fit in fits], axis=0)] = math.nan
         return coefs, np.all([fit.plain for fit in fits], axis=0)
@@ -229,41 +240,46 @@ class VariantEstimator:
         weights ``W``, a vector or a (B, n) array, with the propensity
         scores of the same shape for the ps/ipw variants.
 
-        A design is (n, p), or (B, n, p) where ``primary``'s centering or
-        ``ps_regression``'s score column varies with the rows of ``W``. The
-        fit weights are ``W``, times the stabilized IPW factor for ``ipw``.
-        Each loop step rebinds ``X``, so no more than one model's
-        weight-dependent design is alive at a time.
+        A design is gathered from its template on the estimator's rows: one
+        (n, p) matrix shared by every row of ``W``, or a (B, n, p) stack
+        where ``ps_regression``'s score column varies with them. The fit
+        weights are ``W``, times the stabilized IPW factor for ``ipw``. Each
+        design is dropped after its fit, so no more than one model's design
+        is alive at a time.
         """
         fit_weights = W * ipw_weights(scores, self.treat, W) if self.variant == "ipw" else W
         results = []
-        for template, X, names in zip(self.templates, self.fixed, self.names):
-            if X is None:
-                X = template.design(W, self.rows)
-            elif self.rows is not None:
-                X = X[self.rows]
+        for template, names in zip(self.templates, self.names):
+            X = template.design(self.rows)
             if self.variant == "ps_regression":
                 X = np.insert(np.broadcast_to(X, W.shape + X.shape[-1:]), 2, scores, axis=-1)
             results.append(fit(X, names, fit_weights))
+            del X
         return results
 
 
-def _estimate_from_fit(kind, fit, roles, variant, n_used) -> EffectEstimate:
-    log_or = fit.coef(roles.exposure)
-    lo, hi = wald_interval(fit, roles.exposure)
-    return EffectEstimate.from_log_or(kind, log_or, (math.exp(lo), math.exp(hi)), variant, n_used)
+def _estimates(ds: Dataset, est: VariantEstimator, kinds) -> list[EffectEstimate]:
+    """One effect per model of ``est`` under the survey weights: its
+    contrast g·β, with the 95% Wald interval g·β ± Z95·√(g′Σg) from the
+    sandwich covariance Σ."""
+    weights = ds.weights()
+    out = []
+    for kind, fit, g in zip(kinds, est(weights), est.contrasts(weights)):
+        log_or = float(g @ fit.beta)
+        half = Z95 * math.sqrt(g @ fit.cov_sandwich @ g)
+        ci = (math.exp(log_or - half), math.exp(log_or + half))
+        out.append(EffectEstimate.from_log_or(kind, log_or, ci, est.variant, ds.n_rows))
+    return out
 
 
 def total_effect(ds: Dataset, roles: VariableRoles, variant: str = "primary") -> EffectEstimate:
     """Exposure effect from the outcome model excluding the mediators."""
-    (fit,) = VariantEstimator(ds, roles, variant, (False,))(ds.weights())
-    return _estimate_from_fit("total", fit, roles, variant, ds.n_rows)
+    return _estimates(ds, VariantEstimator(ds, roles, variant, (False,)), ("total",))[0]
 
 
 def direct_effect(ds: Dataset, roles: VariableRoles, variant: str = "primary") -> EffectEstimate:
     """Exposure effect with mediator main effects added to the model."""
-    (fit,) = VariantEstimator(ds, roles, variant, (True,))(ds.weights())
-    return _estimate_from_fit("direct", fit, roles, variant, ds.n_rows)
+    return _estimates(ds, VariantEstimator(ds, roles, variant, (True,)), ("direct",))[0]
 
 
 def combine(
@@ -373,12 +389,12 @@ def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, see
 
     Rows collapse to their K distinct role-column patterns; with a
     continuous role column no row repeats, and each row is its own pattern.
-    Replicates go in blocks of at most n // K, so no stacked design
-    outgrows the full-row one, and of at most :data:`BLOCK_CELLS` / n,
+    Replicates go in blocks of at most n // K, so ``ps_regression``'s
+    stacked design never outgrows a full-row one, and of at most :data:`BLOCK_CELLS` / n,
     which bounds the block's count matrix. A block is fitted
     (:meth:`VariantEstimator.coefs`) on one row per pattern that any of its
-    replicates drew, under their row weights summed within it, with
-    coefficients only. A replicate whose fit is not plain (it failed, was
+    replicates drew, under their row weights summed within it, for the
+    effects alone. A replicate whose fit is not plain (it failed, was
     step-halved, passed the separation bound, or ended on an information
     matrix with condition number above
     :data:`~causalmed.glm.STACKED_MAX_CONDITION`) is refit on the full
@@ -404,9 +420,7 @@ def effect_triple(
     it.
     """
     est = VariantEstimator(ds, roles, variant)
-    total_fit, direct_fit = est(ds.weights())
-    total = _estimate_from_fit("total", total_fit, roles, variant, ds.n_rows)
-    direct = _estimate_from_fit("direct", direct_fit, roles, variant, ds.n_rows)
+    total, direct = _estimates(ds, est, ("total", "direct"))
     interval = _bootstrap_interval(ds, est, bootstrap_reps, seed)
     indirect = combine(total, direct, ci_or=(interval.lo, interval.hi))
     return EffectTriple(total, direct, indirect, seed, bootstrap_reps, interval.n_failed)

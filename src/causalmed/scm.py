@@ -231,32 +231,19 @@ def enumerate_joint(spec: ScmSpec) -> Joint:
 class OracleEstimands:
     """Exact effects on the risk-difference scale, per baseline stratum.
 
-    ``mediator_standardized_ref[x]`` is the exposed-group outcome mean with
-    the mediator drawn from the reference group's conditional distribution;
-    ``mediator_standardized_exp[x]`` uses the exposed group's own mediator
-    distribution. ``baseline_standardized_mean`` standardizes the exposed
-    group's outcome over the reference group's baseline distribution.
+    ``total_rd``, ``direct_rd`` and ``indirect_rd`` hold one value per
+    level in ``x_levels``. ``baseline_standardized_mean`` standardizes the
+    exposed group's outcome over the reference group's baseline
+    distribution, and ``baseline_contrast`` is that mean minus the reference
+    group's own outcome mean.
     """
 
     x_levels: tuple[str, ...]
     total_rd: np.ndarray
     direct_rd: np.ndarray
     indirect_rd: np.ndarray
-    outcome_mean_unexposed: np.ndarray
-    mediator_standardized_ref: np.ndarray
-    mediator_standardized_exp: np.ndarray
     baseline_standardized_mean: float
     baseline_contrast: float
-
-    def to_json_obj(self):
-        return {
-            "x_levels": list(self.x_levels),
-            "total_rd": [float(v) for v in self.total_rd],
-            "direct_rd": [float(v) for v in self.direct_rd],
-            "indirect_rd": [float(v) for v in self.indirect_rd],
-            "baseline_standardized_mean": self.baseline_standardized_mean,
-            "baseline_contrast": self.baseline_contrast,
-        }
 
 
 def oracle_estimands(spec: ScmSpec, joint: Joint | None = None) -> OracleEstimands:
@@ -312,9 +299,6 @@ def oracle_estimands(spec: ScmSpec, joint: Joint | None = None) -> OracleEstiman
         indirect[x_val] = i
     total = e_y_qx[1] - e_y_qx[0]
 
-    med_ref = direct + e_y_qx[0]
-    med_exp = indirect + med_ref
-
     p_x_given_q0 = p_qx[0] / p_qx[0].sum()
     baseline_std = float(np.dot(e_y_qx[1], p_x_given_q0))
     e_y_q0 = float(np.dot(e_y_qx[0], p_x_given_q0))
@@ -323,9 +307,6 @@ def oracle_estimands(spec: ScmSpec, joint: Joint | None = None) -> OracleEstiman
         total_rd=total,
         direct_rd=direct,
         indirect_rd=indirect,
-        outcome_mean_unexposed=e_y_qx[0],
-        mediator_standardized_ref=med_ref,
-        mediator_standardized_exp=med_exp,
         baseline_standardized_mean=baseline_std,
         baseline_contrast=baseline_std - e_y_q0,
     )

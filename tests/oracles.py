@@ -176,15 +176,15 @@ def enumerate_joint_brute(variables):
 # Design matrices
 
 
-def design_by_stacking(template, weights):
-    """A design template's matrix under ``weights``, built the direct way:
-    each column as its own array (covariates shifted to weighted mean zero
-    when the template centers, interactions as exposure times the shifted
+def design_by_stacking(template, weights=None):
+    """A design template's matrix built the direct way: each column as its
+    own array (with ``weights``, a vector, every covariate shifted to
+    weighted mean zero under them; interactions as exposure times the
     covariate), then all of them stacked along a new last axis."""
     shifted = [vec for _, vec in template.covariates]
-    if template.center:
-        shifted = [vec - ((vec * weights).sum(axis=-1) / weights.sum(axis=-1))[..., None] for vec in shifted]
+    if weights is not None:
+        shifted = [vec - (vec * weights).sum() / weights.sum() for vec in shifted]
     vectors = [*template.leading]
     for k, inter in template.terms:
         vectors.append(template.exposure * shifted[k] if inter else shifted[k])
-    return np.stack(np.broadcast_arrays(*vectors), axis=-1)
+    return np.stack(vectors, axis=-1)

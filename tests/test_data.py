@@ -80,6 +80,13 @@ class TestIngest:
         with pytest.raises(DataError, match="'b' not in header"):
             _ingest_text("a\n1\n", {"a": Continuous(), "b": Continuous()})
 
+    def test_duplicated_schema_column_rejected(self):
+        with pytest.raises(DataError, match="'a' appears 2 times in header"):
+            _ingest_text("a,b,a\n1,2,3\n", {"a": Continuous(), "b": Continuous()})
+        # A duplicated column outside the schema is not read, and passes.
+        ds = _ingest_text("a,b,b\n1,2,3\n", {"a": Continuous()})
+        assert ds["a"].values.tolist() == [1.0]
+
     def test_unparseable_number_names_row_and_column(self):
         with pytest.raises(DataError, match=r"row 1.*'a'.*'abc'"):
             _ingest_text("a\nabc\n", {"a": Continuous()})

@@ -375,33 +375,65 @@ class TestBlockedGram:
 class TestDesignInPlace:
     @pytest.mark.parametrize("center", [False, True])
     @pytest.mark.parametrize("interactions", [False, True])
-    @pytest.mark.parametrize("stacked", [False, True])
-    def test_equals_stacked_columns(self, center, interactions, stacked):
-        rng = np.random.default_rng(3)
-        ds = survey_dataset(rng, 200)
+    def test_equals_stacked_columns(self, center, interactions):
+        ds = survey_dataset(np.random.default_rng(3), 200)
         terms = [main("x"), main("race"), main("sex")]
         if interactions:
             terms += [interaction("x"), interaction("race"), interaction("sex")]
         template = design_template(ds, ModelSpec("y", "q", tuple(terms), center_covariates=center))
-        weights = ds.weights()
-        if stacked:
-            weights = weights * rng.integers(0, 3, (4, ds.n_rows))
-        got = template.design(weights)
-        want = design_by_stacking(template, weights)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-
+        assert np.array_equal(template.design(), design_by_stacking(template))
 
     @pytest.mark.parametrize("center", [False, True])
     def test_on_rows_equals_design_of_taken_rows(self, center):
+        # Centering is at the full sample's means, so a centered design on
+        # some rows is the full design's rows; an uncentered one is also
+        # the design of the dataset cut down to them.
         rng = np.random.default_rng(4)
         ds = survey_dataset(rng, 200)
         terms = (main("x"), main("race"), interaction("x"), interaction("race"))
         spec = ModelSpec("y", "q", terms, center_covariates=center)
         rows = np.flatnonzero(rng.integers(0, 3, ds.n_rows))
-        w = ds.weights()[rows] * rng.integers(1, 4, rows.size)
-        want = design_template(ds.take(rows), spec).design(w)
-        assert np.array_equal(design_template(ds, spec).design(w, rows), want)
+        template = design_template(ds, spec)
+        assert np.array_equal(template.design(rows), template.design()[rows])
+        if not center:
+            assert np.array_equal(template.design(rows), design_template(ds.take(rows), spec).design())
+
+
+class TestExposureContrast:
+    def test_contrast_equals_fit_centered_at_replicate_means(self):
+        # Under each replicate's weights, the contrast read from the fit on
+        # the design centered once equals the exposure coefficient of the
+        # fit on a design centered at that replicate's own means, for a
+        # continuous and a categorical covariate, one fit at a time and in
+        # one batch. The two parametrizations stop by a rule on the score,
+        # which is not invariant to them, so they agree to that slack.
+        rng = np.random.default_rng(11)
+        ds = survey_dataset(rng, 500)
+        spec = ModelSpec("y", "q", (main("x"), main("race"), interaction("x"), interaction("race")), True)
+        template, y = design_template(ds, spec), response_vector(ds, "y")
+        W = ds.weights() * rng.integers(0, 3, (5, ds.n_rows))
+        g = template.contrast(W, None)
+        batch = _irls(template.design(), y, W)
+        assert batch.failure.tolist() == [glm.CONVERGED] * len(W)
+        for w, g_row, beta in zip(W, g, batch.beta):
+            want = fit_logistic(DesignMatrix(design_by_stacking(template, w), template.names), y, w).coef("q")
+            got = fit_logistic(DesignMatrix(template.design(), template.names), y, w).beta
+            assert abs(g_row @ got - want) <= 1e-9 * abs(want)
+            assert abs(g_row @ beta - want) <= 1e-9 * abs(want)
+
+    def test_contrast_on_rows_equals_contrast_under_zero_weights_elsewhere(self):
+        rng = np.random.default_rng(12)
+        ds = survey_dataset(rng, 200)
+        spec = ModelSpec("y", "q", (main("x"), main("race"), interaction("x"), interaction("race")), True)
+        template = design_template(ds, spec)
+        rows = np.flatnonzero(rng.integers(0, 3, ds.n_rows))
+        w = np.zeros(ds.n_rows)
+        w[rows] = ds.weights()[rows]
+        np.testing.assert_allclose(template.contrast(w[rows], rows), template.contrast(w, None), rtol=1e-13, atol=1e-15)
+        # Under the weights the template was centered at, g is the unit
+        # vector on the exposure, up to rounding.
+        g = template.contrast(ds.weights(), None)
+        assert g[1] == 1.0 and np.abs(np.delete(g, 1)).max() < 1e-12
 
 
 class TestWaldInterval:

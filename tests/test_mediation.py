@@ -31,6 +31,8 @@ from causalmed.mediation import (
     total_effect,
 )
 
+from oracles import design_by_stacking
+
 
 def binary_col(codes):
     return Column(Binary(), np.asarray(codes, dtype=np.int16), np.zeros(len(codes), dtype=np.uint8))
@@ -69,10 +71,16 @@ def with_age(ds, rng):
     return Dataset({**ds.columns, "age": age}, weight_column=ds.weight_column)
 
 
-def indirect_log_or(fits):
-    """Total minus direct exposure coefficient of a (total, direct) fit pair."""
-    total, direct = fits
-    return total.coef("q") - direct.coef("q")
+def indirect_log_or(fits, contrasts):
+    """Total minus direct exposure effect of a (total, direct) fit pair,
+    each read through its contrast."""
+    (total, direct), (g_total, g_direct) = fits, contrasts
+    return g_total @ total.beta - g_direct @ direct.beta
+
+
+def effects_under(est, weights):
+    """``est``'s fits under ``weights`` and the contrasts that read their effects."""
+    return est(weights), est.contrasts(weights)
 
 
 def estimate(kind, log_or, variant="primary", ci=None, n=100):
@@ -128,9 +136,10 @@ class TestEffects:
     def test_direct_close_to_total_when_mediator_has_no_effect(self):
         rng = np.random.default_rng(7)
         ds = sim_dataset(rng, 60_000, bm=0.0)
-        total, direct = VariantEstimator(ds, ROLES, "simple")(ds.weights())
+        fits = effects_under(VariantEstimator(ds, ROLES, "simple"), ds.weights())
+        total, direct = fits[0]
         se = math.hypot(total.se("q", "sandwich"), direct.se("q", "sandwich"))
-        assert abs(indirect_log_or((total, direct))) < 3 * se
+        assert abs(indirect_log_or(*fits)) < 3 * se
 
     def test_primary_equals_simple_on_additive_saturated_design(self):
         # Cell odds chosen so the exposure-covariate interaction is exactly
@@ -168,7 +177,8 @@ class TestEffects:
         rng = np.random.default_rng(12)
         ds = sim_dataset(rng, 100_000, bq=0.7, bm=0.3, m_on_q=0.0)
         interval = bootstrap_ci(ds, ROLES, "simple", 100, seed=5)
-        assert abs(indirect_log_or(VariantEstimator(ds, ROLES, "simple")(ds.weights()))) < 3 * interval.se
+        fits = effects_under(VariantEstimator(ds, ROLES, "simple"), ds.weights())
+        assert abs(indirect_log_or(*fits)) < 3 * interval.se
 
     def test_triple_decomposition_and_cis(self):
         rng = np.random.default_rng(3)
@@ -195,6 +205,17 @@ class TestEffects:
         ds = sim_dataset(rng, 300)
         with pytest.raises(InputError, match="unknown variant"):
             total_effect(ds, ROLES, "weird")
+
+    def test_primary_total_effect_ignores_a_covariate_shift(self):
+        # Centering takes any constant shift out of a covariate, so adding
+        # 2000 to age moves the at-means effect and its interval by rounding.
+        rng = np.random.default_rng(17)
+        ds = with_age(sim_dataset(rng, 2_000, bm=0.3, weight=True), rng)
+        age = ds["age"]
+        shifted = ds.replace_columns({"age": Column(Continuous(), age.values + 2000.0, age.state)})
+        want, got = (total_effect(d, AGE_ROLES, "primary") for d in (ds, shifted))
+        assert rel_close(got.log_or, want.log_or)
+        assert all(rel_close(a, b) for a, b in zip(got.ci_or, want.ci_or))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_all_zero_weights_rejected(self, variant):
@@ -273,9 +294,9 @@ class TestBootstrap:
 
 
 def take_replicate(ds, variant, idx, roles=ROLES):
-    """Reference replicate: both models refit on the resampled rows."""
-    rows = ds.take(idx)
-    return VariantEstimator(rows, roles, variant)(rows.weights())
+    """Reference replicate: both models refit on the resampled rows, with
+    the contrasts that read their effects."""
+    return effects_under(VariantEstimator(ds, roles, variant).take(idx), ds.weights()[idx])
 
 
 def rel_close(a, b, rel=1e-12):
@@ -290,10 +311,9 @@ def count_weight_interval(ds, roles, variant, reps, seed):
     for i in range(reps):
         idx = np.random.default_rng(seed + i).integers(0, ds.n_rows, ds.n_rows)
         try:
-            total, direct = fit(ds.weights() * np.bincount(idx, minlength=ds.n_rows))
+            stats.append(indirect_log_or(*effects_under(fit, ds.weights() * np.bincount(idx, minlength=ds.n_rows))))
         except FIT_FAILURES:
             continue
-        stats.append(total.coef(roles.exposure) - direct.coef(roles.exposure))
     stats = np.array(stats)
     alpha = (1.0 - 0.95) / 2.0
     lo, hi = np.percentile(np.exp(stats), [100 * alpha, 100 * (1 - alpha)])
@@ -320,12 +340,12 @@ class TestReplicateEquivalence:
                     with pytest.raises(type(exc)):
                         fit(ds.weights() * counts)
                     continue
-                for got, want in zip(fit(ds.weights() * counts), ref):
+                for got, g, want, want_g in zip(*effects_under(fit, ds.weights() * counts), *ref):
                     assert got.names == want.names
                     assert got.iterations == want.iterations
                     scale = np.abs(want.beta).max()
                     np.testing.assert_allclose(got.beta, want.beta, rtol=0, atol=1e-12 * scale)
-                    assert rel_close(got.coef("q"), want.coef("q"))
+                    assert rel_close(g @ got.beta, want_g @ want.beta)
 
     @pytest.mark.parametrize("age", [False, True])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -339,7 +359,7 @@ class TestReplicateEquivalence:
         for i in range(100):
             idx = np.random.default_rng(8 + i).integers(0, ds.n_rows, ds.n_rows)
             try:
-                stats.append(indirect_log_or(take_replicate(ds, variant, idx, roles)))
+                stats.append(indirect_log_or(*take_replicate(ds, variant, idx, roles)))
             except FIT_FAILURES:
                 pass
         stats = np.array(stats)
@@ -427,6 +447,23 @@ class TestReplicateEquivalence:
         if variant == "primary":
             assert set(failures) == {RankDeficiencyError, SeparationError}
         assert bootstrap_ci(ds, AGE_ROLES, variant, 100, 0).n_failed == len(failures)
+
+    def test_primary_effects_equal_fits_centered_at_replicate_means(self):
+        # Each replicate's effects, read through the contrast of the design
+        # centered once, equal the exposure coefficients of the fits on
+        # designs centered at the replicate's own means, to the slack of
+        # the stop rule.
+        rng = np.random.default_rng(19)
+        ds = with_age(sim_dataset(rng, 300, bm=0.3, weight=True), rng)
+        est = VariantEstimator(ds, AGE_ROLES, "primary")
+        draws = rng.integers(0, ds.n_rows, (4, ds.n_rows))
+        W = ds.weights() * np.array([np.bincount(idx, minlength=ds.n_rows) for idx in draws])
+        coefs, _ = est.coefs(W)
+        for w, row in zip(W, coefs):
+            for template, got in zip(est.templates, row):
+                design = DesignMatrix(design_by_stacking(template, w), template.names)
+                want = fit_logistic(design, est.y, w).coef("q")
+                assert abs(got - want) <= 1e-9 * abs(want)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_draw_emptying_covariate_level_fails_alike(self, variant):
