@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset, VariableRoles
 from .errors import InputError
-from .glm import DesignMatrix, FitResult, ModelSpec, build_design, expit, fit_logistic, main, response_vector
+from .glm import DesignMatrix, ModelSpec, build_design, expit, fit_logistic, main, response_vector
 
 SCORE_EPS = 1e-12
 
@@ -31,7 +31,6 @@ class PropensityFit:
     for balance diagnostics.
     """
 
-    fit: FitResult
     scores: np.ndarray
     covariate_names: tuple[str, ...]
     covariate_matrix: np.ndarray
@@ -62,10 +61,9 @@ def fit_propensity(ds: Dataset, roles: VariableRoles) -> PropensityFit:
     design = propensity_design(ds, roles)
     exposure = response_vector(ds, roles.exposure)
     weights = ds.weights()
-    fit = fit_logistic(design, exposure, weights)
+    beta = fit_logistic(design, exposure, weights).beta
     return PropensityFit(
-        fit=fit,
-        scores=clipped_scores(design.matrix, fit.beta),
+        scores=clipped_scores(design.matrix, beta),
         covariate_names=design.names[1:],
         covariate_matrix=design.matrix[:, 1:],
         exposure=exposure,

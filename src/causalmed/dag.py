@@ -176,26 +176,22 @@ def d_separated(dag: CausalDag, a: str, b: str, conditioned: Iterable[str] = ())
 
 @dataclass(frozen=True)
 class PathReport:
-    """One exposure-outcome path annotated under d-separation rules."""
+    """One exposure-outcome path and whether it is open under d-separation rules."""
 
     path: tuple[str, ...]
     is_open: bool
-    blocked_by: tuple[str, ...]
-    blocking_colliders: tuple[str, ...]
 
 
-def _annotate_path(dag: CausalDag, path: Sequence[str], z: frozenset[str]) -> PathReport:
-    blocked_by: list[str] = []
-    blocking_colliders: list[str] = []
-    for i in range(1, len(path) - 1):
-        prev, node, nxt = path[i - 1], path[i], path[i + 1]
+def _path_is_open(dag: CausalDag, path: Sequence[str], z: frozenset[str]) -> bool:
+    """A path is open given ``z`` unless a collider on it has neither itself
+    nor a descendant in ``z``, or another inner node is in ``z``."""
+    for prev, node, nxt in zip(path, path[1:], path[2:]):
         if prev in dag.parents(node) and nxt in dag.parents(node):
             if node not in z and not (dag.descendants(node) & z):
-                blocking_colliders.append(node)
+                return False
         elif node in z:
-            blocked_by.append(node)
-    is_open = not blocked_by and not blocking_colliders
-    return PathReport(tuple(path), is_open, tuple(blocked_by), tuple(blocking_colliders))
+            return False
+    return True
 
 
 def _all_simple_paths(dag: CausalDag, a: str, b: str):
@@ -229,7 +225,7 @@ def backdoor_paths(
     if exposure == outcome:
         raise DagError("exposure and outcome must differ")
     return tuple(
-        _annotate_path(dag, path, z)
+        PathReport(tuple(path), _path_is_open(dag, path, z))
         for path in _all_simple_paths(dag, exposure, outcome)
         if path[1] in dag.parents(exposure)
     )

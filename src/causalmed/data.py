@@ -118,7 +118,7 @@ class Column:
             values = values.astype(np.float64)
             bad = np.flatnonzero((state == CellState.OBSERVED) & ~np.isfinite(values))
             if bad.size:
-                raise DataError(f"non-finite observed value at row {bad[0]}")
+                raise DataError(f"non-finite observed value at row {bad[0] + 1}")
             values = np.where(state == CellState.OBSERVED, values, np.nan)
         else:
             # Range-check the codes as given: narrowing first would wrap
@@ -140,7 +140,9 @@ class Column:
         """Build a column from python cell values.
 
         Each cell is an observed value (a number, or a level label for
-        discrete kinds), ``None`` for missing, or :data:`NONRESPONSE`.
+        discrete kinds), ``None`` for missing, or :data:`NONRESPONSE`. A
+        DataError names the 1-based row of a cell that is not a finite number
+        of a continuous kind.
         """
         cells = list(cells)
         n = len(cells)
@@ -157,7 +159,10 @@ class Column:
             elif cell is NONRESPONSE:
                 state[i] = CellState.NONRESPONSE
             elif levels is None:
-                values[i] = float(cell)
+                try:
+                    values[i] = float(cell)
+                except (TypeError, ValueError):
+                    raise DataError(f"row {i + 1}: cannot parse {cell!r} as a number") from None
             else:
                 if cell not in index:
                     raise DataError(f"value {cell!r} not among levels {levels}")
@@ -264,7 +269,8 @@ class VariableRoles:
     """Maps analysis roles onto dataset columns.
 
     Mediators are the support measures taken after exposure disclosure; the
-    list may be empty only for total-effect-only analyses.
+    list may be empty only for total-effect-only analyses. Each column fills
+    one role at most.
     """
 
     exposure: str
@@ -277,6 +283,10 @@ class VariableRoles:
     def __post_init__(self):
         object.__setattr__(self, "mediators", tuple(self.mediators))
         object.__setattr__(self, "covariates", tuple(self.covariates))
+        columns = self.all_columns()
+        for name in columns:
+            if columns.count(name) > 1:
+                raise InputError(f"column {name!r} is named in more than one role")
 
     def all_columns(self) -> tuple[str, ...]:
         cols = [self.exposure, self.outcome, self.baseline_support]

@@ -6,14 +6,17 @@ zero coefficients, run for B weight vectors at once on a shared or a
 stacked design. :func:`fit_logistic` is that loop on one weight vector,
 with its failures raised and the covariances added; a bootstrap replicate
 needs only the coefficients and calls the loop itself. Survey weights enter
-as likelihood weights; inference defaults to the sandwich covariance, which
-is robust to that weighting. The model-based covariance is the inverse
-observed information. A rank-deficient design is reported by naming, from
-left to right, each column that adds no rank to the columns before it.
+as likelihood weights. A fit carries two covariances: the model-based one,
+the inverse observed information, and the sandwich, which is robust to that
+weighting. The package has one interval rule, :func:`wald_interval`: the 95%
+Wald interval of one linear contrast of the coefficients, from the
+sandwich. A rank-deficient design is reported by naming, from left to
+right, each column that adds no rank to the columns before it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -251,51 +254,11 @@ class FitResult:
     beta: np.ndarray
     cov_model: np.ndarray
     cov_sandwich: np.ndarray
-    log_likelihood: float
     iterations: int
     n_obs: int
 
     def coef(self, name: str) -> float:
         return float(self.beta[self.names.index(name)])
-
-    def se(self, index, variance: str = "sandwich") -> float:
-        idx = self._index(index)
-        if variance not in ("sandwich", "model_based"):
-            raise InputError(f"unknown variance {variance!r}; expected 'sandwich' or 'model_based'")
-        cov = self.cov_sandwich if variance == "sandwich" else self.cov_model
-        return float(np.sqrt(cov[idx, idx]))
-
-    def _index(self, index) -> int:
-        if isinstance(index, str):
-            if index not in self.names:
-                raise InputError(f"unknown coefficient {index!r}")
-            return self.names.index(index)
-        if not 0 <= index < len(self.names):
-            raise InputError(f"coefficient index {index} out of range")
-        return int(index)
-
-    def to_json_obj(self):
-        rows = []
-        for i, name in enumerate(self.names):
-            se_s = self.se(i, "sandwich")
-            lo, hi = wald_interval(self, i)
-            rows.append(
-                {
-                    "name": name,
-                    "estimate": float(self.beta[i]),
-                    "se_model": self.se(i, "model_based"),
-                    "se_sandwich": se_s,
-                    "z": float(self.beta[i] / se_s) if se_s > 0 else None,
-                    "ci_lo": lo,
-                    "ci_hi": hi,
-                }
-            )
-        return {
-            "coefficients": rows,
-            "log_likelihood": self.log_likelihood,
-            "iterations": self.iterations,
-            "n_obs": self.n_obs,
-        }
 
 
 def _diagnose_singular_information(X, w, names):
@@ -539,8 +502,7 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray, w: np.ndarray | None = Non
         }[failure]
     beta, cov_model = fits.beta[0], fits.info_inv[0]
     cov_model = (cov_model + cov_model.T) / 2.0
-    eta = X @ beta
-    resid = y - expit(eta)
+    resid = y - expit(X @ beta)
     cov_sandwich = cov_model @ _gram(X, (w * resid) ** 2) @ cov_model
     cov_sandwich = (cov_sandwich + cov_sandwich.T) / 2.0
     return FitResult(
@@ -548,18 +510,18 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray, w: np.ndarray | None = Non
         beta=beta,
         cov_model=cov_model,
         cov_sandwich=cov_sandwich,
-        log_likelihood=float(_log_likelihood(eta, y, w)),
         iterations=int(fits.iterations[0]),
         n_obs=len(X),
     )
 
 
-def wald_interval(fit: FitResult, index) -> tuple[float, float]:
-    """95% Wald confidence interval for one coefficient, on the log-odds
-    scale, from the sandwich standard error."""
-    idx = fit._index(index)
-    se = fit.se(idx)
-    est = float(fit.beta[idx])
-    return (est - Z95 * se, est + Z95 * se)
-
-
+def wald_interval(fit: FitResult, g) -> tuple[float, float, float]:
+    """The contrast g·β of a fit's coefficients and its 95% Wald limits
+    g·β ± Z95·√(g′Σg), on the log-odds scale, from the sandwich covariance
+    Σ. ``g`` must have the shape of β."""
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != fit.beta.shape:
+        raise InputError(f"contrast of shape {g.shape} does not match the {fit.beta.shape} coefficients")
+    est = float(g @ fit.beta)
+    half = Z95 * math.sqrt(g @ fit.cov_sandwich @ g)
+    return est, est - half, est + half

@@ -379,6 +379,27 @@ class TestDescribe:
 
 
 class TestDatasetInvariants:
+    @pytest.mark.parametrize(
+        ("roles", "column"),
+        [
+            ({"mediators": ("m",), "covariates": ("m",)}, "m"),
+            ({"covariates": ("q",)}, "q"),
+            ({"baseline_support": "y"}, "y"),
+        ],
+    )
+    def test_column_in_two_roles_rejected(self, roles, column):
+        with pytest.raises(InputError, match=f"column '{column}' is named in more than one role"):
+            VariableRoles(**{"exposure": "q", "outcome": "y", "baseline_support": "x", **roles})
+
+    def test_build_unparseable_number_names_row(self):
+        with pytest.raises(DataError, match=r"row 2: cannot parse 'abc' as a number"):
+            Column.build(Continuous(), [1.0, "abc"])
+
+    @pytest.mark.parametrize("cell", ["inf", float("nan")])
+    def test_non_finite_value_names_row_from_one(self, cell):
+        with pytest.raises(DataError, match="non-finite observed value at row 1$"):
+            Column.build(Continuous(), [cell])
+
     def test_negative_weight_rejected(self):
         with pytest.raises(DataError, match="non-negative"):
             Dataset(

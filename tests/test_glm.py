@@ -225,8 +225,8 @@ class TestFitLogistic:
         X = np.column_stack([np.ones(n), q, x])
         design = DesignMatrix(X, ("(Intercept)", "q", "x"))
         fit = fit_logistic(design, y)
-        se_m = np.array([fit.se(i, "model_based") for i in range(3)])
-        se_s = np.array([fit.se(i, "sandwich") for i in range(3)])
+        se_m = np.sqrt(np.diag(fit.cov_model))
+        se_s = np.sqrt(np.diag(fit.cov_sandwich))
         assert np.abs(se_s / se_m - 1.0).max() < 0.02
 
     def test_rank_deficiency_names_columns(self):
@@ -439,42 +439,38 @@ class TestExposureContrast:
 class TestWaldInterval:
     def test_standard_normal_quantile(self):
         fit = _fixed_fit(beta=0.0, se=1.0)
-        lo, hi = wald_interval(fit, 0)
-        assert (lo, hi) == (-Z95, Z95)
+        assert wald_interval(fit, np.array([1.0])) == (0.0, -Z95, Z95)
 
     def test_reported_or_interval_recovered(self):
         # Width reconstructed from the published rounded CI (2.64, 3.58) for
         # OR 3.07; the recovered limits match to rounding precision.
         se = (math.log(3.58) - math.log(2.64)) / (2 * Z95)
         fit = _fixed_fit(beta=math.log(3.07), se=se)
-        lo, hi = wald_interval(fit, 0)
+        _, lo, hi = wald_interval(fit, np.array([1.0]))
         assert math.exp(lo) == pytest.approx(2.64, abs=0.01)
         assert math.exp(hi) == pytest.approx(3.58, abs=0.01)
         assert math.exp(hi) / math.exp(lo) == pytest.approx(3.58 / 2.64, rel=1e-12)
 
     def test_zero_se_degenerate(self):
         fit = _fixed_fit(beta=1.5, se=0.0)
-        assert wald_interval(fit, 0) == (1.5, 1.5)
+        assert wald_interval(fit, np.array([1.0])) == (1.5, 1.5, 1.5)
 
-    def test_unknown_variance_rejected(self):
+    def test_contrast_reads_covariance_of_several_coefficients(self):
+        # g = (1, 1) sums two coefficients, so its variance takes in their covariance.
+        from causalmed.glm import FitResult
+
+        cov = np.array([[0.04, -0.01], [-0.01, 0.09]])
+        fit = FitResult(("a", "b"), np.array([0.5, 0.25]), cov, cov, iterations=1, n_obs=10)
+        est, lo, hi = wald_interval(fit, [1.0, 1.0])
+        assert est == 0.75
+        assert hi - est == pytest.approx(Z95 * math.sqrt(0.04 + 0.09 - 0.02), rel=1e-15)
+        assert est - lo == pytest.approx(hi - est, rel=1e-15)
+
+    @pytest.mark.parametrize("g", [[1.0, 0.0], [[1.0]], 1.0])
+    def test_contrast_shape_must_match_coefficients(self, g):
         fit = _fixed_fit(beta=0.0, se=1.0)
-        with pytest.raises(InputError, match="sandwhich"):
-            fit.se(0, "sandwhich")
-
-    def test_index_out_of_range(self):
-        fit = _fixed_fit(beta=0.0, se=1.0)
-        with pytest.raises(InputError):
-            wald_interval(fit, 3)
-
-    def test_serialization_keys(self):
-        ds = two_group_dataset(30, 10, 30, 5)
-        fit = fit_two_group(ds)
-        obj = fit.to_json_obj()
-        assert "converged" not in obj
-        assert obj["iterations"] == fit.iterations
-        assert {"name", "estimate", "se_model", "se_sandwich", "z", "ci_lo", "ci_hi"} <= set(
-            obj["coefficients"][0]
-        )
+        with pytest.raises(InputError, match="contrast of shape"):
+            wald_interval(fit, g)
 
 
 def _fixed_fit(beta, se):
@@ -486,7 +482,6 @@ def _fixed_fit(beta, se):
         beta=np.array([beta]),
         cov_model=cov,
         cov_sandwich=cov,
-        log_likelihood=0.0,
         iterations=1,
         n_obs=10,
     )
