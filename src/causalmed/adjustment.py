@@ -27,8 +27,8 @@ OVERLAP_BINS = 10
 class PropensityFit:
     """Fitted exposure model with per-row scores.
 
-    Scores are clipped into (0, 1) strictly. The design columns are retained
-    for balance diagnostics.
+    Scores are clipped into (0, 1) strictly. The design columns, centered
+    like every design, are retained for balance diagnostics.
     """
 
     scores: np.ndarray

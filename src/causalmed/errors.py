@@ -22,9 +22,9 @@ class RecodeError(DataError):
 class RankDeficiencyError(CausalmedError):
     """Design matrix is not full column rank."""
 
-    def __init__(self, columns, message=None):
+    def __init__(self, columns):
         self.columns = tuple(columns)
-        super().__init__(message or f"collinear design columns: {', '.join(self.columns)}")
+        super().__init__(f"collinear design columns: {', '.join(self.columns)}")
 
 
 class SeparationError(CausalmedError):
@@ -38,9 +38,9 @@ class ConvergenceError(CausalmedError):
 class PositivityError(CausalmedError):
     """An (exposure, stratum) cell required by a weighting factor has zero probability."""
 
-    def __init__(self, cell, message=None):
+    def __init__(self, cell):
         self.cell = cell
-        super().__init__(message or f"empty stratum: {cell!r}")
+        super().__init__(f"empty stratum: {cell!r}")
 
 
 class BootstrapError(CausalmedError):

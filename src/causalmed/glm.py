@@ -76,7 +76,6 @@ class ModelSpec:
     outcome: str
     exposure: str | None
     terms: tuple[Term, ...]
-    center_covariates: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -142,9 +141,9 @@ def _covariate_columns(ds, name):
 class DesignTemplate:
     """A model's design columns, expanded from the dataset once.
 
-    No column depends on the row weights: a centered model's covariates are
-    shifted once, to the dataset's survey-weighted means, so :meth:`design`
-    yields the design matrix on any rows without going back to the dataset.
+    No column depends on the row weights: the covariates are shifted once,
+    to the dataset's survey-weighted means, so :meth:`design` yields the
+    design matrix on any rows without going back to the dataset.
     A fit under other weights reads its exposure effect at their covariate
     means through :meth:`contrast`. ``terms`` holds, per covariate design
     column, the index into ``covariates`` and whether it is an exposure
@@ -200,9 +199,9 @@ def design_template(ds: Dataset, spec: ModelSpec) -> DesignTemplate:
     """Expand a model specification into design columns.
 
     Discrete covariates become reference-coded indicators; each covariate is
-    expanded once however many terms use it. When centering is requested
-    every covariate column (indicators included) is shifted to weighted mean
-    zero under the dataset's analysis weights.
+    expanded once however many terms use it. Every covariate column
+    (indicators included) is shifted to weighted mean zero under the
+    dataset's analysis weights; the intercept and the exposure are not.
     """
     names = [INTERCEPT]
     leading = [np.ones(ds.n_rows)]
@@ -211,18 +210,16 @@ def design_template(ds: Dataset, spec: ModelSpec) -> DesignTemplate:
         exposure_vec = indicator(_require_observed(ds, spec.exposure))
         names.append(spec.exposure)
         leading.append(exposure_vec)
-    if spec.center_covariates:
-        weights = ds.weights()
-        _check_weights(weights, ds.n_rows)
+    weights = ds.weights()
+    _check_weights(weights, ds.n_rows)
     covariates: list = []
     expanded: dict[str, range] = {}
     terms = []
     for term in spec.terms:
         if term.column not in expanded:
             new = _covariate_columns(ds, term.column)
-            if spec.center_covariates:
-                for _, vec in new:
-                    vec -= (vec * weights).sum() / weights.sum()
+            for _, vec in new:
+                vec -= (vec * weights).sum() / weights.sum()
             expanded[term.column] = range(len(covariates), len(covariates) + len(new))
             covariates.extend(new)
         for k in expanded[term.column]:
@@ -235,12 +232,11 @@ def design_template(ds: Dataset, spec: ModelSpec) -> DesignTemplate:
 def build_design(ds: Dataset, spec: ModelSpec) -> DesignMatrix:
     """Expand a model specification into a numeric design matrix.
 
-    Discrete covariates become reference-coded indicators. When centering is
-    requested every covariate column (indicators included) is shifted to
-    weighted mean zero under the dataset's analysis weights, and interaction
-    columns are products of the exposure indicator with the centered
-    covariate columns, so the exposure coefficient is the effect at
-    covariate means.
+    Discrete covariates become reference-coded indicators. Every covariate
+    column (indicators included) is shifted to weighted mean zero under the
+    dataset's analysis weights, and interaction columns are products of the
+    exposure indicator with the centered covariate columns, so the exposure
+    coefficient is the effect at covariate means.
     """
     template = design_template(ds, spec)
     return DesignMatrix(template.design(), template.names)

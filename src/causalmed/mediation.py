@@ -3,20 +3,21 @@
 The total effect is the exposure coefficient from an outcome regression
 without the mediators; the direct effect adds the mediator main effects; the
 indirect effect is their difference on the log-odds scale, so indirect OR =
-total OR / direct OR. Four estimator variants share this decomposition:
+total OR / direct OR. Every model, the propensity model included, centers
+its covariates at their survey-weighted means. Four estimator variants share
+this decomposition:
 
-* ``primary``  - covariates centered at their weighted means, plus
-  exposure-by-covariate interaction terms (the exposure effect is read at
-  the covariate means);
-* ``simple``   - plain main-effects regression;
+* ``simple``   - main-effects regression;
+* ``primary``  - ``simple`` plus exposure-by-covariate interaction terms
+  (the exposure effect is read at the covariate means);
 * ``ps_regression`` - adjustment through a single propensity-score covariate;
 * ``ipw``      - weighted regression under stabilized inverse-probability
   weights times the survey weights.
 
 Every variant is one estimator (:class:`VariantEstimator`): design columns
-built once from the dataset, ``primary``'s centered once at the survey-weighted
-means, fitted under row weights. A fit under any weights reads its exposure
-effect at their covariate means as one linear contrast of its coefficients
+built and centered once from the dataset, fitted under row weights. A fit
+under any weights reads its exposure effect at their covariate means as one
+linear contrast of its coefficients
 (:meth:`~causalmed.glm.DesignTemplate.contrast`), which is the exposure
 coefficient for every variant but ``primary``. Point estimates use the
 survey weights. Total and direct effects carry the Wald interval of that
@@ -134,12 +135,7 @@ def _outcome_spec(roles, variant, include_mediators) -> ModelSpec:
         terms.extend(main(m) for m in roles.mediators)
     if variant == "primary":
         terms.extend(interaction(c) for c in covariates)
-    return ModelSpec(
-        outcome=roles.outcome,
-        exposure=roles.exposure,
-        terms=tuple(terms),
-        center_covariates=(variant == "primary"),
-    )
+    return ModelSpec(outcome=roles.outcome, exposure=roles.exposure, terms=tuple(terms))
 
 
 class VariantEstimator:

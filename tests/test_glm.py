@@ -60,7 +60,7 @@ class TestBuildDesign:
                 "x": Column.build(Continuous(), [1.0, 2.0, 3.0]),
             }
         )
-        spec = ModelSpec("y", "q", (main("x"),), center_covariates=True)
+        spec = ModelSpec("y", "q", (main("x"),))
         design = build_design(ds, spec)
         np.testing.assert_allclose(design.column("x"), [-1.0, 0.0, 1.0])
 
@@ -72,7 +72,7 @@ class TestBuildDesign:
                 "x": Column.build(Continuous(), [1.0, 0.0]),
             }
         )
-        spec = ModelSpec("y", "q", (main("x"), interaction("x")), center_covariates=True)
+        spec = ModelSpec("y", "q", (main("x"), interaction("x")))
         design = build_design(ds, spec)
         np.testing.assert_allclose(design.column("x"), [0.5, -0.5])
         np.testing.assert_allclose(design.column("q:x"), [0.5, 0.0])
@@ -86,10 +86,13 @@ class TestBuildDesign:
                 "race": Column.build(kind, ["Asian", "White", "Black"]),
             }
         )
+        # Each indicator is centered at its (unweighted) mean of 1/3.
         design = build_design(ds, ModelSpec("y", "q", (main("race"),)))
-        np.testing.assert_allclose(design.column("race=Asian"), [1.0, 0.0, 0.0])
-        np.testing.assert_allclose(design.column("race=Black"), [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(design.column("race=Asian"), [2 / 3, -1 / 3, -1 / 3])
+        np.testing.assert_allclose(design.column("race=Black"), [-1 / 3, -1 / 3, 2 / 3])
         assert design.names[0] == "(Intercept)"
+        np.testing.assert_array_equal(design.column("(Intercept)"), [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(design.column("q"), [0.0, 1.0, 0.0])
 
     def test_missing_cells_rejected(self):
         ds = Dataset(
@@ -104,7 +107,7 @@ class TestBuildDesign:
 
     def test_absent_level_flagged(self):
         # Level c never occurs, so its indicator is the only column that adds
-        # no rank, centered or not, and the fit names it.
+        # no rank, centered or not (built by hand), and the fit names it.
         kind = Categorical(("a", "b", "c"), "a")
         ds = Dataset(
             {
@@ -113,8 +116,10 @@ class TestBuildDesign:
                 "g": Column.build(kind, ["b", "a", "a", "b"]),
             }
         )
-        for center in (False, True):
-            design = build_design(ds, ModelSpec("y", "q", (main("g"),), center))
+        centered = build_design(ds, ModelSpec("y", "q", (main("g"),)))
+        g = ds["g"].values
+        uncentered = np.column_stack([np.ones(4), response_vector(ds, "q"), g == 1, g == 2]).astype(float)
+        for design in (centered, DesignMatrix(uncentered, centered.names)):
             with pytest.raises(RankDeficiencyError) as err:
                 fit_logistic(design, response_vector(ds, "y"))
             assert err.value.columns == ("g=c",)
@@ -131,7 +136,7 @@ class TestBuildDesign:
             },
             weight_column="w",
         )
-        spec = ModelSpec("y", "q", (main("x"),), center_covariates=True)
+        spec = ModelSpec("y", "q", (main("x"),))
         design = build_design(ds, spec)
         w = ds.weights()
         assert abs(np.average(design.column("x"), weights=w)) < 1e-10
@@ -181,14 +186,14 @@ class TestFitLogistic:
                 "x": Column.build(Continuous(), x),
             }
         )
-        probs = {}
-        for centered in (False, True):
-            spec = ModelSpec("y", "q", (main("x"), interaction("x")), center_covariates=centered)
-            design = build_design(ds, spec)
+        centered = build_design(ds, ModelSpec("y", "q", (main("x"), interaction("x"))))
+        uncentered = DesignMatrix(np.column_stack([np.ones(n), q, x, q * x]).astype(float), centered.names)
+        probs = []
+        for design in (centered, uncentered):
             fit = fit_logistic(design, response_vector(ds, "y"))
             eta = design.matrix @ fit.beta
-            probs[centered] = 1 / (1 + np.exp(-eta))
-        assert np.abs(probs[True] - probs[False]).max() < 1e-8
+            probs.append(1 / (1 + np.exp(-eta)))
+        assert np.abs(probs[1] - probs[0]).max() < 1e-8
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
@@ -339,7 +344,7 @@ class TestBlockedGram:
         # Three weight rows over rows spanning several Gram blocks, fitted
         # together: each equals fit_logistic under that row alone.
         ds = survey_dataset(np.random.default_rng(7), 3 * GRAM_BLOCK_ROWS + 5)
-        spec = ModelSpec("y", "q", (main("x"), main("race"), interaction("x")), center_covariates=True)
+        spec = ModelSpec("y", "q", (main("x"), main("race"), interaction("x")))
         design, y = build_design(ds, spec), response_vector(ds, "y")
         W = ds.weights() * np.random.default_rng(8).integers(0, 3, (3, ds.n_rows))
         fits = _irls(design.matrix, y, W)
@@ -373,30 +378,25 @@ class TestBlockedGram:
 
 
 class TestDesignInPlace:
-    @pytest.mark.parametrize("center", [False, True])
     @pytest.mark.parametrize("interactions", [False, True])
-    def test_equals_stacked_columns(self, center, interactions):
+    def test_equals_stacked_columns(self, interactions):
         ds = survey_dataset(np.random.default_rng(3), 200)
         terms = [main("x"), main("race"), main("sex")]
         if interactions:
             terms += [interaction("x"), interaction("race"), interaction("sex")]
-        template = design_template(ds, ModelSpec("y", "q", tuple(terms), center_covariates=center))
+        template = design_template(ds, ModelSpec("y", "q", tuple(terms)))
         assert np.array_equal(template.design(), design_by_stacking(template))
 
-    @pytest.mark.parametrize("center", [False, True])
-    def test_on_rows_equals_design_of_taken_rows(self, center):
-        # Centering is at the full sample's means, so a centered design on
-        # some rows is the full design's rows; an uncentered one is also
-        # the design of the dataset cut down to them.
+    def test_on_rows_equals_design_of_taken_rows(self):
+        # Centering is at the full sample's means, so the design on some
+        # rows is the full design's rows.
         rng = np.random.default_rng(4)
         ds = survey_dataset(rng, 200)
         terms = (main("x"), main("race"), interaction("x"), interaction("race"))
-        spec = ModelSpec("y", "q", terms, center_covariates=center)
+        spec = ModelSpec("y", "q", terms)
         rows = np.flatnonzero(rng.integers(0, 3, ds.n_rows))
         template = design_template(ds, spec)
         assert np.array_equal(template.design(rows), template.design()[rows])
-        if not center:
-            assert np.array_equal(template.design(rows), design_template(ds.take(rows), spec).design())
 
 
 class TestExposureContrast:
@@ -409,7 +409,7 @@ class TestExposureContrast:
         # which is not invariant to them, so they agree to that slack.
         rng = np.random.default_rng(11)
         ds = survey_dataset(rng, 500)
-        spec = ModelSpec("y", "q", (main("x"), main("race"), interaction("x"), interaction("race")), True)
+        spec = ModelSpec("y", "q", (main("x"), main("race"), interaction("x"), interaction("race")))
         template, y = design_template(ds, spec), response_vector(ds, "y")
         W = ds.weights() * rng.integers(0, 3, (5, ds.n_rows))
         g = template.contrast(W, None)
@@ -424,7 +424,7 @@ class TestExposureContrast:
     def test_contrast_on_rows_equals_contrast_under_zero_weights_elsewhere(self):
         rng = np.random.default_rng(12)
         ds = survey_dataset(rng, 200)
-        spec = ModelSpec("y", "q", (main("x"), main("race"), interaction("x"), interaction("race")), True)
+        spec = ModelSpec("y", "q", (main("x"), main("race"), interaction("x"), interaction("race")))
         template = design_template(ds, spec)
         rows = np.flatnonzero(rng.integers(0, 3, ds.n_rows))
         w = np.zeros(ds.n_rows)

@@ -71,6 +71,13 @@ def with_age(ds, rng):
     return Dataset({**ds.columns, "age": age}, weight_column=ds.weight_column)
 
 
+def age_dataset_and_shift(rng):
+    """2000 weighted rows with ``age``, and the same rows with 1e4 added to age."""
+    ds = with_age(sim_dataset(rng, 2_000, bm=0.3, weight=True), rng)
+    age = ds["age"]
+    return ds, ds.replace_columns({"age": Column(Continuous(), age.values + 1e4, age.state)})
+
+
 def indirect_log_or(fits, contrasts):
     """Total minus direct exposure effect of a (total, direct) fit pair,
     each read through its contrast."""
@@ -206,16 +213,19 @@ class TestEffects:
         with pytest.raises(InputError, match="unknown variant"):
             total_effect(ds, ROLES, "weird")
 
-    def test_primary_total_effect_ignores_a_covariate_shift(self):
-        # Centering takes any constant shift out of a covariate, so adding
-        # 2000 to age moves the at-means effect and its interval by rounding.
-        rng = np.random.default_rng(17)
-        ds = with_age(sim_dataset(rng, 2_000, bm=0.3, weight=True), rng)
-        age = ds["age"]
-        shifted = ds.replace_columns({"age": Column(Continuous(), age.values + 2000.0, age.state)})
-        want, got = (total_effect(d, AGE_ROLES, "primary") for d in (ds, shifted))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_total_effect_ignores_a_covariate_shift(self, variant):
+        # Every model centers its covariates, which takes any constant shift
+        # out of them, so adding 1e4 to age moves the at-means effect and its
+        # interval by rounding only, and no fit is misread as separated.
+        ds = age_dataset_and_shift(np.random.default_rng(17))
+        want, got = (total_effect(d, AGE_ROLES, variant) for d in ds)
         assert rel_close(got.log_or, want.log_or)
         assert all(rel_close(a, b) for a, b in zip(got.ci_or, want.ci_or))
+
+    def test_propensity_scores_ignore_a_covariate_shift(self):
+        want, got = (fit_propensity(d, AGE_ROLES).scores for d in age_dataset_and_shift(np.random.default_rng(17)))
+        assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_all_zero_weights_rejected(self, variant):
@@ -442,7 +452,7 @@ class TestReplicateEquivalence:
             assert np.isnan(coefs).any() == (want is not None), f"replicate {i}"
             if want is not None:
                 failures.append(want)
-        if variant != "ipw":
+        if variant in ("primary", "ps_regression"):
             assert failures
         if variant == "primary":
             assert set(failures) == {RankDeficiencyError, SeparationError}
@@ -492,7 +502,7 @@ class TestFullRowComposition:
         interactions = (interaction("x"),) if variant == "primary" else ()
         fits = VariantEstimator(ds, ROLES, variant)(w)
         for got, mediators in zip(fits, ((), (main("m"),))):
-            spec = ModelSpec("y", "q", covariates + mediators + interactions, center_covariates=variant == "primary")
+            spec = ModelSpec("y", "q", covariates + mediators + interactions)
             design, fit_weights = build_design(ds, spec), w
             if variant == "ps_regression":
                 names = design.names[:2] + (PS_COLUMN,) + design.names[2:]
