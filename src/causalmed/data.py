@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -60,9 +60,12 @@ class Categorical:
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
-            raise InputError("categorical kind needs at least one level")
+            raise InputError("discrete kind needs at least one level")
         if len(set(self.levels)) != len(self.levels):
             raise InputError(f"duplicate levels: {self.levels}")
+        for token in ("", NONRESPONSE_TOKEN):  # what write_csv writes for unobserved cells
+            if token in self.levels:
+                raise InputError(f"level {token!r} is reserved for unobserved cells")
         if self.reference not in self.levels:
             raise InputError(f"reference {self.reference!r} not among levels {self.levels}")
 
@@ -75,11 +78,9 @@ class Binary:
     reference: str = "0"
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
-        if len(self.levels) != 2 or len(set(self.levels)) != 2:
+        Categorical.__post_init__(self)  # every discrete kind's checks
+        if len(self.levels) != 2:
             raise InputError(f"binary kind needs two distinct levels, got {self.levels}")
-        if self.reference not in self.levels:
-            raise InputError(f"reference {self.reference!r} not among levels {self.levels}")
 
 
 ColumnKind = Union[Continuous, Categorical, Binary]
@@ -94,6 +95,28 @@ def kind_levels(kind: ColumnKind) -> tuple[str, ...] | None:
 
 def nonreference_levels(kind) -> tuple[str, ...]:
     return tuple(lv for lv in kind.levels if lv != kind.reference)
+
+
+def _cell_parser(kind: ColumnKind):
+    """The one conversion of an observed cell to its stored value: float(cell)
+    for a continuous kind, the level's code for a discrete one. A cell that
+    does not convert raises a DataError naming it; callers add its row and
+    column. Finiteness is left to :class:`Column`."""
+    levels = kind_levels(kind)
+    if levels is None:
+        def parse(cell):
+            try:
+                return float(cell)
+            except (TypeError, ValueError, OverflowError):
+                raise DataError(f"cannot parse {cell!r} as a number") from None
+    else:
+        codes = {lv: i for i, lv in enumerate(levels)}
+        def parse(cell):
+            try:
+                return codes[cell]
+            except (KeyError, TypeError):
+                raise DataError(f"{cell!r} is not a declared level") from None
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -141,33 +164,22 @@ class Column:
 
         Each cell is an observed value (a number, or a level label for
         discrete kinds), ``None`` for missing, or :data:`NONRESPONSE`. A
-        DataError names the 1-based row of a cell that is not a finite number
-        of a continuous kind.
+        DataError names the 1-based row of a cell that does not convert under
+        the kind or is not a finite number.
         """
-        cells = list(cells)
-        n = len(cells)
-        state = np.zeros(n, dtype=np.uint8)
-        levels = kind_levels(kind)
-        if levels is None:
-            values = np.full(n, np.nan)
-        else:
-            values = np.full(n, -1, dtype=np.int16)
-            index = {lv: i for i, lv in enumerate(levels)}
-        for i, cell in enumerate(cells):
-            if cell is None:
-                state[i] = CellState.MISSING
-            elif cell is NONRESPONSE:
-                state[i] = CellState.NONRESPONSE
-            elif levels is None:
-                try:
-                    values[i] = float(cell)
-                except (TypeError, ValueError):
-                    raise DataError(f"row {i + 1}: cannot parse {cell!r} as a number") from None
-            else:
-                if cell not in index:
-                    raise DataError(f"value {cell!r} not among levels {levels}")
-                values[i] = index[cell]
-        return cls(kind, values, state)
+        parse = _cell_parser(kind)
+        values, state = [], []
+        for row, cell in enumerate(cells, start=1):
+            # Identity tests: NONRESPONSE is an IntEnum equal to 2, so `==`
+            # or a lookup would read a continuous cell 2 as non-response.
+            state.append(
+                CellState.MISSING if cell is None else cell if cell is NONRESPONSE else CellState.OBSERVED
+            )
+            try:
+                values.append(0 if state[-1] else parse(cell))
+            except DataError as exc:
+                raise DataError(f"row {row}: {exc}") from None
+        return cls(kind, np.asarray(values), np.asarray(state, dtype=np.uint8))
 
     @property
     def n_rows(self) -> int:
@@ -343,75 +355,51 @@ def ingest_csv(
     """Read a CSV file (RFC-4180 quoting) into a Dataset.
 
     Only columns named in ``schema`` are ingested; the header must contain
-    every schema column, each once. Cells matching ``missing_tokens`` become
-    missing and cells equal to :data:`NONRESPONSE_TOKEN` become non-response,
-    so the output of :func:`write_csv` reads back unchanged; anything else
-    must parse under the declared kind, a continuous cell as a finite
-    number, otherwise a DataError names the offending row and column.
-    ``source`` may be a path or an open text stream.
+    every schema column, each once (a leading byte-order mark is dropped).
+    Cells matching ``missing_tokens``, a collection of strings, become
+    missing and cells equal to :data:`NONRESPONSE_TOKEN` non-response, so
+    the output of :func:`write_csv` reads back unchanged; anything else must
+    parse under the declared kind, a continuous cell as a finite number,
+    otherwise a DataError names the offending row and column. ``source``
+    may be a path or an open text stream.
     """
-    missing = frozenset(missing_tokens)
-    names = list(schema)
+    if isinstance(missing_tokens, str):
+        raise InputError("missing_tokens must be a collection of strings, not one string")
+    unobserved = dict.fromkeys(missing_tokens, CellState.MISSING)
+    unobserved.setdefault(NONRESPONSE_TOKEN, CellState.NONRESPONSE)
     with _open_text(source, "r") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError("empty file: no header row") from None
-        positions = {}
-        for name in names:
+        if header:
+            header[0] = header[0].removeprefix("\ufeff")
+        # Per schema column: name, header position, parser, values, states.
+        cols = []
+        for name, kind in schema.items():
             if name not in header:
                 raise DataError(f"column {name!r} not in header")
             if header.count(name) > 1:
                 raise DataError(f"column {name!r} appears {header.count(name)} times in header")
-            positions[name] = header.index(name)
-        level_index = {
-            name: ({lv: i for i, lv in enumerate(kind_levels(kind))} if kind_levels(kind) else None)
-            for name, kind in schema.items()
-        }
-        raw: dict[str, list] = {name: [] for name in names}
-        states: dict[str, list] = {name: [] for name in names}
+            cols.append((name, header.index(name), _cell_parser(kind), [], []))
+        # Each cell is converted as it is read, so no token outlives its row.
         for row_no, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise DataError(f"row {row_no}: expected {len(header)} fields, got {len(row)}")
-            for name in names:
-                token = row[positions[name]]
-                if token in missing:
-                    raw[name].append(0)
-                    states[name].append(int(CellState.MISSING))
-                    continue
-                if token == NONRESPONSE_TOKEN:
-                    raw[name].append(0)
-                    states[name].append(int(CellState.NONRESPONSE))
-                    continue
-                index = level_index[name]
-                if index is None:
-                    try:
-                        raw[name].append(float(token))
-                    except ValueError:
-                        raise DataError(
-                            f"row {row_no}, column {name!r}: cannot parse {token!r} as a number"
-                        ) from None
-                else:
-                    if token not in index:
-                        raise DataError(
-                            f"row {row_no}, column {name!r}: {token!r} is not a declared level"
-                        )
-                    raw[name].append(index[token])
-                states[name].append(int(CellState.OBSERVED))
+            for name, pos, parse, values, states in cols:
+                token = row[pos]
+                states.append(unobserved.get(token, CellState.OBSERVED))
+                try:
+                    values.append(0 if states[-1] else parse(token))
+                except DataError as exc:
+                    raise DataError(f"row {row_no}, column {name!r}: {exc}") from None
     columns = {}
-    for name in names:
-        kind = schema[name]
-        state = np.asarray(states[name], dtype=np.uint8)
-        if kind_levels(kind) is None:
-            values = np.asarray(raw[name], dtype=np.float64)
-            # float() takes 'nan' and 'inf'; unobserved cells hold 0 here.
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                raise DataError(f"row {bad[0] + 1}, column {name!r}: {raw[name][bad[0]]!r} is not a finite number")
-        else:
-            values = np.asarray(raw[name], dtype=np.int16)
-        columns[name] = Column(kind, values, state)
+    for name, _, _, values, states in cols:
+        try:
+            columns[name] = Column(schema[name], np.asarray(values), np.asarray(states, dtype=np.uint8))
+        except DataError as exc:
+            raise DataError(f"column {name!r}: {exc}") from None
     return Dataset(columns, weight_column)
 
 
@@ -450,22 +438,25 @@ class RecodeRule:
     """Maps raw labels of one source column onto a target kind.
 
     ``mapping`` sends each raw label to a target level, ``CellState.MISSING``
-    or ``CellState.NONRESPONSE``. Labels that already are levels of the
-    target kind pass through unchanged, which makes recoding idempotent.
+    or ``CellState.NONRESPONSE``; any other target is an InputError. Labels
+    that already are levels of the target kind pass through unchanged, which
+    makes recoding idempotent.
     """
 
     kind: ColumnKind
     mapping: Mapping[str, str | CellState]
 
     def __post_init__(self):
-        levels = kind_levels(self.kind)
-        if levels is None:
+        if kind_levels(self.kind) is None:
             raise InputError("recode target kind must be discrete")
-        mapped_levels = [t for t in self.mapping.values() if isinstance(t, str)]
-        for target in mapped_levels:
-            if target not in levels:
-                raise InputError(f"recode target {target!r} not a level of {levels}")
-        if not mapped_levels:
+        to_code = _cell_parser(self.kind)
+        for target in self.mapping.values():
+            if target is not CellState.MISSING and target is not CellState.NONRESPONSE:
+                try:
+                    to_code(target)
+                except DataError as exc:
+                    raise InputError(f"recode target {exc}") from None
+        if all(isinstance(t, CellState) for t in self.mapping.values()):
             raise InputError("recode rule must map at least one label to a level")
 
 
@@ -486,20 +477,18 @@ def recode(ds: Dataset, rules: RecodeRuleSet) -> Dataset:
         src_levels = kind_levels(col.kind)
         if src_levels is None:
             raise InputError(f"cannot recode continuous column {name!r}")
-        tgt_levels = kind_levels(rule.kind)
-        tgt_index = {lv: i for i, lv in enumerate(tgt_levels)}
+        to_code = _cell_parser(rule.kind)
         # Per-source-code target code, or the state it maps to; -9 = unmapped.
         code_map = np.full(len(src_levels), -9, dtype=np.int16)
         state_map = np.full(len(src_levels), int(CellState.OBSERVED), dtype=np.uint8)
         for i, label in enumerate(src_levels):
-            target = rule.mapping.get(label)
-            if target is None and label in tgt_index:
-                target = label
-            if isinstance(target, str):
-                code_map[i] = tgt_index[target]
-            elif isinstance(target, CellState):
+            target = rule.mapping.get(label, label)
+            if isinstance(target, CellState):
                 code_map[i] = -1
                 state_map[i] = int(target)
+            else:
+                with suppress(DataError):  # unmapped: an error below if the label occurs
+                    code_map[i] = to_code(target)
         obs = col.observed
         src_codes = col.values[obs]
         unmapped = np.flatnonzero(code_map[src_codes] == -9)

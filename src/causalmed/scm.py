@@ -59,6 +59,8 @@ class CptVariable:
         for row in self.table:
             if len(row) != len(self.levels):
                 raise InputError(f"variable {self.name!r}: row width != number of levels")
+            if not all(map(math.isfinite, row)):
+                raise InputError(f"variable {self.name!r}: non-finite probability")
             if any(p < 0 for p in row):
                 raise InputError(f"variable {self.name!r}: negative probability")
             if abs(sum(row) - 1.0) > 1e-12:
@@ -88,6 +90,8 @@ class LogitVariable:
             raise InputError(f"variable {self.name!r}: logistic response requires two levels")
         if len(self.coefficients) != len(self.parents):
             raise InputError(f"variable {self.name!r}: one coefficient per parent required")
+        if not all(map(math.isfinite, (self.intercept, *self.coefficients))):
+            raise InputError(f"variable {self.name!r}: non-finite intercept or coefficient")
 
     @property
     def n_levels(self) -> int:

@@ -14,6 +14,7 @@ from causalmed.data import (
     DescriptiveTable,
     ExclusionCounts,
     NONRESPONSE,
+    NONRESPONSE_TOKEN,
     RecodeRule,
     VariableRoles,
     describe,
@@ -93,8 +94,21 @@ class TestIngest:
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_number_names_row_and_column(self, token):
-        with pytest.raises(DataError, match=rf"row 3, column 'age': {token} is not a finite number"):
+        with pytest.raises(DataError, match=r"column 'age': non-finite observed value at row 3$"):
             _ingest_text(f"age,w\n1,1\n2,1\n{token},1\n", {"age": Continuous(), "w": Continuous()})
+
+    def test_missing_tokens_as_one_string_rejected(self):
+        # A string is an iterable of characters: "NA" would read "N" as missing.
+        with pytest.raises(InputError, match="missing_tokens"):
+            _ingest_text("a\nNA\n", {"a": Continuous()}, missing_tokens="NA")
+
+    def test_byte_order_mark_dropped_from_header(self, tmp_path):
+        schema = {"a": Continuous(), "b": Binary()}
+        want = _ingest_text("a,b\n1,0\n", schema)
+        assert _ingest_text("\ufeffa,b\n1,0\n", schema) == want
+        path = tmp_path / "bom.csv"
+        path.write_text("a,b\n1,0\n", encoding="utf-8-sig")
+        assert ingest_csv(path, schema) == want
 
     def test_missing_file(self):
         with pytest.raises(DataError, match="cannot read"):
@@ -242,6 +256,22 @@ class TestRecode:
         )
         out = recode(ds, sgm_survey_rules())
         assert [out["orientation"].label(i) for i in range(4)] == ["0", "1", "0", "1"]
+
+    @pytest.mark.parametrize(
+        "target", [CellState.OBSERVED, None, "2", 1], ids=["observed-state", "none", "undeclared", "int"]
+    )
+    def test_rule_target_must_be_level_or_unobserved_state(self, target):
+        with pytest.raises(InputError, match="recode target"):
+            RecodeRule(Binary(), {"a": "0", "b": target})
+
+    def test_rule_needs_a_level_target(self):
+        with pytest.raises(InputError, match="at least one label to a level"):
+            RecodeRule(Binary(), {"a": CellState.MISSING, "b": CellState.NONRESPONSE})
+
+    def test_missing_target(self):
+        ds = Dataset({"v": Column.build(Categorical(("a", "b", "c"), "a"), ["a", "c", NONRESPONSE, "b"])})
+        out = recode(ds, {"v": RecodeRule(Binary(), {"a": "0", "b": "1", "c": CellState.MISSING})})
+        assert out["v"] == Column.build(Binary(), ["0", None, NONRESPONSE, "1"])
 
 
 def _roles_dataset(q_cells, y_cells, x_cells):
@@ -395,6 +425,10 @@ class TestDatasetInvariants:
         with pytest.raises(DataError, match=r"row 2: cannot parse 'abc' as a number"):
             Column.build(Continuous(), [1.0, "abc"])
 
+    def test_build_number_too_large_for_a_float_names_row(self):
+        with pytest.raises(DataError, match=r"row 1: cannot parse 10+ as a number"):
+            Column.build(Continuous(), [10**400])
+
     @pytest.mark.parametrize("cell", ["inf", float("nan")])
     def test_non_finite_value_names_row_from_one(self, cell):
         with pytest.raises(DataError, match="non-finite observed value at row 1$"):
@@ -426,6 +460,14 @@ class TestDatasetInvariants:
         with pytest.raises(InputError):
             Binary(("a", "a"), "a")
 
+    @pytest.mark.parametrize("token", ["", NONRESPONSE_TOKEN])
+    def test_unobserved_tokens_reserved_as_levels(self, token):
+        # write_csv writes exactly these tokens for missing and non-response cells.
+        with pytest.raises(InputError, match="reserved"):
+            Categorical(("a", token), "a")
+        with pytest.raises(InputError, match="reserved"):
+            Binary(("a", token), "a")
+
     @pytest.mark.parametrize("codes", [[0, 65536, 65537], [0, -65536, 1]])
     def test_codes_out_of_range_before_narrowing_rejected(self, codes):
         with pytest.raises(DataError, match="outside declared levels"):
@@ -451,3 +493,67 @@ class TestDatasetInvariants:
         assert sub.n_rows == 2
         assert sub["g"].state[0] == CellState.MISSING
         assert sub["a"].values[1] == 1.0
+
+
+def _cells(tokens):
+    """Column.build's cells for the CSV tokens of one column."""
+    return [None if t == "" else NONRESPONSE if t == NONRESPONSE_TOKEN else t for t in tokens]
+
+
+def _ingest_column(kind, tokens):
+    """Ingest one column of tokens; a leading index column keeps an empty
+    token from making a blank line."""
+    return _ingest_text("k,c\n" + "".join(f"{i},{t}\n" for i, t in enumerate(tokens)), {"c": kind})["c"]
+
+
+class TestBuildIngestParity:
+    CASES = {
+        "continuous": (Continuous(), ["1.5", "", "2", NONRESPONSE_TOKEN, "2.0", "-1e-3"]),
+        "categorical": (Categorical(("lo", "mid", "hi"), "lo"), ["hi", NONRESPONSE_TOKEN, "lo", "", "mid"]),
+        "binary": (Binary(("no", "yes"), "no"), ["", "yes", "no", NONRESPONSE_TOKEN, "yes"]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_cells_give_equal_columns(self, case):
+        kind, tokens = self.CASES[case]
+        built = Column.build(kind, _cells(tokens))
+        assert built == _ingest_column(kind, tokens)
+        assert (built.state == CellState.MISSING).sum() == 1
+        assert (built.state == CellState.NONRESPONSE).sum() == 1
+
+    def test_continuous_two_stays_observed(self):
+        # NONRESPONSE is an IntEnum equal to 2; a cell 2 is still a value.
+        built = Column.build(Continuous(), [2, 2.0, NONRESPONSE])
+        assert built == _ingest_column(Continuous(), ["2", "2.0", NONRESPONSE_TOKEN])
+        assert built.state.tolist() == [CellState.OBSERVED, CellState.OBSERVED, CellState.NONRESPONSE]
+        assert built.values[:2].tolist() == [2.0, 2.0]
+
+    @pytest.mark.parametrize(
+        ("kind", "tokens", "build_message", "ingest_message"),
+        [
+            (
+                Continuous(),
+                ["1", "abc"],
+                r"^row 2: cannot parse 'abc' as a number$",
+                r"^row 2, column 'c': cannot parse 'abc' as a number$",
+            ),
+            (
+                Categorical(("lo", "hi"), "lo"),
+                ["lo", "purple"],
+                r"^row 2: 'purple' is not a declared level$",
+                r"^row 2, column 'c': 'purple' is not a declared level$",
+            ),
+            (
+                Continuous(),
+                ["1", "-inf"],
+                r"^non-finite observed value at row 2$",
+                r"^column 'c': non-finite observed value at row 2$",
+            ),
+        ],
+        ids=["unparseable-number", "undeclared-level", "non-finite"],
+    )
+    def test_same_error_names_the_row(self, kind, tokens, build_message, ingest_message):
+        with pytest.raises(DataError, match=build_message):
+            Column.build(kind, _cells(tokens))
+        with pytest.raises(DataError, match=ingest_message):
+            _ingest_column(kind, tokens)

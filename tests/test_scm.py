@@ -115,6 +115,20 @@ class TestEnumerate:
         with pytest.raises(InputError, match="sums to"):
             CptVariable("A", ("0", "1"), (), ((0.6, 0.5),))
 
+    @pytest.mark.parametrize("row", [(float("nan"), float("nan")), (float("inf"), 0.0), (0.5, float("nan"))])
+    def test_cpt_non_finite_probability_rejected(self, row):
+        with pytest.raises(InputError, match="variable 'A': non-finite probability"):
+            CptVariable("A", ("0", "1"), (), (row,))
+
+    @pytest.mark.parametrize(
+        ("intercept", "coefficients"),
+        [(float("nan"), ()), (float("-inf"), ()), (0.0, (float("nan"),)), (0.0, (float("inf"),))],
+    )
+    def test_logit_non_finite_parameter_rejected(self, intercept, coefficients):
+        parents = ("P",) * len(coefficients)
+        with pytest.raises(InputError, match="variable 'A': non-finite intercept or coefficient"):
+            LogitVariable("A", parents, intercept, coefficients)
+
 
 class TestOracleEstimands:
     def test_no_mediator_effect_means_zero_indirect(self):
@@ -329,6 +343,12 @@ class TestTextFormat:
     def test_invalid_variable_reports_its_var_line(self, block):
         text = "var A : 0 1\n  cpt | 0.5 0.5\n" + block + "roles q=A\n"
         with pytest.raises(DataError, match="line 3: (duplicate )?variable '[AB]'"):
+            parse_scm(text)
+
+    @pytest.mark.parametrize("response", ["cpt | nan nan", "logit nan"])
+    def test_non_finite_parameter_reports_its_var_line(self, response):
+        text = "var B : 0 1\n  cpt | 0.5 0.5\nvar A : 0 1\n  " + response + "\n"
+        with pytest.raises(DataError, match="line 3: variable 'A': non-finite"):
             parse_scm(text)
 
     def test_linear_directive_rejected(self):
