@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset, VariableRoles
 from .errors import InputError
-from .glm import DesignMatrix, ModelSpec, build_design, expit, fit_logistic, main, response_vector
+from .glm import ModelSpec, PatternDesign, build_design, expit, fit_logistic, main, response_vector
 
 SCORE_EPS = 1e-12
 
@@ -38,18 +38,20 @@ class PropensityFit:
     base_weights: np.ndarray
 
 
-def propensity_design(ds: Dataset, roles: VariableRoles) -> DesignMatrix:
-    """Design of the exposure model: intercept and the adjustment covariates."""
-    roles.validate(ds)
+def propensity_spec(roles: VariableRoles) -> ModelSpec:
+    """The exposure model: intercept and the adjustment covariates."""
     terms = tuple(main(c) for c in roles.adjustment_columns())
-    return build_design(ds, ModelSpec(outcome=roles.exposure, exposure=None, terms=terms))
+    return ModelSpec(outcome=roles.exposure, exposure=None, terms=terms)
 
 
-def clipped_scores(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Propensity scores of the (n, p) exposure-model design ``X`` under
-    coefficients ``beta``, clipped strictly into (0, 1); a (B, p) stack of
-    coefficients gives (B, n) scores."""
-    eta = X @ beta if beta.ndim == 1 else beta @ X.T
+def clipped_scores(X: np.ndarray | PatternDesign, beta: np.ndarray) -> np.ndarray:
+    """Propensity scores of the exposure-model design ``X``, (n, p) dense
+    rows or a pattern design, under coefficients ``beta``, clipped strictly
+    into (0, 1); a (B, p) stack of coefficients gives (B, n) scores."""
+    if isinstance(X, PatternDesign):
+        eta = X.eta(beta)
+    else:
+        eta = X @ beta if beta.ndim == 1 else beta @ X.T
     return np.clip(expit(eta), SCORE_EPS, 1.0 - SCORE_EPS)
 
 
@@ -58,7 +60,8 @@ def fit_propensity(ds: Dataset, roles: VariableRoles) -> PropensityFit:
 
     The exposure must be observed on every row (a DataError names it).
     """
-    design = propensity_design(ds, roles)
+    roles.validate(ds)
+    design = build_design(ds, propensity_spec(roles))
     exposure = response_vector(ds, roles.exposure)
     weights = ds.weights()
     beta = fit_logistic(design, exposure, weights).beta

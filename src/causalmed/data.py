@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
@@ -276,6 +277,31 @@ class Dataset:
         )
 
 
+def row_patterns(columns: Sequence[Column], n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of discrete columns of ``n_rows`` rows as
+    ``(first, pattern)``: the first row holding each of the K distinct code
+    tuples, in lexicographic order of the tuples, and each row's index into
+    them. With no columns every row has the one empty pattern.
+
+    This is ``np.unique`` over the stacked codes with ``axis=0``,
+    ``return_index`` and ``return_inverse``, taken over one integer per row:
+    the mixed-radix number whose digits are the columns' codes, the first
+    column most significant. The codes must be observed. Should the radix
+    product outgrow int64, the digits so far are first renumbered densely,
+    which keeps their order.
+    """
+    code, span = np.zeros(n_rows, dtype=np.int64), 1
+    for col in columns:
+        radix = len(kind_levels(col.kind))
+        if span * radix > np.iinfo(np.int64).max:
+            _, code = np.unique(code, return_inverse=True)
+            span = int(code.max()) + 1
+        code = code * radix + col.values
+        span *= radix
+    _, first, pattern = np.unique(code, return_index=True, return_inverse=True)
+    return first, pattern
+
+
 @dataclass(frozen=True)
 class VariableRoles:
     """Maps analysis roles onto dataset columns.
@@ -368,13 +394,12 @@ def ingest_csv(
     unobserved = dict.fromkeys(missing_tokens, CellState.MISSING)
     unobserved.setdefault(NONRESPONSE_TOKEN, CellState.NONRESPONSE)
     with _open_text(source, "r") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty file: no header row") from None
-        if header:
-            header[0] = header[0].removeprefix("\ufeff")
+        # The mark is dropped from the text, so a quoted first field parses.
+        first_line = fh.readline().removeprefix("\ufeff")
+        if not first_line:
+            raise DataError("empty file: no header row")
+        reader = csv.reader(itertools.chain([first_line], fh))
+        header = next(reader)
         # Per schema column: name, header position, parser, values, states.
         cols = []
         for name, kind in schema.items():

@@ -12,6 +12,15 @@ weighting. The package has one interval rule, :func:`wald_interval`: the 95%
 Wald interval of one linear contrast of the coefficients, from the
 sandwich. A rank-deficient design is reported by naming, from left to
 right, each column that adds no rank to the columns before it.
+
+A design is held in one of two forms. A model with a continuous covariate
+has rows that do not repeat, and its fits run on pattern moments: a
+:class:`PatternDesign` keeps, per distinct combination of the discrete
+columns, the blocks that turn a row's continuous values into its design
+row, and each Newton iteration needs only weighted sums per pattern. A
+model with discrete columns only has rows that are their own patterns, and
+its fits run on dense (n, p) rows, or a (B, n, p) stack. Only the
+collinearity diagnosis expands a pattern design to dense rows.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Binary, Column, Continuous, Dataset, kind_levels, nonreference_levels
+from .data import Binary, Column, Continuous, Dataset, kind_levels, nonreference_levels, row_patterns
 from .errors import (
     ConvergenceError,
     DataError,
@@ -102,6 +111,9 @@ class DesignMatrix:
     def column(self, name: str) -> np.ndarray:
         return self.matrix[:, self.names.index(name)]
 
+    def take(self, rows) -> "DesignMatrix":
+        return DesignMatrix(self.matrix[rows], self.names)
+
 
 def _require_observed(ds: Dataset, name: str) -> Column:
     col = ds[name]
@@ -138,6 +150,113 @@ def _covariate_columns(ds, name):
 
 
 @dataclass(frozen=True, eq=False)
+class PatternDesign:
+    """An (m, p) design held as per-pattern blocks and per-row values.
+
+    Every design column is a function of the rows' discrete codes (the
+    intercept, the exposure, covariate indicators and their products), or
+    such a function times a continuous column. So row i of the design is
+
+        X_i = F[k_i, 0] + sum_j a[j, i] * F[k_i, j + 1],
+
+    with ``pattern`` the rows' indices k_i into the K distinct combinations
+    of the discrete columns, ``values`` the c continuous values a of each
+    row, a (c, m) array, or (B, c, m) where they differ between the B fits
+    of a batch, and ``blocks`` the (K, c + 1, p) array F. A fit on it works
+    on per-pattern moments, the weighted sums of 1, a_j and a_j * a_l over
+    each pattern's rows, so it costs a few passes over the m rows and
+    products of K * p**2; only :meth:`dense` forms the (m, p) matrix.
+    """
+
+    names: tuple[str, ...]
+    pattern: np.ndarray
+    values: np.ndarray
+    blocks: np.ndarray
+
+    def __post_init__(self):
+        if not np.isfinite(self.values).all():
+            raise DataError("design matrix contains non-finite entries")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The shape of the dense design: (m, p), or (B, m, p) for per-fit values."""
+        return self.values.shape[:-2] + (self.pattern.size, self.blocks.shape[-1])
+
+    def take(self, rows) -> "PatternDesign":
+        """The design on ``rows`` only; the blocks are shared."""
+        return PatternDesign(self.names, self.pattern[rows], self.values[..., rows], self.blocks)
+
+    def fits(self, index) -> "PatternDesign":
+        """The design of the fits at ``index`` of a batch: itself where the
+        values are shared."""
+        if self.values.ndim == 2:
+            return self
+        return PatternDesign(self.names, self.pattern, self.values[index], self.blocks)
+
+    def with_column(self, at: int, name: str, values: np.ndarray) -> "PatternDesign":
+        """The design with one more continuous column, equal to ``values``
+        ((m,), or (B, m) per fit), inserted at position ``at``."""
+        K, slots, p = self.blocks.shape
+        blocks = np.zeros((K, slots + 1, p + 1))
+        blocks[:, :slots, :at] = self.blocks[..., :at]
+        blocks[:, :slots, at + 1 :] = self.blocks[..., at:]
+        blocks[:, slots, at] = 1.0
+        shared = np.broadcast_to(self.values, values.shape[:-1] + self.values.shape[-2:])
+        names = self.names[:at] + (name,) + self.names[at:]
+        return PatternDesign(names, self.pattern, np.concatenate([shared, values[..., None, :]], axis=-2), blocks)
+
+    def dense(self) -> np.ndarray:
+        """The (m, p) design, or the (B, m, p) stack for per-fit values."""
+        X = self.blocks[self.pattern, 0]
+        for j in range(self.values.shape[-2]):
+            X = X + self.values[..., j, :, None] * self.blocks[self.pattern, j + 1]
+        return X
+
+    def _sums(self, v: np.ndarray) -> np.ndarray:
+        """Per fit, the sums of ``v``, a (B, m) array, over each pattern's
+        rows: one bincount, a (B, K) array."""
+        B, K = len(v), len(self.blocks)
+        cells = self.pattern if B == 1 else (self.pattern + K * np.arange(B)[:, None]).ravel()
+        return np.bincount(cells, v.ravel(), B * K).reshape(B, K)
+
+    def eta(self, beta: np.ndarray) -> np.ndarray:
+        """X @ beta for coefficients (p,) or (B, p): each pattern's F @ beta,
+        gathered onto its rows and scaled by their values."""
+        if beta.ndim == 1:
+            return self.eta(beta[None])[0]
+        G = np.einsum("kjp,bp->bjk", self.blocks, beta)
+        values = np.broadcast_to(self.values, (len(beta),) + self.values.shape[-2:])
+        eta = np.empty((len(beta), self.pattern.size))
+        # One fit at a time: take() from a vector is the fast gather.
+        for fit, Gb, a in zip(eta, G, values):
+            fit[...] = Gb[0].take(self.pattern)
+            for j in range(1, len(Gb)):
+                fit += a[j - 1] * Gb[j].take(self.pattern)
+        return eta
+
+    def score(self, r: np.ndarray) -> np.ndarray:
+        """X'r for each row of the (B, m) array ``r``: c + 1 bincounts, then
+        one (K, p) product."""
+        sums = [self._sums(r)] + [self._sums(r * self.values[..., j, :]) for j in range(self.values.shape[-2])]
+        return np.stack(sums, axis=-1).reshape(len(r), -1) @ self.blocks.reshape(-1, self.blocks.shape[-1])
+
+    def gram(self, v: np.ndarray) -> np.ndarray:
+        """X'diag(v)X for ``v`` of m weights, or (B, p, p) for (B, m):
+        (c + 1)(c + 2) / 2 bincounts of the moments M[k, j, l] (the sums of
+        v * a_j * a_l, with a_0 = 1), then sum_k F[k]' M[k] F[k]."""
+        if v.ndim == 1:
+            return self.gram(v[None])[0]
+        K, slots, p = self.blocks.shape
+        a = [None] + [self.values[..., j, :] for j in range(slots - 1)]
+        M = np.empty((len(v), K, slots, slots))
+        for i in range(slots):
+            vi = v if i == 0 else v * a[i]
+            for j in range(i, slots):
+                M[:, :, i, j] = M[:, :, j, i] = self._sums(vi if j == 0 else vi * a[j])
+        return self.blocks.reshape(-1, p).T @ (M @ self.blocks).reshape(len(v), -1, p)
+
+
+@dataclass(frozen=True, eq=False)
 class DesignTemplate:
     """A model's design columns, expanded from the dataset once.
 
@@ -148,6 +267,14 @@ class DesignTemplate:
     means through :meth:`contrast`. ``terms`` holds, per covariate design
     column, the index into ``covariates`` and whether it is an exposure
     interaction.
+
+    A template with a continuous covariate has rows that do not repeat; its
+    fits run on pattern moments, on the :meth:`pattern_design` built once,
+    whose rows are taken without forming a design matrix. A template with
+    none has rows that are their own patterns; its fits run on the dense
+    rows of :meth:`design`. ``discrete`` holds the source columns of the
+    discrete design columns, the exposure first, and ``continuous`` the
+    indices into ``covariates`` of the continuous ones.
     """
 
     names: tuple[str, ...]
@@ -155,6 +282,8 @@ class DesignTemplate:
     covariates: tuple[tuple[str, np.ndarray], ...]
     terms: tuple[tuple[int, bool], ...]
     exposure: np.ndarray | None
+    discrete: tuple[Column, ...]
+    continuous: tuple[int, ...]
 
     def design(self, rows: np.ndarray | None = None) -> np.ndarray:
         """The (n, p) design, on ``rows`` only when given, with n their
@@ -173,6 +302,25 @@ class DesignTemplate:
             if inter:
                 out[:, j] *= exposure
         return out
+
+    def pattern_design(self) -> PatternDesign:
+        """The design on all rows as a :class:`PatternDesign`: the patterns
+        are the distinct combinations of the ``discrete`` columns' codes, and
+        the values the continuous covariates. Each block holds its
+        pattern's discrete column values, or, for a continuous column, 1 (the
+        exposure for an interaction) in the column's own slot."""
+        n = self.leading[0].size
+        first, pattern = row_patterns(self.discrete, n)
+        blocks = np.zeros((first.size, len(self.continuous) + 1, len(self.names)))
+        for j, vec in enumerate(self.leading):
+            blocks[:, 0, j] = vec[first]
+        for j, (k, inter) in enumerate(self.terms, start=len(self.leading)):
+            slot = 1 + self.continuous.index(k) if k in self.continuous else 0
+            blocks[:, slot, j] = 1.0 if slot else self.covariates[k][1][first]
+            if inter:
+                blocks[:, slot, j] *= self.exposure[first]
+        values = np.array([self.covariates[k][1] for k in self.continuous]).reshape(len(self.continuous), n)
+        return PatternDesign(self.names, pattern, values, blocks)
 
     def contrast(self, W: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
         """The contrast g(W) that reads, as g(W)·β, the exposure effect at
@@ -206,8 +354,10 @@ def design_template(ds: Dataset, spec: ModelSpec) -> DesignTemplate:
     names = [INTERCEPT]
     leading = [np.ones(ds.n_rows)]
     exposure_vec = None
+    discrete, continuous = [], []
     if spec.exposure is not None:
-        exposure_vec = indicator(_require_observed(ds, spec.exposure))
+        discrete.append(_require_observed(ds, spec.exposure))
+        exposure_vec = indicator(discrete[0])
         names.append(spec.exposure)
         leading.append(exposure_vec)
     weights = ds.weights()
@@ -220,13 +370,19 @@ def design_template(ds: Dataset, spec: ModelSpec) -> DesignTemplate:
             new = _covariate_columns(ds, term.column)
             for _, vec in new:
                 vec -= (vec * weights).sum() / weights.sum()
+            if isinstance(ds[term.column].kind, Continuous):
+                continuous.append(len(covariates))
+            else:
+                discrete.append(ds[term.column])
             expanded[term.column] = range(len(covariates), len(covariates) + len(new))
             covariates.extend(new)
         for k in expanded[term.column]:
             colname = covariates[k][0]
             names.append(f"{spec.exposure}:{colname}" if term.interaction else colname)
             terms.append((k, term.interaction))
-    return DesignTemplate(tuple(names), tuple(leading), tuple(covariates), tuple(terms), exposure_vec)
+    return DesignTemplate(
+        tuple(names), tuple(leading), tuple(covariates), tuple(terms), exposure_vec, tuple(discrete), tuple(continuous)
+    )
 
 
 def build_design(ds: Dataset, spec: ModelSpec) -> DesignMatrix:
@@ -263,8 +419,11 @@ def _diagnose_singular_information(X, w, names):
     Scanning the sqrt(w)-scaled design from left to right, each column that
     adds no rank to the columns kept before it is named. If the weighted
     design is actually full rank the singularity came from degenerate fitted
-    probabilities instead, which is separation territory.
+    probabilities instead, which is separation territory. A pattern design
+    is expanded to its dense rows here, the one place a fit needs them.
     """
+    if isinstance(X, PatternDesign):
+        X = X.dense()
     Xw = X * np.sqrt(w)[:, None]
     kept, collinear = [], []
     for j in range(X.shape[1]):
@@ -297,12 +456,17 @@ def _check_weights(w: np.ndarray, n: int) -> None:
         raise InputError("weights must not all be zero")
 
 
-def _gram(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """X'diag(v)X, summed over blocks of :data:`GRAM_BLOCK_ROWS` rows with
-    one matrix product each, so no temporary holds more than one block of
-    rows of the scaled design. ``v`` holds n weights, or is (B, n) for a
-    (B, p, p) result; ``X`` is an (n, p) design shared by every row of
-    ``v``, or a (B, n, p) stack."""
+def _gram(X: np.ndarray | PatternDesign, v: np.ndarray) -> np.ndarray:
+    """X'diag(v)X. ``v`` holds n weights, or is (B, n) for a (B, p, p)
+    result.
+
+    On a :class:`PatternDesign` it comes from per-pattern moments
+    (:meth:`PatternDesign.gram`). On dense rows, ``X`` an (n, p) design
+    shared by every row of ``v`` or a (B, n, p) stack, it is summed over
+    blocks of :data:`GRAM_BLOCK_ROWS` rows with one matrix product each, so
+    no temporary holds more than one block of rows of the scaled design."""
+    if isinstance(X, PatternDesign):
+        return X.gram(v)
     A = 0.0
     for start in range(0, v.shape[-1], GRAM_BLOCK_ROWS):
         Xb = X[..., start : start + GRAM_BLOCK_ROWS, :]
@@ -333,6 +497,28 @@ class _IrlsFits(NamedTuple):
     info_inv: np.ndarray
 
 
+def _fits_of(X, index):
+    """The design of the fits at ``index`` of a batch: a design shared by
+    every fit is itself."""
+    if isinstance(X, PatternDesign):
+        return X.fits(index)
+    return X[index] if X.ndim == 3 else X
+
+
+def _linear_predictor(X, beta: np.ndarray) -> np.ndarray:
+    """X @ beta for coefficients (p,), or (B, p) for a (B, n) result."""
+    if isinstance(X, PatternDesign):
+        return X.eta(beta)
+    return X @ beta if beta.ndim == 1 else (X @ beta[..., None])[..., 0]
+
+
+def _score(X, r: np.ndarray) -> np.ndarray:
+    """X'r for each row of the (B, n) array ``r``."""
+    if isinstance(X, PatternDesign):
+        return X.score(r)
+    return (r[:, None] @ X)[:, 0]
+
+
 def _newton_step(A, score):
     """Newton steps ``solve(A, score)`` for a (B, p, p) stack."""
     np.linalg.cholesky(A)  # the positive-definiteness gate
@@ -355,16 +541,17 @@ def _per_fit(fn, out, *stacks):
     return ok
 
 
-def _irls(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> _IrlsFits:
+def _irls(X: np.ndarray | PatternDesign, y: np.ndarray, W: np.ndarray) -> _IrlsFits:
     """Maximize the weighted Bernoulli log-likelihood by IRLS under each row
     of the (B, n) weight array ``W``, all B fits iterating together.
 
-    ``X`` is an (n, p) design shared by every fit or a (B, n, p) stack, and
-    ``y`` the 0/1 response. Each fit starts at zero coefficients and stops
-    once its max-abs score falls below :data:`DEFAULT_TOL`. A step that
-    fails the Cholesky gate or the solve ends the fit as :data:`SINGULAR`; a
-    step that lowers the log-likelihood is halved, up to 30 times, or the
-    fit ends as :data:`NOT_IMPROVED`. Coefficients passing
+    ``X`` is an (n, p) design shared by every fit or a (B, n, p) stack of
+    dense rows, or a :class:`PatternDesign`, and ``y`` the 0/1 response.
+    Each fit starts at zero coefficients and stops once its max-abs score
+    falls below :data:`DEFAULT_TOL`. A step that fails the Cholesky gate or
+    the solve ends the fit as :data:`SINGULAR`; a step that lowers the
+    log-likelihood is halved, up to 30 times, or the fit ends as
+    :data:`NOT_IMPROVED`. Coefficients passing
     :data:`SEPARATION_BOUND` while the log-likelihood still improves end it
     as :data:`SEPARATED`, and a fit still short of the rule after
     :data:`DEFAULT_MAX_ITER` steps ends as :data:`NOT_CONVERGED`. A
@@ -373,8 +560,11 @@ def _irls(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> _IrlsFits:
 
     Each iteration works on the fits still iterating only: their scores
     are their weighted residuals times the design, and their information
-    matrices come from :func:`_gram`. A shared design is never copied per
-    fit; a stacked one is cut down only when a fit stops.
+    matrices come from :func:`_gram`. On a pattern design both are sums of
+    per-pattern moments, and the linear predictor is each pattern's blocks
+    times the coefficients, gathered onto its rows, so an iteration makes a
+    few passes over the n rows and no (n, p) product. A shared design is
+    never copied per fit; a stacked one is cut down only when a fit stops.
     """
     n, p = X.shape[-2:]
     if y.shape != (n,):
@@ -400,11 +590,11 @@ def _irls(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> _IrlsFits:
     def keep(mask, *arrays):
         if mask.all():
             return (Xa,) + arrays
-        return (Xa[mask] if Xa.ndim == 3 else Xa,) + tuple(a[mask] for a in arrays)
+        return (_fits_of(Xa, mask),) + tuple(a[mask] for a in arrays)
 
     for iteration in range(DEFAULT_MAX_ITER + 1):
         mu = expit(eta)
-        score = ((Wa * (y - mu))[:, None] @ Xa)[:, 0]
+        score = _score(Xa, Wa * (y - mu))
         A = _gram(Xa, Wa * mu * (1.0 - mu))
         done = np.abs(score).max(axis=1) < DEFAULT_TOL
         if done.any():
@@ -422,7 +612,7 @@ def _irls(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> _IrlsFits:
         out.failure[idx[failed]] = SINGULAR
         floor = ll - 1e-12 * (1.0 + np.abs(ll))
         cand = beta + delta
-        eta = (Xa @ cand[..., None])[..., 0]
+        eta = _linear_predictor(Xa, cand)
         ll_cand = _log_likelihood(eta, y, Wa)
         halving = ~failed & (ll_cand < floor)
         if halving.any():
@@ -434,7 +624,7 @@ def _irls(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> _IrlsFits:
                     break
                 step *= 0.5
                 cand[j] = beta[j] + step * delta[j]
-                eta[j] = ((Xa[j] if Xa.ndim == 3 else Xa) @ cand[j, :, None])[..., 0]
+                eta[j] = _linear_predictor(_fits_of(Xa, j), cand[j])
                 ll_cand[j] = _log_likelihood(eta[j], y, Wa[j])
                 halving[j] = ll_cand[j] < floor[j]
             out.failure[idx[halving]] = NOT_IMPROVED
@@ -463,7 +653,7 @@ def _irls(X: np.ndarray, y: np.ndarray, W: np.ndarray) -> _IrlsFits:
     return out
 
 
-def fit_logistic(design: DesignMatrix, y: np.ndarray, w: np.ndarray | None = None) -> FitResult:
+def fit_logistic(design: DesignMatrix | PatternDesign, y: np.ndarray, w: np.ndarray | None = None) -> FitResult:
     """Maximize the weighted Bernoulli log-likelihood by IRLS.
 
     This is :func:`_irls`, the package's one Newton loop, on one weight
@@ -476,11 +666,13 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray, w: np.ndarray | None = Non
 
     The model-based covariance is the inverse of the final information
     matrix, and the sandwich meat X'diag((w * resid)**2)X comes from
-    :func:`_gram` over blocks of rows.
+    :func:`_gram`: over blocks of dense rows for a :class:`DesignMatrix`,
+    from pattern moments for a :class:`PatternDesign`.
     """
-    X = design.matrix
+    X = design if isinstance(design, PatternDesign) else design.matrix
+    n = X.shape[0]
     y = np.asarray(y, dtype=np.float64)
-    w = np.ones(len(X)) if w is None else np.asarray(w, dtype=np.float64)
+    w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise InputError("weight length does not match design")
     fits = _irls(X, y, w[None])
@@ -498,7 +690,7 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray, w: np.ndarray | None = Non
         }[failure]
     beta, cov_model = fits.beta[0], fits.info_inv[0]
     cov_model = (cov_model + cov_model.T) / 2.0
-    resid = y - expit(X @ beta)
+    resid = y - expit(_linear_predictor(X, beta))
     cov_sandwich = cov_model @ _gram(X, (w * resid) ** 2) @ cov_model
     cov_sandwich = (cov_sandwich + cov_sandwich.T) / 2.0
     return FitResult(
@@ -507,7 +699,7 @@ def fit_logistic(design: DesignMatrix, y: np.ndarray, w: np.ndarray | None = Non
         cov_model=cov_model,
         cov_sandwich=cov_sandwich,
         iterations=int(fits.iterations[0]),
-        n_obs=len(X),
+        n_obs=n,
     )
 
 

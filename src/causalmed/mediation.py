@@ -41,14 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjustment import clipped_scores, ipw_weights, propensity_design
-from .data import Continuous, Dataset, VariableRoles
+from .adjustment import clipped_scores, ipw_weights, propensity_spec
+from .data import Continuous, Dataset, VariableRoles, row_patterns
 from .errors import BootstrapError, InputError
 from .glm import (
     CONVERGED,
     DesignMatrix,
     FitResult,
     ModelSpec,
+    PatternDesign,
     _irls,
     design_template,
     fit_logistic,
@@ -158,6 +159,12 @@ class VariantEstimator:
     the resampled rows. The sandwich covariance does not, as it reads a
     weight as a sampling weight rather than repeated rows; a bootstrap
     replicate uses the coefficients only.
+
+    A model whose template has a continuous covariate is fitted on its
+    :class:`~causalmed.glm.PatternDesign`, built once, and so is every
+    ``ps_regression`` model whose propensity model has one, as its score
+    column is then continuous too. Any other model is fitted on dense rows
+    gathered from its template at each fit.
     """
 
     def __init__(self, ds: Dataset, roles: VariableRoles, variant: str, include_mediators=(False, True)):
@@ -172,21 +179,29 @@ class VariantEstimator:
         self.names = [
             t.names[:2] + (PS_COLUMN,) + t.names[2:] if variant == "ps_regression" else t.names for t in self.templates
         ]
+        continuous_scores = False
         if variant in ("ps_regression", "ipw"):
-            self.ps_design = propensity_design(ds, roles)
+            ps = design_template(ds, propensity_spec(roles))
+            self.ps_design = ps.pattern_design() if ps.continuous else DesignMatrix(ps.design(), ps.names)
             self.treat = response_vector(ds, roles.exposure)
+            continuous_scores = variant == "ps_regression" and bool(ps.continuous)
+        # Per model, its pattern design on the estimator's rows, or None to
+        # gather its dense rows from the template.
+        self.patterns = [t.pattern_design() if t.continuous or continuous_scores else None for t in self.templates]
 
     def take(self, rows) -> "VariantEstimator":
         """The same estimator on the given rows only, with no dataset
-        rebuilt. The response, the propensity design and the exposure are
-        sliced to the rows; each model's design is gathered on them from its
-        template only when that model is fitted, so at most one is alive at
-        a time."""
+        rebuilt. The response, the exposure and the pattern and propensity
+        designs are sliced to the rows, a pattern design by its pattern
+        indices and values alone; a dense model's design is gathered on them
+        from its template only when that model is fitted, so at most one is
+        alive at a time."""
         out = copy.copy(self)
         out.rows = rows if self.rows is None else self.rows[rows]
         out.y = self.y[rows]
+        out.patterns = [None if p is None else p.take(rows) for p in self.patterns]
         if self.variant in ("ps_regression", "ipw"):
-            out.ps_design = DesignMatrix(self.ps_design.matrix[rows], self.ps_design.names)
+            out.ps_design = self.ps_design.take(rows)
             out.treat = self.treat[rows]
         return out
 
@@ -194,9 +209,8 @@ class VariantEstimator:
         scores = None
         if self.variant in ("ps_regression", "ipw"):
             beta = fit_logistic(self.ps_design, self.treat, weights).beta
-            scores = clipped_scores(self.ps_design.matrix, beta)
-        fits = self._fit_models(lambda X, names, w: fit_logistic(DesignMatrix(X, names), self.y, w), weights, scores)
-        return tuple(fits)
+            scores = clipped_scores(_irls_input(self.ps_design), beta)
+        return tuple(self._fit_models(lambda design, w: fit_logistic(design, self.y, w), weights, scores))
 
     def contrasts(self, W: np.ndarray) -> list[np.ndarray]:
         """Per model, the contrast g(W) over the estimator's rows
@@ -215,35 +229,43 @@ class VariantEstimator:
         whose fits were all plain."""
         fits, scores = [], None
         if self.variant in ("ps_regression", "ipw"):
-            fits.append(_irls(self.ps_design.matrix, self.treat, W))
-            scores = clipped_scores(self.ps_design.matrix, fits[0].beta)
-        models = self._fit_models(lambda X, names, w: _irls(X, self.y, w), W, scores)
+            fits.append(_irls(_irls_input(self.ps_design), self.treat, W))
+            scores = clipped_scores(_irls_input(self.ps_design), fits[0].beta)
+        models = self._fit_models(lambda design, w: _irls(_irls_input(design), self.y, w), W, scores)
         coefs = np.column_stack([(g * fit.beta).sum(axis=1) for fit, g in zip(models, self.contrasts(W))])
         fits += models
         coefs[np.any([fit.failure != CONVERGED for fit in fits], axis=0)] = math.nan
         return coefs, np.all([fit.plain for fit in fits], axis=0)
 
     def _fit_models(self, fit, W, scores):
-        """``fit(design, names, fit_weights)`` for each model under the row
-        weights ``W``, a vector or a (B, n) array, with the propensity
-        scores of the same shape for the ps/ipw variants.
-
-        A design is gathered from its template on the estimator's rows: one
-        (n, p) matrix shared by every row of ``W``, or a (B, n, p) stack
-        where ``ps_regression``'s score column varies with them. The fit
-        weights are ``W``, times the stabilized IPW factor for ``ipw``. Each
-        design is dropped after its fit, so no more than one model's design
-        is alive at a time.
-        """
+        """``fit(design, fit_weights)`` for each model under the row weights
+        ``W``, a vector or a (B, n) array, with the propensity scores of the
+        same shape for the ps/ipw variants. The fit weights are ``W``, times
+        the stabilized IPW factor for ``ipw``."""
         fit_weights = W * ipw_weights(scores, self.treat, W) if self.variant == "ipw" else W
-        results = []
-        for template, names in zip(self.templates, self.names):
-            X = template.design(self.rows)
-            if self.variant == "ps_regression":
-                X = np.insert(np.broadcast_to(X, W.shape + X.shape[-1:]), 2, scores, axis=-1)
-            results.append(fit(X, names, fit_weights))
-            del X
-        return results
+        return [fit(self._design(i, W, scores), fit_weights) for i in range(len(self.templates))]
+
+    def _design(self, i, W, scores):
+        """Model i's design on the estimator's rows, with ``ps_regression``'s
+        score column inserted, as one more continuous column of a pattern
+        design, or into dense rows. Dense rows are gathered from the
+        template: one (n, p) matrix shared by every row of ``W``, or a (B,
+        n, p) stack where the score column varies with them. Each design is
+        dropped after its fit, so no more than one model's is alive at a
+        time."""
+        pattern, names = self.patterns[i], self.names[i]
+        if pattern is not None:
+            return pattern.with_column(2, PS_COLUMN, scores) if self.variant == "ps_regression" else pattern
+        X = self.templates[i].design(self.rows)
+        if self.variant == "ps_regression":
+            X = np.insert(np.broadcast_to(X, W.shape + X.shape[-1:]), 2, scores, axis=-1)
+        return DesignMatrix(X, names)
+
+
+def _irls_input(design):
+    """What :func:`~causalmed.glm._irls` fits on: a pattern design itself,
+    the matrix of dense rows."""
+    return design if isinstance(design, PatternDesign) else design.matrix
 
 
 def _estimates(ds: Dataset, est: VariantEstimator, kinds) -> list[EffectEstimate]:
@@ -337,9 +359,8 @@ def _bootstrap_interval(ds: Dataset, est: VariantEstimator, reps: int, seed: int
         # Rows with a continuous value do not repeat: each is its own pattern.
         pattern, n_patterns, patterns = None, ds.n_rows, est
     else:
-        codes = np.column_stack([ds[c].values for c in columns])
-        _, first, pattern = np.unique(codes, axis=0, return_index=True, return_inverse=True)
-        pattern, n_patterns, patterns = pattern.ravel(), first.size, est.take(first)
+        first, pattern = row_patterns([ds[c] for c in columns], ds.n_rows)
+        n_patterns, patterns = first.size, est.take(first)
     block_size = max(1, min(ds.n_rows // n_patterns, BLOCK_CELLS // ds.n_rows))
 
     def block_fn(counts):
@@ -376,15 +397,23 @@ def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, see
     Rows collapse to their K distinct role-column patterns; with a
     continuous role column no row repeats, and each row is its own pattern.
     Replicates go in blocks of at most n // K, so ``ps_regression``'s
-    stacked design never outgrows a full-row one, and of at most :data:`BLOCK_CELLS` / n,
-    which bounds the block's count matrix. A block is fitted
-    (:meth:`VariantEstimator.coefs`) on one row per pattern that any of its
-    replicates drew, under their row weights summed within it, for the
-    effects alone. A replicate whose fit is not plain (it failed, was
-    step-halved, passed the separation bound, or ended on an information
-    matrix with condition number above
+    stacked design never outgrows a full-row one, and of at most
+    :data:`BLOCK_CELLS` / n, which bounds the block's count matrix. A block
+    is fitted (:meth:`VariantEstimator.coefs`) on one row per pattern that
+    any of its replicates drew, under their row weights summed within it,
+    for the effects alone. A replicate whose fit is not plain (it failed,
+    was step-halved, passed the separation bound, or ended on an
+    information matrix with condition number above
     :data:`~causalmed.glm.STACKED_MAX_CONDITION`) is refit on the full
     rows, and that fit decides its statistic or its failure.
+
+    So with discrete role columns only, every fit runs on dense design rows
+    (a (B, K, p) stack for ``ps_regression``). With a continuous one, the
+    blocks hold one replicate each, fitted on the rows it drew; a model with
+    a continuous column then runs on pattern moments
+    (:class:`~causalmed.glm.PatternDesign`), its replicate taking only the
+    drawn rows' pattern indices and continuous values, and no design matrix
+    is formed.
     """
     return _bootstrap_interval(ds, VariantEstimator(ds, roles, variant), reps, seed)
 

@@ -21,6 +21,7 @@ from causalmed.data import (
     filter_analysis_rows,
     ingest_csv,
     recode,
+    row_patterns,
     sgm_survey_rules,
     write_csv,
 )
@@ -109,6 +110,19 @@ class TestIngest:
         path = tmp_path / "bom.csv"
         path.write_text("a,b\n1,0\n", encoding="utf-8-sig")
         assert ingest_csv(path, schema) == want
+
+    def test_byte_order_mark_before_quoted_header_field(self, tmp_path):
+        schema = {"a": Continuous(), "b": Binary()}
+        want = _ingest_text("a,b\n1,0\n", schema)
+        assert _ingest_text('\ufeff"a",b\n1,0\n', schema) == want
+        path = tmp_path / "bom.csv"
+        path.write_text('"a","b"\n1,0\n', encoding="utf-8-sig")
+        assert ingest_csv(path, schema) == want
+
+    @pytest.mark.parametrize("text", ["", "\ufeff"])
+    def test_empty_file_has_no_header_row(self, text):
+        with pytest.raises(DataError, match="^empty file: no header row$"):
+            _ingest_text(text, {"a": Continuous()})
 
     def test_missing_file(self):
         with pytest.raises(DataError, match="cannot read"):
@@ -557,3 +571,23 @@ class TestBuildIngestParity:
             Column.build(kind, _cells(tokens))
         with pytest.raises(DataError, match=ingest_message):
             _ingest_column(kind, tokens)
+
+
+class TestRowPatterns:
+    @pytest.mark.parametrize("n_columns, n_levels", [(3, 2), (4, 5), (21, 10)])
+    def test_equals_unique_rows_of_stacked_codes(self, n_columns, n_levels):
+        # 21 columns of 10 levels have a radix product past int64, which
+        # renumbers the digits on the way.
+        rng = np.random.default_rng(n_columns)
+        kind = Categorical(tuple(str(i) for i in range(n_levels)), "0")
+        codes = rng.integers(0, n_levels, (300, n_columns))
+        codes[150:] = codes[rng.integers(0, 150, 150)]  # repeated rows
+        columns = [Column(kind, c, np.zeros(300, dtype=np.uint8)) for c in codes.T]
+        first, pattern = row_patterns(columns, 300)
+        _, want_first, want_pattern = np.unique(codes, axis=0, return_index=True, return_inverse=True)
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(pattern, want_pattern.ravel())
+
+    def test_no_columns_is_one_pattern(self):
+        first, pattern = row_patterns([], 4)
+        assert first.tolist() == [0] and pattern.tolist() == [0, 0, 0, 0]

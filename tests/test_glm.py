@@ -9,6 +9,7 @@ import pytest
 
 import causalmed
 from causalmed import glm
+from causalmed.adjustment import clipped_scores
 from causalmed.data import Binary, Categorical, Column, Continuous, Dataset
 from causalmed.errors import (
     ConvergenceError,
@@ -24,7 +25,9 @@ from causalmed.glm import (
     Z95,
     _gram,
     _irls,
+    _linear_predictor,
     _log_likelihood,
+    _score,
     build_design,
     design_template,
     expit,
@@ -397,6 +400,118 @@ class TestDesignInPlace:
         rows = np.flatnonzero(rng.integers(0, 3, ds.n_rows))
         template = design_template(ds, spec)
         assert np.array_equal(template.design(rows), template.design()[rows])
+
+
+PATTERN_SPEC = ModelSpec("y", "q", (main("x"), main("race"), main("sex"), interaction("x"), interaction("race")))
+#: The same without race, which enters the propensity score instead.
+SCORE_SPEC = ModelSpec("y", "q", (main("x"), main("sex"), interaction("x"), interaction("sex")))
+
+
+def pattern_and_dense(ds, with_score, rows=None):
+    """A pattern design on ``rows`` and the dense design it stands for: with
+    one continuous column (x, PATTERN_SPEC), or with two (SCORE_SPEC), x and
+    a propensity-score column inserted after the exposure as in
+    ``ps_regression``. The scores are those of an exposure model on x and
+    race with fixed coefficients, far enough from linear in x that the
+    design is well conditioned (q does not depend on x here, so fitted
+    scores would be nearly so)."""
+    template = design_template(ds, SCORE_SPEC if with_score else PATTERN_SPEC)
+    pattern, X = template.pattern_design(), template.design()
+    if with_score:
+        ps = design_template(ds, ModelSpec("q", None, (main("x"), main("race"))))
+        scores = clipped_scores(ps.design(), np.array([0.0, 0.2, 1.0, -1.0]))
+        pattern = pattern.with_column(2, "propensity_score", scores)
+        X = np.insert(X, 2, scores, axis=1)
+    if rows is None:
+        return pattern, X
+    return pattern.take(rows), X[rows]
+
+
+def rel_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestPatternDesign:
+    """A design with continuous columns, fitted on per-pattern moments,
+    against its dense rows."""
+
+    @pytest.mark.parametrize("with_score", [False, True])
+    def test_dense_expansion_equals_design(self, with_score):
+        rng = np.random.default_rng(21)
+        ds = survey_dataset(rng, 400)
+        template = design_template(ds, PATTERN_SPEC)
+        assert template.continuous == (0,)
+        rows = rng.integers(0, ds.n_rows, ds.n_rows)
+        for r in (None, rows):
+            pattern, X = pattern_and_dense(ds, with_score, r)
+            assert pattern.shape == X.shape
+            assert np.array_equal(pattern.dense(), X)
+            if not with_score:
+                assert np.array_equal(X, template.design(r))
+        # race (3 levels), sex and q give at most 12 patterns.
+        assert len(pattern.blocks) <= 12
+
+    @pytest.mark.parametrize("with_score", [False, True])
+    def test_eta_score_and_information_match_dense(self, with_score):
+        rng = np.random.default_rng(22)
+        ds = survey_dataset(rng, 3 * GRAM_BLOCK_ROWS + 5)
+        pattern, X = pattern_and_dense(ds, with_score)
+        beta = rng.normal(0.0, 1.0, (3, X.shape[1]))
+        v = rng.uniform(0.0, 3.0, (3, ds.n_rows))
+        assert rel_error(_linear_predictor(pattern, beta), _linear_predictor(X, beta)) <= 1e-13
+        assert rel_error(_linear_predictor(pattern, beta[0]), X @ beta[0]) <= 1e-13
+        assert rel_error(_score(pattern, v), _score(X, v)) <= 1e-13
+        for got, want in zip(_gram(pattern, v), _gram(X, v)):
+            assert rel_error(got, want) <= 1e-13
+        assert rel_error(_gram(pattern, v[0]), _gram(X, v[0])) <= 1e-13
+
+    def test_per_fit_score_columns_match_dense_stack(self):
+        # ps_regression in a batch: each fit has its own score column.
+        rng = np.random.default_rng(23)
+        ds = survey_dataset(rng, 600)
+        template = design_template(ds, PATTERN_SPEC)
+        scores = rng.uniform(0.05, 0.95, (3, ds.n_rows))
+        pattern = template.pattern_design().with_column(2, "propensity_score", scores)
+        X = np.insert(np.broadcast_to(template.design(), (3,) + template.design().shape), 2, scores, axis=-1)
+        assert pattern.shape == X.shape
+        assert np.array_equal(pattern.dense(), X)
+        beta = rng.normal(0.0, 1.0, (3, X.shape[-1]))
+        v = rng.uniform(0.0, 3.0, (3, ds.n_rows))
+        assert rel_error(_linear_predictor(pattern, beta), _linear_predictor(X, beta)) <= 1e-13
+        assert rel_error(_score(pattern, v), _score(X, v)) <= 1e-13
+        for got, want in zip(_gram(pattern, v), _gram(X, v)):
+            assert rel_error(got, want) <= 1e-13
+        y, W = response_vector(ds, "y"), ds.weights() * rng.integers(0, 3, (3, ds.n_rows))
+        got, want = _irls(pattern, y, W), _irls(X, y, W)
+        assert got.failure.tolist() == want.failure.tolist() == [glm.CONVERGED] * 3
+        assert got.iterations.tolist() == want.iterations.tolist()
+        assert rel_error(got.beta, want.beta) <= 1e-12
+
+    @pytest.mark.parametrize("with_score", [False, True])
+    def test_fit_matches_dense_fit(self, with_score):
+        rng = np.random.default_rng(24)
+        ds = survey_dataset(rng, 2_000)
+        pattern, X = pattern_and_dense(ds, with_score)
+        y, w = response_vector(ds, "y"), rng.uniform(0.2, 5.0, ds.n_rows)
+        got, want = fit_logistic(pattern, y, w), fit_logistic(DesignMatrix(X, pattern.names), y, w)
+        assert got.names == want.names and got.n_obs == want.n_obs
+        assert got.iterations == want.iterations
+        assert rel_error(got.beta, want.beta) <= 1e-12
+        assert rel_error(got.cov_model, want.cov_model) <= 1e-12
+        assert rel_error(got.cov_sandwich, want.cov_sandwich) <= 1e-12
+
+    def test_rank_deficiency_names_the_collinear_column(self):
+        # Only race "a" rows drawn: both race indicators are constant, so
+        # each adds no rank, and neither do their interactions.
+        ds = survey_dataset(np.random.default_rng(25), 300)
+        rows = np.flatnonzero(ds["race"].values == 0)
+        pattern, X = pattern_and_dense(ds, False, rows)
+        y, w = response_vector(ds, "y")[rows], ds.weights()[rows]
+        with pytest.raises(RankDeficiencyError) as got:
+            fit_logistic(pattern, y, w)
+        with pytest.raises(RankDeficiencyError) as want:
+            fit_logistic(DesignMatrix(X, pattern.names), y, w)
+        assert got.value.columns == want.value.columns
 
 
 class TestExposureContrast:

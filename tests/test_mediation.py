@@ -432,6 +432,24 @@ class TestReplicateEquivalence:
         assert rel_close(interval.lo, lo) and rel_close(interval.hi, hi)
         assert rel_close(interval.se, se)
 
+    @pytest.mark.parametrize("variant", ("primary", "simple", "ps_regression"))
+    def test_continuous_role_forms_no_design_matrix(self, variant, monkeypatch):
+        # Every model of these variants has a continuous column (age, or
+        # ps_regression's score), so their replicates and refits run on
+        # pattern designs: no dense design is gathered or expanded. (ipw's
+        # outcome models have discrete columns only and keep dense rows.)
+        rng = np.random.default_rng(47)
+        ds = with_age(sim_dataset(rng, 200, bm=0.3, weight=True), rng)
+        want = bootstrap_ci(ds, AGE_ROLES, variant, 100, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense design formed")
+
+        monkeypatch.setattr(glm.DesignTemplate, "design", refuse)
+        monkeypatch.setattr(glm.PatternDesign, "dense", refuse)
+        assert bootstrap_ci(ds, AGE_ROLES, variant, 100, 3) == want
+        total_effect(ds, AGE_ROLES, variant)
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_drawn_row_failures_match_full_row_fits(self, variant):
         # Continuous-role replicates are fitted on their drawn rows alone.
