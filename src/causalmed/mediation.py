@@ -24,10 +24,12 @@ survey weights. Total and direct effects carry the Wald interval of that
 contrast (:func:`~causalmed.glm.wald_interval`, from the sandwich
 covariance); the indirect effect has no closed-form SE here, so its CI
 comes from a deterministic nonparametric bootstrap (:func:`bootstrap_ci`)
-that refits the same estimator under each replicate's row counts. Its one
-path fits a block of replicates together on the row patterns they drew,
+that refits the same estimator under each replicate's row counts. Each
+replicate's counts are reduced to weights on the K distinct role-column
+patterns as they are drawn, and its one path fits blocks of up to
+:data:`BLOCK_CELLS` // K replicates together on the patterns they drew,
 with coefficients only; a replicate whose fit leaves the plain Newton path
-is refit on the full rows.
+is drawn again and refit on the full rows.
 
 Note the total effect from the mediator-free model is the standard
 two-model quantity, not a collapsibility-corrected marginal effect.
@@ -319,20 +321,31 @@ class BootstrapInterval:
     reps: int
 
 
-#: Most cells in the (B, n) row-count matrix of one block of replicates.
-BLOCK_CELLS = 1 << 20
+#: Most pattern weights in one block of replicates: a block holds
+#: ``BLOCK_CELLS // K`` replicates over K row patterns, and at least one.
+BLOCK_CELLS = 1 << 12
+
+
+def replicate_counts(n_rows: int, seed: int) -> np.ndarray:
+    """How often each of ``n_rows`` rows is drawn by the bootstrap
+    replicate with generator seed ``seed``, which draws ``n_rows`` row
+    indices with replacement. This is the only bootstrap draw."""
+    return np.bincount(np.random.default_rng(seed).integers(0, n_rows, n_rows), minlength=n_rows)
 
 
 def bootstrap_statistics(n_rows, reps, seed, block_fn, block_size):
-    """Resampling engine: replicate i draws ``n_rows`` row indices with
-    generator seed+i, and its statistic comes from their per-row counts.
+    """Resampling engine: replicate i resamples ``n_rows`` rows with
+    generator seed+i (:func:`replicate_counts`).
 
     Replicates go to ``block_fn`` in order, ``block_size`` at a time (fewer
-    in the last block), as a (B, n_rows) count matrix. It returns their B
-    statistics, NaN for a replicate whose fit degenerated (rank deficiency,
-    separation, non-convergence). Failed replicates are dropped and counted;
-    more than :data:`MAX_FAILURE_RATE` of them failing is an error.
+    in the last block), as the ``range`` of their indices i; it draws each
+    replicate's counts itself and returns their statistics, NaN for a
+    replicate whose fit degenerated (rank deficiency, separation,
+    non-convergence). Failed replicates are dropped and counted; more than
+    :data:`MAX_FAILURE_RATE` of them failing is an error.
     """
+    if n_rows < 1:
+        raise InputError("bootstrap needs at least one row")
     if reps < 100:
         raise InputError("at least 100 bootstrap replicates required")
     if seed < 0:
@@ -340,10 +353,7 @@ def bootstrap_statistics(n_rows, reps, seed, block_fn, block_size):
     stats = np.empty(reps)
     for start in range(0, reps, block_size):
         block = range(start, min(start + block_size, reps))
-        counts = np.array(
-            [np.bincount(np.random.default_rng(seed + i).integers(0, n_rows, n_rows), minlength=n_rows) for i in block]
-        )
-        stats[block.start : block.stop] = block_fn(counts)
+        stats[block.start : block.stop] = block_fn(block)
     failed = np.isnan(stats)
     n_failed = int(failed.sum())
     if n_failed > MAX_FAILURE_RATE * reps:
@@ -361,19 +371,20 @@ def _bootstrap_interval(ds: Dataset, est: VariantEstimator, reps: int, seed: int
     else:
         first, pattern = row_patterns([ds[c] for c in columns], ds.n_rows)
         n_patterns, patterns = first.size, est.take(first)
-    block_size = max(1, min(ds.n_rows // n_patterns, BLOCK_CELLS // ds.n_rows))
+    block_size = max(1, BLOCK_CELLS // n_patterns)
 
-    def block_fn(counts):
-        W = weights * counts
-        if pattern is not None:
-            # One bincount for the block: replicate b's pattern k is bin b * n_patterns + k.
-            B = len(W)
-            cells = pattern + n_patterns * np.arange(B)[:, None]
-            W = np.bincount(cells.ravel(), W.ravel(), B * n_patterns).reshape(B, n_patterns)
+    def block_fn(block):
+        # Each replicate's counts become its row of pattern weights as they
+        # are drawn, so no (B, n) array is formed.
+        W = np.empty((len(block), n_patterns))
+        for b, i in enumerate(block):
+            w = weights * replicate_counts(ds.n_rows, seed + i)
+            W[b] = w if pattern is None else np.bincount(pattern, w, n_patterns)
         drawn = np.flatnonzero(W.any(axis=0))
         coefs, plain = patterns.take(drawn).coefs(W[:, drawn])
         for b in np.flatnonzero(~plain):
-            coefs[b] = est.coefs(weights * counts[b : b + 1])[0][0]
+            w = weights * replicate_counts(ds.n_rows, seed + block[b])
+            coefs[b] = est.coefs(w[None])[0][0]
         return coefs[:, 0] - coefs[:, 1]
 
     stats, n_failed = bootstrap_statistics(ds.n_rows, reps, seed, block_fn, block_size)
@@ -396,24 +407,25 @@ def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, see
 
     Rows collapse to their K distinct role-column patterns; with a
     continuous role column no row repeats, and each row is its own pattern.
-    Replicates go in blocks of at most n // K, so ``ps_regression``'s
-    stacked design never outgrows a full-row one, and of at most
-    :data:`BLOCK_CELLS` / n, which bounds the block's count matrix. A block
-    is fitted (:meth:`VariantEstimator.coefs`) on one row per pattern that
-    any of its replicates drew, under their row weights summed within it,
-    for the effects alone. A replicate whose fit is not plain (it failed,
-    was step-halved, passed the separation bound, or ended on an
-    information matrix with condition number above
-    :data:`~causalmed.glm.STACKED_MAX_CONDITION`) is refit on the full
-    rows, and that fit decides its statistic or its failure.
+    Replicates go in blocks of :data:`BLOCK_CELLS` // K (at least one).
+    Each replicate's row counts are drawn and at once reduced to its K
+    pattern weights, the survey weights times the counts summed within
+    each pattern, so a block holds a (B, K) weight array and no (B, n)
+    count matrix. A block is fitted (:meth:`VariantEstimator.coefs`) on one
+    row per pattern that any of its replicates drew, for the effects alone.
+    A replicate whose fit is not plain (it failed, was step-halved, passed
+    the separation bound, or ended on an information matrix with condition
+    number above :data:`~causalmed.glm.STACKED_MAX_CONDITION`) draws its
+    counts again and is refit on the full rows, and that fit decides its
+    statistic or its failure.
 
     So with discrete role columns only, every fit runs on dense design rows
-    (a (B, K, p) stack for ``ps_regression``). With a continuous one, the
-    blocks hold one replicate each, fitted on the rows it drew; a model with
-    a continuous column then runs on pattern moments
-    (:class:`~causalmed.glm.PatternDesign`), its replicate taking only the
-    drawn rows' pattern indices and continuous values, and no design matrix
-    is formed.
+    (a (B, K, p) stack for ``ps_regression``). With a continuous one, K is
+    the number of rows; at survey scale the blocks hold one replicate each,
+    fitted on the rows it drew. A model with a continuous column then runs
+    on pattern moments (:class:`~causalmed.glm.PatternDesign`), its
+    replicates taking only the drawn rows' pattern indices and continuous
+    values, and no design matrix is formed.
     """
     return _bootstrap_interval(ds, VariantEstimator(ds, roles, variant), reps, seed)
 

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from causalmed import glm
+from causalmed import glm, mediation
 from causalmed.adjustment import fit_propensity, ipw_weights
 from causalmed.data import Binary, Column, Continuous, Dataset, VariableRoles
 from causalmed.errors import BootstrapError, ConvergenceError, InputError, RankDeficiencyError, SeparationError
@@ -28,6 +29,7 @@ from causalmed.mediation import (
     combine,
     direct_effect,
     effect_triple,
+    replicate_counts,
     total_effect,
 )
 
@@ -255,11 +257,15 @@ class TestBootstrap:
 
     def test_replicate_is_count_vector_of_seeded_draw(self):
         seen = []
-        bootstrap_statistics(30, 100, 11, lambda counts: seen.append(counts) or 0.0, 7)
+        bootstrap_statistics(30, 100, 11, lambda block: seen.append(block) or 0.0, 7)
+        assert all(isinstance(block, range) for block in seen)
         assert [len(block) for block in seen] == [7] * 14 + [2]
-        for i, counts in enumerate(np.concatenate(seen)):
+        assert [i for block in seen for i in block] == list(range(100))
+        for i in range(100):
             idx = np.random.default_rng(11 + i).integers(0, 30, 30)
-            np.testing.assert_array_equal(counts, np.bincount(idx, minlength=30))
+            np.testing.assert_array_equal(replicate_counts(30, 11 + i), np.bincount(idx, minlength=30))
+        with pytest.raises(InputError, match="at least one row"):
+            bootstrap_statistics(0, 100, 11, seen.append, 7)
 
     def test_triple_reports_failed_replicates(self):
         ds = sim_dataset(np.random.default_rng(4), 50, bm=0.3)
@@ -394,6 +400,42 @@ class TestReplicateEquivalence:
         assert interval.n_failed == n_failed
         assert rel_close(interval.lo, lo) and rel_close(interval.hi, hi)
         assert rel_close(interval.se, se)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize(
+        "n, data_seed, reps, seed",
+        [(300, 31, 200, 8), (50, 4, 100, 4), (60, 0, 200, 0), ("age", 43, 100, 6)],
+    )
+    def test_interval_does_not_depend_on_block_size(self, variant, n, data_seed, reps, seed, monkeypatch):
+        # The datasets of test_bootstrap_interval_matches_count_weight_fits
+        # and test_continuous_role_matches_count_weight_fits. A block is
+        # fitted on the patterns any of its replicates drew; the default
+        # blocks hold up to 256 replicates, and BLOCK_CELLS = 1 gives one.
+        rng = np.random.default_rng(data_seed)
+        if n == "age":
+            ds, roles = with_age(sim_dataset(rng, 200, bm=0.3, weight=True), rng), AGE_ROLES
+        else:
+            ds, roles = sim_dataset(rng, n, bm=0.3, weight=n == 300), ROLES
+        want = bootstrap_ci(ds, roles, variant, reps, seed)
+        monkeypatch.setattr(mediation, "BLOCK_CELLS", 1)
+        got = bootstrap_ci(ds, roles, variant, reps, seed)
+        assert got.n_failed == want.n_failed
+        assert rel_close(got.lo, want.lo) and rel_close(got.hi, want.hi)
+        assert rel_close(got.se, want.se)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bootstrap_memory_stays_below_count_matrix(self, variant):
+        # Replicates are reduced to pattern weights as they are drawn, so a
+        # 1000-replicate bootstrap on 300 rows never holds their (1000, 300)
+        # count matrix.
+        ds = sim_dataset(np.random.default_rng(31), 300, bm=0.3, weight=True)
+        tracemalloc.start()
+        try:
+            bootstrap_ci(ds, ROLES, variant, 1000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 300 * 8
 
     @pytest.mark.parametrize("variant, n_failed", [("primary", 16), ("simple", 6), ("ipw", 1)])
     def test_singular_solve_counts_as_failed_fit(self, variant, n_failed):
