@@ -26,10 +26,14 @@ covariance); the indirect effect has no closed-form SE here, so its CI
 comes from a deterministic nonparametric bootstrap (:func:`bootstrap_ci`)
 that refits the same estimator under each replicate's row counts. Each
 replicate's counts are reduced to weights on the K distinct role-column
-patterns as they are drawn, and its one path fits blocks of up to
-:data:`BLOCK_CELLS` // K replicates together on the patterns they drew,
-with coefficients only; a replicate whose fit leaves the plain Newton path
-is drawn again and refit on the full rows.
+patterns. Where rows collapse so far that a block holds several
+replicates, these form one read-only (reps, K) table, drawn once and shared
+by the variants bootstrapped on the same dataset object at the same seed;
+otherwise (a continuous role column among them) each block draws its own.
+The one path fits blocks of up to :data:`BLOCK_CELLS` // K
+replicates together on the patterns they drew, with coefficients only; a
+replicate whose fit leaves the plain Newton path is drawn again and refit
+on the full rows.
 
 Note the total effect from the mediator-free model is the standard
 two-model quantity, not a collapsibility-corrected marginal effect.
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import copy
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,7 +334,9 @@ BLOCK_CELLS = 1 << 12
 def replicate_counts(n_rows: int, seed: int) -> np.ndarray:
     """How often each of ``n_rows`` rows is drawn by the bootstrap
     replicate with generator seed ``seed``, which draws ``n_rows`` row
-    indices with replacement. This is the only bootstrap draw."""
+    indices with replacement. This is the only bootstrap draw: the shared
+    pattern-weight table, the per-block draws and the full-row refits all
+    call it."""
     return np.bincount(np.random.default_rng(seed).integers(0, n_rows, n_rows), minlength=n_rows)
 
 
@@ -361,33 +368,97 @@ def bootstrap_statistics(n_rows, reps, seed, block_fn, block_size):
     return stats[~failed], n_failed
 
 
+def _replicate_weights(weights, pattern, n_patterns, seed) -> np.ndarray:
+    """The K pattern weights of the replicate with generator seed ``seed``:
+    the survey weights times its :func:`replicate_counts`, summed within
+    each pattern, or per row when ``pattern`` is None."""
+    w = weights * replicate_counts(weights.size, seed)
+    return w if pattern is None else np.bincount(pattern, w, n_patterns)
+
+
+#: The last table :func:`_pattern_weight_table` built, as (weak reference to
+#: its dataset, (role columns, reps, seed), weights, pattern, table), or None.
+_last_table = None
+
+
+def _forget_table(ref):
+    """Drop the kept table once its dataset is gone."""
+    global _last_table
+    last = _last_table
+    if last is not None and last[0] is ref:
+        _last_table = None
+
+
+def _pattern_weight_table(ds, columns, pattern, n_patterns, reps, seed) -> np.ndarray:
+    """The read-only (reps, K) pattern weights of the bootstrap replicates
+    of ``ds`` over the discrete role ``columns``: row i is
+    :func:`_replicate_weights` of generator seed+i on the K patterns that
+    ``pattern`` gives the rows.
+
+    The variants bootstrapped on one dataset draw the same replicates, so
+    the last table is kept and handed out again when the same ``ds``
+    object comes back with the same role columns, ``reps`` and ``seed``,
+    and with weights and patterns equal to those it was built from (a
+    column edited in place gets a new table). An equal but distinct
+    dataset draws its own, and the table is dropped with its dataset: it
+    is scoped to one analysis, not to equal data. Two threads racing here
+    at worst both draw.
+    """
+    global _last_table
+    weights, key, last = ds.weights(), (columns, reps, seed), _last_table
+    if (
+        last is not None
+        and last[0]() is ds
+        and last[1] == key
+        and np.array_equal(last[2], weights)
+        and np.array_equal(last[3], pattern)
+    ):
+        return last[4]
+    table = np.empty((reps, n_patterns))
+    for i in range(reps):
+        table[i] = _replicate_weights(weights, pattern, n_patterns, seed + i)
+    table.flags.writeable = False
+    _last_table = (weakref.ref(ds, _forget_table), key, weights, pattern, table)
+    return table
+
+
 def _bootstrap_interval(ds: Dataset, est: VariantEstimator, reps: int, seed: int) -> BootstrapInterval:
     """:func:`bootstrap_ci` from an estimator already built on the rows of ``ds``."""
-    weights = ds.weights()
+    weights, n_rows = ds.weights(), ds.n_rows
     columns = est.roles.all_columns()
     if any(isinstance(ds[c].kind, Continuous) for c in columns):
         # Rows with a continuous value do not repeat: each is its own pattern.
-        pattern, n_patterns, patterns = None, ds.n_rows, est
+        pattern, n_patterns, patterns = None, n_rows, est
     else:
-        first, pattern = row_patterns([ds[c] for c in columns], ds.n_rows)
+        first, pattern = row_patterns([ds[c] for c in columns], n_rows)
         n_patterns, patterns = first.size, est.take(first)
     block_size = max(1, BLOCK_CELLS // n_patterns)
+    # The draws are shared where a block fits several replicates on few
+    # patterns, and drawing costs about as much as fitting. With one
+    # replicate per block (over BLOCK_CELLS / 2 patterns, or a continuous
+    # role) the fits dominate, and a (reps, K) table would near the (reps,
+    # n) count matrix.
+    shared = pattern is not None and block_size > 1
 
     def block_fn(block):
-        # Each replicate's counts become its row of pattern weights as they
-        # are drawn, so no (B, n) array is formed.
-        W = np.empty((len(block), n_patterns))
-        for b, i in enumerate(block):
-            w = weights * replicate_counts(ds.n_rows, seed + i)
-            W[b] = w if pattern is None else np.bincount(pattern, w, n_patterns)
+        if shared:
+            # The first block builds the table (or finds it kept), after
+            # bootstrap_statistics has checked the arguments; later blocks
+            # find it kept.
+            W = _pattern_weight_table(ds, columns, pattern, n_patterns, reps, seed)[block.start : block.stop]
+        else:
+            # Drawn per block, so no (reps, K) array is formed.
+            W = np.empty((len(block), n_patterns))
+            for b, i in enumerate(block):
+                W[b] = _replicate_weights(weights, pattern, n_patterns, seed + i)
         drawn = np.flatnonzero(W.any(axis=0))
         coefs, plain = patterns.take(drawn).coefs(W[:, drawn])
         for b in np.flatnonzero(~plain):
-            w = weights * replicate_counts(ds.n_rows, seed + block[b])
+            w = weights * replicate_counts(n_rows, seed + block[b])
             coefs[b] = est.coefs(w[None])[0][0]
         return coefs[:, 0] - coefs[:, 1]
 
-    stats, n_failed = bootstrap_statistics(ds.n_rows, reps, seed, block_fn, block_size)
+    stats, n_failed = bootstrap_statistics(n_rows, reps, seed, block_fn, block_size)
     se = float(stats.std(ddof=1)) if stats.size > 1 else 0.0
     # (1 - 0.95) / 2 differs from 0.025 in the last bits; the limits keep it.
     alpha = (1.0 - 0.95) / 2.0
@@ -408,11 +479,18 @@ def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, see
     Rows collapse to their K distinct role-column patterns; with a
     continuous role column no row repeats, and each row is its own pattern.
     Replicates go in blocks of :data:`BLOCK_CELLS` // K (at least one).
-    Each replicate's row counts are drawn and at once reduced to its K
-    pattern weights, the survey weights times the counts summed within
-    each pattern, so a block holds a (B, K) weight array and no (B, n)
-    count matrix. A block is fitted (:meth:`VariantEstimator.coefs`) on one
-    row per pattern that any of its replicates drew, for the effects alone.
+    Each replicate's row counts are reduced to its K pattern weights, the
+    survey weights times the counts summed within each pattern. With
+    discrete role columns and blocks of several replicates (K at most
+    :data:`BLOCK_CELLS` / 2), every replicate's weights are drawn once into
+    a read-only (reps, K) table, and a block takes its rows of it; the next
+    variant bootstrapped on the same ``ds`` object with the same role
+    columns, ``reps`` and ``seed`` takes its blocks from the same table, so
+    the variants of one analysis draw once. Otherwise (a continuous role
+    column among them) each block draws its replicates' weights itself, so
+    no (reps, K) array is formed. A block is fitted
+    (:meth:`VariantEstimator.coefs`) on one row per pattern that any of its
+    replicates drew, for the effects alone.
     A replicate whose fit is not plain (it failed, was step-halved, passed
     the separation bound, or ended on an information matrix with condition
     number above :data:`~causalmed.glm.STACKED_MAX_CONDITION`) draws its

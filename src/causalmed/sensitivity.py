@@ -11,6 +11,7 @@ interval crosses 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -38,13 +39,21 @@ def _e_from_rr(rr: float) -> float:
     return rr + math.sqrt(rr * (rr - 1.0))
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float: any real number but a bool, numpy's included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{what} must be a real number")
+    return float(value)
+
+
 def evalue(odds_ratio: float, ci: tuple[float, float] | None = None) -> EvalueResult:
     """E-value of an odds ratio and, optionally, of its confidence interval.
 
     Each odds ratio is converted to a risk ratio by the common-outcome
     square-root approximation; estimates below 1 are inverted first.
     """
-    if not (isinstance(odds_ratio, (int, float)) and math.isfinite(odds_ratio)):
+    odds_ratio = _real(odds_ratio, "odds ratio")
+    if not math.isfinite(odds_ratio):
         raise InputError("odds ratio must be finite")
     if odds_ratio <= 0:
         raise InputError("odds ratio must be positive")
@@ -56,7 +65,7 @@ def evalue(odds_ratio: float, ci: tuple[float, float] | None = None) -> EvalueRe
 
     e_ci = None
     if ci is not None:
-        lo, hi = ci
+        lo, hi = (_real(limit, "confidence limit") for limit in ci)
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= 0:
             raise InputError("confidence limits must be positive and finite")
         if lo > hi:
@@ -68,7 +77,7 @@ def evalue(odds_ratio: float, ci: tuple[float, float] | None = None) -> EvalueRe
             # percentile interval need not contain its estimate.
             near = lo if lo > 1.0 else 1.0 / hi
             e_ci = _e_from_rr(math.sqrt(near))
-    return EvalueResult(input_or=float(odds_ratio), rr_used=rr, evalue_point=e_point, evalue_ci=e_ci)
+    return EvalueResult(input_or=odds_ratio, rr_used=rr, evalue_point=e_point, evalue_ci=e_ci)
 
 
 def implied_rr(e: float) -> float:

@@ -548,6 +548,116 @@ class TestReplicateEquivalence:
         assert type(got.value) is type(ref.value)
 
 
+def fresh(ds):
+    """A dataset equal to ``ds`` but a distinct object."""
+    return ds.take(np.arange(ds.n_rows))
+
+
+def edit_in_place(column, values):
+    """Overwrite a column's read-only values where they are stored."""
+    column.values.setflags(write=True)
+    column.values[:] = values
+    column.values.setflags(write=False)
+
+
+class TestSharedReplicateTable:
+    """With discrete role columns, the variants bootstrapped on one dataset
+    object take their replicates from one draw; any other call draws again
+    and gets the interval of a fresh dataset."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The number of :func:`replicate_counts` calls made so far."""
+        count = {"n": 0}
+        draw = mediation.replicate_counts
+
+        def counted(n_rows, seed):
+            count["n"] += 1
+            return draw(n_rows, seed)
+
+        monkeypatch.setattr(mediation, "replicate_counts", counted)
+        monkeypatch.setattr(mediation, "_last_table", None)
+        return count
+
+    def test_variants_share_one_draw(self, draws):
+        ds = sim_dataset(np.random.default_rng(31), 300, bm=0.3, weight=True)
+        got = [bootstrap_ci(ds, ROLES, variant, 200, 8) for variant in VARIANTS]
+        shared = draws["n"]
+        want = [bootstrap_ci(fresh(ds), ROLES, variant, 200, 8) for variant in VARIANTS]
+        # Each fresh dataset draws its 200 replicates plus the same refits.
+        assert draws["n"] - shared == shared + 3 * 200
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "change", ["equal dataset", "seed", "reps", "two mediators", "other mediator", "weights edited", "m edited"]
+    )
+    def test_any_other_call_draws_again(self, change, draws):
+        rng = np.random.default_rng(31)
+        ds = sim_dataset(rng, 300, bm=0.3, weight=True)
+        ds = Dataset({**ds.columns, "m2": binary_col(rng.integers(0, 2, ds.n_rows))}, weight_column="w")
+        roles, reps, seed = ROLES, 200, 8
+        bootstrap_ci(ds, roles, "simple", reps, seed)
+        before = draws["n"]
+        bootstrap_ci(ds, roles, "simple", reps, seed)
+        assert draws["n"] == before
+        case = ds  # ds stays alive, so its table is kept
+        if change == "equal dataset":
+            case = fresh(ds)
+        elif change == "seed":
+            seed = 9
+        elif change == "reps":
+            reps = 100
+        elif change == "two mediators":
+            roles = VariableRoles(exposure="q", outcome="y", baseline_support="x", mediators=("m", "m2"))
+        elif change == "other mediator":
+            roles = VariableRoles(exposure="q", outcome="y", baseline_support="x", mediators=("m2",))
+        elif change == "weights edited":
+            edit_in_place(ds["w"], 2 * ds["w"].values)
+        else:
+            edit_in_place(ds["m"], 1 - ds["m"].values)
+        got = bootstrap_ci(case, roles, "simple", reps, seed)
+        assert draws["n"] - before >= reps
+        assert got == bootstrap_ci(fresh(case), roles, "simple", reps, seed)
+
+    @pytest.mark.parametrize("case", ["continuous age", "one replicate per block"])
+    def test_unshared_bootstrap_draws_on_every_call(self, case, draws, monkeypatch):
+        # No table where a block holds one replicate: the fits cost more
+        # than the draws, and a (reps, K) table would near the count matrix.
+        rng = np.random.default_rng(43)
+        ds, roles = sim_dataset(rng, 200, bm=0.3, weight=True), ROLES
+        if case == "continuous age":
+            ds, roles = with_age(ds, rng), AGE_ROLES
+        else:
+            monkeypatch.setattr(mediation, "BLOCK_CELLS", 1)
+        counts = []
+        for _ in range(2):
+            before = draws["n"]
+            bootstrap_ci(ds, roles, "simple", 100, 6)
+            counts.append(draws["n"] - before)
+        assert counts[0] == counts[1] >= 100
+        assert mediation._last_table is None
+
+    def test_table_is_dropped_with_its_dataset(self, draws):
+        ds = sim_dataset(np.random.default_rng(31), 300, bm=0.3)
+        bootstrap_ci(ds, ROLES, "simple", 100, 0)
+        assert mediation._last_table is not None
+        del ds
+        assert mediation._last_table is None
+
+    def test_refused_call_draws_nothing(self, draws):
+        def block_fn(block):
+            return [mediation.replicate_counts(50, i)[0] for i in block]
+
+        with pytest.raises(InputError, match="at least one row"):
+            bootstrap_statistics(0, 100, 0, block_fn, 1)
+        ds = sim_dataset(np.random.default_rng(23), 200)
+        with pytest.raises(InputError, match="100"):
+            bootstrap_ci(ds, ROLES, "simple", 99, seed=0)
+        with pytest.raises(InputError, match="non-negative"):
+            bootstrap_ci(ds, ROLES, "simple", 100, seed=-1)
+        assert draws["n"] == 0
+
+
 class TestFullRowComposition:
     """Full-sample fits equal, bit for bit, the fits composed from the
     public design, propensity and weighting pieces."""

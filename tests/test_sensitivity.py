@@ -76,6 +76,25 @@ class TestEvalue:
         with pytest.raises(InputError):
             evalue(2.0, ci=(3.0, 2.0))
 
+    @pytest.mark.parametrize("value", [np.float32(2.0), np.int64(2)])
+    def test_numpy_real_numbers_accepted(self, value):
+        result = evalue(value)
+        assert type(result.input_or) is float
+        assert result == evalue(2.0)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "2.0", 2.0 + 0j])
+    def test_non_real_inputs_rejected(self, value):
+        with pytest.raises(InputError, match="odds ratio must be a real number"):
+            evalue(value)
+
+    @pytest.mark.parametrize("ci", [("0.8", "1.5"), (True, 1.5), (0.8, 1.5 + 0j)])
+    def test_non_real_limits_rejected(self, ci):
+        with pytest.raises(InputError, match="confidence limit must be a real number"):
+            evalue(1.1, ci=ci)
+
+    def test_numpy_limits_accepted(self):
+        assert evalue(1.1, ci=(np.float32(0.75), np.int64(2))) == evalue(1.1, ci=(0.75, 2.0))
+
     def test_json_keys(self):
         obj = evalue(3.07, ci=(2.64, 3.58)).to_json_obj()
         assert set(obj) == {"or", "rr_used", "evalue_point", "evalue_ci"}
