@@ -44,15 +44,11 @@ def propensity_spec(roles: VariableRoles) -> ModelSpec:
     return ModelSpec(outcome=roles.exposure, exposure=None, terms=terms)
 
 
-def clipped_scores(X: np.ndarray | PatternDesign, beta: np.ndarray) -> np.ndarray:
-    """Propensity scores of the exposure-model design ``X``, (n, p) dense
-    rows or a pattern design, under coefficients ``beta``, clipped strictly
-    into (0, 1); a (B, p) stack of coefficients gives (B, n) scores."""
-    if isinstance(X, PatternDesign):
-        eta = X.eta(beta)
-    else:
-        eta = X @ beta if beta.ndim == 1 else beta @ X.T
-    return np.clip(expit(eta), SCORE_EPS, 1.0 - SCORE_EPS)
+def clipped_scores(design: PatternDesign, beta: np.ndarray) -> np.ndarray:
+    """Propensity scores of the exposure-model design under coefficients
+    ``beta``, clipped strictly into (0, 1); a (B, p) stack of coefficients
+    gives (B, n) scores."""
+    return np.clip(expit(design.eta(beta)), SCORE_EPS, 1.0 - SCORE_EPS)
 
 
 def fit_propensity(ds: Dataset, roles: VariableRoles) -> PropensityFit:
@@ -66,9 +62,9 @@ def fit_propensity(ds: Dataset, roles: VariableRoles) -> PropensityFit:
     weights = ds.weights()
     beta = fit_logistic(design, exposure, weights).beta
     return PropensityFit(
-        scores=clipped_scores(design.matrix, beta),
+        scores=clipped_scores(design, beta),
         covariate_names=design.names[1:],
-        covariate_matrix=design.matrix[:, 1:],
+        covariate_matrix=design.dense()[:, 1:],
         exposure=exposure,
         base_weights=weights,
     )

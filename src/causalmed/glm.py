@@ -1,32 +1,32 @@
-"""Design matrices and weighted logistic regression.
+"""Model designs and weighted logistic regression.
 
 The package has one Newton loop, :func:`_irls`: iteratively reweighted
 least squares with step-halving on log-likelihood decreases, started at
-zero coefficients, run for B weight vectors at once on a shared or a
-stacked design. :func:`fit_logistic` is that loop on one weight vector,
-with its failures raised and the covariances added; a bootstrap replicate
-needs only the coefficients and calls the loop itself. Survey weights enter
-as likelihood weights. A fit carries two covariances: the model-based one,
-the inverse observed information, and the sandwich, which is robust to that
-weighting. The package has one interval rule, :func:`wald_interval`: the 95%
-Wald interval of one linear contrast of the coefficients, from the
-sandwich. A rank-deficient design is reported by naming, from left to
-right, each column that adds no rank to the columns before it.
+zero coefficients, run for B weight vectors at once on one design.
+:func:`fit_logistic` is that loop on one weight vector, with its failures
+raised and the covariances added; a bootstrap replicate needs only the
+coefficients and calls the loop itself. Survey weights enter as likelihood
+weights. A fit carries two covariances: the model-based one, the inverse
+observed information, and the sandwich, which is robust to that weighting.
+The package has one interval rule, :func:`wald_interval`: the 95% Wald
+interval of one linear contrast of the coefficients, from the sandwich. A
+rank-deficient design is reported by naming, from left to right, each
+column that adds no rank to the columns before it.
 
-A design is held in one of two forms. A model with a continuous covariate
-has rows that do not repeat, and its fits run on pattern moments: a
-:class:`PatternDesign` keeps, per distinct combination of the discrete
-columns, the blocks that turn a row's continuous values into its design
-row, and each Newton iteration needs only weighted sums per pattern. A
-model with discrete columns only has rows that are their own patterns, and
-its fits run on dense (n, p) rows, or a (B, n, p) stack. Only the
-collinearity diagnosis expands a pattern design to dense rows.
+Every design is a :class:`PatternDesign`: per distinct combination of the
+discrete columns, the blocks that turn a row's continuous values into its
+design row, so each Newton iteration needs only weighted sums per pattern.
+A model with discrete columns only is the case with no continuous values,
+and one with a continuous covariate, or a per-fit column such as a
+propensity score, carries them per row. Only the collinearity diagnosis and
+the balance diagnostics expand a design to its dense rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -52,8 +52,6 @@ SEPARATION_BOUND = 30.0
 #: Largest condition number of the final information matrix of a fit that
 #: :func:`_irls` counts as plain.
 STACKED_MAX_CONDITION = 1e6
-#: Rows per block when :func:`_gram` sums X'diag(v)X.
-GRAM_BLOCK_ROWS = 4096
 
 
 def expit(x):
@@ -95,24 +93,6 @@ class ModelSpec:
                 raise InputError("interaction terms require an exposure")
         if self.exposure is not None and self.exposure == self.outcome:
             raise InputError("exposure and outcome must differ")
-
-
-@dataclass(frozen=True, eq=False)
-class DesignMatrix:
-    """A numeric (n, p) design with named columns."""
-
-    matrix: np.ndarray
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        if not np.isfinite(self.matrix).all():
-            raise DataError("design matrix contains non-finite entries")
-
-    def column(self, name: str) -> np.ndarray:
-        return self.matrix[:, self.names.index(name)]
-
-    def take(self, rows) -> "DesignMatrix":
-        return DesignMatrix(self.matrix[rows], self.names)
 
 
 def _require_observed(ds: Dataset, name: str) -> Column:
@@ -162,10 +142,13 @@ class PatternDesign:
     with ``pattern`` the rows' indices k_i into the K distinct combinations
     of the discrete columns, ``values`` the c continuous values a of each
     row, a (c, m) array, or (B, c, m) where they differ between the B fits
-    of a batch, and ``blocks`` the (K, c + 1, p) array F. A fit on it works
-    on per-pattern moments, the weighted sums of 1, a_j and a_j * a_l over
-    each pattern's rows, so it costs a few passes over the m rows and
-    products of K * p**2; only :meth:`dense` forms the (m, p) matrix.
+    of a batch, and ``blocks`` the (K, c + 1, p) array F. A model with
+    discrete columns only has c = 0, and its rows are their blocks F[k, 0].
+    A fit on it works on per-pattern moments, the weighted sums of 1, a_j
+    and a_j * a_l over each pattern's rows, so it costs a few passes over
+    the m rows and products of K * p**2; only :meth:`dense` forms the
+    (m, p) matrix. The tables of the blocks that these products use are
+    built once per blocks and shared by the designs taken from them.
     """
 
     names: tuple[str, ...]
@@ -184,14 +167,24 @@ class PatternDesign:
 
     def take(self, rows) -> "PatternDesign":
         """The design on ``rows`` only; the blocks are shared."""
-        return PatternDesign(self.names, self.pattern[rows], self.values[..., rows], self.blocks)
+        return self._on(self.pattern[rows], self.values[..., rows])
 
     def fits(self, index) -> "PatternDesign":
         """The design of the fits at ``index`` of a batch: itself where the
         values are shared."""
         if self.values.ndim == 2:
             return self
-        return PatternDesign(self.names, self.pattern, self.values[index], self.blocks)
+        return self._on(self.pattern, self.values[index])
+
+    def _on(self, pattern, values) -> "PatternDesign":
+        """The design with these blocks on other rows or fits. It shares the
+        tables of the blocks, built here once for every design taken from
+        this one, and, on the same rows, the cells :meth:`_sums` keeps."""
+        out = PatternDesign(self.names, pattern, values, self.blocks)
+        out.__dict__.update(_by_slot=self._by_slot, _products=self._products)
+        if pattern is self.pattern and "_cells" in self.__dict__:
+            out.__dict__["_cells"] = self._cells
+        return out
 
     def with_column(self, at: int, name: str, values: np.ndarray) -> "PatternDesign":
         """The design with one more continuous column, equal to ``values``
@@ -206,54 +199,84 @@ class PatternDesign:
         return PatternDesign(names, self.pattern, np.concatenate([shared, values[..., None, :]], axis=-2), blocks)
 
     def dense(self) -> np.ndarray:
-        """The (m, p) design, or the (B, m, p) stack for per-fit values."""
-        X = self.blocks[self.pattern, 0]
-        for j in range(self.values.shape[-2]):
-            X = X + self.values[..., j, :, None] * self.blocks[self.pattern, j + 1]
+        """The (m, p) design, or the (B, m, p) stack for per-fit values,
+        filled a column at a time."""
+        X = np.empty(self.shape)
+        for col in range(X.shape[-1]):
+            X[..., col] = self.blocks[:, 0, col].take(self.pattern)
+            for j in range(1, self.blocks.shape[1]):
+                X[..., col] += self.values[..., j - 1, :] * self.blocks[:, j, col].take(self.pattern)
         return X
 
     def _sums(self, v: np.ndarray) -> np.ndarray:
-        """Per fit, the sums of ``v``, a (B, m) array, over each pattern's
-        rows: one bincount, a (B, K) array."""
-        B, K = len(v), len(self.blocks)
-        cells = self.pattern if B == 1 else (self.pattern + K * np.arange(B)[:, None]).ravel()
-        return np.bincount(cells, v.ravel(), B * K).reshape(B, K)
+        """The sums of ``v``, a (B, m) array, over each pattern's rows, fit
+        by fit: one bincount, a (B * K,) array. For a batch, its cells,
+        pattern + K * b for each fit b, are kept for the next call, which
+        takes as many or a prefix of them."""
+        K, m, B = len(self.blocks), self.pattern.size, len(v)
+        cells = self.pattern
+        if B > 1:
+            cells = self.__dict__.get("_cells")
+            if cells is None or cells.size < B * m:
+                cells = self.__dict__["_cells"] = (self.pattern + K * np.arange(B)[:, None]).ravel()
+            cells = cells[: B * m]
+        return np.bincount(cells, v.ravel(), B * K)
+
+    def _side_by_side(self, sums: list[np.ndarray]) -> np.ndarray:
+        """:meth:`_sums` results of q arrays as one (B, q * K) array."""
+        q, K = len(sums), len(self.blocks)
+        return np.concatenate(sums).reshape(q, -1, K).swapaxes(0, 1).reshape(-1, q * K)
+
+    @cached_property
+    def _by_slot(self) -> np.ndarray:
+        """The blocks slot by slot, an (s * K, p) array: row j * K + k is
+        F[k, j]."""
+        return self.blocks.swapaxes(0, 1).reshape(-1, self.blocks.shape[-1])
 
     def eta(self, beta: np.ndarray) -> np.ndarray:
         """X @ beta for coefficients (p,) or (B, p): each pattern's F @ beta,
-        gathered onto its rows and scaled by their values."""
-        if beta.ndim == 1:
-            return self.eta(beta[None])[0]
-        G = np.einsum("kjp,bp->bjk", self.blocks, beta)
-        values = np.broadcast_to(self.values, (len(beta),) + self.values.shape[-2:])
-        eta = np.empty((len(beta), self.pattern.size))
-        # One fit at a time: take() from a vector is the fast gather.
-        for fit, Gb, a in zip(eta, G, values):
-            fit[...] = Gb[0].take(self.pattern)
-            for j in range(1, len(Gb)):
-                fit += a[j - 1] * Gb[j].take(self.pattern)
+        gathered onto its rows and scaled by their values, a slot at a
+        time."""
+        K, slots = self.blocks.shape[:2]
+        G = (beta @ self._by_slot.T).reshape(beta.shape[:-1] + (slots, K))
+        eta = G[..., 0, :].take(self.pattern, axis=-1)
+        for j in range(1, slots):
+            eta += self.values[..., j - 1, :] * G[..., j, :].take(self.pattern, axis=-1)
         return eta
 
     def score(self, r: np.ndarray) -> np.ndarray:
-        """X'r for each row of the (B, m) array ``r``: c + 1 bincounts, then
-        one (K, p) product."""
+        """X'r for each row of the (B, m) array ``r``: the per-pattern sums
+        of r * a_j (a_0 = 1) times the blocks."""
         sums = [self._sums(r)] + [self._sums(r * self.values[..., j, :]) for j in range(self.values.shape[-2])]
-        return np.stack(sums, axis=-1).reshape(len(r), -1) @ self.blocks.reshape(-1, self.blocks.shape[-1])
+        return self._side_by_side(sums) @ self._by_slot
+
+    @cached_property
+    def _products(self) -> np.ndarray:
+        """For each pair of slots i <= j, in :meth:`gram`'s order, and each
+        pattern k, the flattened F[k, i]'F[k, j] plus its transpose where
+        i < j: a (q * K, p * p) table, built once per blocks."""
+        F = self.blocks
+        K, slots, p = F.shape
+        pairs = [(i, j) for i in range(slots) for j in range(i, slots)]
+        out = np.empty((len(pairs), K, p, p))
+        for table, (i, j) in zip(out, pairs):
+            np.multiply(F[:, i, :, None], F[:, j, None, :], out=table)
+            if i != j:
+                table += F[:, j, :, None] * F[:, i, None, :]
+        return out.reshape(-1, p * p)
 
     def gram(self, v: np.ndarray) -> np.ndarray:
-        """X'diag(v)X for ``v`` of m weights, or (B, p, p) for (B, m):
-        (c + 1)(c + 2) / 2 bincounts of the moments M[k, j, l] (the sums of
-        v * a_j * a_l, with a_0 = 1), then sum_k F[k]' M[k] F[k]."""
+        """X'diag(v)X for ``v`` of m weights, or (B, p, p) for (B, m): the
+        per-pattern sums of v * a_i * a_j (i <= j, a_0 = 1), contracted with
+        the blocks' product table in one matrix product."""
         if v.ndim == 1:
             return self.gram(v[None])[0]
-        K, slots, p = self.blocks.shape
-        a = [None] + [self.values[..., j, :] for j in range(slots - 1)]
-        M = np.empty((len(v), K, slots, slots))
-        for i in range(slots):
-            vi = v if i == 0 else v * a[i]
-            for j in range(i, slots):
-                M[:, :, i, j] = M[:, :, j, i] = self._sums(vi if j == 0 else vi * a[j])
-        return self.blocks.reshape(-1, p).T @ (M @ self.blocks).reshape(len(v), -1, p)
+        a = [self.values[..., j, :] for j in range(self.values.shape[-2])]
+        va = [v * aj for aj in a]
+        sums = [self._sums(v)] + [self._sums(x) for x in va]
+        sums += [self._sums(x * aj) for i, x in enumerate(va) for aj in a[i:]]
+        p = self.blocks.shape[-1]
+        return (self._side_by_side(sums) @ self._products).reshape(len(v), p, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,20 +284,15 @@ class DesignTemplate:
     """A model's design columns, expanded from the dataset once.
 
     No column depends on the row weights: the covariates are shifted once,
-    to the dataset's survey-weighted means, so :meth:`design` yields the
-    design matrix on any rows without going back to the dataset.
-    A fit under other weights reads its exposure effect at their covariate
-    means through :meth:`contrast`. ``terms`` holds, per covariate design
-    column, the index into ``covariates`` and whether it is an exposure
-    interaction.
-
-    A template with a continuous covariate has rows that do not repeat; its
-    fits run on pattern moments, on the :meth:`pattern_design` built once,
-    whose rows are taken without forming a design matrix. A template with
-    none has rows that are their own patterns; its fits run on the dense
-    rows of :meth:`design`. ``discrete`` holds the source columns of the
+    to the dataset's survey-weighted means, so :meth:`pattern_design` holds
+    the design on all rows, and its rows are taken without going back to
+    the dataset. A fit under other weights reads its exposure effect at
+    their covariate means through :meth:`contrast`. ``terms`` holds, per
+    covariate design column, the index into ``covariates`` and whether it
+    is an exposure interaction. ``discrete`` holds the source columns of the
     discrete design columns, the exposure first, and ``continuous`` the
-    indices into ``covariates`` of the continuous ones.
+    indices into ``covariates`` of the continuous ones; a model without any
+    has a pattern design with no continuous values.
     """
 
     names: tuple[str, ...]
@@ -284,24 +302,6 @@ class DesignTemplate:
     exposure: np.ndarray | None
     discrete: tuple[Column, ...]
     continuous: tuple[int, ...]
-
-    def design(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """The (n, p) design, on ``rows`` only when given, with n their
-        number. It is allocated once and filled a column at a time, an
-        interaction column multiplied by the exposure in place."""
-
-        def pick(vec):
-            return vec if rows is None else vec[rows]
-
-        out = np.empty((self.leading[0].size if rows is None else len(rows), len(self.names)))
-        for j, vec in enumerate(self.leading):
-            out[:, j] = pick(vec)
-        exposure = pick(self.exposure) if any(inter for _, inter in self.terms) else None
-        for j, (k, inter) in enumerate(self.terms, start=len(self.leading)):
-            out[:, j] = pick(self.covariates[k][1])
-            if inter:
-                out[:, j] *= exposure
-        return out
 
     def pattern_design(self) -> PatternDesign:
         """The design on all rows as a :class:`PatternDesign`: the patterns
@@ -352,7 +352,9 @@ def design_template(ds: Dataset, spec: ModelSpec) -> DesignTemplate:
     dataset's analysis weights; the intercept and the exposure are not.
     """
     names = [INTERCEPT]
-    leading = [np.ones(ds.n_rows)]
+    # The intercept as a read-only view of one 1.0: the template outlives its
+    # pattern design, and no n-vector of ones need live with it.
+    leading = [np.broadcast_to(1.0, ds.n_rows)]
     exposure_vec = None
     discrete, continuous = [], []
     if spec.exposure is not None:
@@ -385,17 +387,18 @@ def design_template(ds: Dataset, spec: ModelSpec) -> DesignTemplate:
     )
 
 
-def build_design(ds: Dataset, spec: ModelSpec) -> DesignMatrix:
-    """Expand a model specification into a numeric design matrix.
+def build_design(ds: Dataset, spec: ModelSpec) -> PatternDesign:
+    """Expand a model specification into its design on all rows.
 
     Discrete covariates become reference-coded indicators. Every covariate
     column (indicators included) is shifted to weighted mean zero under the
     dataset's analysis weights, and interaction columns are products of the
     exposure indicator with the centered covariate columns, so the exposure
-    coefficient is the effect at covariate means.
+    coefficient is the effect at covariate means. The design is the
+    template's :meth:`~DesignTemplate.pattern_design`; its
+    :meth:`~PatternDesign.dense` rows are the numeric design matrix.
     """
-    template = design_template(ds, spec)
-    return DesignMatrix(template.design(), template.names)
+    return design_template(ds, spec).pattern_design()
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,24 +416,23 @@ class FitResult:
         return float(self.beta[self.names.index(name)])
 
 
-def _diagnose_singular_information(X, w, names):
+def _diagnose_singular_information(design: PatternDesign, w):
     """Name the collinear columns behind a singular information matrix.
 
     Scanning the sqrt(w)-scaled design from left to right, each column that
     adds no rank to the columns kept before it is named. If the weighted
     design is actually full rank the singularity came from degenerate fitted
-    probabilities instead, which is separation territory. A pattern design
-    is expanded to its dense rows here, the one place a fit needs them.
+    probabilities instead, which is separation territory. The design is
+    expanded to its dense rows here, the one place a fit needs them.
     """
-    if isinstance(X, PatternDesign):
-        X = X.dense()
+    X = design.dense()
     Xw = X * np.sqrt(w)[:, None]
     kept, collinear = [], []
     for j in range(X.shape[1]):
         if np.linalg.matrix_rank(Xw[:, kept + [j]]) > len(kept):
             kept.append(j)
         else:
-            collinear.append(names[j])
+            collinear.append(design.names[j])
     if collinear:
         raise RankDeficiencyError(collinear)
     raise SeparationError("information matrix is singular (fitted probabilities degenerate)")
@@ -456,24 +458,6 @@ def _check_weights(w: np.ndarray, n: int) -> None:
         raise InputError("weights must not all be zero")
 
 
-def _gram(X: np.ndarray | PatternDesign, v: np.ndarray) -> np.ndarray:
-    """X'diag(v)X. ``v`` holds n weights, or is (B, n) for a (B, p, p)
-    result.
-
-    On a :class:`PatternDesign` it comes from per-pattern moments
-    (:meth:`PatternDesign.gram`). On dense rows, ``X`` an (n, p) design
-    shared by every row of ``v`` or a (B, n, p) stack, it is summed over
-    blocks of :data:`GRAM_BLOCK_ROWS` rows with one matrix product each, so
-    no temporary holds more than one block of rows of the scaled design."""
-    if isinstance(X, PatternDesign):
-        return X.gram(v)
-    A = 0.0
-    for start in range(0, v.shape[-1], GRAM_BLOCK_ROWS):
-        Xb = X[..., start : start + GRAM_BLOCK_ROWS, :]
-        A = A + np.swapaxes(Xb * v[..., start : start + GRAM_BLOCK_ROWS, None], -1, -2) @ Xb
-    return A
-
-
 #: Outcomes of one fit of :func:`_irls`: it converged, or the Cholesky gate,
 #: the solve or the final inverse found its information matrix singular, or
 #: it separated, ran out of iterations, or could not improve by halving.
@@ -495,28 +479,6 @@ class _IrlsFits(NamedTuple):
     failure: np.ndarray
     plain: np.ndarray
     info_inv: np.ndarray
-
-
-def _fits_of(X, index):
-    """The design of the fits at ``index`` of a batch: a design shared by
-    every fit is itself."""
-    if isinstance(X, PatternDesign):
-        return X.fits(index)
-    return X[index] if X.ndim == 3 else X
-
-
-def _linear_predictor(X, beta: np.ndarray) -> np.ndarray:
-    """X @ beta for coefficients (p,), or (B, p) for a (B, n) result."""
-    if isinstance(X, PatternDesign):
-        return X.eta(beta)
-    return X @ beta if beta.ndim == 1 else (X @ beta[..., None])[..., 0]
-
-
-def _score(X, r: np.ndarray) -> np.ndarray:
-    """X'r for each row of the (B, n) array ``r``."""
-    if isinstance(X, PatternDesign):
-        return X.score(r)
-    return (r[:, None] @ X)[:, 0]
 
 
 def _newton_step(A, score):
@@ -541,17 +503,16 @@ def _per_fit(fn, out, *stacks):
     return ok
 
 
-def _irls(X: np.ndarray | PatternDesign, y: np.ndarray, W: np.ndarray) -> _IrlsFits:
+def _irls(X: PatternDesign, y: np.ndarray, W: np.ndarray) -> _IrlsFits:
     """Maximize the weighted Bernoulli log-likelihood by IRLS under each row
     of the (B, n) weight array ``W``, all B fits iterating together.
 
-    ``X`` is an (n, p) design shared by every fit or a (B, n, p) stack of
-    dense rows, or a :class:`PatternDesign`, and ``y`` the 0/1 response.
-    Each fit starts at zero coefficients and stops once its max-abs score
-    falls below :data:`DEFAULT_TOL`. A step that fails the Cholesky gate or
-    the solve ends the fit as :data:`SINGULAR`; a step that lowers the
-    log-likelihood is halved, up to 30 times, or the fit ends as
-    :data:`NOT_IMPROVED`. Coefficients passing
+    ``X`` is the design, its values shared by every fit or per fit, and
+    ``y`` the 0/1 response. Each fit starts at zero coefficients and stops
+    once its max-abs score falls below :data:`DEFAULT_TOL`. A step that
+    fails the Cholesky gate or the solve ends the fit as :data:`SINGULAR`;
+    a step that lowers the log-likelihood is halved, up to 30 times, or the
+    fit ends as :data:`NOT_IMPROVED`. Coefficients passing
     :data:`SEPARATION_BOUND` while the log-likelihood still improves end it
     as :data:`SEPARATED`, and a fit still short of the rule after
     :data:`DEFAULT_MAX_ITER` steps ends as :data:`NOT_CONVERGED`. A
@@ -559,12 +520,12 @@ def _irls(X: np.ndarray | PatternDesign, y: np.ndarray, W: np.ndarray) -> _IrlsF
     :data:`SINGULAR`.
 
     Each iteration works on the fits still iterating only: their scores
-    are their weighted residuals times the design, and their information
-    matrices come from :func:`_gram`. On a pattern design both are sums of
-    per-pattern moments, and the linear predictor is each pattern's blocks
+    (:meth:`PatternDesign.score`) and information matrices
+    (:meth:`PatternDesign.gram`) are sums of per-pattern moments, and the
+    linear predictor (:meth:`PatternDesign.eta`) is each pattern's blocks
     times the coefficients, gathered onto its rows, so an iteration makes a
-    few passes over the n rows and no (n, p) product. A shared design is
-    never copied per fit; a stacked one is cut down only when a fit stops.
+    few passes over the n rows and no (n, p) product. Shared values are
+    never copied per fit; per-fit values are cut down only when a fit stops.
     """
     n, p = X.shape[-2:]
     if y.shape != (n,):
@@ -590,12 +551,12 @@ def _irls(X: np.ndarray | PatternDesign, y: np.ndarray, W: np.ndarray) -> _IrlsF
     def keep(mask, *arrays):
         if mask.all():
             return (Xa,) + arrays
-        return (_fits_of(Xa, mask),) + tuple(a[mask] for a in arrays)
+        return (Xa.fits(mask),) + tuple(a[mask] for a in arrays)
 
     for iteration in range(DEFAULT_MAX_ITER + 1):
         mu = expit(eta)
-        score = _score(Xa, Wa * (y - mu))
-        A = _gram(Xa, Wa * mu * (1.0 - mu))
+        score = Xa.score(Wa * (y - mu))
+        A = Xa.gram(Wa * mu * (1.0 - mu))
         done = np.abs(score).max(axis=1) < DEFAULT_TOL
         if done.any():
             fin = idx[done]
@@ -612,7 +573,7 @@ def _irls(X: np.ndarray | PatternDesign, y: np.ndarray, W: np.ndarray) -> _IrlsF
         out.failure[idx[failed]] = SINGULAR
         floor = ll - 1e-12 * (1.0 + np.abs(ll))
         cand = beta + delta
-        eta = _linear_predictor(Xa, cand)
+        eta = Xa.eta(cand)
         ll_cand = _log_likelihood(eta, y, Wa)
         halving = ~failed & (ll_cand < floor)
         if halving.any():
@@ -624,7 +585,7 @@ def _irls(X: np.ndarray | PatternDesign, y: np.ndarray, W: np.ndarray) -> _IrlsF
                     break
                 step *= 0.5
                 cand[j] = beta[j] + step * delta[j]
-                eta[j] = _linear_predictor(_fits_of(Xa, j), cand[j])
+                eta[j] = Xa.fits(j).eta(cand[j])
                 ll_cand[j] = _log_likelihood(eta[j], y, Wa[j])
                 halving[j] = ll_cand[j] < floor[j]
             out.failure[idx[halving]] = NOT_IMPROVED
@@ -653,7 +614,7 @@ def _irls(X: np.ndarray | PatternDesign, y: np.ndarray, W: np.ndarray) -> _IrlsF
     return out
 
 
-def fit_logistic(design: DesignMatrix | PatternDesign, y: np.ndarray, w: np.ndarray | None = None) -> FitResult:
+def fit_logistic(design: PatternDesign, y: np.ndarray, w: np.ndarray | None = None) -> FitResult:
     """Maximize the weighted Bernoulli log-likelihood by IRLS.
 
     This is :func:`_irls`, the package's one Newton loop, on one weight
@@ -664,21 +625,22 @@ def fit_logistic(design: DesignMatrix | PatternDesign, y: np.ndarray, w: np.ndar
     iterations or cannot improve by step-halving as
     :class:`ConvergenceError`. So every returned fit has converged.
 
-    The model-based covariance is the inverse of the final information
-    matrix, and the sandwich meat X'diag((w * resid)**2)X comes from
-    :func:`_gram`: over blocks of dense rows for a :class:`DesignMatrix`,
-    from pattern moments for a :class:`PatternDesign`.
+    The design's values must be shared (not per fit). The model-based
+    covariance is the inverse of the final information matrix, and the
+    sandwich meat X'diag((w * resid)**2)X comes from the design's pattern
+    moments (:meth:`PatternDesign.gram`).
     """
-    X = design if isinstance(design, PatternDesign) else design.matrix
-    n = X.shape[0]
+    if design.values.ndim != 2:
+        raise InputError("fit_logistic fits one design: its values must be shared, not per fit")
+    n = design.pattern.size
     y = np.asarray(y, dtype=np.float64)
     w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise InputError("weight length does not match design")
-    fits = _irls(X, y, w[None])
+    fits = _irls(design, y, w[None])
     failure = fits.failure[0]
     if failure == SINGULAR:
-        _diagnose_singular_information(X, w, design.names)
+        _diagnose_singular_information(design, w)
     if failure != CONVERGED:
         raise {
             SEPARATED: SeparationError(
@@ -690,8 +652,8 @@ def fit_logistic(design: DesignMatrix | PatternDesign, y: np.ndarray, w: np.ndar
         }[failure]
     beta, cov_model = fits.beta[0], fits.info_inv[0]
     cov_model = (cov_model + cov_model.T) / 2.0
-    resid = y - expit(_linear_predictor(X, beta))
-    cov_sandwich = cov_model @ _gram(X, (w * resid) ** 2) @ cov_model
+    resid = y - expit(design.eta(beta))
+    cov_sandwich = cov_model @ design.gram((w * resid) ** 2) @ cov_model
     cov_sandwich = (cov_sandwich + cov_sandwich.T) / 2.0
     return FitResult(
         names=design.names,

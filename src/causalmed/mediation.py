@@ -53,10 +53,8 @@ from .data import Continuous, Dataset, VariableRoles, row_patterns
 from .errors import BootstrapError, InputError
 from .glm import (
     CONVERGED,
-    DesignMatrix,
     FitResult,
     ModelSpec,
-    PatternDesign,
     _irls,
     design_template,
     fit_logistic,
@@ -167,11 +165,11 @@ class VariantEstimator:
     weight as a sampling weight rather than repeated rows; a bootstrap
     replicate uses the coefficients only.
 
-    A model whose template has a continuous covariate is fitted on its
-    :class:`~causalmed.glm.PatternDesign`, built once, and so is every
-    ``ps_regression`` model whose propensity model has one, as its score
-    column is then continuous too. Any other model is fitted on dense rows
-    gathered from its template at each fit.
+    Every model is fitted on its template's
+    :class:`~causalmed.glm.PatternDesign`, built once, with discrete
+    columns only or with continuous ones; ``ps_regression``'s score column
+    enters it at each fit as one more continuous column, one per weight
+    vector.
     """
 
     def __init__(self, ds: Dataset, roles: VariableRoles, variant: str, include_mediators=(False, True)):
@@ -183,30 +181,20 @@ class VariantEstimator:
         self.templates = [design_template(ds, _outcome_spec(roles, variant, m)) for m in include_mediators]
         # The rows of ``ds`` the estimator fits on (:meth:`take`); None for all.
         self.rows = None
-        self.names = [
-            t.names[:2] + (PS_COLUMN,) + t.names[2:] if variant == "ps_regression" else t.names for t in self.templates
-        ]
-        continuous_scores = False
         if variant in ("ps_regression", "ipw"):
-            ps = design_template(ds, propensity_spec(roles))
-            self.ps_design = ps.pattern_design() if ps.continuous else DesignMatrix(ps.design(), ps.names)
+            self.ps_design = design_template(ds, propensity_spec(roles)).pattern_design()
             self.treat = response_vector(ds, roles.exposure)
-            continuous_scores = variant == "ps_regression" and bool(ps.continuous)
-        # Per model, its pattern design on the estimator's rows, or None to
-        # gather its dense rows from the template.
-        self.patterns = [t.pattern_design() if t.continuous or continuous_scores else None for t in self.templates]
+        # Per model, its design on the estimator's rows.
+        self.designs = [t.pattern_design() for t in self.templates]
 
     def take(self, rows) -> "VariantEstimator":
         """The same estimator on the given rows only, with no dataset
-        rebuilt. The response, the exposure and the pattern and propensity
-        designs are sliced to the rows, a pattern design by its pattern
-        indices and values alone; a dense model's design is gathered on them
-        from its template only when that model is fitted, so at most one is
-        alive at a time."""
+        rebuilt. The response, the exposure and the designs are sliced to
+        the rows, a design by its pattern indices and values alone."""
         out = copy.copy(self)
         out.rows = rows if self.rows is None else self.rows[rows]
         out.y = self.y[rows]
-        out.patterns = [None if p is None else p.take(rows) for p in self.patterns]
+        out.designs = [p.take(rows) for p in self.designs]
         if self.variant in ("ps_regression", "ipw"):
             out.ps_design = self.ps_design.take(rows)
             out.treat = self.treat[rows]
@@ -216,7 +204,7 @@ class VariantEstimator:
         scores = None
         if self.variant in ("ps_regression", "ipw"):
             beta = fit_logistic(self.ps_design, self.treat, weights).beta
-            scores = clipped_scores(_irls_input(self.ps_design), beta)
+            scores = clipped_scores(self.ps_design, beta)
         return tuple(self._fit_models(lambda design, w: fit_logistic(design, self.y, w), weights, scores))
 
     def contrasts(self, W: np.ndarray) -> list[np.ndarray]:
@@ -236,9 +224,9 @@ class VariantEstimator:
         whose fits were all plain."""
         fits, scores = [], None
         if self.variant in ("ps_regression", "ipw"):
-            fits.append(_irls(_irls_input(self.ps_design), self.treat, W))
-            scores = clipped_scores(_irls_input(self.ps_design), fits[0].beta)
-        models = self._fit_models(lambda design, w: _irls(_irls_input(design), self.y, w), W, scores)
+            fits.append(_irls(self.ps_design, self.treat, W))
+            scores = clipped_scores(self.ps_design, fits[0].beta)
+        models = self._fit_models(lambda design, w: _irls(design, self.y, w), W, scores)
         coefs = np.column_stack([(g * fit.beta).sum(axis=1) for fit, g in zip(models, self.contrasts(W))])
         fits += models
         coefs[np.any([fit.failure != CONVERGED for fit in fits], axis=0)] = math.nan
@@ -247,32 +235,13 @@ class VariantEstimator:
     def _fit_models(self, fit, W, scores):
         """``fit(design, fit_weights)`` for each model under the row weights
         ``W``, a vector or a (B, n) array, with the propensity scores of the
-        same shape for the ps/ipw variants. The fit weights are ``W``, times
-        the stabilized IPW factor for ``ipw``."""
+        same shape for the ps/ipw variants. ``ps_regression``'s designs take
+        the scores as a column right after the exposure; the fit weights are
+        ``W``, times the stabilized IPW factor for ``ipw``."""
         fit_weights = W * ipw_weights(scores, self.treat, W) if self.variant == "ipw" else W
-        return [fit(self._design(i, W, scores), fit_weights) for i in range(len(self.templates))]
-
-    def _design(self, i, W, scores):
-        """Model i's design on the estimator's rows, with ``ps_regression``'s
-        score column inserted, as one more continuous column of a pattern
-        design, or into dense rows. Dense rows are gathered from the
-        template: one (n, p) matrix shared by every row of ``W``, or a (B,
-        n, p) stack where the score column varies with them. Each design is
-        dropped after its fit, so no more than one model's is alive at a
-        time."""
-        pattern, names = self.patterns[i], self.names[i]
-        if pattern is not None:
-            return pattern.with_column(2, PS_COLUMN, scores) if self.variant == "ps_regression" else pattern
-        X = self.templates[i].design(self.rows)
         if self.variant == "ps_regression":
-            X = np.insert(np.broadcast_to(X, W.shape + X.shape[-1:]), 2, scores, axis=-1)
-        return DesignMatrix(X, names)
-
-
-def _irls_input(design):
-    """What :func:`~causalmed.glm._irls` fits on: a pattern design itself,
-    the matrix of dense rows."""
-    return design if isinstance(design, PatternDesign) else design.matrix
+            return [fit(design.with_column(2, PS_COLUMN, scores), fit_weights) for design in self.designs]
+        return [fit(design, fit_weights) for design in self.designs]
 
 
 def _estimates(ds: Dataset, est: VariantEstimator, kinds) -> list[EffectEstimate]:
@@ -497,13 +466,13 @@ def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, see
     counts again and is refit on the full rows, and that fit decides its
     statistic or its failure.
 
-    So with discrete role columns only, every fit runs on dense design rows
-    (a (B, K, p) stack for ``ps_regression``). With a continuous one, K is
-    the number of rows; at survey scale the blocks hold one replicate each,
-    fitted on the rows it drew. A model with a continuous column then runs
-    on pattern moments (:class:`~causalmed.glm.PatternDesign`), its
-    replicates taking only the drawn rows' pattern indices and continuous
-    values, and no design matrix is formed.
+    Every fit runs on pattern moments (:class:`~causalmed.glm.PatternDesign`)
+    of the rows it is given, and no design matrix is formed. With discrete
+    role columns only, a block's rows are its drawn role patterns, and
+    ``ps_regression``'s score column holds one value per replicate and
+    row. With a continuous one, K is the number of rows; at survey scale
+    the blocks hold one replicate each, fitted on the rows it drew, which
+    take only their pattern indices and continuous values.
     """
     return _bootstrap_interval(ds, VariantEstimator(ds, roles, variant), reps, seed)
 

@@ -65,7 +65,13 @@ def evalue(odds_ratio: float, ci: tuple[float, float] | None = None) -> EvalueRe
 
     e_ci = None
     if ci is not None:
-        lo, hi = (_real(limit, "confidence limit") for limit in ci)
+        try:
+            limits = tuple(ci)
+        except TypeError:
+            limits = ()
+        if len(limits) != 2:
+            raise InputError("confidence interval must be two limits")
+        lo, hi = (_real(limit, "confidence limit") for limit in limits)
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0 or hi <= 0:
             raise InputError("confidence limits must be positive and finite")
         if lo > hi:

@@ -14,6 +14,8 @@ from collections import defaultdict
 
 import numpy as np
 
+from causalmed.glm import PatternDesign
+
 
 # ---------------------------------------------------------------------------
 # Logistic regression oracles
@@ -188,3 +190,40 @@ def design_by_stacking(template, weights=None):
     for k, inter in template.terms:
         vectors.append(template.exposure * shifted[k] if inter else shifted[k])
     return np.stack(vectors, axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# A dense referee for pattern designs: the products a fit needs, on the
+# (n, p) design matrix or the (B, n, p) stack of one per fit.
+
+
+def _per_fit(X, lead):
+    """X as one (n, p) matrix per entry of the leading shape ``lead``."""
+    return np.broadcast_to(X, lead + X.shape[-2:])
+
+
+def dense_eta(X, beta):
+    """X @ beta: (n,) for one coefficient vector, (B, n) for a (B, p) stack."""
+    return np.einsum("...ij,...j->...i", _per_fit(X, beta.shape[:-1]), beta)
+
+
+def dense_score(X, r):
+    """X'r for each row of the (B, n) array ``r``, a (B, p) array."""
+    return np.einsum("...ij,...i->...j", _per_fit(X, r.shape[:-1]), r)
+
+
+def dense_gram(X, v):
+    """X'diag(v)X: (p, p) for n weights, (B, p, p) for a (B, n) array."""
+    X = _per_fit(X, v.shape[:-1])
+    return np.einsum("...ij,...i,...ik->...jk", X, v, X)
+
+
+def as_pattern_design(X, names):
+    """Any (n, p) matrix, or (B, n, p) stack, as a pattern design whose rows
+    are all one pattern: its p columns are p continuous columns, each block
+    a unit vector, so the design's dense rows are X itself. Only the input
+    is the package's type; nothing here computes with it."""
+    X = np.asarray(X, dtype=np.float64)
+    n, p = X.shape[-2:]
+    blocks = np.concatenate([np.zeros((1, p)), np.eye(p)])[None]
+    return PatternDesign(tuple(names), np.zeros(n, dtype=np.intp), np.ascontiguousarray(np.swapaxes(X, -1, -2)), blocks)

@@ -19,15 +19,10 @@ from causalmed.errors import (
     SeparationError,
 )
 from causalmed.glm import (
-    GRAM_BLOCK_ROWS,
-    DesignMatrix,
     ModelSpec,
     Z95,
-    _gram,
     _irls,
-    _linear_predictor,
     _log_likelihood,
-    _score,
     build_design,
     design_template,
     expit,
@@ -38,7 +33,16 @@ from causalmed.glm import (
     wald_interval,
 )
 
-from oracles import design_by_stacking, fd_gradient, loglik_logistic, softplus_reference
+from oracles import (
+    as_pattern_design,
+    dense_eta,
+    dense_gram,
+    dense_score,
+    design_by_stacking,
+    fd_gradient,
+    loglik_logistic,
+    softplus_reference,
+)
 
 
 def two_group_dataset(n1, e1, n0, e0):
@@ -46,6 +50,11 @@ def two_group_dataset(n1, e1, n0, e0):
     q = ["1"] * n1 + ["0"] * n0
     y = ["1"] * e1 + ["0"] * (n1 - e1) + ["1"] * e0 + ["0"] * (n0 - e0)
     return Dataset({"q": Column.build(Binary(), q), "y": Column.build(Binary(), y)})
+
+
+def column(design, name):
+    """One column of a design's dense rows."""
+    return design.dense()[:, design.names.index(name)]
 
 
 def fit_two_group(ds, **kwargs):
@@ -65,7 +74,7 @@ class TestBuildDesign:
         )
         spec = ModelSpec("y", "q", (main("x"),))
         design = build_design(ds, spec)
-        np.testing.assert_allclose(design.column("x"), [-1.0, 0.0, 1.0])
+        np.testing.assert_allclose(column(design, "x"), [-1.0, 0.0, 1.0])
 
     def test_interaction_column_is_product(self):
         ds = Dataset(
@@ -77,8 +86,8 @@ class TestBuildDesign:
         )
         spec = ModelSpec("y", "q", (main("x"), interaction("x")))
         design = build_design(ds, spec)
-        np.testing.assert_allclose(design.column("x"), [0.5, -0.5])
-        np.testing.assert_allclose(design.column("q:x"), [0.5, 0.0])
+        np.testing.assert_allclose(column(design, "x"), [0.5, -0.5])
+        np.testing.assert_allclose(column(design, "q:x"), [0.5, 0.0])
 
     def test_categorical_reference_coding(self):
         kind = Categorical(("White", "Asian", "Black"), "White")
@@ -91,11 +100,11 @@ class TestBuildDesign:
         )
         # Each indicator is centered at its (unweighted) mean of 1/3.
         design = build_design(ds, ModelSpec("y", "q", (main("race"),)))
-        np.testing.assert_allclose(design.column("race=Asian"), [2 / 3, -1 / 3, -1 / 3])
-        np.testing.assert_allclose(design.column("race=Black"), [-1 / 3, -1 / 3, 2 / 3])
+        np.testing.assert_allclose(column(design, "race=Asian"), [2 / 3, -1 / 3, -1 / 3])
+        np.testing.assert_allclose(column(design, "race=Black"), [-1 / 3, -1 / 3, 2 / 3])
         assert design.names[0] == "(Intercept)"
-        np.testing.assert_array_equal(design.column("(Intercept)"), [1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(design.column("q"), [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(column(design, "(Intercept)"), [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(column(design, "q"), [0.0, 1.0, 0.0])
 
     def test_missing_cells_rejected(self):
         ds = Dataset(
@@ -122,7 +131,7 @@ class TestBuildDesign:
         centered = build_design(ds, ModelSpec("y", "q", (main("g"),)))
         g = ds["g"].values
         uncentered = np.column_stack([np.ones(4), response_vector(ds, "q"), g == 1, g == 2]).astype(float)
-        for design in (centered, DesignMatrix(uncentered, centered.names)):
+        for design in (centered, as_pattern_design(uncentered, centered.names)):
             with pytest.raises(RankDeficiencyError) as err:
                 fit_logistic(design, response_vector(ds, "y"))
             assert err.value.columns == ("g=c",)
@@ -142,7 +151,7 @@ class TestBuildDesign:
         spec = ModelSpec("y", "q", (main("x"),))
         design = build_design(ds, spec)
         w = ds.weights()
-        assert abs(np.average(design.column("x"), weights=w)) < 1e-10
+        assert abs(np.average(column(design, "x"), weights=w)) < 1e-10
 
 
 class TestFitLogistic:
@@ -190,11 +199,11 @@ class TestFitLogistic:
             }
         )
         centered = build_design(ds, ModelSpec("y", "q", (main("x"), interaction("x"))))
-        uncentered = DesignMatrix(np.column_stack([np.ones(n), q, x, q * x]).astype(float), centered.names)
+        uncentered = as_pattern_design(np.column_stack([np.ones(n), q, x, q * x]), centered.names)
         probs = []
         for design in (centered, uncentered):
             fit = fit_logistic(design, response_vector(ds, "y"))
-            eta = design.matrix @ fit.beta
+            eta = design.dense() @ fit.beta
             probs.append(1 / (1 + np.exp(-eta)))
         assert np.abs(probs[1] - probs[0]).max() < 1e-8
 
@@ -219,8 +228,8 @@ class TestFitLogistic:
         fit = fit_two_group(ds)
         design = build_design(ds, ModelSpec("y", "q", ()))
         y = response_vector(ds, "y")
-        mu = 1 / (1 + np.exp(-(design.matrix @ fit.beta)))
-        score = design.matrix.T @ (y - mu)
+        mu = 1 / (1 + np.exp(-(design.dense() @ fit.beta)))
+        score = design.dense().T @ (y - mu)
         assert np.abs(score).max() < 1e-8
 
     def test_sandwich_close_to_model_based_when_correctly_specified(self):
@@ -231,7 +240,7 @@ class TestFitLogistic:
         p = 1 / (1 + np.exp(-(-1.0 + 0.7 * q + 0.5 * x)))
         y = (rng.random(n) < p).astype(float)
         X = np.column_stack([np.ones(n), q, x])
-        design = DesignMatrix(X, ("(Intercept)", "q", "x"))
+        design = as_pattern_design(X, ("(Intercept)", "q", "x"))
         fit = fit_logistic(design, y)
         se_m = np.sqrt(np.diag(fit.cov_model))
         se_s = np.sqrt(np.diag(fit.cov_sandwich))
@@ -241,7 +250,7 @@ class TestFitLogistic:
         n = 50
         x = np.linspace(0, 1, n)
         X = np.column_stack([np.ones(n), x, 2 * x])
-        design = DesignMatrix(X, ("(Intercept)", "x", "x2"))
+        design = as_pattern_design(X, ("(Intercept)", "x", "x2"))
         y = (x > 0.5).astype(float)
         with pytest.raises(RankDeficiencyError) as err:
             fit_logistic(design, y)
@@ -256,7 +265,7 @@ class TestFitLogistic:
         a = (np.arange(n) % 2).astype(float)
         last = {"x2": 2 * x, "b": 1.0 - a, "z": np.zeros(n)}[name]
         X = np.column_stack([np.ones(n), x, a, last])
-        design = DesignMatrix(X, ("(Intercept)", "x", "a", name))
+        design = as_pattern_design(X, ("(Intercept)", "x", "a", name))
         with pytest.raises(RankDeficiencyError) as err:
             fit_logistic(design, ((np.arange(n) // 3) % 2).astype(float))
         assert err.value.columns == (name,)
@@ -278,7 +287,7 @@ class TestFitLogistic:
         n = 40
         x = np.concatenate([np.zeros(20), np.ones(20)])
         y = x.copy()
-        design = DesignMatrix(np.column_stack([np.ones(n), x]), ("(Intercept)", "x"))
+        design = as_pattern_design(np.column_stack([np.ones(n), x]), ("(Intercept)", "x"))
         with pytest.raises(SeparationError):
             fit_logistic(design, y)
 
@@ -289,13 +298,16 @@ class TestFitLogistic:
             fit_two_group(ds)
 
     def test_input_validation(self):
-        design = DesignMatrix(np.ones((4, 1)), ("(Intercept)",))
+        design = as_pattern_design(np.ones((4, 1)), ("(Intercept)",))
         with pytest.raises(InputError, match="0/1"):
             fit_logistic(design, np.array([0.0, 1.0, 2.0, 0.0]))
         with pytest.raises(InputError, match="non-negative"):
             fit_logistic(design, np.array([0.0, 1.0, 1.0, 0.0]), np.array([1.0, -1.0, 1.0, 1.0]))
         with pytest.raises(InputError, match="all be zero"):
             fit_logistic(design, np.array([0.0, 1.0, 1.0, 0.0]), np.zeros(4))
+        per_fit = as_pattern_design(np.ones((3, 4, 1)), ("(Intercept)",))
+        with pytest.raises(InputError, match="not per fit"):
+            fit_logistic(per_fit, np.array([0.0, 1.0, 1.0, 0.0]))
 
 
 def survey_dataset(rng, n):
@@ -321,36 +333,20 @@ def survey_dataset(rng, n):
     )
 
 
-class TestBlockedGram:
-    @pytest.mark.parametrize("stacked", [False, True])
-    @pytest.mark.parametrize(
-        "n", [1, GRAM_BLOCK_ROWS - 1, GRAM_BLOCK_ROWS, GRAM_BLOCK_ROWS + 1, 3 * GRAM_BLOCK_ROWS + 5]
-    )
-    def test_matches_einsum(self, n, stacked):
-        rng = np.random.default_rng(n)
-        if stacked:
-            X = rng.normal(size=(3, n, 5))
-            X[..., 2] *= 1e3
-            v = rng.uniform(0.0, 3.0, (3, n))
-            want = np.einsum("bij,bi,bik->bjk", X, v, X)
-        else:
-            X = rng.normal(size=(n, 5))
-            X[:, 2] *= 1e3
-            v = rng.uniform(0.0, 3.0, n)
-            want = np.einsum("ij,i,ik->jk", X, v, X)
-        got = _gram(X, v)
-        assert got.shape == want.shape
-        for g, w in zip(got.reshape(-1, 5, 5), want.reshape(-1, 5, 5)):
-            assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+#: Rows of the batch and moment tests: enough that each of the at most 12
+#: patterns holds hundreds of rows.
+N_LARGE = 12_293
 
+
+class TestBatchFits:
     def test_each_fit_of_a_batch_equals_its_single_fit(self):
-        # Three weight rows over rows spanning several Gram blocks, fitted
-        # together: each equals fit_logistic under that row alone.
-        ds = survey_dataset(np.random.default_rng(7), 3 * GRAM_BLOCK_ROWS + 5)
+        # Three weight rows, fitted together: each equals fit_logistic
+        # under that row alone.
+        ds = survey_dataset(np.random.default_rng(7), N_LARGE)
         spec = ModelSpec("y", "q", (main("x"), main("race"), interaction("x")))
         design, y = build_design(ds, spec), response_vector(ds, "y")
         W = ds.weights() * np.random.default_rng(8).integers(0, 3, (3, ds.n_rows))
-        fits = _irls(design.matrix, y, W)
+        fits = _irls(design, y, W)
         assert fits.failure.tolist() == [glm.CONVERGED] * 3
         assert fits.plain.tolist() == [True] * 3
         for beta, iterations, w in zip(fits.beta, fits.iterations, W):
@@ -358,11 +354,12 @@ class TestBlockedGram:
             assert iterations == want.iterations
             assert np.abs(beta - want.beta).max() <= 1e-12 * np.abs(want.beta).max()
 
-    def test_halving_fit_in_a_stacked_batch_leaves_the_plain_path(self):
+    def test_halving_fit_in_a_per_fit_batch_leaves_the_plain_path(self):
         # Six weighted points, each as a y=1 and a y=0 row. At seed 428 a
         # later Newton step overshoots and is halved; the fits at seeds 0
-        # and 1 take only full steps. Fitted as one stacked batch, the
-        # halved fit is off the plain path and still equals its single fit.
+        # and 1 take only full steps. Fitted as one batch, each fit on its
+        # own rows, the halved fit is off the plain path and still equals
+        # its single fit.
         def weighted_points(seed):
             rng = np.random.default_rng(seed)
             X = rng.normal(size=(6, 2)) * np.exp(1.5 * rng.normal(size=(6, 1)))
@@ -371,26 +368,26 @@ class TestBlockedGram:
 
         X, W = map(np.stack, zip(*(weighted_points(seed) for seed in (0, 428, 1))))
         y = np.tile([1.0, 0.0], 6)
-        fits = _irls(X, y, W)
+        fits = _irls(as_pattern_design(X, ("a", "b")), y, W)
         assert fits.failure.tolist() == [glm.CONVERGED] * 3
         assert fits.plain.tolist() == [True, False, True]
         for Xb, w, beta, iterations in zip(X, W, fits.beta, fits.iterations):
-            want = fit_logistic(DesignMatrix(Xb, ("a", "b")), y, w)
+            want = fit_logistic(as_pattern_design(Xb, ("a", "b")), y, w)
             assert iterations == want.iterations
             assert np.abs(beta - want.beta).max() <= 1e-12 * np.abs(want.beta).max()
 
 
-class TestDesignInPlace:
+class TestDenseRows:
     @pytest.mark.parametrize("interactions", [False, True])
-    def test_equals_stacked_columns(self, interactions):
+    def test_equal_stacked_columns(self, interactions):
         ds = survey_dataset(np.random.default_rng(3), 200)
         terms = [main("x"), main("race"), main("sex")]
         if interactions:
             terms += [interaction("x"), interaction("race"), interaction("sex")]
         template = design_template(ds, ModelSpec("y", "q", tuple(terms)))
-        assert np.array_equal(template.design(), design_by_stacking(template))
+        assert np.array_equal(template.pattern_design().dense(), design_by_stacking(template))
 
-    def test_on_rows_equals_design_of_taken_rows(self):
+    def test_on_rows_equal_the_rows_of_the_full_design(self):
         # Centering is at the full sample's means, so the design on some
         # rows is the full design's rows.
         rng = np.random.default_rng(4)
@@ -399,27 +396,31 @@ class TestDesignInPlace:
         spec = ModelSpec("y", "q", terms)
         rows = np.flatnonzero(rng.integers(0, 3, ds.n_rows))
         template = design_template(ds, spec)
-        assert np.array_equal(template.design(rows), template.design()[rows])
+        assert np.array_equal(template.pattern_design().take(rows).dense(), design_by_stacking(template)[rows])
 
 
 PATTERN_SPEC = ModelSpec("y", "q", (main("x"), main("race"), main("sex"), interaction("x"), interaction("race")))
 #: The same without race, which enters the propensity score instead.
 SCORE_SPEC = ModelSpec("y", "q", (main("x"), main("sex"), interaction("x"), interaction("sex")))
+#: Discrete columns only: a design with no continuous values.
+DISCRETE_SPEC = ModelSpec("y", "q", (main("race"), main("sex"), interaction("race")))
+SPECS = {"continuous": PATTERN_SPEC, "score": SCORE_SPEC, "discrete": DISCRETE_SPEC}
 
 
-def pattern_and_dense(ds, with_score, rows=None):
-    """A pattern design on ``rows`` and the dense design it stands for: with
-    one continuous column (x, PATTERN_SPEC), or with two (SCORE_SPEC), x and
-    a propensity-score column inserted after the exposure as in
-    ``ps_regression``. The scores are those of an exposure model on x and
-    race with fixed coefficients, far enough from linear in x that the
-    design is well conditioned (q does not depend on x here, so fitted
-    scores would be nearly so)."""
-    template = design_template(ds, SCORE_SPEC if with_score else PATTERN_SPEC)
-    pattern, X = template.pattern_design(), template.design()
-    if with_score:
+def pattern_and_dense(ds, form, rows=None):
+    """A pattern design on ``rows`` and the dense design it stands for,
+    stacked column by column by the oracle: with one continuous column (x,
+    PATTERN_SPEC), with none (DISCRETE_SPEC), or with two ("score",
+    SCORE_SPEC), x and a propensity-score column inserted after the
+    exposure as in ``ps_regression``. The scores are those of an exposure
+    model on x and race with fixed coefficients, far enough from linear in
+    x that the design is well conditioned (q does not depend on x here, so
+    fitted scores would be nearly so)."""
+    template = design_template(ds, SPECS[form])
+    pattern, X = template.pattern_design(), design_by_stacking(template)
+    if form == "score":
         ps = design_template(ds, ModelSpec("q", None, (main("x"), main("race"))))
-        scores = clipped_scores(ps.design(), np.array([0.0, 0.2, 1.0, -1.0]))
+        scores = clipped_scores(ps.pattern_design(), np.array([0.0, 0.2, 1.0, -1.0]))
         pattern = pattern.with_column(2, "propensity_score", scores)
         X = np.insert(X, 2, scores, axis=1)
     if rows is None:
@@ -431,39 +432,45 @@ def rel_error(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
-class TestPatternDesign:
-    """A design with continuous columns, fitted on per-pattern moments,
-    against its dense rows."""
+FORMS = ["continuous", "score", "discrete"]
 
-    @pytest.mark.parametrize("with_score", [False, True])
-    def test_dense_expansion_equals_design(self, with_score):
+
+class TestPatternDesign:
+    """A design fitted on per-pattern moments, against the dense referee on
+    its rows."""
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_dense_expansion_equals_stacked_columns(self, form):
         rng = np.random.default_rng(21)
         ds = survey_dataset(rng, 400)
-        template = design_template(ds, PATTERN_SPEC)
-        assert template.continuous == (0,)
         rows = rng.integers(0, ds.n_rows, ds.n_rows)
         for r in (None, rows):
-            pattern, X = pattern_and_dense(ds, with_score, r)
+            pattern, X = pattern_and_dense(ds, form, r)
             assert pattern.shape == X.shape
             assert np.array_equal(pattern.dense(), X)
-            if not with_score:
-                assert np.array_equal(X, template.design(r))
-        # race (3 levels), sex and q give at most 12 patterns.
+        # race (3 levels), sex and q give at most 12 patterns; a discrete
+        # design has no continuous values, each row its pattern's block.
         assert len(pattern.blocks) <= 12
+        assert (pattern.values.shape[-2] == 0) == (form == "discrete")
 
-    @pytest.mark.parametrize("with_score", [False, True])
-    def test_eta_score_and_information_match_dense(self, with_score):
+    @pytest.mark.parametrize("form", FORMS)
+    def test_eta_score_and_information_match_dense(self, form):
         rng = np.random.default_rng(22)
-        ds = survey_dataset(rng, 3 * GRAM_BLOCK_ROWS + 5)
-        pattern, X = pattern_and_dense(ds, with_score)
+        ds = survey_dataset(rng, N_LARGE)
+        pattern, X = pattern_and_dense(ds, form)
         beta = rng.normal(0.0, 1.0, (3, X.shape[1]))
         v = rng.uniform(0.0, 3.0, (3, ds.n_rows))
-        assert rel_error(_linear_predictor(pattern, beta), _linear_predictor(X, beta)) <= 1e-13
-        assert rel_error(_linear_predictor(pattern, beta[0]), X @ beta[0]) <= 1e-13
-        assert rel_error(_score(pattern, v), _score(X, v)) <= 1e-13
-        for got, want in zip(_gram(pattern, v), _gram(X, v)):
+        assert rel_error(pattern.eta(beta), dense_eta(X, beta)) <= 1e-13
+        assert rel_error(pattern.eta(beta[0]), dense_eta(X, beta[0])) <= 1e-13
+        assert rel_error(pattern.score(v), dense_score(X, v)) <= 1e-13
+        for got, want in zip(pattern.gram(v), dense_gram(X, v)):
             assert rel_error(got, want) <= 1e-13
-        assert rel_error(_gram(pattern, v[0]), _gram(X, v[0])) <= 1e-13
+        assert rel_error(pattern.gram(v[0]), dense_gram(X, v[0])) <= 1e-13
+        # The batch's designs on fewer fits, and on fewer rows, share the
+        # kept tables and still match.
+        assert rel_error(pattern.fits([0, 2]).gram(v[[0, 2]]), dense_gram(X, v[[0, 2]])) <= 1e-13
+        rows = np.flatnonzero(v[0] > 1.0)
+        assert rel_error(pattern.take(rows).gram(v[:, rows]), dense_gram(X[rows], v[:, rows])) <= 1e-13
 
     def test_per_fit_score_columns_match_dense_stack(self):
         # ps_regression in a batch: each fit has its own score column.
@@ -472,45 +479,49 @@ class TestPatternDesign:
         template = design_template(ds, PATTERN_SPEC)
         scores = rng.uniform(0.05, 0.95, (3, ds.n_rows))
         pattern = template.pattern_design().with_column(2, "propensity_score", scores)
-        X = np.insert(np.broadcast_to(template.design(), (3,) + template.design().shape), 2, scores, axis=-1)
+        X = np.insert(np.broadcast_to(design_by_stacking(template), (3, ds.n_rows, 9)), 2, scores, axis=-1)
         assert pattern.shape == X.shape
         assert np.array_equal(pattern.dense(), X)
         beta = rng.normal(0.0, 1.0, (3, X.shape[-1]))
         v = rng.uniform(0.0, 3.0, (3, ds.n_rows))
-        assert rel_error(_linear_predictor(pattern, beta), _linear_predictor(X, beta)) <= 1e-13
-        assert rel_error(_score(pattern, v), _score(X, v)) <= 1e-13
-        for got, want in zip(_gram(pattern, v), _gram(X, v)):
+        assert rel_error(pattern.eta(beta), dense_eta(X, beta)) <= 1e-13
+        assert rel_error(pattern.score(v), dense_score(X, v)) <= 1e-13
+        for got, want in zip(pattern.gram(v), dense_gram(X, v)):
             assert rel_error(got, want) <= 1e-13
+        for fits in ([1], [0, 2]):
+            assert rel_error(pattern.fits(fits).eta(beta[fits]), dense_eta(X[fits], beta[fits])) <= 1e-13
+            assert rel_error(pattern.fits(fits).gram(v[fits]), dense_gram(X[fits], v[fits])) <= 1e-13
         y, W = response_vector(ds, "y"), ds.weights() * rng.integers(0, 3, (3, ds.n_rows))
-        got, want = _irls(pattern, y, W), _irls(X, y, W)
+        got, want = _irls(pattern, y, W), _irls(as_pattern_design(X, pattern.names), y, W)
         assert got.failure.tolist() == want.failure.tolist() == [glm.CONVERGED] * 3
         assert got.iterations.tolist() == want.iterations.tolist()
         assert rel_error(got.beta, want.beta) <= 1e-12
 
-    @pytest.mark.parametrize("with_score", [False, True])
-    def test_fit_matches_dense_fit(self, with_score):
+    @pytest.mark.parametrize("form", FORMS)
+    def test_fit_matches_dense_fit(self, form):
         rng = np.random.default_rng(24)
         ds = survey_dataset(rng, 2_000)
-        pattern, X = pattern_and_dense(ds, with_score)
+        pattern, X = pattern_and_dense(ds, form)
         y, w = response_vector(ds, "y"), rng.uniform(0.2, 5.0, ds.n_rows)
-        got, want = fit_logistic(pattern, y, w), fit_logistic(DesignMatrix(X, pattern.names), y, w)
+        got, want = fit_logistic(pattern, y, w), fit_logistic(as_pattern_design(X, pattern.names), y, w)
         assert got.names == want.names and got.n_obs == want.n_obs
         assert got.iterations == want.iterations
         assert rel_error(got.beta, want.beta) <= 1e-12
         assert rel_error(got.cov_model, want.cov_model) <= 1e-12
         assert rel_error(got.cov_sandwich, want.cov_sandwich) <= 1e-12
 
-    def test_rank_deficiency_names_the_collinear_column(self):
+    @pytest.mark.parametrize("form", ["continuous", "discrete"])
+    def test_rank_deficiency_names_the_collinear_column(self, form):
         # Only race "a" rows drawn: both race indicators are constant, so
         # each adds no rank, and neither do their interactions.
         ds = survey_dataset(np.random.default_rng(25), 300)
         rows = np.flatnonzero(ds["race"].values == 0)
-        pattern, X = pattern_and_dense(ds, False, rows)
+        pattern, X = pattern_and_dense(ds, form, rows)
         y, w = response_vector(ds, "y")[rows], ds.weights()[rows]
         with pytest.raises(RankDeficiencyError) as got:
             fit_logistic(pattern, y, w)
         with pytest.raises(RankDeficiencyError) as want:
-            fit_logistic(DesignMatrix(X, pattern.names), y, w)
+            fit_logistic(as_pattern_design(X, pattern.names), y, w)
         assert got.value.columns == want.value.columns
 
 
@@ -528,11 +539,11 @@ class TestExposureContrast:
         template, y = design_template(ds, spec), response_vector(ds, "y")
         W = ds.weights() * rng.integers(0, 3, (5, ds.n_rows))
         g = template.contrast(W, None)
-        batch = _irls(template.design(), y, W)
+        batch = _irls(template.pattern_design(), y, W)
         assert batch.failure.tolist() == [glm.CONVERGED] * len(W)
         for w, g_row, beta in zip(W, g, batch.beta):
-            want = fit_logistic(DesignMatrix(design_by_stacking(template, w), template.names), y, w).coef("q")
-            got = fit_logistic(DesignMatrix(template.design(), template.names), y, w).beta
+            want = fit_logistic(as_pattern_design(design_by_stacking(template, w), template.names), y, w).coef("q")
+            got = fit_logistic(template.pattern_design(), y, w).beta
             assert abs(g_row @ got - want) <= 1e-9 * abs(want)
             assert abs(g_row @ beta - want) <= 1e-9 * abs(want)
 
@@ -617,8 +628,10 @@ def test_package_runs_without_scipy():
         "from causalmed.errors import RankDeficiencyError\n"
         "x = np.linspace(0, 1, 50)\n"
         "X = np.column_stack([np.ones(50), x, 2 * x])\n"
+        "blocks = np.concatenate([np.zeros((1, 3)), np.eye(3)])[None]\n"
+        "design = glm.PatternDesign(('(Intercept)', 'x', 'x2'), np.zeros(50, dtype=int), X.T.copy(), blocks)\n"
         "try:\n"
-        "    glm.fit_logistic(glm.DesignMatrix(X, ('(Intercept)', 'x', 'x2')), (x > 0.5) * 1.0)\n"
+        "    glm.fit_logistic(design, (x > 0.5) * 1.0)\n"
         "except RankDeficiencyError as err:\n"
         "    print(err.columns)\n"
         "print(scm.oracle_estimands(scm.load_fixture('mediation_binary')).x_levels)\n"

@@ -9,7 +9,6 @@ from causalmed.adjustment import fit_propensity, ipw_weights
 from causalmed.data import Binary, Column, Continuous, Dataset, VariableRoles
 from causalmed.errors import BootstrapError, ConvergenceError, InputError, RankDeficiencyError, SeparationError
 from causalmed.glm import (
-    DesignMatrix,
     ModelSpec,
     build_design,
     expit,
@@ -33,7 +32,7 @@ from causalmed.mediation import (
     total_effect,
 )
 
-from oracles import design_by_stacking
+from oracles import as_pattern_design, design_by_stacking
 
 
 def binary_col(codes):
@@ -474,23 +473,33 @@ class TestReplicateEquivalence:
         assert rel_close(interval.lo, lo) and rel_close(interval.hi, hi)
         assert rel_close(interval.se, se)
 
-    @pytest.mark.parametrize("variant", ("primary", "simple", "ps_regression"))
-    def test_continuous_role_forms_no_design_matrix(self, variant, monkeypatch):
-        # Every model of these variants has a continuous column (age, or
-        # ps_regression's score), so their replicates and refits run on
-        # pattern designs: no dense design is gathered or expanded. (ipw's
-        # outcome models have discrete columns only and keep dense rows.)
+    @pytest.mark.parametrize("age", [False, True])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_fits_form_no_design_matrix(self, variant, age, monkeypatch):
+        # Every model, with or without a continuous column, and its
+        # replicates and refits run on pattern designs: no dense design is
+        # expanded or fitted, on continuous-role data or on discrete roles
+        # only.
         rng = np.random.default_rng(47)
-        ds = with_age(sim_dataset(rng, 200, bm=0.3, weight=True), rng)
-        want = bootstrap_ci(ds, AGE_ROLES, variant, 100, 3)
+        ds, roles = sim_dataset(rng, 200, bm=0.3, weight=True), ROLES
+        if age:
+            ds, roles = with_age(ds, rng), AGE_ROLES
+        want = bootstrap_ci(ds, roles, variant, 100, 3)
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense design formed")
 
-        monkeypatch.setattr(glm.DesignTemplate, "design", refuse)
+        def pattern_fits_only(design, *args):
+            assert isinstance(design, glm.PatternDesign), "fit on dense rows"
+            return irls(design, *args)
+
+        irls = glm._irls
         monkeypatch.setattr(glm.PatternDesign, "dense", refuse)
-        assert bootstrap_ci(ds, AGE_ROLES, variant, 100, 3) == want
-        total_effect(ds, AGE_ROLES, variant)
+        monkeypatch.setattr(glm, "_irls", pattern_fits_only)
+        monkeypatch.setattr(mediation, "_irls", pattern_fits_only)
+        assert bootstrap_ci(fresh(ds), roles, variant, 100, 3) == want
+        total_effect(ds, roles, variant)
+        direct_effect(ds, roles, variant)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_drawn_row_failures_match_full_row_fits(self, variant):
@@ -531,7 +540,7 @@ class TestReplicateEquivalence:
         coefs, _ = est.coefs(W)
         for w, row in zip(W, coefs):
             for template, got in zip(est.templates, row):
-                design = DesignMatrix(design_by_stacking(template, w), template.names)
+                design = as_pattern_design(design_by_stacking(template, w), template.names)
                 want = fit_logistic(design, est.y, w).coef("q")
                 assert abs(got - want) <= 1e-9 * abs(want)
 
@@ -675,8 +684,7 @@ class TestFullRowComposition:
             spec = ModelSpec("y", "q", covariates + mediators + interactions)
             design, fit_weights = build_design(ds, spec), w
             if variant == "ps_regression":
-                names = design.names[:2] + (PS_COLUMN,) + design.names[2:]
-                design = DesignMatrix(np.insert(design.matrix, 2, psfit.scores, axis=1), names)
+                design = design.with_column(2, PS_COLUMN, psfit.scores)
             if variant == "ipw":
                 fit_weights = w * ipw_weights(psfit.scores, psfit.exposure, w)
             want = fit_logistic(design, y, fit_weights)

@@ -92,6 +92,14 @@ class TestEvalue:
         with pytest.raises(InputError, match="confidence limit must be a real number"):
             evalue(1.1, ci=ci)
 
+    @pytest.mark.parametrize("ci", [(1.5,), (1.5, 2.0, 3.0), 5, (), np.array(1.5)])
+    def test_ci_must_be_two_limits(self, ci):
+        with pytest.raises(InputError, match="two limits"):
+            evalue(2.0, ci=ci)
+
+    def test_limit_sequences_accepted(self):
+        assert evalue(1.1, ci=[0.75, 2.0]) == evalue(1.1, ci=np.array([0.75, 2.0])) == evalue(1.1, ci=(0.75, 2.0))
+
     def test_numpy_limits_accepted(self):
         assert evalue(1.1, ci=(np.float32(0.75), np.int64(2))) == evalue(1.1, ci=(0.75, 2.0))
 
