@@ -13,13 +13,18 @@ interval of one linear contrast of the coefficients, from the sandwich. A
 rank-deficient design is reported by naming, from left to right, each
 column that adds no rank to the columns before it.
 
-Every design is a :class:`PatternDesign`: per distinct combination of the
-discrete columns, the blocks that turn a row's continuous values into its
-design row, so each Newton iteration needs only weighted sums per pattern.
-A model with discrete columns only is the case with no continuous values,
-and one with a continuous covariate, or a per-fit column such as a
-propensity score, carries them per row. Only the collinearity diagnosis and
-the balance diagnostics expand a design to its dense rows.
+The package has one design object, :class:`PatternDesign`, which
+:func:`build_design` builds from a dataset in one pass: per distinct
+combination of the discrete columns, the blocks that turn a row's
+continuous values into its design row, so each Newton iteration needs only
+weighted sums per pattern. A model with discrete columns only is the case
+with no continuous values, and one with a continuous covariate, or a
+per-fit column such as a propensity score, carries them per row. The
+covariates are centered once, at the survey-weighted means; the exposure
+effect of a fit under other weights is read at their covariate means
+(:meth:`PatternDesign.contrast`) from the same per-pattern sums, so no
+covariate column is kept beside the design. Only the collinearity diagnosis
+and the balance diagnostics expand a design to its dense rows.
 """
 
 from __future__ import annotations
@@ -86,11 +91,15 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        for term in self.terms:
+        for i, term in enumerate(self.terms):
             if term.column == self.outcome:
                 raise InputError(f"outcome {self.outcome!r} cannot appear among terms")
+            if term.column == self.exposure:
+                raise InputError(f"exposure {self.exposure!r} cannot appear among terms")
             if term.interaction and self.exposure is None:
                 raise InputError("interaction terms require an exposure")
+            if term in self.terms[:i]:
+                raise InputError(f"term {term} appears twice")
         if self.exposure is not None and self.exposure == self.outcome:
             raise InputError("exposure and outcome must differ")
 
@@ -149,12 +158,20 @@ class PatternDesign:
     the m rows and products of K * p**2; only :meth:`dense` forms the
     (m, p) matrix. The tables of the blocks that these products use are
     built once per blocks and shared by the designs taken from them.
+
+    ``interactions``, for a model with exposure interactions, is a second
+    (K, c + 1, p) array: in each interaction column, the block of the
+    covariate that the exposure multiplies, taken before it does, and zero
+    in every other column. :meth:`contrast` reads the covariates' weighted
+    means from it. It is None for a model without interactions, and the
+    designs taken from this one share it.
     """
 
     names: tuple[str, ...]
     pattern: np.ndarray
     values: np.ndarray
     blocks: np.ndarray
+    interactions: np.ndarray | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.values).all():
@@ -180,7 +197,7 @@ class PatternDesign:
         """The design with these blocks on other rows or fits. It shares the
         tables of the blocks, built here once for every design taken from
         this one, and, on the same rows, the cells :meth:`_sums` keeps."""
-        out = PatternDesign(self.names, pattern, values, self.blocks)
+        out = PatternDesign(self.names, pattern, values, self.blocks, self.interactions)
         out.__dict__.update(_by_slot=self._by_slot, _products=self._products)
         if pattern is self.pattern and "_cells" in self.__dict__:
             out.__dict__["_cells"] = self._cells
@@ -190,13 +207,20 @@ class PatternDesign:
         """The design with one more continuous column, equal to ``values``
         ((m,), or (B, m) per fit), inserted at position ``at``."""
         K, slots, p = self.blocks.shape
-        blocks = np.zeros((K, slots + 1, p + 1))
-        blocks[:, :slots, :at] = self.blocks[..., :at]
-        blocks[:, :slots, at + 1 :] = self.blocks[..., at:]
+
+        def widened(F):
+            out = np.zeros((K, slots + 1, p + 1))
+            out[:, :slots, :at] = F[..., :at]
+            out[:, :slots, at + 1 :] = F[..., at:]
+            return out
+
+        blocks = widened(self.blocks)
         blocks[:, slots, at] = 1.0
+        interactions = None if self.interactions is None else widened(self.interactions)
         shared = np.broadcast_to(self.values, values.shape[:-1] + self.values.shape[-2:])
         names = self.names[:at] + (name,) + self.names[at:]
-        return PatternDesign(names, self.pattern, np.concatenate([shared, values[..., None, :]], axis=-2), blocks)
+        values = np.concatenate([shared, values[..., None, :]], axis=-2)
+        return PatternDesign(names, self.pattern, values, blocks, interactions)
 
     def dense(self) -> np.ndarray:
         """The (m, p) design, or the (B, m, p) stack for per-fit values,
@@ -244,11 +268,39 @@ class PatternDesign:
             eta += self.values[..., j - 1, :] * G[..., j, :].take(self.pattern, axis=-1)
         return eta
 
+    def _slot_sums(self, v: np.ndarray) -> np.ndarray:
+        """The per-pattern sums of v * a_j (a_0 = 1) for each row of the
+        (B, m) array ``v``, slot by slot: a (B, s * K) array laid out as the
+        rows of :attr:`_by_slot`."""
+        sums = [self._sums(v)] + [self._sums(v * self.values[..., j, :]) for j in range(self.values.shape[-2])]
+        return self._side_by_side(sums)
+
     def score(self, r: np.ndarray) -> np.ndarray:
         """X'r for each row of the (B, m) array ``r``: the per-pattern sums
         of r * a_j (a_0 = 1) times the blocks."""
-        sums = [self._sums(r)] + [self._sums(r * self.values[..., j, :]) for j in range(self.values.shape[-2])]
-        return self._side_by_side(sums) @ self._by_slot
+        return self._slot_sums(r) @ self._by_slot
+
+    def contrast(self, W: np.ndarray) -> np.ndarray:
+        """The contrast g(W) that reads, as g(W)·β, the exposure effect at
+        the W-weighted covariate means from the coefficients β of a fit
+        under ``W``, m row weights or a (B, m) array of them.
+
+        g is the unit vector on the exposure (column 1) plus, in each
+        interaction column, the W-weighted mean of the covariate column
+        that the exposure multiplies: the per-pattern sums of W and W * a_j
+        (as :meth:`score` takes them) times :attr:`interactions`, over the
+        sum of W. Shifting a covariate by a constant only moves the
+        intercept and the exposure coefficient, so this is the exposure
+        coefficient of the fit whose covariates are centered at their
+        W-weighted means. A design without interactions takes no sums.
+        """
+        g = np.zeros(W.shape[:-1] + (len(self.names),))
+        g[..., 1] = 1.0
+        if self.interactions is not None:
+            F = self.interactions.swapaxes(0, 1).reshape(-1, len(self.names))
+            W2 = np.atleast_2d(W)
+            g += (self._slot_sums(W2) @ F / W2.sum(axis=1)[:, None]).reshape(g.shape)
+        return g
 
     @cached_property
     def _products(self) -> np.ndarray:
@@ -279,94 +331,43 @@ class PatternDesign:
         return (self._side_by_side(sums) @ self._products).reshape(len(v), p, p)
 
 
-@dataclass(frozen=True, eq=False)
-class DesignTemplate:
-    """A model's design columns, expanded from the dataset once.
-
-    No column depends on the row weights: the covariates are shifted once,
-    to the dataset's survey-weighted means, so :meth:`pattern_design` holds
-    the design on all rows, and its rows are taken without going back to
-    the dataset. A fit under other weights reads its exposure effect at
-    their covariate means through :meth:`contrast`. ``terms`` holds, per
-    covariate design column, the index into ``covariates`` and whether it
-    is an exposure interaction. ``discrete`` holds the source columns of the
-    discrete design columns, the exposure first, and ``continuous`` the
-    indices into ``covariates`` of the continuous ones; a model without any
-    has a pattern design with no continuous values.
-    """
-
-    names: tuple[str, ...]
-    leading: tuple[np.ndarray, ...]
-    covariates: tuple[tuple[str, np.ndarray], ...]
-    terms: tuple[tuple[int, bool], ...]
-    exposure: np.ndarray | None
-    discrete: tuple[Column, ...]
-    continuous: tuple[int, ...]
-
-    def pattern_design(self) -> PatternDesign:
-        """The design on all rows as a :class:`PatternDesign`: the patterns
-        are the distinct combinations of the ``discrete`` columns' codes, and
-        the values the continuous covariates. Each block holds its
-        pattern's discrete column values, or, for a continuous column, 1 (the
-        exposure for an interaction) in the column's own slot."""
-        n = self.leading[0].size
-        first, pattern = row_patterns(self.discrete, n)
-        blocks = np.zeros((first.size, len(self.continuous) + 1, len(self.names)))
-        for j, vec in enumerate(self.leading):
-            blocks[:, 0, j] = vec[first]
-        for j, (k, inter) in enumerate(self.terms, start=len(self.leading)):
-            slot = 1 + self.continuous.index(k) if k in self.continuous else 0
-            blocks[:, slot, j] = 1.0 if slot else self.covariates[k][1][first]
-            if inter:
-                blocks[:, slot, j] *= self.exposure[first]
-        values = np.array([self.covariates[k][1] for k in self.continuous]).reshape(len(self.continuous), n)
-        return PatternDesign(self.names, pattern, values, blocks)
-
-    def contrast(self, W: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-        """The contrast g(W) that reads, as g(W)·β, the exposure effect at
-        the W-weighted covariate means from the coefficients β of a fit
-        under ``W``, a weight vector or a (B, n) array over ``rows`` (all
-        rows for None).
-
-        g is the unit vector on the exposure (column 1) plus, in each
-        interaction column, the W-weighted mean of its covariate column.
-        Shifting a covariate by a constant only moves the intercept and the
-        exposure coefficient, so this is the exposure coefficient of the
-        fit whose covariates are centered at their W-weighted means.
-        """
-        g = np.zeros(W.shape[:-1] + (len(self.names),))
-        g[..., 1] = 1.0
-        for j, (k, inter) in enumerate(self.terms, start=len(self.leading)):
-            if inter:
-                vec = self.covariates[k][1]
-                g[..., j] = (W @ (vec if rows is None else vec[rows])) / W.sum(axis=-1)
-        return g
-
-
-def design_template(ds: Dataset, spec: ModelSpec) -> DesignTemplate:
-    """Expand a model specification into design columns.
+def build_design(ds: Dataset, spec: ModelSpec) -> PatternDesign:
+    """Expand a model specification into its design on all rows.
 
     Discrete covariates become reference-coded indicators; each covariate is
     expanded once however many terms use it. Every covariate column
     (indicators included) is shifted to weighted mean zero under the
     dataset's analysis weights; the intercept and the exposure are not.
+    Interaction columns are products of the exposure indicator with the
+    centered covariate columns, so the exposure coefficient is the effect at
+    the covariate means. No column depends on the weights of a later fit:
+    its rows are taken (:meth:`PatternDesign.take`) without going back to
+    the dataset, and a fit under other weights reads its exposure effect at
+    their covariate means through :meth:`PatternDesign.contrast`.
+
+    The patterns are the distinct combinations of the codes of the exposure
+    and the discrete covariates, and the values the centered continuous
+    covariates. Each block holds its pattern's discrete column values, or,
+    for a continuous column, 1 (the exposure for an interaction) in the
+    column's own slot; the interaction table holds the same blocks before
+    the exposure multiplies them. The centered n-vectors are not kept.
     """
-    names = [INTERCEPT]
-    # The intercept as a read-only view of one 1.0: the template outlives its
-    # pattern design, and no n-vector of ones need live with it.
-    leading = [np.broadcast_to(1.0, ds.n_rows)]
-    exposure_vec = None
-    discrete, continuous = [], []
+    n = ds.n_rows
+    names, discrete, exposure = [INTERCEPT], [], None
     if spec.exposure is not None:
         discrete.append(_require_observed(ds, spec.exposure))
-        exposure_vec = indicator(discrete[0])
+        exposure = indicator(discrete[0])
         names.append(spec.exposure)
-        leading.append(exposure_vec)
+    lead = len(names)
     weights = ds.weights()
-    _check_weights(weights, ds.n_rows)
+    _check_weights(weights, n)
+    # The centered covariate columns as (name, vector), the indices of the
+    # continuous ones, and per covariate design column its index and
+    # whether it is an exposure interaction.
     covariates: list = []
+    continuous: list[int] = []
+    terms: list[tuple[int, bool]] = []
     expanded: dict[str, range] = {}
-    terms = []
     for term in spec.terms:
         if term.column not in expanded:
             new = _covariate_columns(ds, term.column)
@@ -382,23 +383,20 @@ def design_template(ds: Dataset, spec: ModelSpec) -> DesignTemplate:
             colname = covariates[k][0]
             names.append(f"{spec.exposure}:{colname}" if term.interaction else colname)
             terms.append((k, term.interaction))
-    return DesignTemplate(
-        tuple(names), tuple(leading), tuple(covariates), tuple(terms), exposure_vec, tuple(discrete), tuple(continuous)
-    )
-
-
-def build_design(ds: Dataset, spec: ModelSpec) -> PatternDesign:
-    """Expand a model specification into its design on all rows.
-
-    Discrete covariates become reference-coded indicators. Every covariate
-    column (indicators included) is shifted to weighted mean zero under the
-    dataset's analysis weights, and interaction columns are products of the
-    exposure indicator with the centered covariate columns, so the exposure
-    coefficient is the effect at covariate means. The design is the
-    template's :meth:`~DesignTemplate.pattern_design`; its
-    :meth:`~PatternDesign.dense` rows are the numeric design matrix.
-    """
-    return design_template(ds, spec).pattern_design()
+    first, pattern = row_patterns(discrete, n)
+    blocks = np.zeros((first.size, len(continuous) + 1, len(names)))
+    blocks[:, 0, 0] = 1.0
+    if exposure is not None:
+        blocks[:, 0, 1] = exposure[first]
+    interactions = np.zeros_like(blocks) if any(inter for _, inter in terms) else None
+    for j, (k, inter) in enumerate(terms, start=lead):
+        slot = 1 + continuous.index(k) if k in continuous else 0
+        blocks[:, slot, j] = 1.0 if slot else covariates[k][1][first]
+        if inter:
+            interactions[:, slot, j] = blocks[:, slot, j]
+            blocks[:, slot, j] *= exposure[first]
+    values = np.array([covariates[k][1] for k in continuous]).reshape(len(continuous), n)
+    return PatternDesign(tuple(names), pattern, values, blocks, interactions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,6 +411,8 @@ class FitResult:
     n_obs: int
 
     def coef(self, name: str) -> float:
+        if name not in self.names:
+            raise InputError(f"no coefficient {name!r}; the fit has {self.names}")
         return float(self.beta[self.names.index(name)])
 
 

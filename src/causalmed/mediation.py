@@ -14,11 +14,11 @@ this decomposition:
 * ``ipw``      - weighted regression under stabilized inverse-probability
   weights times the survey weights.
 
-Every variant is one estimator (:class:`VariantEstimator`): design columns
-built and centered once from the dataset, fitted under row weights. A fit
-under any weights reads its exposure effect at their covariate means as one
+Every variant is one estimator (:class:`VariantEstimator`): designs built
+and centered once from the dataset, fitted under row weights. A fit under
+any weights reads its exposure effect at their covariate means as one
 linear contrast of its coefficients
-(:meth:`~causalmed.glm.DesignTemplate.contrast`), which is the exposure
+(:meth:`~causalmed.glm.PatternDesign.contrast`), which is the exposure
 coefficient for every variant but ``primary``. Point estimates use the
 survey weights. Total and direct effects carry the Wald interval of that
 contrast (:func:`~causalmed.glm.wald_interval`, from the sandwich
@@ -56,7 +56,7 @@ from .glm import (
     FitResult,
     ModelSpec,
     _irls,
-    design_template,
+    build_design,
     fit_logistic,
     interaction,
     main,
@@ -165,11 +165,10 @@ class VariantEstimator:
     weight as a sampling weight rather than repeated rows; a bootstrap
     replicate uses the coefficients only.
 
-    Every model is fitted on its template's
-    :class:`~causalmed.glm.PatternDesign`, built once, with discrete
-    columns only or with continuous ones; ``ps_regression``'s score column
-    enters it at each fit as one more continuous column, one per weight
-    vector.
+    Every model is fitted on its :class:`~causalmed.glm.PatternDesign`,
+    built once, with discrete columns only or with continuous ones;
+    ``ps_regression``'s score column enters it at each fit as one more
+    continuous column, one per weight vector.
     """
 
     def __init__(self, ds: Dataset, roles: VariableRoles, variant: str, include_mediators=(False, True)):
@@ -178,21 +177,17 @@ class VariantEstimator:
         roles.validate(ds)
         self.roles, self.variant = roles, variant
         self.y = response_vector(ds, roles.outcome)
-        self.templates = [design_template(ds, _outcome_spec(roles, variant, m)) for m in include_mediators]
-        # The rows of ``ds`` the estimator fits on (:meth:`take`); None for all.
-        self.rows = None
-        if variant in ("ps_regression", "ipw"):
-            self.ps_design = design_template(ds, propensity_spec(roles)).pattern_design()
-            self.treat = response_vector(ds, roles.exposure)
         # Per model, its design on the estimator's rows.
-        self.designs = [t.pattern_design() for t in self.templates]
+        self.designs = [build_design(ds, _outcome_spec(roles, variant, m)) for m in include_mediators]
+        if variant in ("ps_regression", "ipw"):
+            self.ps_design = build_design(ds, propensity_spec(roles))
+            self.treat = response_vector(ds, roles.exposure)
 
     def take(self, rows) -> "VariantEstimator":
         """The same estimator on the given rows only, with no dataset
         rebuilt. The response, the exposure and the designs are sliced to
         the rows, a design by its pattern indices and values alone."""
         out = copy.copy(self)
-        out.rows = rows if self.rows is None else self.rows[rows]
         out.y = self.y[rows]
         out.designs = [p.take(rows) for p in self.designs]
         if self.variant in ("ps_regression", "ipw"):
@@ -209,10 +204,10 @@ class VariantEstimator:
 
     def contrasts(self, W: np.ndarray) -> list[np.ndarray]:
         """Per model, the contrast g(W) over the estimator's rows
-        (:meth:`~causalmed.glm.DesignTemplate.contrast`, with a zero for
+        (:meth:`~causalmed.glm.PatternDesign.contrast`, with a zero for
         ``ps_regression``'s score column): the model's exposure effect at the
         W-weighted covariate means is g(W)·β for its fit under ``W``."""
-        gs = [t.contrast(W, self.rows) for t in self.templates]
+        gs = [d.contrast(W) for d in self.designs]
         return [np.insert(g, 2, 0.0, axis=-1) for g in gs] if self.variant == "ps_regression" else gs
 
     def coefs(self, W: np.ndarray):

@@ -14,6 +14,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from causalmed.data import Continuous
 from causalmed.glm import PatternDesign
 
 
@@ -178,17 +179,31 @@ def enumerate_joint_brute(variables):
 # Design matrices
 
 
-def design_by_stacking(template, weights=None):
-    """A design template's matrix built the direct way: each column as its
-    own array (with ``weights``, a vector, every covariate shifted to
-    weighted mean zero under them; interactions as exposure times the
-    covariate), then all of them stacked along a new last axis."""
-    shifted = [vec for _, vec in template.covariates]
-    if weights is not None:
-        shifted = [vec - (vec * weights).sum() / weights.sum() for vec in shifted]
-    vectors = [*template.leading]
-    for k, inter in template.terms:
-        vectors.append(template.exposure * shifted[k] if inter else shifted[k])
+def design_by_stacking(ds, spec, weights=None):
+    """A model's design matrix built the direct way, from the dataset's codes
+    and values: the intercept, the exposure's indicator, and per term of
+    ``spec`` its covariate's columns (a continuous column's values, or one
+    indicator per non-reference level) shifted to weighted mean zero under
+    ``weights`` (the survey weights for None), times the exposure's
+    indicator for an interaction. Each column is its own array, and all of
+    them are stacked along a new last axis."""
+    w = ds.weights() if weights is None else weights
+
+    def indicators(name):
+        col = ds[name]
+        return [(col.values == col.kind.levels.index(lv)) * 1.0 for lv in col.kind.levels if lv != col.kind.reference]
+
+    def shifted(name):
+        col = ds[name]
+        vecs = [col.values * 1.0] if isinstance(col.kind, Continuous) else indicators(name)
+        return [vec - (vec * w).sum() / w.sum() for vec in vecs]
+
+    vectors = [np.ones(ds.n_rows)]
+    if spec.exposure is not None:
+        (exposure,) = indicators(spec.exposure)
+        vectors.append(exposure)
+    for term in spec.terms:
+        vectors.extend(exposure * vec if term.interaction else vec for vec in shifted(term.column))
     return np.stack(vectors, axis=-1)
 
 

@@ -24,7 +24,6 @@ from causalmed.glm import (
     _irls,
     _log_likelihood,
     build_design,
-    design_template,
     expit,
     fit_logistic,
     interaction,
@@ -154,12 +153,39 @@ class TestBuildDesign:
         assert abs(np.average(column(design, "x"), weights=w)) < 1e-10
 
 
+class TestModelSpec:
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ((main("y"),), "outcome 'y'"),
+            ((main("q"),), "exposure 'q'"),
+            ((main("x"), interaction("q")), "exposure 'q'"),
+            ((main("x"), main("race"), main("x")), "appears twice"),
+            ((main("x"), interaction("x"), interaction("x")), "appears twice"),
+        ],
+    )
+    def test_refused_terms(self, terms, message):
+        # A term on the outcome or the exposure, or a repeated term. The last
+        # two would give a column collinear with another, which the fit
+        # could only report as rank deficient.
+        with pytest.raises(InputError, match=message):
+            ModelSpec("y", "q", terms)
+
+    def test_main_effect_and_interaction_of_one_covariate_accepted(self):
+        assert ModelSpec("y", "q", (main("x"), interaction("x"))).terms == (main("x"), interaction("x"))
+
+
 class TestFitLogistic:
     def test_two_group_closed_form(self):
         fit = fit_two_group(two_group_dataset(100, 20, 100, 10))
         assert fit.coef("(Intercept)") == pytest.approx(math.log(10 / 90), abs=1e-8)
         assert fit.coef("q") == pytest.approx(math.log(2.25), abs=1e-8)
         assert fit.iterations > 0
+
+    def test_unknown_coefficient_named(self):
+        fit = fit_two_group(two_group_dataset(10, 5, 10, 5))
+        with pytest.raises(InputError, match="'zz'"):
+            fit.coef("zz")
 
     def test_balanced_groups_give_zero(self):
         fit = fit_two_group(two_group_dataset(10, 5, 10, 5))
@@ -384,8 +410,8 @@ class TestDenseRows:
         terms = [main("x"), main("race"), main("sex")]
         if interactions:
             terms += [interaction("x"), interaction("race"), interaction("sex")]
-        template = design_template(ds, ModelSpec("y", "q", tuple(terms)))
-        assert np.array_equal(template.pattern_design().dense(), design_by_stacking(template))
+        spec = ModelSpec("y", "q", tuple(terms))
+        assert np.array_equal(build_design(ds, spec).dense(), design_by_stacking(ds, spec))
 
     def test_on_rows_equal_the_rows_of_the_full_design(self):
         # Centering is at the full sample's means, so the design on some
@@ -395,8 +421,7 @@ class TestDenseRows:
         terms = (main("x"), main("race"), interaction("x"), interaction("race"))
         spec = ModelSpec("y", "q", terms)
         rows = np.flatnonzero(rng.integers(0, 3, ds.n_rows))
-        template = design_template(ds, spec)
-        assert np.array_equal(template.pattern_design().take(rows).dense(), design_by_stacking(template)[rows])
+        assert np.array_equal(build_design(ds, spec).take(rows).dense(), design_by_stacking(ds, spec)[rows])
 
 
 PATTERN_SPEC = ModelSpec("y", "q", (main("x"), main("race"), main("sex"), interaction("x"), interaction("race")))
@@ -416,11 +441,10 @@ def pattern_and_dense(ds, form, rows=None):
     model on x and race with fixed coefficients, far enough from linear in
     x that the design is well conditioned (q does not depend on x here, so
     fitted scores would be nearly so)."""
-    template = design_template(ds, SPECS[form])
-    pattern, X = template.pattern_design(), design_by_stacking(template)
+    pattern, X = build_design(ds, SPECS[form]), design_by_stacking(ds, SPECS[form])
     if form == "score":
-        ps = design_template(ds, ModelSpec("q", None, (main("x"), main("race"))))
-        scores = clipped_scores(ps.pattern_design(), np.array([0.0, 0.2, 1.0, -1.0]))
+        ps = build_design(ds, ModelSpec("q", None, (main("x"), main("race"))))
+        scores = clipped_scores(ps, np.array([0.0, 0.2, 1.0, -1.0]))
         pattern = pattern.with_column(2, "propensity_score", scores)
         X = np.insert(X, 2, scores, axis=1)
     if rows is None:
@@ -476,10 +500,9 @@ class TestPatternDesign:
         # ps_regression in a batch: each fit has its own score column.
         rng = np.random.default_rng(23)
         ds = survey_dataset(rng, 600)
-        template = design_template(ds, PATTERN_SPEC)
         scores = rng.uniform(0.05, 0.95, (3, ds.n_rows))
-        pattern = template.pattern_design().with_column(2, "propensity_score", scores)
-        X = np.insert(np.broadcast_to(design_by_stacking(template), (3, ds.n_rows, 9)), 2, scores, axis=-1)
+        pattern = build_design(ds, PATTERN_SPEC).with_column(2, "propensity_score", scores)
+        X = np.insert(np.broadcast_to(design_by_stacking(ds, PATTERN_SPEC), (3, ds.n_rows, 9)), 2, scores, axis=-1)
         assert pattern.shape == X.shape
         assert np.array_equal(pattern.dense(), X)
         beta = rng.normal(0.0, 1.0, (3, X.shape[-1]))
@@ -536,14 +559,14 @@ class TestExposureContrast:
         rng = np.random.default_rng(11)
         ds = survey_dataset(rng, 500)
         spec = ModelSpec("y", "q", (main("x"), main("race"), interaction("x"), interaction("race")))
-        template, y = design_template(ds, spec), response_vector(ds, "y")
+        design, y = build_design(ds, spec), response_vector(ds, "y")
         W = ds.weights() * rng.integers(0, 3, (5, ds.n_rows))
-        g = template.contrast(W, None)
-        batch = _irls(template.pattern_design(), y, W)
+        g = design.contrast(W)
+        batch = _irls(design, y, W)
         assert batch.failure.tolist() == [glm.CONVERGED] * len(W)
         for w, g_row, beta in zip(W, g, batch.beta):
-            want = fit_logistic(as_pattern_design(design_by_stacking(template, w), template.names), y, w).coef("q")
-            got = fit_logistic(template.pattern_design(), y, w).beta
+            want = fit_logistic(as_pattern_design(design_by_stacking(ds, spec, w), design.names), y, w).coef("q")
+            got = fit_logistic(design, y, w).beta
             assert abs(g_row @ got - want) <= 1e-9 * abs(want)
             assert abs(g_row @ beta - want) <= 1e-9 * abs(want)
 
@@ -551,15 +574,43 @@ class TestExposureContrast:
         rng = np.random.default_rng(12)
         ds = survey_dataset(rng, 200)
         spec = ModelSpec("y", "q", (main("x"), main("race"), interaction("x"), interaction("race")))
-        template = design_template(ds, spec)
+        design = build_design(ds, spec)
         rows = np.flatnonzero(rng.integers(0, 3, ds.n_rows))
         w = np.zeros(ds.n_rows)
         w[rows] = ds.weights()[rows]
-        np.testing.assert_allclose(template.contrast(w[rows], rows), template.contrast(w, None), rtol=1e-13, atol=1e-15)
-        # Under the weights the template was centered at, g is the unit
+        np.testing.assert_allclose(design.take(rows).contrast(w[rows]), design.contrast(w), rtol=1e-13, atol=1e-15)
+        # Under the weights the design was centered at, g is the unit
         # vector on the exposure, up to rounding.
-        g = template.contrast(ds.weights(), None)
+        g = design.contrast(ds.weights())
         assert g[1] == 1.0 and np.abs(np.delete(g, 1)).max() < 1e-12
+
+    def test_contrast_reads_weighted_means_of_the_oracle_columns(self):
+        # A continuous and a 3-level categorical interaction, and sex as a
+        # main effect only. Each interaction entry is the W-weighted mean of
+        # the covariate column the exposure multiplies, stacked by the
+        # oracle; the exposure entry is 1 and every other entry 0. A batch
+        # of weight rows gives each row's contrast, and a score column
+        # inserted after the exposure gets a 0.
+        rng = np.random.default_rng(13)
+        ds = survey_dataset(rng, 300)
+        design, X = build_design(ds, PATTERN_SPEC), design_by_stacking(ds, PATTERN_SPEC)
+        W = ds.weights() * rng.integers(0, 3, (4, ds.n_rows))
+        g = design.contrast(W)
+        assert g.shape == (4, len(design.names))
+        for g_row, w in zip(g, W):
+            # Equal to rounding (atol 0 keeps the zeros exact): the matrix
+            # products of a batch, or of a widened design, may sum in
+            # another order.
+            np.testing.assert_allclose(design.contrast(w), g_row, rtol=1e-14, atol=0.0)
+        inter = [j for j, name in enumerate(design.names) if name.startswith("q:")]
+        assert [design.names[j] for j in inter] == ["q:x", "q:race=b", "q:race=c"]
+        for j in inter:
+            covariate = X[:, design.names.index(design.names[j].removeprefix("q:"))]
+            np.testing.assert_allclose(g[:, j], W @ covariate / W.sum(axis=1), rtol=0.0, atol=1e-13)
+        assert (g[:, 1] == 1.0).all()
+        assert (np.delete(g, [1, *inter], axis=1) == 0.0).all()
+        widened = design.with_column(2, "propensity_score", rng.uniform(0.05, 0.95, ds.n_rows))
+        np.testing.assert_allclose(widened.contrast(W), np.insert(g, 2, 0.0, axis=1), rtol=1e-14, atol=0.0)
 
 
 class TestWaldInterval:

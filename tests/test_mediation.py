@@ -538,11 +538,40 @@ class TestReplicateEquivalence:
         draws = rng.integers(0, ds.n_rows, (4, ds.n_rows))
         W = ds.weights() * np.array([np.bincount(idx, minlength=ds.n_rows) for idx in draws])
         coefs, _ = est.coefs(W)
+        covariates = (main("x"), main("age"))
+        specs = [
+            ModelSpec("y", "q", covariates + mediators + (interaction("x"), interaction("age")))
+            for mediators in ((), (main("m"),))
+        ]
         for w, row in zip(W, coefs):
-            for template, got in zip(est.templates, row):
-                design = as_pattern_design(design_by_stacking(template, w), template.names)
-                want = fit_logistic(design, est.y, w).coef("q")
+            for spec, design, got in zip(specs, est.designs, row):
+                assert design.names == build_design(ds, spec).names
+                want = fit_logistic(as_pattern_design(design_by_stacking(ds, spec, w), design.names), est.y, w).coef("q")
                 assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_primary_estimator_keeps_no_covariate_rows(self):
+        # Row-length arrays reachable from the estimator are the response
+        # and each design's pattern indices and continuous values; no
+        # covariate column is kept beside them.
+        rng = np.random.default_rng(20)
+        ds = with_age(sim_dataset(rng, 300, bm=0.3, weight=True), rng)
+        est = VariantEstimator(ds, AGE_ROLES, "primary")
+        found = []
+
+        def walk(obj, path):
+            if isinstance(obj, np.ndarray):
+                if ds.n_rows in obj.shape:
+                    found.append(path)
+            elif isinstance(obj, (list, tuple)):
+                for i, item in enumerate(obj):
+                    walk(item, f"{path}[{i}]")
+            elif isinstance(obj, glm.PatternDesign):
+                for name, value in vars(obj).items():
+                    walk(value, f"{path}.{name}")
+
+        for name, value in vars(est).items():
+            walk(value, name)
+        assert sorted(found) == [f"designs[{i}].{f}" for i in (0, 1) for f in ("pattern", "values")] + ["y"]
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_draw_emptying_covariate_level_fails_alike(self, variant):
