@@ -384,15 +384,23 @@ def ingest_csv(
     every schema column, each once (a leading byte-order mark is dropped).
     Cells matching ``missing_tokens``, a collection of strings, become
     missing and cells equal to :data:`NONRESPONSE_TOKEN` non-response, so
-    the output of :func:`write_csv` reads back unchanged; anything else must
-    parse under the declared kind, a continuous cell as a finite number,
-    otherwise a DataError names the offending row and column. ``source``
-    may be a path or an open text stream.
+    the output of :func:`write_csv` reads back unchanged. A missing token
+    that is :data:`NONRESPONSE_TOKEN` or a declared level of a discrete
+    schema column raises InputError naming it (and the column). Anything
+    else must parse under the declared kind, a continuous cell as a finite
+    number, otherwise a DataError names the offending row and column.
+    ``source`` may be a path or an open text stream.
     """
     if isinstance(missing_tokens, str):
         raise InputError("missing_tokens must be a collection of strings, not one string")
     unobserved = dict.fromkeys(missing_tokens, CellState.MISSING)
-    unobserved.setdefault(NONRESPONSE_TOKEN, CellState.NONRESPONSE)
+    if NONRESPONSE_TOKEN in unobserved:
+        raise InputError(f"missing token {NONRESPONSE_TOKEN!r} is the non-response token")
+    for name, kind in schema.items():
+        clash = [token for token in unobserved if token in (kind_levels(kind) or ())]
+        if clash:
+            raise InputError(f"missing token {clash[0]!r} is a declared level of column {name!r}")
+    unobserved[NONRESPONSE_TOKEN] = CellState.NONRESPONSE
     with _open_text(source, "r") as fh:
         # The mark is dropped from the text, so a quoted first field parses.
         first_line = fh.readline().removeprefix("\ufeff")

@@ -100,6 +100,9 @@ class LogitVariable:
 
 ScmVariable = Union[CptVariable, LogitVariable]
 
+#: The keys of the text format's ``roles`` line and the ScmSpec fields they fill.
+_ROLE_FIELDS = {"q": "exposure", "x": "baseline", "m": "mediator", "y": "outcome"}
+
 
 @dataclass(frozen=True)
 class ScmSpec:
@@ -131,14 +134,16 @@ class ScmSpec:
                         f"variable {var.name!r}: {len(var.table)} rows, expected {expected_rows}"
                     )
             seen.add(var.name)
-        for role, name in (
-            ("exposure", self.exposure),
-            ("baseline", self.baseline),
-            ("mediator", self.mediator),
-            ("outcome", self.outcome),
-        ):
-            if name is not None and name not in seen:
+        named: dict[str, str] = {}  # variable -> the role naming it
+        for role in _ROLE_FIELDS.values():
+            name = getattr(self, role)
+            if name is None:
+                continue
+            if name not in seen:
                 raise InputError(f"{role} role names unknown variable {name!r}")
+            if name in named:
+                raise InputError(f"variable {name!r} is named in the {named[name]} and {role} roles")
+            named[name] = role
 
     def variable(self, name: str) -> ScmVariable:
         for var in self.variables:
@@ -202,6 +207,8 @@ class Joint:
 
     def marginal(self, *names: str) -> np.ndarray:
         """Marginal probability array over the named variables, in that order."""
+        if len(set(names)) != len(names):
+            raise InputError(f"marginal names a variable twice: {names}")
         keep = [self.axis(n) for n in names]
         drop = tuple(i for i in range(len(self.names)) if i not in keep)
         marg = self.probs.sum(axis=drop)
@@ -415,6 +422,8 @@ def sample_trace(spec: ScmSpec, n: int, seed: int) -> SampleTrace:
     """Draw n rows, retaining latent values and the noise behind every draw."""
     if n < 1:
         raise InputError("n must be at least 1")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     values: dict[str, np.ndarray] = {}
     noise: dict[str, np.ndarray] = {}
@@ -475,120 +484,111 @@ def parse_scm(text: str) -> ScmSpec:
     Blocks start with ``var NAME : level level ...`` followed by ``latent``,
     ``parents P1 P2 ...`` and one response: ``cpt`` rows (one per parent
     configuration, ``cpt <parent levels...> | p p ...``) or one ``logit
-    intercept coef...`` line. A final ``roles`` line assigns q/x/m/y. Errors
-    raise DataError naming a line: a bad line names itself, a variable that
-    cannot be built names the line of its ``var``, and a role given twice or
-    naming an unknown variable names its ``roles`` line.
+    intercept coef...`` line. One ``roles`` line assigns q/x/m/y.
+
+    A block gives each directive once: one ``latent``, one ``parents``, one
+    ``cpt`` row per parent configuration, and either ``cpt`` rows or one
+    ``logit`` line, not both. A role key is given once, on the one
+    ``roles`` line, and names a different variable from every other key.
+
+    The text is read in two passes. The first reads the lines into blocks
+    and the roles line; the second builds each block's variable in order.
+    Errors raise DataError naming a line: a bad or repeated line names
+    itself, a variable that cannot be built names the line of its ``var``,
+    and a role error names the ``roles`` line.
     """
-    variables: list[ScmVariable] = []
+    # (var line, name, levels, {directive: value}) per block, in text order.
+    blocks: list[tuple[int, str, tuple[str, ...], dict]] = []
+    given: dict | None = None  # the open block's directives
     roles: dict[str, str] = {}
-    role_lines: dict[str, int] = {}
-    current: dict | None = None
-
-    def flush():
-        nonlocal current
-        if current is None:
-            return
-        name, levels, parents, latent = (
-            current["name"],
-            tuple(current["levels"]),
-            tuple(current["parents"]),
-            current["latent"],
-        )
-        declared = {v.name: v for v in variables}
-        try:
-            if name in declared:
-                raise DataError(f"duplicate variable {name!r}")
-            for parent in parents:
-                if parent not in declared:
-                    raise DataError(f"variable {name!r}: parent {parent!r} not declared earlier")
-            if current["logit"] is not None:
-                intercept, coefs = current["logit"]
-                variables.append(LogitVariable(name, parents, intercept, tuple(coefs), levels, latent))
-            elif current["cpt_rows"]:
-                parent_levels = [declared[p].levels for p in parents]
-                rows = _order_cpt_rows(name, parent_levels, current["cpt_rows"])
-                variables.append(CptVariable(name, levels, parents, rows, latent))
-            else:
-                raise DataError(f"variable {name!r} has no response definition")
-        except (InputError, DataError) as exc:
-            raise DataError(f"line {current['line']}: {exc}") from None
-        current = None
-
+    roles_line = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] in ("var", "roles"):
-            flush()
+        word, args = fields[0], fields[1:]
         try:
-            if fields[0] == "var":
-                if ":" not in fields:
+            if word == "var":
+                if len(args) < 3 or args[0] == ":" or args[1] != ":":
                     raise DataError("expected `var NAME : levels...`")
-                sep = fields.index(":")
-                if sep != 2 or len(fields) < 4:
-                    raise DataError("expected `var NAME : levels...`")
-                current = {
-                    "name": fields[1],
-                    "levels": fields[3:],
-                    "parents": [],
-                    "latent": False,
-                    "cpt_rows": [],
-                    "logit": None,
-                    "line": line_no,
-                }
-            elif fields[0] == "roles":
-                for item in fields[1:]:
+                given = {}
+                blocks.append((line_no, args[0], tuple(args[2:]), given))
+            elif word == "roles":
+                if roles_line is not None:
+                    raise DataError(f"roles already given on line {roles_line}")
+                roles_line, given = line_no, None
+                for item in args:
                     key, _, value = item.partition("=")
-                    if key not in ("q", "x", "m", "y") or not value:
+                    if key not in _ROLE_FIELDS or not value:
                         raise DataError(f"bad role assignment {item!r}")
                     if key in roles:
                         raise DataError(f"role {key!r} assigned twice")
                     roles[key] = value
-                    role_lines[key] = line_no
-            elif current is None:
-                raise DataError(f"directive {fields[0]!r} outside a var block")
-            elif fields[0] == "latent" and len(fields) == 1:
-                current["latent"] = True
-            elif fields[0] == "parents":
-                current["parents"] = fields[1:]
-            elif fields[0] == "cpt":
-                if "|" not in fields:
-                    raise DataError("cpt row needs `|`")
-                sep = fields.index("|")
-                config = tuple(fields[1:sep])
-                probs = tuple(float(v) for v in fields[sep + 1 :])
-                current["cpt_rows"].append((config, probs))
-            elif fields[0] == "logit":
-                numbers = [float(v) for v in fields[1:]]
+            elif given is None:
+                raise DataError(f"directive {word!r} outside a var block")
+            elif word == "latent" and not args:
+                _record(given, "latent", True)
+            elif word == "parents":
+                _record(given, "parents", tuple(args))
+            elif word == "logit":
+                numbers = tuple(float(v) for v in args)
                 if not numbers:
                     raise DataError("logit needs an intercept")
-                current["logit"] = (numbers[0], numbers[1:])
+                _record(given, "logit", numbers)
+            elif word == "cpt":
+                if "|" not in args:
+                    raise DataError("cpt row needs `|`")
+                sep = args.index("|")
+                config, probs = tuple(args[:sep]), tuple(float(v) for v in args[sep + 1 :])
+                if "cpt" not in given:
+                    _record(given, "cpt", {})
+                if config in given["cpt"]:
+                    raise DataError(f"cpt row for parent levels {' '.join(config)!r} given twice")
+                given["cpt"][config] = probs
             else:
                 raise DataError(f"cannot parse {raw.strip()!r}")
         except (ValueError, DataError) as exc:
             raise DataError(f"line {line_no}: {exc}") from None
-    flush()
-    names = {v.name for v in variables}
+
+    variables: dict[str, ScmVariable] = {}
+    for line_no, name, levels, given in blocks:
+        parents, latent = given.get("parents", ()), "latent" in given
+        try:
+            if name in variables:
+                raise DataError(f"duplicate variable {name!r}")
+            for parent in parents:
+                if parent not in variables:
+                    raise DataError(f"variable {name!r}: parent {parent!r} not declared earlier")
+            if "logit" in given:
+                intercept, *coefs = given["logit"]
+                variables[name] = LogitVariable(name, parents, intercept, coefs, levels, latent)
+            elif "cpt" in given:
+                expected = list(itertools.product(*(variables[p].levels for p in parents)))
+                if given["cpt"].keys() != set(expected):
+                    raise DataError(f"variable {name!r}: cpt rows do not cover every parent configuration")
+                table = tuple(given["cpt"][config] for config in expected)
+                variables[name] = CptVariable(name, levels, parents, table, latent)
+            else:
+                raise DataError(f"variable {name!r} has no response definition")
+        except (InputError, DataError) as exc:
+            raise DataError(f"line {line_no}: {exc}") from None
     for key, value in roles.items():
-        if value not in names:
-            raise DataError(f"line {role_lines[key]}: role {key!r} names unknown variable {value!r}")
-    return ScmSpec(
-        tuple(variables),
-        exposure=roles.get("q"),
-        baseline=roles.get("x"),
-        mediator=roles.get("m"),
-        outcome=roles.get("y"),
-    )
+        if value not in variables:
+            raise DataError(f"line {roles_line}: role {key!r} names unknown variable {value!r}")
+    try:
+        return ScmSpec(tuple(variables.values()), **{_ROLE_FIELDS[k]: v for k, v in roles.items()})
+    except InputError as exc:
+        raise DataError(f"line {roles_line}: {exc}") from None
 
 
-def _order_cpt_rows(name, parent_levels, rows):
-    expected = list(itertools.product(*parent_levels))
-    given = {config: probs for config, probs in rows}
-    if set(given) != set(expected):
-        raise DataError(f"variable {name!r}: cpt rows do not cover every parent configuration")
-    return tuple(given[config] for config in expected)
+def _record(given: dict, directive: str, value) -> None:
+    """Record one directive of a block: each is given once, and the response
+    is either ``cpt`` rows or one ``logit`` line."""
+    if directive in given:
+        raise DataError(f"`{directive}` given twice in one block")
+    if {directive, *given} >= {"cpt", "logit"}:
+        raise DataError("a block gives `cpt` rows or one `logit` line, not both")
+    given[directive] = value
 
 
 def format_scm(spec: ScmSpec) -> str:
@@ -602,16 +602,12 @@ def format_scm(spec: ScmSpec) -> str:
         if isinstance(var, CptVariable):
             parent_levels = [spec.variable(p).levels for p in var.parents]
             for config, row in zip(itertools.product(*parent_levels), var.table):
-                prefix = " ".join(config)
-                probs = " ".join(repr(p) for p in row)
-                lines.append(f"  cpt {prefix} | {probs}".replace("cpt  |", "cpt |"))
+                lines.append("  " + " ".join(["cpt", *config, "|", *map(repr, row)]))
         else:
             nums = " ".join(repr(v) for v in (var.intercept, *var.coefficients))
             lines.append(f"  logit {nums}")
-    roles = []
-    for key, value in (("q", spec.exposure), ("x", spec.baseline), ("m", spec.mediator), ("y", spec.outcome)):
-        if value is not None:
-            roles.append(f"{key}={value}")
+    names = {key: getattr(spec, field) for key, field in _ROLE_FIELDS.items()}
+    roles = [f"{key}={name}" for key, name in names.items() if name is not None]
     if roles:
         lines.append("roles " + " ".join(roles))
     return "\n".join(lines) + "\n"

@@ -103,6 +103,23 @@ class TestIngest:
         with pytest.raises(InputError, match="missing_tokens"):
             _ingest_text("a\nNA\n", {"a": Continuous()}, missing_tokens="NA")
 
+    def test_missing_token_that_is_a_declared_level_rejected(self):
+        schema = {"a": Continuous(), "b": Categorical(("x", "NA"), "x")}
+        with pytest.raises(InputError, match="missing token 'NA' is a declared level of column 'b'"):
+            _ingest_text("a,b\n1,NA\n", schema, missing_tokens=("", "NA"))
+
+    def test_missing_token_that_is_the_nonresponse_token_rejected(self):
+        with pytest.raises(InputError, match="missing token '__NR__' is the non-response token"):
+            _ingest_text(f"a\n{NONRESPONSE_TOKEN}\n", {"a": Binary()}, missing_tokens=("", NONRESPONSE_TOKEN))
+
+    def test_missing_token_clashing_with_nothing_accepted(self):
+        # A numeric code in a continuous column and a label no discrete
+        # column declares are both plain missing tokens.
+        schema = {"age": Continuous(), "b": Categorical(("x", "y"), "x")}
+        ds = _ingest_text("age,b\n-9,x\n40,NA\n", schema, missing_tokens=("", "-9", "NA"))
+        assert ds["age"].state.tolist() == [CellState.MISSING, CellState.OBSERVED]
+        assert ds["b"].state.tolist() == [CellState.OBSERVED, CellState.MISSING]
+
     def test_byte_order_mark_dropped_from_header(self, tmp_path):
         schema = {"a": Continuous(), "b": Binary()}
         want = _ingest_text("a,b\n1,0\n", schema)

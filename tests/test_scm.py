@@ -103,6 +103,11 @@ class TestEnumerate:
             for config, p in brute.items():
                 assert joint.probs[config] == pytest.approx(p, abs=1e-14)
 
+    def test_marginal_refuses_a_repeated_name(self):
+        joint = enumerate_joint(ScmSpec((fair("A"), fair("B"))))
+        with pytest.raises(InputError, match="names a variable twice"):
+            joint.marginal("A", "A")
+
     def test_state_space_bound(self):
         kind = tuple(str(i) for i in range(101))
         vars_ = tuple(
@@ -128,6 +133,16 @@ class TestEnumerate:
         parents = ("P",) * len(coefficients)
         with pytest.raises(InputError, match="variable 'A': non-finite intercept or coefficient"):
             LogitVariable("A", parents, intercept, coefficients)
+
+
+class TestRoles:
+    def test_variable_in_two_roles_rejected(self):
+        with pytest.raises(InputError, match="variable 'A' is named in the exposure and baseline roles"):
+            ScmSpec((fair("A"), fair("B")), exposure="A", baseline="A", mediator="B")
+
+    def test_role_naming_unknown_variable_rejected(self):
+        with pytest.raises(InputError, match="outcome role names unknown variable 'C'"):
+            ScmSpec((fair("A"),), outcome="C")
 
 
 class TestOracleEstimands:
@@ -272,6 +287,12 @@ class TestSampling:
         with pytest.raises(InputError):
             sample(load_fixture("mediation_binary"), 0, 1)
 
+    def test_negative_seed_rejected(self):
+        spec = load_fixture("mediation_binary")
+        for draw in (sample, sample_trace):
+            with pytest.raises(InputError, match="seed must be non-negative, got -1"):
+                draw(spec, 10, -1)
+
     def test_seed_determinism(self):
         spec = load_fixture("mediation_binary")
         assert sample(spec, 500, 7) == sample(spec, 500, 7)
@@ -331,6 +352,13 @@ class TestTextFormat:
         spec = random_categorical_scm(np.random.default_rng(43))
         assert parse_scm(format_scm(spec)) == spec
 
+    def test_binary_logit_round_trip(self):
+        # Half the models carry the latent mediator-outcome confounder U.
+        rng = np.random.default_rng(44)
+        for i in range(20):
+            spec = random_mediation_scm(rng, confounded=i % 2 == 1)
+            assert parse_scm(format_scm(spec)) == spec
+
     @pytest.mark.parametrize(
         "block",
         [
@@ -363,6 +391,35 @@ class TestTextFormat:
     def test_bad_roles_line_reports_its_line(self, roles, message):
         with pytest.raises(DataError, match=f"line 3: {message}"):
             parse_scm("var A : 0 1\n  cpt | 0.5 0.5\n" + roles + "\n")
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ("  cpt 0 | 0.5 0.5\n  logit 0.1 0.2\n", "a block gives `cpt` rows or one `logit` line, not both"),
+            ("  logit 0.1 0.2\n  cpt 0 | 0.5 0.5\n", "a block gives `cpt` rows or one `logit` line, not both"),
+            ("  logit 0.1 0.2\n  logit 0.3 0.4\n", "`logit` given twice in one block"),
+            ("  cpt 0 | 0.5 0.5\n  cpt 0 | 0.4 0.6\n", "cpt row for parent levels '0' given twice"),
+            ("  latent\n  latent\n  logit 0.1 0.2\n", "`latent` given twice in one block"),
+            ("  logit 0.1 0.2\n  parents A\n", "`parents` given twice in one block"),
+        ],
+        ids=["logit-after-cpt", "cpt-after-logit", "second-logit", "repeated-cpt-row", "second-latent", "second-parents"],
+    )
+    def test_repeated_or_conflicting_directive_reports_its_line(self, block, message):
+        # Lines 1-4 declare A and open B with `parents A`; the refused
+        # directive is each block's line 6.
+        text = "var A : 0 1\n  cpt | 0.5 0.5\nvar B : 0 1\n  parents A\n" + block
+        with pytest.raises(DataError, match=f"^line 6: {message}$"):
+            parse_scm(text)
+
+    def test_second_roles_line_reports_its_line(self):
+        text = "var A : 0 1\n  cpt | 0.5 0.5\nvar B : 0 1\n  cpt | 0.5 0.5\nroles q=A\nroles y=B\n"
+        with pytest.raises(DataError, match="line 6: roles already given on line 5"):
+            parse_scm(text)
+
+    def test_variable_in_two_roles_reports_the_roles_line(self):
+        text = "var A : 0 1\n  cpt | 0.5 0.5\nvar B : 0 1\n  cpt | 0.5 0.5\nroles q=A x=A m=B\n"
+        with pytest.raises(DataError, match="line 5: variable 'A' is named in the exposure and baseline roles"):
+            parse_scm(text)
 
     def test_missing_cpt_row_detected(self):
         text = "var A : 0 1\n  cpt | 0.5 0.5\nvar B : 0 1\n  parents A\n  cpt 0 | 0.5 0.5\n"
