@@ -24,16 +24,16 @@ survey weights. Total and direct effects carry the Wald interval of that
 contrast (:func:`~causalmed.glm.wald_interval`, from the sandwich
 covariance); the indirect effect has no closed-form SE here, so its CI
 comes from a deterministic nonparametric bootstrap (:func:`bootstrap_ci`)
-that refits the same estimator under each replicate's row counts. Each
-replicate's counts are reduced to weights on the K distinct role-column
-patterns. Where rows collapse so far that a block holds several
-replicates, these form one read-only (reps, K) table, drawn once and shared
-by the variants bootstrapped on the same dataset object at the same seed;
-otherwise (a continuous role column among them) each block draws its own.
-The one path fits blocks of up to :data:`BLOCK_CELLS` // K
-replicates together on the patterns they drew, with coefficients only; a
-replicate whose fit leaves the plain Newton path is drawn again and refit
-on the full rows.
+that refits the same estimator under each replicate's row counts. One
+function turns a run of replicate seeds into their weights on the K
+distinct role-column patterns, and one loop fits blocks of up to
+:data:`BLOCK_CELLS` // K replicates together on the patterns they drew,
+with coefficients only. Where rows collapse so far that a block holds
+several replicates, the weights form one read-only (reps, K) table, drawn
+once and shared by the variants bootstrapped on the same dataset object at
+the same seed; otherwise (a continuous role column among them) each block
+draws its own. A replicate whose fit leaves the plain Newton path is drawn
+again and refit on the full rows.
 
 Note the total effect from the mediator-free model is the standard
 two-model quantity, not a collapsibility-corrected marginal effect.
@@ -298,46 +298,22 @@ BLOCK_CELLS = 1 << 12
 def replicate_counts(n_rows: int, seed: int) -> np.ndarray:
     """How often each of ``n_rows`` rows is drawn by the bootstrap
     replicate with generator seed ``seed``, which draws ``n_rows`` row
-    indices with replacement. This is the only bootstrap draw: the shared
-    pattern-weight table, the per-block draws and the full-row refits all
-    call it."""
+    indices with replacement. This is the only bootstrap draw."""
     return np.bincount(np.random.default_rng(seed).integers(0, n_rows, n_rows), minlength=n_rows)
 
 
-def bootstrap_statistics(n_rows, reps, seed, block_fn, block_size):
-    """Resampling engine: replicate i resamples ``n_rows`` rows with
-    generator seed+i (:func:`replicate_counts`).
-
-    Replicates go to ``block_fn`` in order, ``block_size`` at a time (fewer
-    in the last block), as the ``range`` of their indices i; it draws each
-    replicate's counts itself and returns their statistics, NaN for a
-    replicate whose fit degenerated (rank deficiency, separation,
-    non-convergence). Failed replicates are dropped and counted; more than
-    :data:`MAX_FAILURE_RATE` of them failing is an error.
-    """
-    if n_rows < 1:
-        raise InputError("bootstrap needs at least one row")
-    if reps < 100:
-        raise InputError("at least 100 bootstrap replicates required")
-    if seed < 0:
-        raise InputError(f"bootstrap seed must be non-negative, got {seed}")
-    stats = np.empty(reps)
-    for start in range(0, reps, block_size):
-        block = range(start, min(start + block_size, reps))
-        stats[block.start : block.stop] = block_fn(block)
-    failed = np.isnan(stats)
-    n_failed = int(failed.sum())
-    if n_failed > MAX_FAILURE_RATE * reps:
-        raise BootstrapError(f"{n_failed} of {reps} bootstrap replicates failed")
-    return stats[~failed], n_failed
-
-
-def _replicate_weights(weights, pattern, n_patterns, seed) -> np.ndarray:
-    """The K pattern weights of the replicate with generator seed ``seed``:
-    the survey weights times its :func:`replicate_counts`, summed within
-    each pattern, or per row when ``pattern`` is None."""
-    w = weights * replicate_counts(weights.size, seed)
-    return w if pattern is None else np.bincount(pattern, w, n_patterns)
+def _replicate_weights(weights, pattern, n_patterns, seeds) -> np.ndarray:
+    """The (len(seeds), K) pattern weights of the replicates with generator
+    seeds ``seeds``: per replicate, the survey weights times its
+    :func:`replicate_counts`, summed within each of the K patterns that
+    ``pattern`` gives the rows, or per row when ``pattern`` is None. This is
+    the only place a replicate's counts become weights: the shared table,
+    the per-block draws and the full-row refits all call it."""
+    W = np.empty((len(seeds), n_patterns))
+    for b, seed in enumerate(seeds):
+        w = weights * replicate_counts(weights.size, seed)
+        W[b] = w if pattern is None else np.bincount(pattern, w, n_patterns)
+    return W
 
 
 #: The last table :func:`_pattern_weight_table` built, as (weak reference to
@@ -355,9 +331,9 @@ def _forget_table(ref):
 
 def _pattern_weight_table(ds, columns, pattern, n_patterns, reps, seed) -> np.ndarray:
     """The read-only (reps, K) pattern weights of the bootstrap replicates
-    of ``ds`` over the discrete role ``columns``: row i is
-    :func:`_replicate_weights` of generator seed+i on the K patterns that
-    ``pattern`` gives the rows.
+    of ``ds`` over the discrete role ``columns``: row i is replicate
+    seed+i's weights on the K patterns that ``pattern`` gives the rows
+    (:func:`_replicate_weights`).
 
     The variants bootstrapped on one dataset draw the same replicates, so
     the last table is kept and handed out again when the same ``ds``
@@ -378,9 +354,7 @@ def _pattern_weight_table(ds, columns, pattern, n_patterns, reps, seed) -> np.nd
         and np.array_equal(last[3], pattern)
     ):
         return last[4]
-    table = np.empty((reps, n_patterns))
-    for i in range(reps):
-        table[i] = _replicate_weights(weights, pattern, n_patterns, seed + i)
+    table = _replicate_weights(weights, pattern, n_patterns, range(seed, seed + reps))
     table.flags.writeable = False
     _last_table = (weakref.ref(ds, _forget_table), key, weights, pattern, table)
     return table
@@ -388,6 +362,10 @@ def _pattern_weight_table(ds, columns, pattern, n_patterns, reps, seed) -> np.nd
 
 def _bootstrap_interval(ds: Dataset, est: VariantEstimator, reps: int, seed: int) -> BootstrapInterval:
     """:func:`bootstrap_ci` from an estimator already built on the rows of ``ds``."""
+    if reps < 100:
+        raise InputError("at least 100 bootstrap replicates required")
+    if seed < 0:
+        raise InputError(f"bootstrap seed must be non-negative, got {seed}")
     weights, n_rows = ds.weights(), ds.n_rows
     columns = est.roles.all_columns()
     if any(isinstance(ds[c].kind, Continuous) for c in columns):
@@ -401,33 +379,31 @@ def _bootstrap_interval(ds: Dataset, est: VariantEstimator, reps: int, seed: int
     # patterns, and drawing costs about as much as fitting. With one
     # replicate per block (over BLOCK_CELLS / 2 patterns, or a continuous
     # role) the fits dominate, and a (reps, K) table would near the (reps,
-    # n) count matrix.
-    shared = pattern is not None and block_size > 1
-
-    def block_fn(block):
-        if shared:
-            # The first block builds the table (or finds it kept), after
-            # bootstrap_statistics has checked the arguments; later blocks
-            # find it kept.
-            W = _pattern_weight_table(ds, columns, pattern, n_patterns, reps, seed)[block.start : block.stop]
+    # n) count matrix, so each block draws its own.
+    table = None
+    if pattern is not None and block_size > 1:
+        table = _pattern_weight_table(ds, columns, pattern, n_patterns, reps, seed)
+    stats = np.empty(reps)
+    for start in range(0, reps, block_size):
+        stop = min(start + block_size, reps)
+        if table is None:
+            W = _replicate_weights(weights, pattern, n_patterns, range(seed + start, seed + stop))
         else:
-            # Drawn per block, so no (reps, K) array is formed.
-            W = np.empty((len(block), n_patterns))
-            for b, i in enumerate(block):
-                W[b] = _replicate_weights(weights, pattern, n_patterns, seed + i)
+            W = table[start:stop]
         drawn = np.flatnonzero(W.any(axis=0))
         coefs, plain = patterns.take(drawn).coefs(W[:, drawn])
         for b in np.flatnonzero(~plain):
-            w = weights * replicate_counts(n_rows, seed + block[b])
-            coefs[b] = est.coefs(w[None])[0][0]
-        return coefs[:, 0] - coefs[:, 1]
-
-    stats, n_failed = bootstrap_statistics(n_rows, reps, seed, block_fn, block_size)
-    se = float(stats.std(ddof=1)) if stats.size > 1 else 0.0
+            coefs[b] = est.coefs(_replicate_weights(weights, None, n_rows, [seed + start + b]))[0][0]
+        stats[start:stop] = coefs[:, 0] - coefs[:, 1]
+    failed = np.isnan(stats)
+    n_failed = int(failed.sum())
+    if n_failed > MAX_FAILURE_RATE * reps:
+        raise BootstrapError(f"{n_failed} of {reps} bootstrap replicates failed")
+    stats = stats[~failed]
     # (1 - 0.95) / 2 differs from 0.025 in the last bits; the limits keep it.
     alpha = (1.0 - 0.95) / 2.0
     lo, hi = np.percentile(np.exp(stats), [100 * alpha, 100 * (1 - alpha)])
-    return BootstrapInterval(float(lo), float(hi), se, n_failed, reps)
+    return BootstrapInterval(float(lo), float(hi), float(stats.std(ddof=1)), n_failed, reps)
 
 
 def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, seed: int) -> BootstrapInterval:
@@ -440,11 +416,14 @@ def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, see
     resampled rows. The limits are percentiles of the replicate odds ratios
     and ``se`` is the replicates' standard deviation on the log scale.
 
-    Rows collapse to their K distinct role-column patterns; with a
-    continuous role column no row repeats, and each row is its own pattern.
-    Replicates go in blocks of :data:`BLOCK_CELLS` // K (at least one).
-    Each replicate's row counts are reduced to its K pattern weights, the
-    survey weights times the counts summed within each pattern. With
+    The arguments are checked first: at least 100 replicates and a
+    non-negative seed. Replicate i draws with generator seed+i. Rows
+    collapse to their K distinct role-column patterns; with a continuous
+    role column no row repeats, and each row is its own pattern. One loop
+    takes the replicates in order, in blocks of :data:`BLOCK_CELLS` // K
+    (at least one). One function turns each replicate's row counts into its
+    K pattern weights, the survey weights times the counts summed within
+    each pattern, for the table, the blocks and the refits alike. With
     discrete role columns and blocks of several replicates (K at most
     :data:`BLOCK_CELLS` / 2), every replicate's weights are drawn once into
     a read-only (reps, K) table, and a block takes its rows of it; the next
@@ -459,7 +438,10 @@ def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, see
     the separation bound, or ended on an information matrix with condition
     number above :data:`~causalmed.glm.STACKED_MAX_CONDITION`) draws its
     counts again and is refit on the full rows, and that fit decides its
-    statistic or its failure.
+    statistic or its failure. A replicate whose fit fails (rank
+    deficiency, separation, non-convergence) is dropped and counted in
+    ``n_failed``; more than :data:`MAX_FAILURE_RATE` of them failing raises
+    :class:`~causalmed.errors.BootstrapError`.
 
     Every fit runs on pattern moments (:class:`~causalmed.glm.PatternDesign`)
     of the rows it is given, and no design matrix is formed. With discrete

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Mapping, Union
 
@@ -49,6 +49,8 @@ class CptVariable:
     parents: tuple[str, ...] = ()
     table: tuple[tuple[float, ...], ...] = ()
     latent: bool = False
+    #: The data kind of the levels, built from them.
+    kind: Binary | Categorical = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
@@ -56,6 +58,7 @@ class CptVariable:
         object.__setattr__(self, "table", tuple(tuple(float(p) for p in row) for row in self.table))
         if len(self.levels) < 2:
             raise InputError(f"variable {self.name!r} needs at least two levels")
+        _set_kind(self)
         for row in self.table:
             if len(row) != len(self.levels):
                 raise InputError(f"variable {self.name!r}: row width != number of levels")
@@ -81,6 +84,8 @@ class LogitVariable:
     coefficients: tuple[float, ...] = ()
     levels: tuple[str, str] = ("0", "1")
     latent: bool = False
+    #: The data kind of the levels, built from them.
+    kind: Binary = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(self.parents))
@@ -88,6 +93,7 @@ class LogitVariable:
         object.__setattr__(self, "levels", tuple(self.levels))
         if len(self.levels) != 2:
             raise InputError(f"variable {self.name!r}: logistic response requires two levels")
+        _set_kind(self)
         if len(self.coefficients) != len(self.parents):
             raise InputError(f"variable {self.name!r}: one coefficient per parent required")
         if not all(map(math.isfinite, (self.intercept, *self.coefficients))):
@@ -99,6 +105,19 @@ class LogitVariable:
 
 
 ScmVariable = Union[CptVariable, LogitVariable]
+
+
+def _set_kind(var: ScmVariable) -> None:
+    """Give ``var`` the data kind of its levels, the first the reference:
+    :class:`~causalmed.data.Binary` for two, else
+    :class:`~causalmed.data.Categorical`. The kind refuses repeated or
+    reserved level labels."""
+    kind = Binary if len(var.levels) == 2 else Categorical
+    try:
+        object.__setattr__(var, "kind", kind(var.levels, var.levels[0]))
+    except InputError as exc:
+        raise InputError(f"variable {var.name!r}: {exc}") from None
+
 
 #: The keys of the text format's ``roles`` line and the ScmSpec fields they fill.
 _ROLE_FIELDS = {"q": "exposure", "x": "baseline", "m": "mediator", "y": "outcome"}
@@ -460,11 +479,7 @@ def dataset_from_values(spec: ScmSpec, values: Mapping[str, np.ndarray]) -> Data
         if var.latent:
             continue
         vals = values[var.name]
-        if var.n_levels == 2:
-            kind = Binary(tuple(var.levels), var.levels[0])
-        else:
-            kind = Categorical(tuple(var.levels), var.levels[0])
-        columns[var.name] = Column(kind, vals, np.zeros(len(vals), dtype=np.uint8))
+        columns[var.name] = Column(var.kind, vals, np.zeros(len(vals), dtype=np.uint8))
     return Dataset(columns)
 
 
@@ -572,9 +587,6 @@ def parse_scm(text: str) -> ScmSpec:
                 raise DataError(f"variable {name!r} has no response definition")
         except (InputError, DataError) as exc:
             raise DataError(f"line {line_no}: {exc}") from None
-    for key, value in roles.items():
-        if value not in variables:
-            raise DataError(f"line {roles_line}: role {key!r} names unknown variable {value!r}")
     try:
         return ScmSpec(tuple(variables.values()), **{_ROLE_FIELDS[k]: v for k, v in roles.items()})
     except InputError as exc:

@@ -6,7 +6,7 @@ import pytest
 
 from causalmed import glm, mediation
 from causalmed.adjustment import fit_propensity, ipw_weights
-from causalmed.data import Binary, Column, Continuous, Dataset, VariableRoles
+from causalmed.data import Binary, Column, Continuous, Dataset, VariableRoles, row_patterns
 from causalmed.errors import BootstrapError, ConvergenceError, InputError, RankDeficiencyError, SeparationError
 from causalmed.glm import (
     ModelSpec,
@@ -24,7 +24,6 @@ from causalmed.mediation import (
     EffectTriple,
     VariantEstimator,
     bootstrap_ci,
-    bootstrap_statistics,
     combine,
     direct_effect,
     effect_triple,
@@ -238,12 +237,32 @@ class TestEffects:
             total_effect(ds, ROLES, variant)
 
 
+def replicate_effects(monkeypatch, stat):
+    """Replace every bootstrap replicate's fits by the effects (total,
+    direct) = (stat(i), 0) of replicate i, counting the replicates in the
+    order they are fitted. Returns the list of the fitted blocks' weight
+    arrays, which grows as blocks are fitted."""
+    blocks = []
+
+    def coefs(self, W):
+        start = sum(len(block) for block in blocks)
+        blocks.append(W)
+        effects = np.zeros((len(W), 2))
+        effects[:, 0] = [stat(i) for i in range(start, start + len(W))]
+        return effects, np.ones(len(W), dtype=bool)
+
+    monkeypatch.setattr(VariantEstimator, "coefs", coefs)
+    return blocks
+
+
 class TestBootstrap:
-    def test_constant_statistic_gives_zero_width(self):
-        stats, n_failed = bootstrap_statistics(50, 200, 4, lambda counts: 1.234, 1)
-        assert n_failed == 0
-        lo, hi = np.percentile(np.exp(stats), [2.5, 97.5])
-        assert lo == hi == pytest.approx(math.exp(1.234))
+    def test_constant_statistic_gives_zero_width(self, monkeypatch):
+        ds = sim_dataset(np.random.default_rng(4), 50)
+        replicate_effects(monkeypatch, lambda i: 0.5)
+        interval = bootstrap_ci(ds, ROLES, "simple", 200, 4)
+        assert interval.n_failed == 0
+        assert interval.lo == interval.hi == pytest.approx(math.exp(0.5))
+        assert interval.se == 0.0
 
     def test_seed_determinism_bit_identical(self):
         rng = np.random.default_rng(21)
@@ -254,17 +273,27 @@ class TestBootstrap:
         c = bootstrap_ci(ds, ROLES, "simple", 120, seed=78)
         assert (a.lo, a.hi) != (c.lo, c.hi)
 
-    def test_replicate_is_count_vector_of_seeded_draw(self):
-        seen = []
-        bootstrap_statistics(30, 100, 11, lambda block: seen.append(block) or 0.0, 7)
-        assert all(isinstance(block, range) for block in seen)
-        assert [len(block) for block in seen] == [7] * 14 + [2]
-        assert [i for block in seen for i in block] == list(range(100))
+    def test_replicate_is_count_vector_of_seeded_draw(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        ds = sim_dataset(rng, 30, weight=True)
+        weights = ds.weights()
+        per_row = mediation._replicate_weights(weights, None, 30, range(11, 111))
+        first, pattern = row_patterns([ds[c] for c in ROLES.all_columns()], 30)
+        per_pattern = mediation._replicate_weights(weights, pattern, first.size, range(11, 111))
         for i in range(100):
             idx = np.random.default_rng(11 + i).integers(0, 30, 30)
             np.testing.assert_array_equal(replicate_counts(30, 11 + i), np.bincount(idx, minlength=30))
-        with pytest.raises(InputError, match="at least one row"):
-            bootstrap_statistics(0, 100, 11, seen.append, 7)
+            np.testing.assert_array_equal(per_row[i], weights * np.bincount(idx, minlength=30))
+            np.testing.assert_array_equal(per_pattern[i], np.bincount(pattern, per_row[i], first.size))
+        # With a continuous role each row is its own pattern, so 7 * 30
+        # cells give blocks of 7 replicates, fitted in order on the weights
+        # of the rows they drew.
+        ds = with_age(ds, rng)
+        monkeypatch.setattr(mediation, "BLOCK_CELLS", 7 * 30)
+        blocks = replicate_effects(monkeypatch, lambda i: 0.5)
+        bootstrap_ci(ds, AGE_ROLES, "simple", 100, 11)
+        assert [len(W) for W in blocks] == [7] * 14 + [2]
+        np.testing.assert_allclose(np.concatenate([W.sum(axis=1) for W in blocks]), per_row.sum(axis=1), rtol=1e-14)
 
     def test_triple_reports_failed_replicates(self):
         ds = sim_dataset(np.random.default_rng(4), 50, bm=0.3)
@@ -273,39 +302,26 @@ class TestBootstrap:
         assert triple.bootstrap_failed == interval.n_failed > 0
         assert triple.to_json_obj()["bootstrap_failed"] == interval.n_failed
 
-    def test_failed_replicates_counted_and_bounded(self):
-        # A block function marks a failed replicate with NaN.
-        calls = {"n": 0}
-
-        def flaky(counts):
-            calls["n"] += 1
-            return math.nan if calls["n"] <= 8 else 0.5
-
-        stats, n_failed = bootstrap_statistics(50, 100, 1, flaky, 1)
-        assert n_failed == 8
-        assert stats.size == 92
-
-        calls["n"] = 0
-
-        def very_flaky(counts):
-            calls["n"] += 1
-            return math.nan if calls["n"] <= 15 else 0.5
-
+    def test_failed_replicates_counted_and_bounded(self, monkeypatch):
+        # A replicate whose fit failed has NaN effects.
+        ds = sim_dataset(np.random.default_rng(1), 50)
+        replicate_effects(monkeypatch, lambda i: math.nan if i < 8 else 0.5)
+        assert bootstrap_ci(ds, ROLES, "simple", 100, 1).n_failed == 8
+        replicate_effects(monkeypatch, lambda i: math.nan if i < 15 else 0.5)
         with pytest.raises(BootstrapError, match="15 of 100"):
-            bootstrap_statistics(50, 100, 1, very_flaky, 1)
+            bootstrap_ci(ds, ROLES, "simple", 100, 1)
 
     def test_minimum_replicates(self):
+        ds = sim_dataset(np.random.default_rng(1), 50)
         with pytest.raises(InputError, match="100"):
-            bootstrap_statistics(50, 99, 1, lambda counts: 0.0, 1)
+            bootstrap_ci(ds, ROLES, "simple", 99, 1)
 
-    def test_negative_seed_rejected(self):
-        calls = []
-        with pytest.raises(InputError, match="non-negative"):
-            bootstrap_statistics(50, 100, -1, calls.append, 1)
-        assert calls == []
+    def test_negative_seed_rejected(self, monkeypatch):
         ds = sim_dataset(np.random.default_rng(23), 200)
+        blocks = replicate_effects(monkeypatch, lambda i: 0.5)
         with pytest.raises(InputError, match="non-negative"):
             bootstrap_ci(ds, ROLES, "simple", 100, seed=-1)
+        assert blocks == []
 
 
 def take_replicate(ds, variant, idx, roles=ROLES):
@@ -683,12 +699,9 @@ class TestSharedReplicateTable:
         assert mediation._last_table is None
 
     def test_refused_call_draws_nothing(self, draws):
-        def block_fn(block):
-            return [mediation.replicate_counts(50, i)[0] for i in block]
-
-        with pytest.raises(InputError, match="at least one row"):
-            bootstrap_statistics(0, 100, 0, block_fn, 1)
         ds = sim_dataset(np.random.default_rng(23), 200)
+        with pytest.raises(InputError, match="weights must not all be zero"):
+            bootstrap_ci(ds.take(np.arange(0)), ROLES, "simple", 100, seed=0)
         with pytest.raises(InputError, match="100"):
             bootstrap_ci(ds, ROLES, "simple", 99, seed=0)
         with pytest.raises(InputError, match="non-negative"):

@@ -134,6 +134,19 @@ class TestEnumerate:
         with pytest.raises(InputError, match="variable 'A': non-finite intercept or coefficient"):
             LogitVariable("A", parents, intercept, coefficients)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CptVariable("A", ("0", "0"), table=((0.3, 0.7),)),
+            lambda: CptVariable("A", ("a", "b", "a"), table=((0.2, 0.3, 0.5),)),
+            lambda: LogitVariable("A", levels=("1", "1")),
+        ],
+        ids=["cpt-binary", "cpt-categorical", "logit"],
+    )
+    def test_repeated_level_rejected(self, make):
+        with pytest.raises(InputError, match="variable 'A': duplicate levels"):
+            make()
+
 
 class TestRoles:
     def test_variable_in_two_roles_rejected(self):
@@ -373,6 +386,13 @@ class TestTextFormat:
         with pytest.raises(DataError, match="line 3: (duplicate )?variable '[AB]'"):
             parse_scm(text)
 
+    def test_repeated_level_reports_its_var_line(self):
+        # Both of B's parent configurations would be labelled `0`, so its
+        # one row would fill both.
+        text = "var A : 0 0\n  cpt | 0.3 0.7\nvar B : 0 1\n  parents A\n  cpt 0 | 0.2 0.8\n"
+        with pytest.raises(DataError, match=r"^line 1: variable 'A': duplicate levels: \('0', '0'\)$"):
+            parse_scm(text)
+
     @pytest.mark.parametrize("response", ["cpt | nan nan", "logit nan"])
     def test_non_finite_parameter_reports_its_var_line(self, response):
         text = "var B : 0 1\n  cpt | 0.5 0.5\nvar A : 0 1\n  " + response + "\n"
@@ -385,7 +405,7 @@ class TestTextFormat:
 
     @pytest.mark.parametrize(
         "roles, message",
-        [("roles q=B", "role 'q' names unknown variable 'B'"), ("roles q=A q=A x=A", "role 'q' assigned twice")],
+        [("roles q=B", "exposure role names unknown variable 'B'"), ("roles q=A q=A x=A", "role 'q' assigned twice")],
         ids=["unknown-variable", "key-given-twice"],
     )
     def test_bad_roles_line_reports_its_line(self, roles, message):
