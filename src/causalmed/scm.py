@@ -9,7 +9,8 @@ Every variable is discrete, with a conditional probability table or a
 logistic response (binary targets, one coefficient per parent applied to the
 parent's level index). Either way :func:`_conditional_table` gives P(var |
 parents) as one array, and enumeration, sampling and counterfactual forcing
-all read that array.
+all read that array. Sampling is :func:`replay` with no interventions, the
+one evaluation of the structural equations on noise.
 """
 
 from __future__ import annotations
@@ -145,9 +146,7 @@ class ScmSpec:
                         f"variable {var.name!r}: parent {parent!r} must be declared earlier"
                     )
             if isinstance(var, CptVariable):
-                expected_rows = 1
-                for parent in var.parents:
-                    expected_rows *= self.variable(parent).n_levels
+                expected_rows = math.prod(self.variable(p).n_levels for p in var.parents)
                 if len(var.table) != expected_rows:
                     raise InputError(
                         f"variable {var.name!r}: {len(var.table)} rows, expected {expected_rows}"
@@ -165,29 +164,22 @@ class ScmSpec:
             named[name] = role
 
     def variable(self, name: str) -> ScmVariable:
-        for var in self.variables:
-            if var.name == name:
-                return var
-        raise InputError(f"unknown variable {name!r}")
+        return self.variables[self.index(name)]
 
     def index(self, name: str) -> int:
-        for i, var in enumerate(self.variables):
-            if var.name == name:
-                return i
-        raise InputError(f"unknown variable {name!r}")
+        if name not in self.names:
+            raise InputError(f"unknown variable {name!r}")
+        return self.names.index(name)
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
-    def require_roles(self, *roles: str) -> dict[str, str]:
-        out = {}
+    def require_roles(self, *roles: str) -> tuple[str, ...]:
         for role in roles:
-            name = getattr(self, role)
-            if name is None:
+            if getattr(self, role) is None:
                 raise InputError(f"spec does not assign the {role} role")
-            out[role] = name
-        return out
+        return tuple(getattr(self, role) for role in roles)
 
 
 def _conditional_table(spec: ScmSpec, var: ScmVariable) -> np.ndarray:
@@ -195,7 +187,7 @@ def _conditional_table(spec: ScmSpec, var: ScmVariable) -> np.ndarray:
     parent_shape = tuple(spec.variable(p).n_levels for p in var.parents)
     if isinstance(var, CptVariable):
         return np.asarray(var.table, dtype=np.float64).reshape(parent_shape + (var.n_levels,))
-    grids = np.indices(parent_shape, dtype=np.float64) if parent_shape else np.zeros((0,))
+    grids = np.indices(parent_shape, dtype=np.float64)  # empty for a parentless variable
     eta = np.full(parent_shape, var.intercept)
     for coef, grid in zip(var.coefficients, grids):
         eta = eta + coef * grid
@@ -222,6 +214,8 @@ class Joint:
     probs: np.ndarray
 
     def axis(self, name: str) -> int:
+        if name not in self.names:
+            raise InputError(f"unknown variable {name!r}")
         return self.names.index(name)
 
     def marginal(self, *names: str) -> np.ndarray:
@@ -241,11 +235,8 @@ def enumerate_joint(spec: ScmSpec) -> Joint:
 
     Requires the state space to be at most 10^6.
     """
-    n_states = 1
-    for var in spec.variables:
-        n_states *= var.n_levels
-        if n_states > MAX_ENUMERABLE_STATES:
-            raise DataError(f"state space exceeds {MAX_ENUMERABLE_STATES} configurations")
+    if math.prod(var.n_levels for var in spec.variables) > MAX_ENUMERABLE_STATES:
+        raise DataError(f"state space exceeds {MAX_ENUMERABLE_STATES} configurations")
     joint = np.ones(())
     for i, var in enumerate(spec.variables):
         positions = [spec.index(p) for p in var.parents] + [i]
@@ -279,54 +270,39 @@ class OracleEstimands:
 def oracle_estimands(spec: ScmSpec, joint: Joint | None = None) -> OracleEstimands:
     """Exact total/direct/indirect risk differences per baseline stratum.
 
-    direct[x] standardizes the exposed-vs-unexposed outcome contrast to the
-    unexposed mediator distribution; indirect[x] contrasts the exposed
-    outcome under the two mediator distributions; total[x] is the plain
-    conditional contrast. The decomposition total = direct + indirect is an
-    algebraic identity, and both sides are computed independently here.
+    total[x] = E[Y|1,x] - E[Y|0,x] reads the margins P(q, x) and P(q, x, y);
+    by Pearl's mediation formula, direct[x] = sum_m (E[Y|1,m,x] - E[Y|0,m,x])
+    P(m|0,x) and indirect[x] = sum_m E[Y|1,m,x] (P(m|1,x) - P(m|0,x)) read
+    P(q, m, x), P(q, m, x, y) and P(q, x). So total = direct + indirect is an
+    identity whose two sides still come from different margins. PositivityError
+    names the first empty cell, ``(q, q_val, x, x_level)`` or else ``(q, 1, m,
+    m_val, x, x_level)``, scanning x first and then m.
     """
-    roles = spec.require_roles("exposure", "baseline", "mediator", "outcome")
-    q, x, m, y = roles["exposure"], roles["baseline"], roles["mediator"], roles["outcome"]
+    q, x, m, y = spec.require_roles("exposure", "baseline", "mediator", "outcome")
     joint = joint or enumerate_joint(spec)
     if len(joint.levels[joint.axis(q)]) != 2 or len(joint.levels[joint.axis(y)]) != 2:
         raise InputError("exposure and outcome must be binary")
     x_levels = joint.levels[joint.axis(x)]
-    n_x = len(x_levels)
-    n_m = len(joint.levels[joint.axis(m)])
 
     p_qx = joint.marginal(q, x)  # (2, n_x)
-    for q_val in (0, 1):
-        for x_val in range(n_x):
-            if p_qx[q_val, x_val] <= 0.0:
-                raise PositivityError((q, q_val, x, x_levels[x_val]))
-    p_qxy = joint.marginal(q, x, y)
-    e_y_qx = p_qxy[:, :, 1] / p_qx  # E[Y | q, x]
+    if (p_qx <= 0.0).any():
+        q_val, x_val = np.argwhere(p_qx <= 0.0)[0]
+        raise PositivityError((q, int(q_val), x, x_levels[x_val]))
+    e_y_qx = joint.marginal(q, x, y)[..., 1] / p_qx  # E[Y | q, x]
 
-    p_qmx = joint.marginal(q, m, x)
-    p_qmxy = joint.marginal(q, m, x, y)
+    p_qmx = joint.marginal(q, m, x)  # (2, n_m, n_x)
     p_m_given_qx = p_qmx / p_qx[:, None, :]
+    unmatched = (p_m_given_qx[0] > 0.0) & (p_qmx[1] <= 0.0)
+    if unmatched.any():
+        x_val, m_val = np.argwhere(unmatched.T)[0]
+        raise PositivityError((q, 1, m, int(m_val), x, x_levels[x_val]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_y = np.where(p_qmx > 0.0, joint.marginal(q, m, x, y)[..., 1] / p_qmx, 0.0)  # E[Y | q, m, x]
 
-    def e_y(q_val, m_val, x_val):
-        denom = p_qmx[q_val, m_val, x_val]
-        if denom <= 0.0:
-            raise PositivityError((q, q_val, m, m_val, x, x_levels[x_val]))
-        return p_qmxy[q_val, m_val, x_val, 1] / denom
-
-    direct = np.zeros(n_x)
-    indirect = np.zeros(n_x)
-    for x_val in range(n_x):
-        d = i = 0.0
-        for m_val in range(n_m):
-            w_ref = p_m_given_qx[0, m_val, x_val]
-            w_exp = p_m_given_qx[1, m_val, x_val]
-            if w_ref > 0.0:
-                d += (e_y(1, m_val, x_val) - e_y(0, m_val, x_val)) * w_ref
-            if w_exp > 0.0:
-                i += e_y(1, m_val, x_val) * w_exp
-            if w_ref > 0.0:
-                i -= e_y(1, m_val, x_val) * w_ref
-        direct[x_val] = d
-        indirect[x_val] = i
+    # Sum over m in level order: cumsum adds in order, sum may add pairwise.
+    direct = np.cumsum((e_y[1] - e_y[0]) * p_m_given_qx[0], axis=0)[-1]
+    signed = np.stack([e_y[1] * p_m_given_qx[1], -(e_y[1] * p_m_given_qx[0])], axis=1)  # (n_m, 2, n_x)
+    indirect = np.cumsum(signed.reshape(-1, len(x_levels)), axis=0)[-1]
     total = e_y_qx[1] - e_y_qx[0]
 
     p_x_given_q0 = p_qx[0] / p_qx[0].sum()
@@ -373,8 +349,7 @@ class CounterfactualReport:
 
 
 def counterfactual_check(spec: ScmSpec) -> CounterfactualReport:
-    roles = spec.require_roles("exposure", "baseline", "mediator", "outcome")
-    q, x, m, y = roles["exposure"], roles["baseline"], roles["mediator"], roles["outcome"]
+    q, x, m, y = spec.require_roles("exposure", "baseline", "mediator", "outcome")
     joint = enumerate_joint(spec)
     n = len(spec.names)
     q_axis, x_axis, m_axis, y_axis = (joint.axis(v) for v in (q, x, m, y))
@@ -425,18 +400,6 @@ class SampleTrace:
     noise: dict[str, np.ndarray]
 
 
-def _draw_variable(spec, var, values, noise):
-    """One level code per row from the table row of the row's parent codes:
-    level 1 when the uniform falls below P(level 1) for logistic responses,
-    else the first level whose cumulative probability reaches it."""
-    rows = _conditional_table(spec, var)[tuple(values[p] for p in var.parents)]
-    if isinstance(var, LogitVariable):
-        return (noise < rows[..., 1]).astype(np.int16)
-    cum = np.cumsum(np.broadcast_to(rows, (noise.shape[0], var.n_levels)), axis=1)
-    drawn = (cum < noise[:, None]).sum(axis=1)
-    return np.minimum(drawn, var.n_levels - 1).astype(np.int16)
-
-
 def sample_trace(spec: ScmSpec, n: int, seed: int) -> SampleTrace:
     """Draw n rows, retaining latent values and the noise behind every draw."""
     if n < 1:
@@ -444,30 +407,33 @@ def sample_trace(spec: ScmSpec, n: int, seed: int) -> SampleTrace:
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    values: dict[str, np.ndarray] = {}
-    noise: dict[str, np.ndarray] = {}
-    for var in spec.variables:
-        noise[var.name] = rng.random(n)
-        values[var.name] = _draw_variable(spec, var, values, noise[var.name])
-    return SampleTrace(values, noise)
+    noise = {var.name: rng.random(n) for var in spec.variables}
+    return SampleTrace(replay(spec, SampleTrace({}, noise), {}), noise)
 
 
 def replay(spec: ScmSpec, trace: SampleTrace, interventions: Mapping[str, np.ndarray]) -> dict:
-    """Re-evaluate the structural equations under forced values, reusing the
-    trace's noise. Rows keep their factual draws wherever nothing upstream
-    changed, which makes consistency checks exact. Forced values must be
-    level codes of the variable they force."""
+    """Evaluate the structural equations on the trace's noise, with forced
+    level codes for ``interventions``. A logistic response takes level 1 where
+    the uniform is below P(level 1); a table, the first level whose cumulative
+    probability reaches it. Rows keep factual draws where nothing upstream changed."""
     for name in interventions:
         spec.variable(name)  # InputError for an unknown name
     values: dict[str, np.ndarray] = {}
     for var in spec.variables:
+        noise = trace.noise[var.name]
         if var.name in interventions:
-            forced = np.broadcast_to(np.asarray(interventions[var.name]), trace.noise[var.name].shape)
+            forced = np.broadcast_to(np.asarray(interventions[var.name]), noise.shape)
             if not (np.array_equal(forced, np.trunc(forced)) and ((forced >= 0) & (forced < var.n_levels)).all()):
                 raise InputError(f"forced values of {var.name!r} must be level codes 0..{var.n_levels - 1}")
             values[var.name] = forced.astype(np.int16)
+            continue
+        rows = _conditional_table(spec, var)[tuple(values[p] for p in var.parents)]
+        if isinstance(var, LogitVariable):
+            values[var.name] = (noise < rows[..., 1]).astype(np.int16)
         else:
-            values[var.name] = _draw_variable(spec, var, values, trace.noise[var.name])
+            cum = np.cumsum(np.broadcast_to(rows, (noise.shape[0], var.n_levels)), axis=1)
+            drawn = (cum < noise[:, None]).sum(axis=1)
+            values[var.name] = np.minimum(drawn, var.n_levels - 1).astype(np.int16)
     return values
 
 

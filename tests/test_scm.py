@@ -108,6 +108,11 @@ class TestEnumerate:
         with pytest.raises(InputError, match="names a variable twice"):
             joint.marginal("A", "A")
 
+    def test_marginal_refuses_an_unknown_name(self):
+        joint = enumerate_joint(ScmSpec((fair("A"), fair("B"))))
+        with pytest.raises(InputError, match="unknown variable 'Z'"):
+            joint.marginal("Z")
+
     def test_state_space_bound(self):
         kind = tuple(str(i) for i in range(101))
         vars_ = tuple(
@@ -196,9 +201,13 @@ class TestOracleEstimands:
         assert np.abs(est.indirect_rd).max() > 0.005
 
     def test_decomposition_identity_on_random_specs(self):
+        # Binary models, then models with a 3-level mediator and a 4-level
+        # baseline.
         rng = np.random.default_rng(99)
-        for _ in range(200):
-            est = oracle_estimands(random_mediation_scm(rng))
+        specs = [random_mediation_scm(rng) for _ in range(200)]
+        specs += [random_categorical_scm(rng) for _ in range(30)]
+        for spec in specs:
+            est = oracle_estimands(spec)
             gap = np.abs(est.total_rd - (est.direct_rd + est.indirect_rd)).max()
             assert gap < 1e-12
 
@@ -244,6 +253,22 @@ class TestOracleEstimands:
         with pytest.raises(PositivityError) as err:
             oracle_estimands(spec)
         assert "Q" in str(err.value)
+
+    def test_mediator_level_the_exposed_never_reach_reported(self):
+        # In stratum X=0, unexposed rows reach M=1 but exposed rows never do.
+        m = CptVariable("M", ("0", "1"), ("Q", "X"), ((0.5, 0.5), (0.5, 0.5), (1.0, 0.0), (1.0, 0.0)))
+        y = CptVariable("Y", ("0", "1"), ("M",), ((0.7, 0.3), (0.2, 0.8)))
+        spec = ScmSpec((fair("Q"), fair("X"), m, y), exposure="Q", baseline="X", mediator="M", outcome="Y")
+        with pytest.raises(PositivityError) as err:
+            oracle_estimands(spec)
+        assert err.value.cell == ("Q", 1, "M", 1, "X", "0")
+        assert [type(v) for v in err.value.cell] == [str, int, str, int, str, str]
+
+    def test_joint_without_a_role_variable_rejected(self):
+        spec = load_fixture("mediation_binary")
+        joint = enumerate_joint(ScmSpec((fair("Q"), fair("X"), fair("Y"))))
+        with pytest.raises(InputError, match="unknown variable 'M'"):
+            oracle_estimands(spec, joint)
 
 
 class TestCounterfactualCheck:
