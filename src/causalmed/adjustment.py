@@ -147,6 +147,8 @@ def overlap_diagnostics(psfit: PropensityFit, exposure: np.ndarray) -> DensitySu
         sel = exposure == group
         if not sel.any():
             raise InputError(f"exposure group {int(group)} is empty")
+        if psfit.base_weights[sel].sum() == 0.0:
+            raise InputError(f"exposure group {int(group)} has zero total weight")
         counts, _ = np.histogram(psfit.scores[sel], bins=edges)
         proportions[str(int(group))] = counts / counts.sum()
     after_w = psfit.base_weights * ipw_weights(psfit.scores, exposure, psfit.base_weights)

@@ -1,21 +1,24 @@
 """Causal DAGs: backdoor paths, d-separation, and adjustment-set checks.
 
 Graphs are immutable, small (tens of nodes) and checked once, when built;
-queries are pure functions. ``d_separated``, the linear-time reachability
-algorithm over active trails, is the one rule that decides blocking: a set
-blocks every backdoor path exactly when it d-separates exposure and outcome
-in the backdoor graph, the graph without the exposure's out-edges.
+queries are pure functions. One collider rule serves every query: given a
+conditioning set z, a collider is open exactly when it is in z ∪ An(z), z
+and its ancestors. ``d_separated``, the linear-time reachability algorithm
+over active trails, is the one test that decides blocking: a set blocks
+every backdoor path exactly when it d-separates exposure and outcome in the
+backdoor graph, the graph without the exposure's out-edges.
 ``backdoor_paths`` enumerates simple paths explicitly only so that each one
-can be reported with its open/blocked status.
+can be reported with its open/blocked status, read from that same open set.
+Every search walks an explicit stack, so a long path does not reach
+Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DagError, InputError
 
@@ -58,30 +61,32 @@ class CausalDag:
     def children(self, node: str) -> frozenset[str]:
         return self._children.get(node, frozenset())
 
-    def descendants(self, node: str) -> set[str]:
-        out: set[str] = set()
-        stack = [node]
-        while stack:
-            for child in self.children(stack.pop()):
-                if child not in out:
-                    out.add(child)
-                    stack.append(child)
-        return out
+    def descendants(self, *nodes: str) -> set[str]:
+        """Every node reached from ``nodes`` along edges; a node is in the set
+        only when it is a descendant of another of them."""
+        return _reach(nodes, self.children)
 
-    def ancestors(self, node: str) -> set[str]:
-        out: set[str] = set()
-        stack = [node]
-        while stack:
-            for parent in self.parents(stack.pop()):
-                if parent not in out:
-                    out.add(parent)
-                    stack.append(parent)
-        return out
+    def ancestors(self, *nodes: str) -> set[str]:
+        """Every node with an edge path into ``nodes``; a node is in the set
+        only when it is an ancestor of another of them."""
+        return _reach(nodes, self.parents)
 
     def require(self, *names: str) -> None:
         for name in names:
             if name not in self.nodes:
                 raise DagError(f"unknown node {name!r}")
+
+
+def _reach(start: Iterable[str], step: Callable[[str], Iterable[str]]) -> set[str]:
+    """Every node reached from ``start`` by one or more ``step`` moves."""
+    out: set[str] = set()
+    stack = list(start)
+    while stack:
+        for nxt in step(stack.pop()):
+            if nxt not in out:
+                out.add(nxt)
+                stack.append(nxt)
+    return out
 
 
 def validate(dag: CausalDag) -> None:
@@ -105,33 +110,26 @@ def validate(dag: CausalDag) -> None:
 
 
 def _find_cycle(dag: CausalDag) -> list[str] | None:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in dag.nodes}
-    parent: dict[str, str] = {}
+    """The first cycle that a depth-first walk meets, from each node in
+    declaration order and over children in sorted order, as its node
+    sequence; None for an acyclic graph."""
+    done: set[str] = set()
     for start in dag.nodes:
-        if color[start] != WHITE:
+        if start in done:
             continue
-        stack = [(start, iter(sorted(dag.children(start))))]
-        color[start] = GREY
-        while stack:
-            node, children = stack[-1]
-            child = next(children, None)
+        path, on_path, branches = [start], {start}, [iter(sorted(dag.children(start)))]
+        while path:
+            child = next(branches[-1], None)
             if child is None:
-                color[node] = BLACK
-                stack.pop()
-                continue
-            if color[child] == GREY:
-                cycle = [child, node]
-                cur = node
-                while cur != child:
-                    cur = parent[cur]
-                    cycle.append(cur)
-                cycle.reverse()
-                return cycle[:-1]
-            if color[child] == WHITE:
-                color[child] = GREY
-                parent[child] = node
-                stack.append((child, iter(sorted(dag.children(child)))))
+                done.add(path[-1])
+                on_path.discard(path.pop())
+                branches.pop()
+            elif child in on_path:
+                return path[path.index(child):]
+            elif child not in done:
+                path.append(child)
+                on_path.add(child)
+                branches.append(iter(sorted(dag.children(child))))
     return None
 
 
@@ -144,16 +142,14 @@ def d_separated(dag: CausalDag, a: str, b: str, conditioned: Iterable[str] = ())
     if a in z or b in z:
         raise DagError("query nodes cannot be in the conditioning set")
     # Reachability over active trails: a node is entered either from a parent
-    # (moving "down") or from a child (moving "up"); colliders pass only when
-    # they have a conditioned inclusive descendant.
-    collider_open = set(z)
-    for node in z:
-        collider_open |= dag.ancestors(node)
+    # (moving "down") or from a child (moving "up"). A collider, entered
+    # moving down, passes on to its parents exactly when it is in z ∪ An(z).
+    collider_open = z | dag.ancestors(*z)
     UP, DOWN = 0, 1
-    queue = deque([(a, UP)])
+    stack = [(a, UP)]
     seen = set()
-    while queue:
-        node, direction = queue.popleft()
+    while stack:
+        node, direction = stack.pop()
         if (node, direction) in seen:
             continue
         seen.add((node, direction))
@@ -161,16 +157,16 @@ def d_separated(dag: CausalDag, a: str, b: str, conditioned: Iterable[str] = ())
             return False
         if direction == UP and node not in z:
             for parent in dag.parents(node):
-                queue.append((parent, UP))
+                stack.append((parent, UP))
             for child in dag.children(node):
-                queue.append((child, DOWN))
+                stack.append((child, DOWN))
         elif direction == DOWN:
             if node not in z:
                 for child in dag.children(node):
-                    queue.append((child, DOWN))
+                    stack.append((child, DOWN))
             if node in collider_open:
                 for parent in dag.parents(node):
-                    queue.append((parent, UP))
+                    stack.append((parent, UP))
     return True
 
 
@@ -182,12 +178,12 @@ class PathReport:
     is_open: bool
 
 
-def _path_is_open(dag: CausalDag, path: Sequence[str], z: frozenset[str]) -> bool:
-    """A path is open given ``z`` unless a collider on it has neither itself
-    nor a descendant in ``z``, or another inner node is in ``z``."""
+def _path_is_open(dag: CausalDag, path: Sequence[str], z: frozenset[str], collider_open: set[str]) -> bool:
+    """A path is open given ``z`` unless a collider on it is outside
+    ``collider_open``, which is z ∪ An(z), or another inner node is in ``z``."""
     for prev, node, nxt in zip(path, path[1:], path[2:]):
         if prev in dag.parents(node) and nxt in dag.parents(node):
-            if node not in z and not (dag.descendants(node) & z):
+            if node not in collider_open:
                 return False
         elif node in z:
             return False
@@ -195,24 +191,21 @@ def _path_is_open(dag: CausalDag, path: Sequence[str], z: frozenset[str]) -> boo
 
 
 def _all_simple_paths(dag: CausalDag, a: str, b: str):
+    """Every simple path from ``a`` to ``b``, in depth-first order over
+    neighbours in sorted order."""
     neighbors = {n: sorted(dag.parents(n) | dag.children(n)) for n in dag.nodes}
-    path = [a]
-    on_path = {a}
-
-    def dfs():
-        tail = path[-1]
-        if tail == b:
-            yield list(path)
-            return
-        for nxt in neighbors[tail]:
-            if nxt not in on_path:
-                path.append(nxt)
-                on_path.add(nxt)
-                yield from dfs()
-                on_path.discard(nxt)
-                path.pop()
-
-    yield from dfs()
+    path, on_path, branches = [a], {a}, [iter(neighbors[a])]
+    while branches:
+        nxt = next(branches[-1], None)
+        if nxt is None:
+            on_path.discard(path.pop())
+            branches.pop()
+        elif nxt == b:
+            yield [*path, b]
+        elif nxt not in on_path:
+            path.append(nxt)
+            on_path.add(nxt)
+            branches.append(iter(neighbors[nxt]))
 
 
 def backdoor_paths(
@@ -224,8 +217,9 @@ def backdoor_paths(
     dag.require(exposure, outcome, *z)
     if exposure == outcome:
         raise DagError("exposure and outcome must differ")
+    collider_open = z | dag.ancestors(*z)
     return tuple(
-        PathReport(tuple(path), _path_is_open(dag, path, z))
+        PathReport(tuple(path), _path_is_open(dag, path, z, collider_open))
         for path in _all_simple_paths(dag, exposure, outcome)
         if path[1] in dag.parents(exposure)
     )
@@ -329,24 +323,19 @@ def parse_dag(text: str) -> CausalDag:
     edges: list[tuple[str, str]] = []
     latent: list[str] = []
 
-    def note(name):
-        if name not in nodes:
-            nodes.append(name)
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
         if fields[0] == "edge" and len(fields) == 4 and fields[2] == "->":
-            note(fields[1])
-            note(fields[3])
+            nodes += fields[1], fields[3]
             edges.append((fields[1], fields[3]))
         elif fields[0] == "latent" and len(fields) == 2:
-            note(fields[1])
+            nodes.append(fields[1])
             latent.append(fields[1])
         elif fields[0] == "node" and len(fields) == 2:
-            note(fields[1])
+            nodes.append(fields[1])
         else:
             raise DagError(f"line {line_no}: cannot parse {raw!r}")
     return CausalDag(tuple(nodes), tuple(edges), frozenset(latent))

@@ -319,8 +319,10 @@ class VariableRoles:
     survey_year: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "mediators", tuple(self.mediators))
-        object.__setattr__(self, "covariates", tuple(self.covariates))
+        for role in ("mediators", "covariates"):
+            if isinstance(getattr(self, role), str):
+                raise InputError(f"{role} must be a collection of column names, not one string")
+            object.__setattr__(self, role, tuple(getattr(self, role)))
         columns = self.all_columns()
         for name in columns:
             if columns.count(name) > 1:

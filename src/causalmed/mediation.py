@@ -362,6 +362,9 @@ def _pattern_weight_table(ds, columns, pattern, n_patterns, reps, seed) -> np.nd
 
 def _bootstrap_interval(ds: Dataset, est: VariantEstimator, reps: int, seed: int) -> BootstrapInterval:
     """:func:`bootstrap_ci` from an estimator already built on the rows of ``ds``."""
+    for name, value in (("reps", reps), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InputError(f"bootstrap {name} must be an integer, got {value!r}")
     if reps < 100:
         raise InputError("at least 100 bootstrap replicates required")
     if seed < 0:
@@ -416,10 +419,11 @@ def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, see
     resampled rows. The limits are percentiles of the replicate odds ratios
     and ``se`` is the replicates' standard deviation on the log scale.
 
-    The arguments are checked first: at least 100 replicates and a
-    non-negative seed. Replicate i draws with generator seed+i. Rows
-    collapse to their K distinct role-column patterns; with a continuous
-    role column no row repeats, and each row is its own pattern. One loop
+    The arguments are checked first: integer ``reps`` and ``seed`` (a bool
+    is refused), at least 100 replicates and a non-negative seed. Replicate
+    i draws with generator seed+i. Rows collapse to their K distinct
+    role-column patterns; with a continuous role column no row repeats, and
+    each row is its own pattern. One loop
     takes the replicates in order, in blocks of :data:`BLOCK_CELLS` // K
     (at least one). One function turns each replicate's row counts into its
     K pattern weights, the survey weights times the counts summed within

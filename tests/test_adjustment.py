@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,13 @@ class TestOverlap:
         psfit = fit_propensity(confounded_dataset(np.random.default_rng(6), 200), ROLES)
         with pytest.raises(InputError, match="group 1 is empty"):
             overlap_diagnostics(psfit, np.zeros(psfit.scores.size))
+
+    @pytest.mark.parametrize("group", [0, 1])
+    def test_exposure_group_with_zero_weight_rejected(self, group):
+        psfit = fit_propensity(confounded_dataset(np.random.default_rng(6), 200, weight=True), ROLES)
+        psfit = dataclasses.replace(psfit, base_weights=np.where(psfit.exposure == group, 0.0, psfit.base_weights))
+        with pytest.raises(InputError, match=f"exposure group {group} has zero total weight"):
+            overlap_diagnostics(psfit, psfit.exposure)
 
     @pytest.mark.parametrize("n", [39, 41])
     def test_misaligned_exposure_rejected(self, n):

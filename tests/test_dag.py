@@ -5,6 +5,7 @@ import pytest
 
 from causalmed.dag import (
     CausalDag,
+    PathReport,
     backdoor_paths,
     d_separated,
     is_valid_adjustment,
@@ -15,7 +16,7 @@ from causalmed.dag import (
 )
 from causalmed.errors import DagError
 
-from oracles import backdoor_valid_brute_force, dsep_brute_force, path_is_open, random_dag
+from oracles import _simple_paths, backdoor_valid_brute_force, dsep_brute_force, path_is_open, random_dag
 
 
 def dag_of(edges, latent=()):
@@ -48,6 +49,23 @@ class TestValidate:
             ("Q", "Y"),
         }
         assert dag.latent == {"H"}
+
+    def test_reported_cycle_is_a_cycle_of_the_graph(self):
+        rng = np.random.default_rng(77)
+        n_cyclic = 0
+        for _ in range(300):
+            nodes, edges = random_dag(rng, max_nodes=7, edge_prob=0.4)
+            for _ in range(int(rng.integers(1, 4))):
+                u, v = rng.choice(nodes, size=2, replace=False)
+                edges.append((str(u), str(v)))
+            try:
+                CausalDag(tuple(nodes), tuple(edges))
+            except DagError as err:
+                n_cyclic += 1
+                cycle = str(err).removeprefix("graph has a cycle: ").split(" -> ")
+                assert len(set(cycle)) == len(cycle) >= 2
+                assert set(zip(cycle, cycle[1:] + cycle[:1])) <= set(edges)
+        assert n_cyclic > 100
 
     def test_self_loop_rejected(self):
         with pytest.raises(DagError, match="self-loop"):
@@ -91,6 +109,19 @@ class TestBackdoorPaths:
         dag = dag_of([("E", "O")])
         with pytest.raises(DagError):
             backdoor_paths(dag, "E", "missing")
+
+    def test_path_longer_than_the_recursion_limit(self):
+        # X <- c0 -> c1 -> ... -> c1199 -> Y: one backdoor path through 1,202
+        # nodes, deeper than Python's default recursion limit. V, a parent of
+        # Y alone, leaves it open.
+        chain = [f"c{i}" for i in range(1200)]
+        dag = dag_of([("c0", "X"), *zip(chain, chain[1:]), (chain[-1], "Y"), ("X", "Y"), ("V", "Y")])
+        path = ("X", *chain, "Y")
+        assert backdoor_paths(dag, "X", "Y") == (PathReport(path, True),)
+        assert backdoor_paths(dag, "X", "Y", {"c600"}) == (PathReport(path, False),)
+        report = is_valid_adjustment(dag, "X", "Y", {"V"})
+        assert not report.backdoor_blocked
+        assert report.open_backdoor_paths == (PathReport(path, True),)
 
 
 class TestAdjustment:
@@ -218,11 +249,14 @@ class TestDSeparation:
         for _ in range(50):
             nodes, edges = random_dag(rng, max_nodes=6, edge_prob=0.5)
             dag = CausalDag(tuple(nodes), tuple(edges))
-            a, b = rng.choice(nodes, size=2, replace=False)
+            a, b = (str(n) for n in rng.choice(nodes, size=2, replace=False))
+            edge_set = set(edges)
+            into_a = [p for p in _simple_paths(nodes, edges, a, b) if (p[1], a) in edge_set]
             others = [n for n in nodes if n not in (a, b)]
-            z = {str(n) for n in others[:1]}
-            for report in backdoor_paths(dag, str(a), str(b), z):
-                assert report.is_open == path_is_open(edges, list(report.path), z)
+            for size in range(len(others) + 1):
+                for z in itertools.combinations(others, size):
+                    expected = tuple(PathReport(tuple(p), path_is_open(edges, p, z)) for p in into_a)
+                    assert backdoor_paths(dag, a, b, z) == expected
 
 
 class TestTextFormat:

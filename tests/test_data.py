@@ -452,6 +452,11 @@ class TestDatasetInvariants:
         with pytest.raises(InputError, match=f"column '{column}' is named in more than one role"):
             VariableRoles(**{"exposure": "q", "outcome": "y", "baseline_support": "x", **roles})
 
+    @pytest.mark.parametrize("role", ["mediators", "covariates"])
+    def test_role_list_as_one_string_rejected(self, role):
+        with pytest.raises(InputError, match=f"{role} must be a collection of column names"):
+            VariableRoles(exposure="q", outcome="y", baseline_support="x", **{role: "m1"})
+
     def test_build_unparseable_number_names_row(self):
         with pytest.raises(DataError, match=r"row 2: cannot parse 'abc' as a number"):
             Column.build(Continuous(), [1.0, "abc"])

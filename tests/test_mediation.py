@@ -706,7 +706,15 @@ class TestSharedReplicateTable:
             bootstrap_ci(ds, ROLES, "simple", 99, seed=0)
         with pytest.raises(InputError, match="non-negative"):
             bootstrap_ci(ds, ROLES, "simple", 100, seed=-1)
+        for reps, seed, name in [(150.0, 0, "reps"), (True, 0, "reps"), (150, 1.0, "seed"), (150, True, "seed")]:
+            with pytest.raises(InputError, match=f"bootstrap {name} must be an integer"):
+                bootstrap_ci(ds, ROLES, "simple", reps, seed=seed)
         assert draws["n"] == 0
+
+    def test_numpy_integer_arguments_accepted(self):
+        ds = sim_dataset(np.random.default_rng(23), 200)
+        got = bootstrap_ci(ds, ROLES, "simple", np.int64(100), seed=np.int32(4))
+        assert got == bootstrap_ci(ds, ROLES, "simple", 100, seed=4)
 
 
 class TestFullRowComposition:
