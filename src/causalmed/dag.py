@@ -190,11 +190,12 @@ def _path_is_open(dag: CausalDag, path: Sequence[str], z: frozenset[str], collid
     return True
 
 
-def _all_simple_paths(dag: CausalDag, a: str, b: str):
-    """Every simple path from ``a`` to ``b``, in depth-first order over
-    neighbours in sorted order."""
+def _all_simple_paths(dag: CausalDag, a: str, b: str, first: list[str]):
+    """Every simple path from ``a`` to ``b`` whose second node is in
+    ``first``: depth-first, over ``first`` in its order and then over each
+    node's neighbours in sorted order."""
     neighbors = {n: sorted(dag.parents(n) | dag.children(n)) for n in dag.nodes}
-    path, on_path, branches = [a], {a}, [iter(neighbors[a])]
+    path, on_path, branches = [a], {a}, [iter(first)]
     while branches:
         nxt = next(branches[-1], None)
         if nxt is None:
@@ -220,8 +221,7 @@ def backdoor_paths(
     collider_open = z | dag.ancestors(*z)
     return tuple(
         PathReport(tuple(path), _path_is_open(dag, path, z, collider_open))
-        for path in _all_simple_paths(dag, exposure, outcome)
-        if path[1] in dag.parents(exposure)
+        for path in _all_simple_paths(dag, exposure, outcome, sorted(dag.parents(exposure)))
     )
 
 

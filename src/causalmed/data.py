@@ -102,11 +102,14 @@ def _cell_parser(kind: ColumnKind):
     """The one conversion of an observed cell to its stored value: float(cell)
     for a continuous kind, the level's code for a discrete one. A cell that
     does not convert raises a DataError naming it; callers add its row and
-    column. Finiteness is left to :class:`Column`."""
+    column. A text cell with a ``_`` does not convert, though float() reads
+    Python's digit separators. Finiteness is left to :class:`Column`."""
     levels = kind_levels(kind)
     if levels is None:
         def parse(cell):
             try:
+                if isinstance(cell, str) and "_" in cell:
+                    raise ValueError(cell)
                 return float(cell)
             except (TypeError, ValueError, OverflowError):
                 raise DataError(f"cannot parse {cell!r} as a number") from None

@@ -2,16 +2,17 @@
 
 The package has one Newton loop, :func:`_irls`: iteratively reweighted
 least squares with step-halving on log-likelihood decreases, started at
-zero coefficients, run for B weight vectors at once on one design.
-:func:`fit_logistic` is that loop on one weight vector, with its failures
-raised and the covariances added; a bootstrap replicate needs only the
-coefficients and calls the loop itself. Survey weights enter as likelihood
-weights. A fit carries two covariances: the model-based one, the inverse
-observed information, and the sandwich, which is robust to that weighting.
-The package has one interval rule, :func:`wald_interval`: the 95% Wald
-interval of one linear contrast of the coefficients, from the sandwich. A
-rank-deficient design is reported by naming, from left to right, each
-column that adds no rank to the columns before it.
+zero coefficients, run for B weight vectors at once on one design. It has
+one reader of such a fit under one weight vector, :func:`_fit_result`,
+which raises the fit's failure or adds the covariances; :func:`fit_logistic`
+is the loop and that reader on one design. A bootstrap replicate needs only
+the coefficients and reads the loop's arrays itself. Survey weights enter
+as likelihood weights. A fit carries two covariances: the model-based one,
+the inverse observed information, and the sandwich, which is robust to
+that weighting. The package has one interval rule, :func:`wald_interval`:
+the 95% Wald interval of one linear contrast of the coefficients, from the
+sandwich. A rank-deficient design is reported by naming, from left to
+right, each column that adds no rank to the columns before it.
 
 The package has one design object, :class:`PatternDesign`, which
 :func:`build_design` builds from a dataset in one pass: per distinct
@@ -358,44 +359,34 @@ def build_design(ds: Dataset, spec: ModelSpec) -> PatternDesign:
         discrete.append(_require_observed(ds, spec.exposure))
         exposure = indicator(discrete[0])
         names.append(spec.exposure)
-    lead = len(names)
     weights = ds.weights()
     _check_weights(weights, n)
-    # The centered covariate columns as (name, vector), the indices of the
-    # continuous ones, and per covariate design column its index and
-    # whether it is an exposure interaction.
-    covariates: list = []
-    continuous: list[int] = []
-    terms: list[tuple[int, bool]] = []
-    expanded: dict[str, range] = {}
+    # Each covariate, in order of first use, to its centered (name, vector) columns.
+    expanded: dict[str, list] = {}
     for term in spec.terms:
         if term.column not in expanded:
-            new = _covariate_columns(ds, term.column)
-            for _, vec in new:
+            expanded[term.column] = _covariate_columns(ds, term.column)
+            for _, vec in expanded[term.column]:
                 vec -= (vec * weights).sum() / weights.sum()
-            if isinstance(ds[term.column].kind, Continuous):
-                continuous.append(len(covariates))
-            else:
-                discrete.append(ds[term.column])
-            expanded[term.column] = range(len(covariates), len(covariates) + len(new))
-            covariates.extend(new)
-        for k in expanded[term.column]:
-            colname = covariates[k][0]
-            names.append(f"{spec.exposure}:{colname}" if term.interaction else colname)
-            terms.append((k, term.interaction))
+    continuous = [c for c in expanded if isinstance(ds[c].kind, Continuous)]
+    discrete += [ds[c] for c in expanded if c not in continuous]
     first, pattern = row_patterns(discrete, n)
-    blocks = np.zeros((first.size, len(continuous) + 1, len(names)))
+    p = len(names) + sum(len(expanded[term.column]) for term in spec.terms)
+    blocks = np.zeros((first.size, len(continuous) + 1, p))
     blocks[:, 0, 0] = 1.0
     if exposure is not None:
         blocks[:, 0, 1] = exposure[first]
-    interactions = np.zeros_like(blocks) if any(inter for _, inter in terms) else None
-    for j, (k, inter) in enumerate(terms, start=lead):
-        slot = 1 + continuous.index(k) if k in continuous else 0
-        blocks[:, slot, j] = 1.0 if slot else covariates[k][1][first]
-        if inter:
-            interactions[:, slot, j] = blocks[:, slot, j]
-            blocks[:, slot, j] *= exposure[first]
-    values = np.array([covariates[k][1] for k in continuous]).reshape(len(continuous), n)
+    interactions = np.zeros_like(blocks) if any(t.interaction and expanded[t.column] for t in spec.terms) else None
+    for term in spec.terms:
+        slot = 1 + continuous.index(term.column) if term.column in continuous else 0
+        for colname, vec in expanded[term.column]:
+            j = len(names)
+            names.append(f"{spec.exposure}:{colname}" if term.interaction else colname)
+            blocks[:, slot, j] = 1.0 if slot else vec[first]
+            if term.interaction:
+                interactions[:, slot, j] = blocks[:, slot, j]
+                blocks[:, slot, j] *= exposure[first]
+    values = np.array([expanded[c][0][1] for c in continuous]).reshape(len(continuous), n)
     return PatternDesign(tuple(names), pattern, values, blocks, interactions)
 
 
@@ -614,30 +605,20 @@ def _irls(X: PatternDesign, y: np.ndarray, W: np.ndarray) -> _IrlsFits:
     return out
 
 
-def fit_logistic(design: PatternDesign, y: np.ndarray, w: np.ndarray | None = None) -> FitResult:
-    """Maximize the weighted Bernoulli log-likelihood by IRLS.
-
-    This is :func:`_irls`, the package's one Newton loop, on one weight
-    vector, with its failures raised: a singular information matrix as the
+def _fit_result(design: PatternDesign, y: np.ndarray, w: np.ndarray, fits: _IrlsFits) -> FitResult:
+    """The one fit of ``fits``, an :func:`_irls` result under the one weight
+    vector ``w`` on ``design`` (values shared), as a :class:`FitResult`, or
+    its failure raised: a singular information matrix as the
     :class:`RankDeficiencyError` naming the collinear columns (or as
     :class:`SeparationError` when the weighted design has full rank),
     separation as :class:`SeparationError`, and a fit that runs out of
     iterations or cannot improve by step-halving as
-    :class:`ConvergenceError`. So every returned fit has converged.
+    :class:`ConvergenceError`.
 
-    The design's values must be shared (not per fit). The model-based
-    covariance is the inverse of the final information matrix, and the
-    sandwich meat X'diag((w * resid)**2)X comes from the design's pattern
-    moments (:meth:`PatternDesign.gram`).
+    The model-based covariance is the inverse of the final information
+    matrix, and the sandwich meat X'diag((w * resid)**2)X comes from the
+    design's pattern moments (:meth:`PatternDesign.gram`).
     """
-    if design.values.ndim != 2:
-        raise InputError("fit_logistic fits one design: its values must be shared, not per fit")
-    n = design.pattern.size
-    y = np.asarray(y, dtype=np.float64)
-    w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
-    if w.ndim != 1:
-        raise InputError("weight length does not match design")
-    fits = _irls(design, y, w[None])
     failure = fits.failure[0]
     if failure == SINGULAR:
         _diagnose_singular_information(design, w)
@@ -661,8 +642,20 @@ def fit_logistic(design: PatternDesign, y: np.ndarray, w: np.ndarray | None = No
         cov_model=cov_model,
         cov_sandwich=cov_sandwich,
         iterations=int(fits.iterations[0]),
-        n_obs=n,
+        n_obs=design.pattern.size,
     )
+
+
+def fit_logistic(design: PatternDesign, y: np.ndarray, w: np.ndarray | None = None) -> FitResult:
+    """Maximize the weighted Bernoulli log-likelihood by IRLS: :func:`_irls`,
+    the package's one Newton loop, on one weight vector and a design with
+    shared values, read by :func:`_fit_result`, so every returned fit has
+    converged."""
+    if design.values.ndim != 2:
+        raise InputError("fit_logistic fits one design: its values must be shared, not per fit")
+    y = np.asarray(y, dtype=np.float64)
+    w = np.ones(design.pattern.size) if w is None else np.asarray(w, dtype=np.float64)
+    return _fit_result(design, y, w, _irls(design, y, w[None]))
 
 
 def wald_interval(fit: FitResult, g) -> tuple[float, float, float]:

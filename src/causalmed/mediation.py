@@ -15,20 +15,22 @@ this decomposition:
   weights times the survey weights.
 
 Every variant is one estimator (:class:`VariantEstimator`): designs built
-and centered once from the dataset, fitted under row weights. A fit under
-any weights reads its exposure effect at their covariate means as one
-linear contrast of its coefficients
+and centered once from the dataset, fitted under row weights by one method,
+:meth:`VariantEstimator._fit`, for the point estimates and the bootstrap
+replicates alike. A fit under any weights reads its exposure effect at
+their covariate means as one linear contrast of its coefficients
 (:meth:`~causalmed.glm.PatternDesign.contrast`), which is the exposure
 coefficient for every variant but ``primary``. Point estimates use the
-survey weights. Total and direct effects carry the Wald interval of that
-contrast (:func:`~causalmed.glm.wald_interval`, from the sandwich
-covariance); the indirect effect has no closed-form SE here, so its CI
-comes from a deterministic nonparametric bootstrap (:func:`bootstrap_ci`)
-that refits the same estimator under each replicate's row counts. One
-function turns a run of replicate seeds into their weights on the K
-distinct role-column patterns, and one loop fits blocks of up to
-:data:`BLOCK_CELLS` // K replicates together on the patterns they drew,
-with coefficients only. Where rows collapse so far that a block holds
+survey weights, each fit read by :func:`~causalmed.glm._fit_result`, and
+total and direct effects carry the Wald interval of that contrast
+(:func:`~causalmed.glm.wald_interval`, from the sandwich covariance); the
+indirect effect has no closed-form SE here, so its CI comes from a
+deterministic nonparametric bootstrap (:func:`bootstrap_ci`) that refits
+the same estimator under each replicate's row counts. One function turns a
+run of replicate seeds into their weights on the K distinct role-column
+patterns, and one loop fits blocks of up to :data:`BLOCK_CELLS` // K
+replicates together, with coefficients only, on the estimator taken to one
+row per pattern they drew. Where rows collapse so far that a block holds
 several replicates, the weights form one read-only (reps, K) table, drawn
 once and shared by the variants bootstrapped on the same dataset object at
 the same seed; otherwise (a continuous role column among them) each block
@@ -55,9 +57,9 @@ from .glm import (
     CONVERGED,
     FitResult,
     ModelSpec,
+    _fit_result,
     _irls,
     build_design,
-    fit_logistic,
     interaction,
     main,
     response_vector,
@@ -153,12 +155,13 @@ class VariantEstimator:
     counts) gives one :class:`~causalmed.glm.FitResult` per entry of
     ``include_mediators``: the mediator-free model for False, the
     mediator-adjusted model for True, and :meth:`contrasts` reads their
-    exposure effects. :meth:`coefs` runs the same fits under each row of a
-    (B, n) weight array at once, for their exposure effects alone. The
-    designs are fixed; only two pieces depend on the weights, the
-    propensity-score column of ``ps_regression`` and the stabilized IPW
-    factor of ``ipw``, and both come from the mediator-free propensity
-    model refit under the same weights.
+    exposure effects. :meth:`coefs` reads the exposure effects alone of the
+    same fits under each row of a (B, n) weight array. Both take the fits
+    from :meth:`_fit`; a call fits a batch of one, read by
+    :func:`~causalmed.glm._fit_result`. The designs are fixed; only two
+    pieces depend on the weights, the propensity-score column of
+    ``ps_regression`` and the stabilized IPW factor of ``ipw``, and both
+    come from the mediator-free propensity model refit under the same weights.
 
     Under integer row counts the coefficients equal those of the refit on
     the resampled rows. The sandwich covariance does not, as it reads a
@@ -195,12 +198,30 @@ class VariantEstimator:
             out.treat = self.treat[rows]
         return out
 
-    def __call__(self, weights: np.ndarray) -> tuple[FitResult, ...]:
-        scores = None
+    def _fit(self, W: np.ndarray) -> list[tuple]:
+        """Every fit of the variant under each row of the (B, n) weight
+        array ``W``: the one code that fits it. The ps/ipw variants fit the
+        propensity model first, whose clipped scores become
+        ``ps_regression``'s column right after the exposure or ``ipw``'s
+        stabilized factor on ``W``; then each outcome model is fitted.
+        Returns, per model, propensity first, its :func:`~causalmed.glm._irls`
+        fits and the design, response and weights they were fitted on."""
+        out, designs, fit_weights = [], self.designs, W
         if self.variant in ("ps_regression", "ipw"):
-            beta = fit_logistic(self.ps_design, self.treat, weights).beta
-            scores = clipped_scores(self.ps_design, beta)
-        return tuple(self._fit_models(lambda design, w: fit_logistic(design, self.y, w), weights, scores))
+            ps = _irls(self.ps_design, self.treat, W)
+            out.append((ps, self.ps_design, self.treat, W))
+            scores = clipped_scores(self.ps_design, ps.beta)
+            if self.variant == "ipw":
+                fit_weights = W * ipw_weights(scores, self.treat, W)
+            else:
+                designs = [design.with_column(2, PS_COLUMN, scores) for design in designs]
+        return out + [(_irls(design, self.y, fit_weights), design, self.y, fit_weights) for design in designs]
+
+    def __call__(self, weights: np.ndarray) -> tuple[FitResult, ...]:
+        # The fits are read in order, so a failed propensity fit is the one raised.
+        W = np.asarray(weights, dtype=np.float64)[None]
+        fits = [_fit_result(design.fits(0), y, w[0], fit) for fit, design, y, w in self._fit(W)]
+        return tuple(fits[-len(self.designs) :])
 
     def contrasts(self, W: np.ndarray) -> list[np.ndarray]:
         """Per model, the contrast g(W) over the estimator's rows
@@ -212,31 +233,16 @@ class VariantEstimator:
 
     def coefs(self, W: np.ndarray):
         """The exposure effect of every model under each row of the (B, n)
-        weight array ``W``, read through :meth:`contrasts` from
-        :func:`~causalmed.glm._irls` coefficients, with no covariances.
-        Returns the (B, m) effects of the m models, NaN in a row where any
-        fit failed, the propensity fit included, and a (B,) mask of the rows
-        whose fits were all plain."""
-        fits, scores = [], None
-        if self.variant in ("ps_regression", "ipw"):
-            fits.append(_irls(self.ps_design, self.treat, W))
-            scores = clipped_scores(self.ps_design, fits[0].beta)
-        models = self._fit_models(lambda design, w: _irls(design, self.y, w), W, scores)
+        weight array ``W``, read through :meth:`contrasts` from the
+        coefficients of :meth:`_fit`, with no covariances. Returns the (B, m)
+        effects of the m models, NaN in a row where any fit failed, the
+        propensity fit included, and a (B,) mask of the rows whose fits were
+        all plain."""
+        fits = [fit for fit, *_ in self._fit(W)]
+        models = fits[-len(self.designs) :]
         coefs = np.column_stack([(g * fit.beta).sum(axis=1) for fit, g in zip(models, self.contrasts(W))])
-        fits += models
         coefs[np.any([fit.failure != CONVERGED for fit in fits], axis=0)] = math.nan
         return coefs, np.all([fit.plain for fit in fits], axis=0)
-
-    def _fit_models(self, fit, W, scores):
-        """``fit(design, fit_weights)`` for each model under the row weights
-        ``W``, a vector or a (B, n) array, with the propensity scores of the
-        same shape for the ps/ipw variants. ``ps_regression``'s designs take
-        the scores as a column right after the exposure; the fit weights are
-        ``W``, times the stabilized IPW factor for ``ipw``."""
-        fit_weights = W * ipw_weights(scores, self.treat, W) if self.variant == "ipw" else W
-        if self.variant == "ps_regression":
-            return [fit(design.with_column(2, PS_COLUMN, scores), fit_weights) for design in self.designs]
-        return [fit(design, fit_weights) for design in self.designs]
 
 
 def _estimates(ds: Dataset, est: VariantEstimator, kinds) -> list[EffectEstimate]:
@@ -371,30 +377,27 @@ def _bootstrap_interval(ds: Dataset, est: VariantEstimator, reps: int, seed: int
         raise InputError(f"bootstrap seed must be non-negative, got {seed}")
     weights, n_rows = ds.weights(), ds.n_rows
     columns = est.roles.all_columns()
-    if any(isinstance(ds[c].kind, Continuous) for c in columns):
-        # Rows with a continuous value do not repeat: each is its own pattern.
-        pattern, n_patterns, patterns = None, n_rows, est
-    else:
-        first, pattern = row_patterns([ds[c] for c in columns], n_rows)
-        n_patterns, patterns = first.size, est.take(first)
-    block_size = max(1, BLOCK_CELLS // n_patterns)
+    continuous = any(isinstance(ds[c].kind, Continuous) for c in columns)
+    # Rows with a continuous value do not repeat: each is its own pattern.
+    first, pattern = (np.arange(n_rows), None) if continuous else row_patterns([ds[c] for c in columns], n_rows)
+    block_size = max(1, BLOCK_CELLS // first.size)
     # The draws are shared where a block fits several replicates on few
     # patterns, and drawing costs about as much as fitting. With one
     # replicate per block (over BLOCK_CELLS / 2 patterns, or a continuous
     # role) the fits dominate, and a (reps, K) table would near the (reps,
     # n) count matrix, so each block draws its own.
     table = None
-    if pattern is not None and block_size > 1:
-        table = _pattern_weight_table(ds, columns, pattern, n_patterns, reps, seed)
+    if not continuous and block_size > 1:
+        table = _pattern_weight_table(ds, columns, pattern, first.size, reps, seed)
     stats = np.empty(reps)
     for start in range(0, reps, block_size):
         stop = min(start + block_size, reps)
         if table is None:
-            W = _replicate_weights(weights, pattern, n_patterns, range(seed + start, seed + stop))
+            W = _replicate_weights(weights, pattern, first.size, range(seed + start, seed + stop))
         else:
             W = table[start:stop]
         drawn = np.flatnonzero(W.any(axis=0))
-        coefs, plain = patterns.take(drawn).coefs(W[:, drawn])
+        coefs, plain = est.take(first[drawn]).coefs(W[:, drawn])
         for b in np.flatnonzero(~plain):
             coefs[b] = est.coefs(_replicate_weights(weights, None, n_rows, [seed + start + b]))[0][0]
         stats[start:stop] = coefs[:, 0] - coefs[:, 1]
@@ -436,8 +439,10 @@ def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, see
     the variants of one analysis draw once. Otherwise (a continuous role
     column among them) each block draws its replicates' weights itself, so
     no (reps, K) array is formed. A block is fitted
-    (:meth:`VariantEstimator.coefs`) on one row per pattern that any of its
-    replicates drew, for the effects alone.
+    (:meth:`VariantEstimator.coefs`), for the effects alone, on the one
+    estimator taken to one row per pattern that any of its replicates drew:
+    each pattern's first row, or, with a continuous role column, the drawn
+    rows themselves.
     A replicate whose fit is not plain (it failed, was step-halved, passed
     the separation bound, or ended on an information matrix with condition
     number above :data:`~causalmed.glm.STACKED_MAX_CONDITION`) draws its

@@ -89,8 +89,12 @@ def evalue(odds_ratio: float, ci: tuple[float, float] | None = None) -> EvalueRe
 def implied_rr(e: float) -> float:
     """Invert E = rr + sqrt(rr*(rr-1)): internal consistency check.
 
-    Solving the quadratic gives rr = E^2 / (2E - 1).
+    Solving the quadratic gives rr = E^2 / (2E - 1). ``e`` is checked as
+    :func:`evalue` checks an odds ratio: a finite real number, not a bool.
     """
+    e = _real(e, "E-value")
+    if not math.isfinite(e):
+        raise InputError("E-value must be finite")
     if e < 1.0:
         raise InputError("E-values are at least 1")
     return e * e / (2.0 * e - 1.0)

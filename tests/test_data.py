@@ -581,12 +581,24 @@ class TestBuildIngestParity:
             ),
             (
                 Continuous(),
+                ["1", "1_000"],
+                r"^row 2: cannot parse '1_000' as a number$",
+                r"^row 2, column 'c': cannot parse '1_000' as a number$",
+            ),
+            (
+                Continuous(),
+                ["1", "1_5"],
+                r"^row 2: cannot parse '1_5' as a number$",
+                r"^row 2, column 'c': cannot parse '1_5' as a number$",
+            ),
+            (
+                Continuous(),
                 ["1", "-inf"],
                 r"^non-finite observed value at row 2$",
                 r"^column 'c': non-finite observed value at row 2$",
             ),
         ],
-        ids=["unparseable-number", "undeclared-level", "non-finite"],
+        ids=["unparseable-number", "undeclared-level", "digit-separator", "digit-separator-inside", "non-finite"],
     )
     def test_same_error_names_the_row(self, kind, tokens, build_message, ingest_message):
         with pytest.raises(DataError, match=build_message):

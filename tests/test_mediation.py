@@ -743,6 +743,40 @@ class TestFullRowComposition:
             assert np.array_equal(got.cov_sandwich, want.cov_sandwich)
 
 
+class TestPointAndReplicatePaths:
+    """The point estimates and a bootstrap replicate's effects come from one
+    computation: the same fits under the same weights."""
+
+    @pytest.mark.parametrize("age", [False, True])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_coefs_read_the_point_fits(self, variant, age):
+        # On these 50 rows some replicates fail, most of them separated.
+        rng = np.random.default_rng(1010)
+        ds, roles = sim_dataset(rng, 50, bm=0.3, weight=True), ROLES
+        if age:
+            ds, roles = with_age(ds, rng), AGE_ROLES
+        est = VariantEstimator(ds, roles, variant)
+        draws = [np.random.default_rng(i).integers(0, ds.n_rows, ds.n_rows) for i in range(40)]
+        # A draw of rows with x = 0 only empties a level of x.
+        draws.append(rng.choice(np.flatnonzero(ds["x"].values == 0), ds.n_rows))
+        weights = [ds.weights()] + [ds.weights() * np.bincount(idx, minlength=ds.n_rows) for idx in draws]
+        raised = []
+        for w in weights:
+            coefs, _ = est.coefs(w[None])
+            try:
+                fits = est(w)
+            except FIT_FAILURES as exc:
+                raised.append(exc)
+                assert np.isnan(coefs).all()
+                continue
+            assert not np.isnan(coefs).any()
+            assert coefs[0].tolist() == [(g * fit.beta).sum() for fit, g in zip(fits, est.contrasts(w))]
+        assert raised
+        if variant in ("ps_regression", "ipw"):
+            # The propensity model's failure is the one raised.
+            assert type(raised[-1]) is RankDeficiencyError and raised[-1].columns == ("x",)
+
+
 class TestCoverage:
     def test_total_effect_null_coverage(self):
         # True conditional OR is 1; the 95% CI should cover it in at least

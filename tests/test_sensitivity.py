@@ -64,6 +64,19 @@ class TestEvalue:
             result = evalue(value)
             assert implied_rr(result.evalue_point) == pytest.approx(math.sqrt(value), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        ("value", "message"),
+        [
+            (float("nan"), "E-value must be finite"),
+            (float("inf"), "E-value must be finite"),
+            (True, "E-value must be a real number"),
+            ("2", "E-value must be a real number"),
+        ],
+    )
+    def test_implied_rr_checks_its_input_as_evalue_does(self, value, message):
+        with pytest.raises(InputError, match=message):
+            implied_rr(value)
+
     def test_invalid_inputs(self):
         with pytest.raises(InputError):
             evalue(0.0)
