@@ -17,8 +17,8 @@ import csv
 import enum
 import itertools
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from dataclasses import asdict, dataclass
+from typing import ClassVar, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -50,6 +50,8 @@ NONRESPONSE_LABELS = ("Refused", "Don't know", "don't know")
 class Continuous:
     """Real-valued column."""
 
+    levels: ClassVar[None] = None
+
 
 @dataclass(frozen=True)
 class Categorical:
@@ -72,30 +74,22 @@ class Categorical:
 
 
 @dataclass(frozen=True)
-class Binary:
+class Binary(Categorical):
     """Two-level column; the non-reference level codes to 1 in design matrices."""
 
     levels: tuple[str, str] = ("0", "1")
     reference: str = "0"
 
     def __post_init__(self):
-        Categorical.__post_init__(self)  # every discrete kind's checks
+        super().__post_init__()
         if len(self.levels) != 2:
             raise InputError(f"binary kind needs two distinct levels, got {self.levels}")
 
 
-ColumnKind = Union[Continuous, Categorical, Binary]
-
-
-def kind_levels(kind: ColumnKind) -> tuple[str, ...] | None:
-    """Level labels of a discrete kind, or None for continuous."""
-    if isinstance(kind, (Categorical, Binary)):
-        return kind.levels
-    return None
-
-
-def nonreference_levels(kind) -> tuple[str, ...]:
-    return tuple(lv for lv in kind.levels if lv != kind.reference)
+#: Every kind answers ``levels``: the level labels of a discrete kind, None
+#: for a continuous one. A binary kind is the two-level categorical, yet
+#: unequal to a categorical with the same levels, as the class differs.
+ColumnKind = Union[Continuous, Categorical]
 
 
 def _cell_parser(kind: ColumnKind):
@@ -104,7 +98,7 @@ def _cell_parser(kind: ColumnKind):
     does not convert raises a DataError naming it; callers add its row and
     column. A text cell with a ``_`` does not convert, though float() reads
     Python's digit separators. Finiteness is left to :class:`Column`."""
-    levels = kind_levels(kind)
+    levels = kind.levels
     if levels is None:
         def parse(cell):
             try:
@@ -140,7 +134,7 @@ class Column:
         state = np.asarray(self.state, dtype=np.uint8)
         if values.shape != state.shape or values.ndim != 1:
             raise InputError("values and state must be equal-length vectors")
-        levels = kind_levels(self.kind)
+        levels = self.kind.levels
         if levels is None:
             values = values.astype(np.float64)
             bad = np.flatnonzero((state == CellState.OBSERVED) & ~np.isfinite(values))
@@ -197,7 +191,7 @@ class Column:
         """Observed cell value (label for discrete kinds); None when unobserved."""
         if self.state[row] != CellState.OBSERVED:
             return None
-        levels = kind_levels(self.kind)
+        levels = self.kind.levels
         if levels is None:
             return float(self.values[row])
         return levels[int(self.values[row])]
@@ -295,7 +289,7 @@ def row_patterns(columns: Sequence[Column], n_rows: int) -> tuple[np.ndarray, np
     """
     code, span = np.zeros(n_rows, dtype=np.int64), 1
     for col in columns:
-        radix = len(kind_levels(col.kind))
+        radix = len(col.kind.levels)
         if span * radix > np.iinfo(np.int64).max:
             _, code = np.unique(code, return_inverse=True)
             span = int(code.max()) + 1
@@ -402,7 +396,7 @@ def ingest_csv(
     if NONRESPONSE_TOKEN in unobserved:
         raise InputError(f"missing token {NONRESPONSE_TOKEN!r} is the non-response token")
     for name, kind in schema.items():
-        clash = [token for token in unobserved if token in (kind_levels(kind) or ())]
+        clash = [token for token in unobserved if token in (kind.levels or ())]
         if clash:
             raise InputError(f"missing token {clash[0]!r} is a declared level of column {name!r}")
     unobserved[NONRESPONSE_TOKEN] = CellState.NONRESPONSE
@@ -454,7 +448,7 @@ def write_csv(ds: Dataset, dest) -> None:
     for col in ds.columns.values():
         # One string per cell, a column at a time; unobserved cells (NaN, or
         # code -1) get a placeholder here and their token below.
-        levels = kind_levels(col.kind)
+        levels = col.kind.levels
         values = col.values.tolist()
         strings = [repr(v) for v in values] if levels is None else [levels[c] for c in values]
         for state, token in tokens:
@@ -485,7 +479,7 @@ class RecodeRule:
     mapping: Mapping[str, str | CellState]
 
     def __post_init__(self):
-        if kind_levels(self.kind) is None:
+        if self.kind.levels is None:
             raise InputError("recode target kind must be discrete")
         to_code = _cell_parser(self.kind)
         for target in self.mapping.values():
@@ -512,7 +506,7 @@ def recode(ds: Dataset, rules: RecodeRuleSet) -> Dataset:
         if name not in ds.columns:
             raise InputError(f"recode source column {name!r} not in dataset")
         col = ds[name]
-        src_levels = kind_levels(col.kind)
+        src_levels = col.kind.levels
         if src_levels is None:
             raise InputError(f"cannot recode continuous column {name!r}")
         to_code = _cell_parser(rule.kind)
@@ -527,17 +521,13 @@ def recode(ds: Dataset, rules: RecodeRuleSet) -> Dataset:
             else:
                 with suppress(DataError):  # unmapped: an error below if the label occurs
                     code_map[i] = to_code(target)
-        obs = col.observed
-        src_codes = col.values[obs]
-        unmapped = np.flatnonzero(code_map[src_codes] == -9)
+        # An unobserved cell's code -1 reads the last entry; obs masks it.
+        obs, codes = col.observed, code_map[col.values]
+        unmapped = np.flatnonzero(obs & (codes == -9))
         if unmapped.size:
-            label = src_levels[int(src_codes[unmapped[0]])]
+            label = src_levels[col.values[unmapped[0]]]
             raise RecodeError(f"column {name!r}: no recode target for label {label!r}")
-        values = np.full(col.n_rows, -1, dtype=np.int16)
-        state = col.state.copy()
-        values[obs] = code_map[src_codes]
-        state[obs] = state_map[src_codes]
-        updates[name] = Column(rule.kind, values, state)
+        updates[name] = Column(rule.kind, codes, np.where(obs, state_map[col.values], col.state))
     return ds.replace_columns(updates)
 
 
@@ -572,7 +562,7 @@ class ExclusionCounts:
     retained: int
 
     def to_json_obj(self):
-        return {"nonresponse": self.nonresponse, "missing": self.missing, "retained": self.retained}
+        return asdict(self)
 
 
 def filter_analysis_rows(
@@ -586,7 +576,7 @@ def filter_analysis_rows(
     if policy != "complete_case":
         raise InputError(f"unknown policy {policy!r}; only 'complete_case' is supported")
     roles.validate(ds)
-    role_cols = [ds[name] for name in dict.fromkeys(roles.all_columns())]
+    role_cols = [ds[name] for name in roles.all_columns()]
     any_nonresponse = np.zeros(ds.n_rows, dtype=bool)
     any_missing = np.zeros(ds.n_rows, dtype=bool)
     for col in role_cols:
@@ -621,18 +611,7 @@ class DescriptiveTable:
     rows: tuple[DescriptiveRow, ...]
 
     def to_json_obj(self):
-        return [
-            {
-                "variable": r.variable,
-                "level": r.level,
-                "stratum": r.stratum,
-                "n": r.n,
-                "pct": r.pct,
-                "mean": r.mean,
-                "sd": r.sd,
-            }
-            for r in self.rows
-        ]
+        return [asdict(r) for r in self.rows]
 
 
 def describe(
@@ -645,7 +624,7 @@ def describe(
     and SDs use the dataset's analysis weights (counts stay unweighted).
     """
     strata_col = ds[strata]
-    strata_levels = kind_levels(strata_col.kind)
+    strata_levels = strata_col.kind.levels
     if strata_levels is None:
         raise InputError(f"stratum column {strata!r} must be discrete")
     weights = ds.weights() if weighted else np.ones(ds.n_rows)
@@ -655,7 +634,7 @@ def describe(
         for name in columns:
             col = ds[name]
             use = in_stratum & col.observed
-            levels = kind_levels(col.kind)
+            levels = col.kind.levels
             if levels is None:
                 vals = col.values[use]
                 w = weights[use]

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Binary, Column, Continuous, Dataset, kind_levels, nonreference_levels, row_patterns
+from .data import Binary, Column, Continuous, Dataset, row_patterns
 from .errors import (
     ConvergenceError,
     DataError,
@@ -117,7 +117,7 @@ def indicator(col: Column) -> np.ndarray:
     """0/1 vector marking the non-reference level of a binary column."""
     if not isinstance(col.kind, Binary):
         raise InputError("indicator requires a binary column")
-    nonref = col.kind.levels.index(nonreference_levels(col.kind)[0])
+    nonref = 1 - col.kind.levels.index(col.kind.reference)
     return (col.values == nonref).astype(np.float64)
 
 
@@ -131,12 +131,11 @@ def _covariate_columns(ds, name):
     col = _require_observed(ds, name)
     if isinstance(col.kind, Continuous):
         return [(name, col.values.astype(np.float64))]
-    levels = kind_levels(col.kind)
-    out = []
-    for level in nonreference_levels(col.kind):
-        colname = name if isinstance(col.kind, Binary) else f"{name}={level}"
-        out.append((colname, (col.values == levels.index(level)).astype(np.float64)))
-    return out
+    return [
+        (name if isinstance(col.kind, Binary) else f"{name}={level}", (col.values == code).astype(np.float64))
+        for code, level in enumerate(col.kind.levels)
+        if level != col.kind.reference
+    ]
 
 
 @dataclass(frozen=True, eq=False)

@@ -152,12 +152,13 @@ class VariantEstimator:
 
     Calling it with a weight vector over the rows of ``ds`` (the survey
     weights, or the survey weights times a bootstrap replicate's row
-    counts) gives one :class:`~causalmed.glm.FitResult` per entry of
-    ``include_mediators``: the mediator-free model for False, the
-    mediator-adjusted model for True, and :meth:`contrasts` reads their
-    exposure effects. :meth:`coefs` reads the exposure effects alone of the
-    same fits under each row of a (B, n) weight array. Both take the fits
-    from :meth:`_fit`; a call fits a batch of one, read by
+    counts) gives, per entry of ``include_mediators``, a
+    :class:`~causalmed.glm.FitResult` and the contrast that reads its
+    exposure effect: the mediator-free model for False, the
+    mediator-adjusted model for True. :meth:`coefs` reads the exposure
+    effects alone of the same fits under each row of a (B, n) weight array.
+    Both take the fits from :meth:`_fit` and each effect's contrast from
+    the design it was fitted on; a call fits a batch of one, read by
     :func:`~causalmed.glm._fit_result`. The designs are fixed; only two
     pieces depend on the weights, the propensity-score column of
     ``ps_regression`` and the stabilized IPW factor of ``ipw``, and both
@@ -217,40 +218,31 @@ class VariantEstimator:
                 designs = [design.with_column(2, PS_COLUMN, scores) for design in designs]
         return out + [(_irls(design, self.y, fit_weights), design, self.y, fit_weights) for design in designs]
 
-    def __call__(self, weights: np.ndarray) -> tuple[FitResult, ...]:
+    def __call__(self, weights: np.ndarray) -> tuple[tuple[FitResult, np.ndarray], ...]:
         # The fits are read in order, so a failed propensity fit is the one raised.
         W = np.asarray(weights, dtype=np.float64)[None]
-        fits = [_fit_result(design.fits(0), y, w[0], fit) for fit, design, y, w in self._fit(W)]
-        return tuple(fits[-len(self.designs) :])
-
-    def contrasts(self, W: np.ndarray) -> list[np.ndarray]:
-        """Per model, the contrast g(W) over the estimator's rows
-        (:meth:`~causalmed.glm.PatternDesign.contrast`, with a zero for
-        ``ps_regression``'s score column): the model's exposure effect at the
-        W-weighted covariate means is g(W)·β for its fit under ``W``."""
-        gs = [d.contrast(W) for d in self.designs]
-        return [np.insert(g, 2, 0.0, axis=-1) for g in gs] if self.variant == "ps_regression" else gs
+        fits = [(_fit_result(design.fits(0), y, w[0], fit), design.fits(0)) for fit, design, y, w in self._fit(W)]
+        return tuple((fit, design.contrast(W[0])) for fit, design in fits[-len(self.designs) :])
 
     def coefs(self, W: np.ndarray):
         """The exposure effect of every model under each row of the (B, n)
-        weight array ``W``, read through :meth:`contrasts` from the
-        coefficients of :meth:`_fit`, with no covariances. Returns the (B, m)
-        effects of the m models, NaN in a row where any fit failed, the
-        propensity fit included, and a (B,) mask of the rows whose fits were
-        all plain."""
-        fits = [fit for fit, *_ in self._fit(W)]
+        weight array ``W``, read through the contrast of the design each
+        model was fitted on from the coefficients of :meth:`_fit`, with no
+        covariances. Returns the (B, m) effects of the m models, NaN in a
+        row where any fit failed, the propensity fit included, and a (B,)
+        mask of the rows whose fits were all plain."""
+        fits = self._fit(W)
         models = fits[-len(self.designs) :]
-        coefs = np.column_stack([(g * fit.beta).sum(axis=1) for fit, g in zip(models, self.contrasts(W))])
-        coefs[np.any([fit.failure != CONVERGED for fit in fits], axis=0)] = math.nan
-        return coefs, np.all([fit.plain for fit in fits], axis=0)
+        coefs = np.column_stack([(design.contrast(W) * fit.beta).sum(axis=1) for fit, design, *_ in models])
+        coefs[np.any([fit.failure != CONVERGED for fit, *_ in fits], axis=0)] = math.nan
+        return coefs, np.all([fit.plain for fit, *_ in fits], axis=0)
 
 
 def _estimates(ds: Dataset, est: VariantEstimator, kinds) -> list[EffectEstimate]:
     """One effect per model of ``est`` under the survey weights: its
     contrast g·β, with the Wald interval of :func:`~causalmed.glm.wald_interval`."""
-    weights = ds.weights()
     out = []
-    for kind, fit, g in zip(kinds, est(weights), est.contrasts(weights)):
+    for kind, (fit, g) in zip(kinds, est(ds.weights())):
         log_or, lo, hi = wald_interval(fit, g)
         out.append(EffectEstimate(kind, log_or, (math.exp(lo), math.exp(hi)), est.variant, ds.n_rows))
     return out

@@ -51,7 +51,7 @@ class CptVariable:
     table: tuple[tuple[float, ...], ...] = ()
     latent: bool = False
     #: The data kind of the levels, built from them.
-    kind: Binary | Categorical = field(init=False, repr=False, compare=False)
+    kind: Categorical = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
@@ -408,31 +408,32 @@ def sample_trace(spec: ScmSpec, n: int, seed: int) -> SampleTrace:
         raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     noise = {var.name: rng.random(n) for var in spec.variables}
-    return SampleTrace(replay(spec, SampleTrace({}, noise), {}), noise)
+    return SampleTrace(replay(spec, noise, {}), noise)
 
 
-def replay(spec: ScmSpec, trace: SampleTrace, interventions: Mapping[str, np.ndarray]) -> dict:
-    """Evaluate the structural equations on the trace's noise, with forced
-    level codes for ``interventions``. A logistic response takes level 1 where
-    the uniform is below P(level 1); a table, the first level whose cumulative
-    probability reaches it. Rows keep factual draws where nothing upstream changed."""
+def replay(spec: ScmSpec, noise: Mapping[str, np.ndarray], interventions: Mapping[str, np.ndarray]) -> dict:
+    """Evaluate the structural equations on ``noise``, a trace's uniforms by
+    variable, with forced level codes for ``interventions``. A logistic
+    response takes level 1 where the uniform is below P(level 1); a table, the
+    first level whose cumulative probability reaches it. Rows keep factual
+    draws where nothing upstream changed."""
     for name in interventions:
         spec.variable(name)  # InputError for an unknown name
     values: dict[str, np.ndarray] = {}
     for var in spec.variables:
-        noise = trace.noise[var.name]
+        u = noise[var.name]
         if var.name in interventions:
-            forced = np.broadcast_to(np.asarray(interventions[var.name]), noise.shape)
+            forced = np.broadcast_to(np.asarray(interventions[var.name]), u.shape)
             if not (np.array_equal(forced, np.trunc(forced)) and ((forced >= 0) & (forced < var.n_levels)).all()):
                 raise InputError(f"forced values of {var.name!r} must be level codes 0..{var.n_levels - 1}")
             values[var.name] = forced.astype(np.int16)
             continue
         rows = _conditional_table(spec, var)[tuple(values[p] for p in var.parents)]
         if isinstance(var, LogitVariable):
-            values[var.name] = (noise < rows[..., 1]).astype(np.int16)
+            values[var.name] = (u < rows[..., 1]).astype(np.int16)
         else:
-            cum = np.cumsum(np.broadcast_to(rows, (noise.shape[0], var.n_levels)), axis=1)
-            drawn = (cum < noise[:, None]).sum(axis=1)
+            cum = np.cumsum(np.broadcast_to(rows, (u.shape[0], var.n_levels)), axis=1)
+            drawn = (cum < u[:, None]).sum(axis=1)
             values[var.name] = np.minimum(drawn, var.n_levels - 1).astype(np.int16)
     return values
 

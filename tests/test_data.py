@@ -274,6 +274,13 @@ class TestRecode:
         out = recode(ds, {"v": RecodeRule(Binary(), {"a": "0", "b": "1"})})
         assert out["v"].label(1) == "1"
 
+    def test_unmapped_last_label_with_unobserved_cells_is_fine(self):
+        # An unobserved cell holds code -1, which indexes the last source
+        # level, here the unmapped "z": only observed cells may be unmapped.
+        ds = Dataset({"v": Column.build(Categorical(("a", "b", "z"), "a"), ["a", None, "b", NONRESPONSE])})
+        out = recode(ds, {"v": RecodeRule(Binary(), {"a": "0", "b": "1"})})
+        assert out["v"] == Column.build(Binary(), ["0", None, "1", NONRESPONSE])
+
     def test_idempotent_on_recoded_data(self):
         ds = self._dataset(["bisexual", "straight", "Refused"], ["Yes", "No", "No"])
         rules = sgm_survey_rules()
@@ -440,6 +447,15 @@ class TestDescribe:
 
 
 class TestDatasetInvariants:
+    def test_kind_protocol(self):
+        # Every kind has levels; a binary kind is a categorical one, yet
+        # unequal to the categorical with the same levels.
+        assert isinstance(Binary(), Categorical)
+        assert Continuous().levels is None
+        assert Binary(("0", "1"), "0") != Categorical(("0", "1"), "0")
+        codes, state = np.array([0, 1]), np.zeros(2, dtype=np.uint8)
+        assert Column(Binary(), codes, state) != Column(Categorical(("0", "1"), "0"), codes, state)
+
     @pytest.mark.parametrize(
         ("roles", "column"),
         [

@@ -352,14 +352,14 @@ class TestSampling:
     def test_consistency_forcing_factual_mediator_reproduces_outcome(self):
         spec = load_fixture("mediation_binary")
         trace = sample_trace(spec, 20_000, 11)
-        replayed = replay(spec, trace, {"M": trace.values["M"]})
+        replayed = replay(spec, trace.noise, {"M": trace.values["M"]})
         for name in spec.names:
             np.testing.assert_array_equal(replayed[name], trace.values[name])
 
     def test_forcing_mediator_changes_only_downstream(self):
         spec = load_fixture("mediation_binary")
         trace = sample_trace(spec, 5_000, 12)
-        forced = replay(spec, trace, {"M": np.ones(5_000, dtype=np.int16)})
+        forced = replay(spec, trace.noise, {"M": np.ones(5_000, dtype=np.int16)})
         np.testing.assert_array_equal(forced["Q"], trace.values["Q"])
         np.testing.assert_array_equal(forced["X"], trace.values["X"])
         assert (forced["M"] == 1).all()
@@ -373,7 +373,7 @@ class TestSampling:
         spec = load_fixture("mediation_binary")
         trace = sample_trace(spec, 100, 13)
         with pytest.raises(InputError):
-            replay(spec, trace, interventions)
+            replay(spec, trace.noise, interventions)
 
 
 class TestTextFormat:
