@@ -187,15 +187,6 @@ class Column:
     def observed(self) -> np.ndarray:
         return self.state == CellState.OBSERVED
 
-    def label(self, row: int):
-        """Observed cell value (label for discrete kinds); None when unobserved."""
-        if self.state[row] != CellState.OBSERVED:
-            return None
-        levels = self.kind.levels
-        if levels is None:
-            return float(self.values[row])
-        return levels[int(self.values[row])]
-
     def take(self, rows: np.ndarray) -> "Column":
         return Column(self.kind, self.values[rows], self.state[rows])
 

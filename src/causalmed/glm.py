@@ -4,12 +4,14 @@ The package has one Newton loop, :func:`_irls`: iteratively reweighted
 least squares with step-halving on log-likelihood decreases, started at
 zero coefficients, run for B weight vectors at once on one design. It has
 one reader of such a fit under one weight vector, :func:`_fit_result`,
-which raises the fit's failure or adds the covariances; :func:`fit_logistic`
-is the loop and that reader on one design. A bootstrap replicate needs only
-the coefficients and reads the loop's arrays itself. Survey weights enter
-as likelihood weights. A fit carries two covariances: the model-based one,
-the inverse observed information, and the sandwich, which is robust to
-that weighting. The package has one interval rule, :func:`wald_interval`:
+which raises the fit's failure (:func:`_raise_failure`) or adds the
+covariances; :func:`fit_logistic` is the loop and that reader on one
+design. A bootstrap replicate needs only the coefficients and reads the
+loop's arrays itself. Survey weights enter as likelihood weights, scaled
+by a power of two to a mean near one (:func:`_weight_scale`) so that the
+loop's stop rule does not depend on their scale. A fit carries two
+covariances: the model-based one, the inverse observed information, and
+the sandwich, which is robust to that weighting. The package has one interval rule, :func:`wald_interval`:
 the 95% Wald interval of one linear contrast of the coefficients, from the
 sandwich. A rank-deficient design is reported by naming, from left to
 right, each column that adds no rank to the columns before it.
@@ -400,11 +402,6 @@ class FitResult:
     iterations: int
     n_obs: int
 
-    def coef(self, name: str) -> float:
-        if name not in self.names:
-            raise InputError(f"no coefficient {name!r}; the fit has {self.names}")
-        return float(self.beta[self.names.index(name)])
-
 
 def _diagnose_singular_information(design: PatternDesign, w):
     """Name the collinear columns behind a singular information matrix.
@@ -493,13 +490,26 @@ def _per_fit(fn, out, *stacks):
     return ok
 
 
-def _irls(X: PatternDesign, y: np.ndarray, W: np.ndarray) -> _IrlsFits:
+def _weight_scale(w: np.ndarray) -> float:
+    """The power of two s = 2**-round(log2(mean(w))) that brings the mean
+    row weight of ``w`` to within a factor of √2 of one; 1.0 for weights
+    :func:`_check_weights` refuses."""
+    mean = float(np.mean(w)) if w.size else 0.0
+    return math.ldexp(1.0, -round(math.log2(mean))) if 0.0 < mean < math.inf else 1.0
+
+
+def _irls(X: PatternDesign, y: np.ndarray, W: np.ndarray, scale: float) -> _IrlsFits:
     """Maximize the weighted Bernoulli log-likelihood by IRLS under each row
     of the (B, n) weight array ``W``, all B fits iterating together.
 
     ``X`` is the design, its values shared by every fit or per fit, and
-    ``y`` the 0/1 response. Each fit starts at zero coefficients and stops
-    once its max-abs score falls below :data:`DEFAULT_TOL`. A step that
+    ``y`` the 0/1 response. Each fit runs on the weights times ``scale``,
+    the :func:`_weight_scale` of the full-row weights, so that the stop
+    rule, which reads the score and so the sum of the weights, does not
+    depend on their scale. A power of two scales exactly: weights times
+    2**k fit bit for bit as the weights do. The inverse information is
+    scaled back. Each fit starts at zero coefficients and stops once its
+    max-abs score falls below :data:`DEFAULT_TOL`. A step that
     fails the Cholesky gate or the solve ends the fit as :data:`SINGULAR`;
     a step that lowers the log-likelihood is halved, up to 30 times, or the
     fit ends as :data:`NOT_IMPROVED`. Coefficients passing
@@ -523,7 +533,7 @@ def _irls(X: PatternDesign, y: np.ndarray, W: np.ndarray) -> _IrlsFits:
     if not ((y == 0.0) | (y == 1.0)).all():
         raise InputError("response must be 0/1")
     _check_weights(W, n)
-    B = len(W)
+    B, W = len(W), W * scale
     out = _IrlsFits(
         beta=np.zeros((B, p)),
         iterations=np.zeros(B, dtype=int),
@@ -595,7 +605,7 @@ def _irls(X: PatternDesign, y: np.ndarray, W: np.ndarray) -> _IrlsFits:
     ok = np.flatnonzero(out.failure == CONVERGED)
     info_inv = np.empty((ok.size, p, p))
     invertible = _per_fit(np.linalg.inv, info_inv, final_info[ok])
-    out.info_inv[ok] = info_inv
+    out.info_inv[ok] = info_inv * scale
     out.failure[ok[~invertible]] = SINGULAR
     plain = out.plain
     plain &= out.failure == CONVERGED
@@ -604,21 +614,14 @@ def _irls(X: PatternDesign, y: np.ndarray, W: np.ndarray) -> _IrlsFits:
     return out
 
 
-def _fit_result(design: PatternDesign, y: np.ndarray, w: np.ndarray, fits: _IrlsFits) -> FitResult:
-    """The one fit of ``fits``, an :func:`_irls` result under the one weight
-    vector ``w`` on ``design`` (values shared), as a :class:`FitResult`, or
-    its failure raised: a singular information matrix as the
-    :class:`RankDeficiencyError` naming the collinear columns (or as
-    :class:`SeparationError` when the weighted design has full rank),
-    separation as :class:`SeparationError`, and a fit that runs out of
-    iterations or cannot improve by step-halving as
-    :class:`ConvergenceError`.
-
-    The model-based covariance is the inverse of the final information
-    matrix, and the sandwich meat X'diag((w * resid)**2)X comes from the
-    design's pattern moments (:meth:`PatternDesign.gram`).
-    """
-    failure = fits.failure[0]
+def _raise_failure(design: PatternDesign, w: np.ndarray, failure: int) -> None:
+    """Raise the failure of one :func:`_irls` fit under the weight vector
+    ``w`` on ``design`` (values shared), and nothing for a converged fit: a
+    singular information matrix as the :class:`RankDeficiencyError` naming
+    the collinear columns (or as :class:`SeparationError` when the weighted
+    design has full rank), separation as :class:`SeparationError`, and a
+    fit that runs out of iterations or cannot improve by step-halving as
+    :class:`ConvergenceError`."""
     if failure == SINGULAR:
         _diagnose_singular_information(design, w)
     if failure != CONVERGED:
@@ -630,6 +633,18 @@ def _fit_result(design: PatternDesign, y: np.ndarray, w: np.ndarray, fits: _Irls
             NOT_CONVERGED: ConvergenceError(f"no convergence in {DEFAULT_MAX_ITER} iterations"),
             NOT_IMPROVED: ConvergenceError("step halving failed to improve the likelihood"),
         }[failure]
+
+
+def _fit_result(design: PatternDesign, y: np.ndarray, w: np.ndarray, fits: _IrlsFits) -> FitResult:
+    """The one fit of ``fits``, an :func:`_irls` result under the one weight
+    vector ``w`` on ``design`` (values shared), as a :class:`FitResult`, or
+    its failure raised (:func:`_raise_failure`).
+
+    The model-based covariance is the inverse of the final information
+    matrix, and the sandwich meat X'diag((w * resid)**2)X comes from the
+    design's pattern moments (:meth:`PatternDesign.gram`).
+    """
+    _raise_failure(design, w, fits.failure[0])
     beta, cov_model = fits.beta[0], fits.info_inv[0]
     cov_model = (cov_model + cov_model.T) / 2.0
     resid = y - expit(design.eta(beta))
@@ -654,7 +669,7 @@ def fit_logistic(design: PatternDesign, y: np.ndarray, w: np.ndarray | None = No
         raise InputError("fit_logistic fits one design: its values must be shared, not per fit")
     y = np.asarray(y, dtype=np.float64)
     w = np.ones(design.pattern.size) if w is None else np.asarray(w, dtype=np.float64)
-    return _fit_result(design, y, w, _irls(design, y, w[None]))
+    return _fit_result(design, y, w, _irls(design, y, w[None], _weight_scale(w)))
 
 
 def wald_interval(fit: FitResult, g) -> tuple[float, float, float]:

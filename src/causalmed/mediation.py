@@ -21,8 +21,9 @@ replicates alike. A fit under any weights reads its exposure effect at
 their covariate means as one linear contrast of its coefficients
 (:meth:`~causalmed.glm.PatternDesign.contrast`), which is the exposure
 coefficient for every variant but ``primary``. Point estimates use the
-survey weights, each fit read by :func:`~causalmed.glm._fit_result`, and
-total and direct effects carry the Wald interval of that contrast
+survey weights, each outcome fit read by :func:`~causalmed.glm._fit_result`
+and the propensity fit only checked for its failure, and total and direct
+effects carry the Wald interval of that contrast
 (:func:`~causalmed.glm.wald_interval`, from the sandwich covariance); the
 indirect effect has no closed-form SE here, so its CI comes from a
 deterministic nonparametric bootstrap (:func:`bootstrap_ci`) that refits
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import copy
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +59,8 @@ from .glm import (
     ModelSpec,
     _fit_result,
     _irls,
+    _raise_failure,
+    _weight_scale,
     build_design,
     interaction,
     main,
@@ -158,11 +160,15 @@ class VariantEstimator:
     mediator-adjusted model for True. :meth:`coefs` reads the exposure
     effects alone of the same fits under each row of a (B, n) weight array.
     Both take the fits from :meth:`_fit` and each effect's contrast from
-    the design it was fitted on; a call fits a batch of one, read by
-    :func:`~causalmed.glm._fit_result`. The designs are fixed; only two
-    pieces depend on the weights, the propensity-score column of
-    ``ps_regression`` and the stabilized IPW factor of ``ipw``, and both
-    come from the mediator-free propensity model refit under the same weights.
+    the design it was fitted on; a call fits a batch of one and reads each
+    outcome fit by :func:`~causalmed.glm._fit_result`, after checking the
+    propensity fit by :func:`~causalmed.glm._raise_failure`. The designs
+    are fixed; only two pieces depend on the weights, the propensity-score
+    column of ``ps_regression`` and the stabilized IPW factor of ``ipw``,
+    and both come from the mediator-free propensity model refit under the
+    same weights. Every fit scales its weights by the power of two of the
+    full-row weights (:func:`~causalmed.glm._weight_scale`), so a
+    bootstrap block on pattern sums scales as the full-row fits do.
 
     Under integer row counts the coefficients equal those of the refit on
     the resampled rows. The sandwich covariance does not, as it reads a
@@ -181,6 +187,7 @@ class VariantEstimator:
         roles.validate(ds)
         self.roles, self.variant = roles, variant
         self.y = response_vector(ds, roles.outcome)
+        self.scale = _weight_scale(ds.weights())
         # Per model, its design on the estimator's rows.
         self.designs = [build_design(ds, _outcome_spec(roles, variant, m)) for m in include_mediators]
         if variant in ("ps_regression", "ipw"):
@@ -209,20 +216,26 @@ class VariantEstimator:
         fits and the design, response and weights they were fitted on."""
         out, designs, fit_weights = [], self.designs, W
         if self.variant in ("ps_regression", "ipw"):
-            ps = _irls(self.ps_design, self.treat, W)
+            ps = _irls(self.ps_design, self.treat, W, self.scale)
             out.append((ps, self.ps_design, self.treat, W))
             scores = clipped_scores(self.ps_design, ps.beta)
             if self.variant == "ipw":
                 fit_weights = W * ipw_weights(scores, self.treat, W)
             else:
                 designs = [design.with_column(2, PS_COLUMN, scores) for design in designs]
-        return out + [(_irls(design, self.y, fit_weights), design, self.y, fit_weights) for design in designs]
+        for design in designs:
+            out.append((_irls(design, self.y, fit_weights, self.scale), design, self.y, fit_weights))
+        return out
 
     def __call__(self, weights: np.ndarray) -> tuple[tuple[FitResult, np.ndarray], ...]:
-        # The fits are read in order, so a failed propensity fit is the one raised.
+        # The fits are read in order, so a failed propensity fit is the one
+        # raised; no effect reads it, so it is only checked.
         W = np.asarray(weights, dtype=np.float64)[None]
-        fits = [(_fit_result(design.fits(0), y, w[0], fit), design.fits(0)) for fit, design, y, w in self._fit(W)]
-        return tuple((fit, design.contrast(W[0])) for fit, design in fits[-len(self.designs) :])
+        fits = self._fit(W)
+        for fit, design, _, w in fits[: -len(self.designs)]:
+            _raise_failure(design, w[0], fit.failure[0])
+        models = [(fit, design.fits(0), y, w[0]) for fit, design, y, w in fits[-len(self.designs) :]]
+        return tuple((_fit_result(design, y, w, fit), design.contrast(W[0])) for fit, design, y, w in models)
 
     def coefs(self, W: np.ndarray):
         """The exposure effect of every model under each row of the (B, n)
@@ -314,19 +327,6 @@ def _replicate_weights(weights, pattern, n_patterns, seeds) -> np.ndarray:
     return W
 
 
-#: The last table :func:`_pattern_weight_table` built, as (weak reference to
-#: its dataset, (role columns, reps, seed), weights, pattern, table), or None.
-_last_table = None
-
-
-def _forget_table(ref):
-    """Drop the kept table once its dataset is gone."""
-    global _last_table
-    last = _last_table
-    if last is not None and last[0] is ref:
-        _last_table = None
-
-
 def _pattern_weight_table(ds, columns, pattern, n_patterns, reps, seed) -> np.ndarray:
     """The read-only (reps, K) pattern weights of the bootstrap replicates
     of ``ds`` over the discrete role ``columns``: row i is replicate
@@ -334,27 +334,23 @@ def _pattern_weight_table(ds, columns, pattern, n_patterns, reps, seed) -> np.nd
     (:func:`_replicate_weights`).
 
     The variants bootstrapped on one dataset draw the same replicates, so
-    the last table is kept and handed out again when the same ``ds``
-    object comes back with the same role columns, ``reps`` and ``seed``,
-    and with weights and patterns equal to those it was built from (a
-    column edited in place gets a new table). An equal but distinct
-    dataset draws its own, and the table is dropped with its dataset: it
-    is scoped to one analysis, not to equal data. Two threads racing here
-    at worst both draw.
+    the last table is kept on the ``ds`` object itself, in its instance
+    dictionary, and handed out again when the same object comes back with
+    the same role columns, ``reps`` and ``seed``, and with weights and
+    patterns equal to those it was built from (a column edited in place
+    gets a new table). An equal but distinct dataset draws its own, and
+    the table goes with its dataset: it is scoped to one analysis, not to
+    equal data. (A weak dictionary would need the dataset as a hashable
+    key, and a dataset compares by value.) Two threads racing here at worst
+    both draw.
     """
-    global _last_table
-    weights, key, last = ds.weights(), (columns, reps, seed), _last_table
-    if (
-        last is not None
-        and last[0]() is ds
-        and last[1] == key
-        and np.array_equal(last[2], weights)
-        and np.array_equal(last[3], pattern)
-    ):
-        return last[4]
+    weights, key = ds.weights(), (columns, reps, seed)
+    kept = vars(ds).get("_replicate_table")
+    if kept is not None and kept[0] == key and np.array_equal(kept[1], weights) and np.array_equal(kept[2], pattern):
+        return kept[3]
     table = _replicate_weights(weights, pattern, n_patterns, range(seed, seed + reps))
     table.flags.writeable = False
-    _last_table = (weakref.ref(ds, _forget_table), key, weights, pattern, table)
+    vars(ds)["_replicate_table"] = (key, weights, pattern, table)
     return table
 
 

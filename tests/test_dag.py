@@ -1,8 +1,15 @@
+import graphlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causalmed
+from causalmed import dag as dag_module
 from causalmed.dag import (
     CausalDag,
     PathReport,
@@ -12,7 +19,6 @@ from causalmed.dag import (
     load_fixture,
     parse_dag,
     valid_adjustment_sets,
-    validate,
 )
 from causalmed.errors import DagError
 
@@ -35,11 +41,10 @@ class TestValidate:
             parse_dag("edge A -> B\nedge B -> C\nedge C -> A\n")
 
     def test_empty_graph_ok(self):
-        validate(CausalDag((), ()))
+        assert CausalDag((), ()).nodes == ()
 
     def test_joint_fixture_is_a_dag(self):
         dag = load_fixture("sgm_joint")
-        validate(dag)
         assert set(dag.edges) == {
             ("H", "Q"),
             ("H", "X"),
@@ -69,11 +74,52 @@ class TestValidate:
 
     def test_self_loop_rejected(self):
         with pytest.raises(DagError, match="self-loop"):
-            validate(CausalDag(("A",), (("A", "A"),)))
+            CausalDag(("A",), (("A", "A"),))
 
     def test_undeclared_endpoint_rejected(self):
         with pytest.raises(DagError, match="not a declared node"):
-            validate(CausalDag(("A",), (("A", "B"),)))
+            CausalDag(("A",), (("A", "B"),))
+
+    def test_unknown_latent_rejected(self):
+        with pytest.raises(DagError, match="latent declaration for unknown node 'B'"):
+            CausalDag(("A",), (), frozenset({"B"}))
+
+    def test_checks_keep_their_order(self):
+        # Edge by edge, a self-loop or an undeclared endpoint; then an
+        # unknown latent node; a cycle last.
+        with pytest.raises(DagError, match="self-loop on 'B'"):
+            CausalDag(("A", "B"), (("A", "B"), ("B", "A"), ("B", "B"), ("C", "D")), frozenset({"E"}))
+        with pytest.raises(DagError, match="edge endpoint 'C'"):
+            CausalDag(("A", "B"), (("A", "B"), ("B", "A"), ("C", "D"), ("B", "B")), frozenset({"E"}))
+        with pytest.raises(DagError, match="latent declaration"):
+            CausalDag(("A", "B"), (("A", "B"), ("B", "A")), frozenset({"E"}))
+
+    def test_reported_cycle_does_not_depend_on_string_hashing(self):
+        # Z, declared first, has parents A and B, each on a cycle of its
+        # own. Parents are read in sorted order, so under every hash seed
+        # the cycle through A is reported.
+        code = (
+            "from causalmed.dag import parse_dag\n"
+            "from causalmed.errors import DagError\n"
+            "try:\n"
+            "    parse_dag('node Z\\nedge A -> Z\\nedge B -> Z\\nedge A -> C\\nedge C -> A\\n"
+            "edge B -> D\\nedge D -> B\\n')\n"
+            "except DagError as err:\n"
+            "    print(err)\n"
+        )
+        src = str(Path(causalmed.__file__).resolve().parents[1])
+        reported = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                cwd=src,
+                env={**os.environ, "PYTHONHASHSEED": str(seed)},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in range(6)
+        }
+        assert reported == {"graph has a cycle: A -> C\n"}
 
 
 class TestBackdoorPaths:
@@ -178,6 +224,26 @@ class TestAdjustment:
         assert report.backdoor_blocked
         assert not report.valid
         assert "latent node adjusted for (H)" in report.explanation
+
+    def test_backdoor_graph_is_cut_without_a_second_check(self, monkeypatch):
+        # The cut graph equals the graph built from the cut edges, the
+        # checked graph keeps its edges, and the adjustment queries run no
+        # cycle check: a subgraph of a DAG is a DAG.
+        dag = load_fixture("sgm_joint")
+        cut = dag_module._backdoor_graph(dag, "Q")
+        rebuilt = CausalDag(dag.nodes, tuple(e for e in dag.edges if e[0] != "Q"), dag.latent)
+        assert cut == rebuilt
+        for n in dag.nodes:
+            assert (cut.parents(n), cut.children(n)) == (rebuilt.parents(n), rebuilt.children(n))
+        assert dag.children("Q") == {"M", "Y"} and dag.parents("Y") == {"Q", "X", "M"}
+        checks = []
+        prepare = graphlib.TopologicalSorter.prepare
+        monkeypatch.setattr(graphlib.TopologicalSorter, "prepare", lambda self: checks.append(1) or prepare(self))
+        is_valid_adjustment(dag, "Q", "Y", {"X"})
+        valid_adjustment_sets(dag, "Q", "Y")
+        assert checks == []
+        CausalDag(dag.nodes, dag.edges, dag.latent)
+        assert checks == [1]
 
     def test_single_rule_matches_path_enumeration_on_random_dags(self):
         rng = np.random.default_rng(405)

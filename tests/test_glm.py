@@ -23,6 +23,7 @@ from causalmed.glm import (
     Z95,
     _irls,
     _log_likelihood,
+    _weight_scale,
     build_design,
     expit,
     fit_logistic,
@@ -178,19 +179,13 @@ class TestModelSpec:
 class TestFitLogistic:
     def test_two_group_closed_form(self):
         fit = fit_two_group(two_group_dataset(100, 20, 100, 10))
-        assert fit.coef("(Intercept)") == pytest.approx(math.log(10 / 90), abs=1e-8)
-        assert fit.coef("q") == pytest.approx(math.log(2.25), abs=1e-8)
+        assert fit.names == ("(Intercept)", "q")
+        assert fit.beta == pytest.approx([math.log(10 / 90), math.log(2.25)], abs=1e-8)
         assert fit.iterations > 0
-
-    def test_unknown_coefficient_named(self):
-        fit = fit_two_group(two_group_dataset(10, 5, 10, 5))
-        with pytest.raises(InputError, match="'zz'"):
-            fit.coef("zz")
 
     def test_balanced_groups_give_zero(self):
         fit = fit_two_group(two_group_dataset(10, 5, 10, 5))
-        assert fit.coef("(Intercept)") == 0.0
-        assert fit.coef("q") == 0.0
+        assert fit.beta.tolist() == [0.0, 0.0]
         assert fit.iterations == 0
 
     def test_weight_scale_invariance(self):
@@ -372,7 +367,7 @@ class TestBatchFits:
         spec = ModelSpec("y", "q", (main("x"), main("race"), interaction("x")))
         design, y = build_design(ds, spec), response_vector(ds, "y")
         W = ds.weights() * np.random.default_rng(8).integers(0, 3, (3, ds.n_rows))
-        fits = _irls(design, y, W)
+        fits = _irls(design, y, W, _weight_scale(ds.weights()))
         assert fits.failure.tolist() == [glm.CONVERGED] * 3
         assert fits.plain.tolist() == [True] * 3
         for beta, iterations, w in zip(fits.beta, fits.iterations, W):
@@ -393,14 +388,58 @@ class TestBatchFits:
             return np.repeat(X, 2, axis=0), np.column_stack([w * p, w * (1.0 - p)]).ravel()
 
         X, W = map(np.stack, zip(*(weighted_points(seed) for seed in (0, 428, 1))))
+        # Each row's weights times their own power-of-two scale: the single
+        # fits are as before, and the batch fits them all at scale one.
+        W *= np.array([_weight_scale(w) for w in W])[:, None]
         y = np.tile([1.0, 0.0], 6)
-        fits = _irls(as_pattern_design(X, ("a", "b")), y, W)
+        fits = _irls(as_pattern_design(X, ("a", "b")), y, W, 1.0)
         assert fits.failure.tolist() == [glm.CONVERGED] * 3
         assert fits.plain.tolist() == [True, False, True]
         for Xb, w, beta, iterations in zip(X, W, fits.beta, fits.iterations):
             want = fit_logistic(as_pattern_design(Xb, ("a", "b")), y, w)
             assert iterations == want.iterations
             assert np.abs(beta - want.beta).max() <= 1e-12 * np.abs(want.beta).max()
+
+
+class TestWeightScale:
+    """A fit does not depend on the scale of its weights: the Newton loop
+    runs on them times the power of two that brings their mean near one."""
+
+    @pytest.fixture
+    def problem(self):
+        ds = survey_dataset(np.random.default_rng(29), N_LARGE)
+        spec = ModelSpec("y", "q", (main("x"), main("race"), main("sex"), interaction("x")))
+        return build_design(ds, spec), response_vector(ds, "y"), ds.weights()
+
+    def test_scale_is_the_nearest_power_of_two(self):
+        assert [_weight_scale(np.full(3, m)) for m in (0.75, 1.4, 3.0, 2.0**-20, 7.2e4)] == [
+            1.0,
+            1.0,
+            0.25,
+            2.0**20,
+            2.0**-16,
+        ]
+        for refused in (np.zeros(3), np.array([]), np.array([1.0, np.inf]), np.array([1.0, np.nan])):
+            assert _weight_scale(refused) == 1.0
+
+    @pytest.mark.parametrize("k", [-40, -3, 1, 16, 40])
+    def test_power_of_two_weights_fit_bit_for_bit(self, problem, k):
+        # The model-based covariance, the inverse information, scales as
+        # 1/w; the sandwich does not scale.
+        design, y, w = problem
+        want, got = fit_logistic(design, y, w), fit_logistic(design, y, w * 2.0**k)
+        assert np.array_equal(got.beta, want.beta)
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.cov_model, want.cov_model * 2.0**-k)
+        assert np.array_equal(got.cov_sandwich, want.cov_sandwich)
+
+    @pytest.mark.parametrize("factor", [1e-6, 1e6])
+    def test_other_scales_move_no_coefficient_past_rounding(self, problem, factor):
+        design, y, w = problem
+        want, got = fit_logistic(design, y, w), fit_logistic(design, y, w * factor)
+        assert (np.abs(got.beta - want.beta) <= 1e-12 * np.abs(want.beta)).all()
+        assert rel_error(got.cov_model, want.cov_model / factor) <= 1e-12
+        assert rel_error(got.cov_sandwich, want.cov_sandwich) <= 1e-12
 
 
 class TestDenseRows:
@@ -515,7 +554,8 @@ class TestPatternDesign:
             assert rel_error(pattern.fits(fits).eta(beta[fits]), dense_eta(X[fits], beta[fits])) <= 1e-13
             assert rel_error(pattern.fits(fits).gram(v[fits]), dense_gram(X[fits], v[fits])) <= 1e-13
         y, W = response_vector(ds, "y"), ds.weights() * rng.integers(0, 3, (3, ds.n_rows))
-        got, want = _irls(pattern, y, W), _irls(as_pattern_design(X, pattern.names), y, W)
+        scale = _weight_scale(ds.weights())
+        got, want = _irls(pattern, y, W, scale), _irls(as_pattern_design(X, pattern.names), y, W, scale)
         assert got.failure.tolist() == want.failure.tolist() == [glm.CONVERGED] * 3
         assert got.iterations.tolist() == want.iterations.tolist()
         assert rel_error(got.beta, want.beta) <= 1e-12
@@ -562,10 +602,11 @@ class TestExposureContrast:
         design, y = build_design(ds, spec), response_vector(ds, "y")
         W = ds.weights() * rng.integers(0, 3, (5, ds.n_rows))
         g = design.contrast(W)
-        batch = _irls(design, y, W)
+        batch = _irls(design, y, W, _weight_scale(ds.weights()))
         assert batch.failure.tolist() == [glm.CONVERGED] * len(W)
         for w, g_row, beta in zip(W, g, batch.beta):
-            want = fit_logistic(as_pattern_design(design_by_stacking(ds, spec, w), design.names), y, w).coef("q")
+            fit = fit_logistic(as_pattern_design(design_by_stacking(ds, spec, w), design.names), y, w)
+            want = fit.beta[fit.names.index("q")]
             got = fit_logistic(design, y, w).beta
             assert abs(g_row @ got - want) <= 1e-9 * abs(want)
             assert abs(g_row @ beta - want) <= 1e-9 * abs(want)

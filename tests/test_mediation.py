@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -226,6 +227,18 @@ class TestEffects:
     def test_propensity_scores_ignore_a_covariate_shift(self):
         want, got = (fit_propensity(d, AGE_ROLES).scores for d in age_dataset_and_shift(np.random.default_rng(17)))
         assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_effects_do_not_depend_on_the_weight_scale(self, variant):
+        # Survey weights near 2**16 on 30,000 rows: the rounding error of
+        # the score alone then exceeds an absolute stop rule. The weights
+        # are scaled by a power of two before every fit, so these give the
+        # effects and intervals of the unscaled weights bit for bit.
+        ds = sim_dataset(np.random.default_rng(37), 30_000, bm=0.3, weight=True)
+        w = ds["w"]
+        big = ds.replace_columns({"w": Column(Continuous(), w.values * 2.0**16, w.state)})
+        assert total_effect(big, ROLES, variant) == total_effect(ds, ROLES, variant)
+        assert direct_effect(big, ROLES, variant) == direct_effect(ds, ROLES, variant)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_all_zero_weights_rejected(self, variant):
@@ -562,7 +575,8 @@ class TestReplicateEquivalence:
         for w, row in zip(W, coefs):
             for spec, design, got in zip(specs, est.designs, row):
                 assert design.names == build_design(ds, spec).names
-                want = fit_logistic(as_pattern_design(design_by_stacking(ds, spec, w), design.names), est.y, w).coef("q")
+                fit = fit_logistic(as_pattern_design(design_by_stacking(ds, spec, w), design.names), est.y, w)
+                want = fit.beta[fit.names.index("q")]
                 assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_primary_estimator_keeps_no_covariate_rows(self):
@@ -607,6 +621,12 @@ def fresh(ds):
     return ds.take(np.arange(ds.n_rows))
 
 
+def kept_table(ds):
+    """The replicate table kept on ``ds`` for the next variant, or None."""
+    kept = vars(ds).get("_replicate_table")
+    return None if kept is None else kept[-1]
+
+
 def edit_in_place(column, values):
     """Overwrite a column's read-only values where they are stored."""
     column.values.setflags(write=True)
@@ -630,12 +650,15 @@ class TestSharedReplicateTable:
             return draw(n_rows, seed)
 
         monkeypatch.setattr(mediation, "replicate_counts", counted)
-        monkeypatch.setattr(mediation, "_last_table", None)
         return count
 
     def test_variants_share_one_draw(self, draws):
         ds = sim_dataset(np.random.default_rng(31), 300, bm=0.3, weight=True)
-        got = [bootstrap_ci(ds, ROLES, variant, 200, 8) for variant in VARIANTS]
+        got, tables = [], []
+        for variant in VARIANTS:
+            got.append(bootstrap_ci(ds, ROLES, variant, 200, 8))
+            tables.append(kept_table(ds))
+        assert tables[0] is not None and all(table is tables[0] for table in tables)
         shared = draws["n"]
         want = [bootstrap_ci(fresh(ds), ROLES, variant, 200, 8) for variant in VARIANTS]
         # Each fresh dataset draws its 200 replicates plus the same refits.
@@ -689,14 +712,15 @@ class TestSharedReplicateTable:
             bootstrap_ci(ds, roles, "simple", 100, 6)
             counts.append(draws["n"] - before)
         assert counts[0] == counts[1] >= 100
-        assert mediation._last_table is None
+        assert kept_table(ds) is None
 
     def test_table_is_dropped_with_its_dataset(self, draws):
         ds = sim_dataset(np.random.default_rng(31), 300, bm=0.3)
         bootstrap_ci(ds, ROLES, "simple", 100, 0)
-        assert mediation._last_table is not None
+        table = weakref.ref(kept_table(ds))
+        assert table() is not None
         del ds
-        assert mediation._last_table is None
+        assert table() is None
 
     def test_refused_call_draws_nothing(self, draws):
         ds = sim_dataset(np.random.default_rng(23), 200)
@@ -775,6 +799,52 @@ class TestPointAndReplicatePaths:
         if variant in ("ps_regression", "ipw"):
             # The propensity model's failure is the one raised.
             assert type(raised[-1]) is RankDeficiencyError and raised[-1].columns == ("x",)
+
+
+class TestPropensityCheck:
+    """A call checks the propensity fit for its failure only, and builds a
+    FitResult for each outcome model alone."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_fit_result_per_outcome_model(self, variant, monkeypatch):
+        ds = sim_dataset(np.random.default_rng(53), 400, bm=0.3, weight=True)
+        est = VariantEstimator(ds, ROLES, variant)
+        built, build = [], glm.FitResult
+        monkeypatch.setattr(glm, "FitResult", lambda **fields: built.append(fields["names"]) or build(**fields))
+        fits = est(ds.weights())
+        assert built == [fit.names for fit, _ in fits]
+        assert len(built) == len(est.designs) == 2
+
+    @pytest.mark.parametrize("variant", ["ps_regression", "ipw"])
+    @pytest.mark.parametrize(
+        "case, error, message",
+        [
+            ("x constant", RankDeficiencyError, "collinear design columns: x"),
+            (
+                "x equal to q",
+                SeparationError,
+                "coefficient magnitude exceeded 30.0 while the deviance still improved; "
+                "data are quasi-completely separated",
+            ),
+        ],
+    )
+    def test_failing_propensity_fit_raises_its_classified_error(self, variant, case, error, message):
+        # The error a full read of the propensity fit raises: with weight
+        # only on rows of x = 0, x adds no rank; with x equal to q, the
+        # exposure is predicted exactly.
+        ds = sim_dataset(np.random.default_rng(59), 300, bm=0.3, weight=True)
+        w = ds.weights()
+        if case == "x constant":
+            w = w * (ds["x"].values == 0)
+        else:
+            ds = ds.replace_columns({"x": ds["q"]})
+        est = VariantEstimator(ds, ROLES, variant)
+        with pytest.raises(error) as got:
+            est(w)
+        with pytest.raises(error) as want:
+            fit_logistic(est.ps_design, est.treat, w)
+        assert type(got.value) is type(want.value) is error
+        assert str(got.value) == str(want.value) == message
 
 
 class TestCoverage:
