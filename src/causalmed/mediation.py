@@ -184,6 +184,8 @@ class VariantEstimator:
     def __init__(self, ds: Dataset, roles: VariableRoles, variant: str, include_mediators=(False, True)):
         if variant not in VARIANTS:
             raise InputError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        if not include_mediators:
+            raise InputError("include_mediators must ask for at least one outcome model")
         roles.validate(ds)
         self.roles, self.variant = roles, variant
         self.y = response_vector(ds, roles.outcome)

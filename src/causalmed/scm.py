@@ -358,6 +358,10 @@ def counterfactual_check(spec: ScmSpec) -> CounterfactualReport:
     m_levels = joint.levels[m_axis]
 
     p_y1 = _conditional_table(spec, y_var)[..., 1]  # one axis per parent
+    # Only the exposed are read: the joint's Q = 1 slice and, when Q is a
+    # parent of Y, the outcome table's, each with Q's axis kept at length one.
+    if q in y_var.parents:
+        p_y1 = np.take(p_y1, [1], axis=y_var.parents.index(q))
     forced_axis = y_var.parents.index(m) if m in y_var.parents else None
     positions = [spec.index(p) for p in y_var.parents if p != m]
 
@@ -365,17 +369,18 @@ def counterfactual_check(spec: ScmSpec) -> CounterfactualReport:
     p_qmxy = joint.marginal(q, m, x, y)
     p_qx = joint.marginal(q, x)
     cells = []
-    weighted = np.empty_like(joint.probs)  # one buffer, refilled per mediator level
+    exposed = np.take(joint.probs, [1], axis=q_axis)
+    weighted = np.empty_like(exposed)  # one buffer, refilled per mediator level
     for m_val in range(len(m_levels)):
-        # P(Y=1 | parents) over every configuration with the mediator forced.
+        # P(Y=1 | parents) over every exposed configuration with the
+        # mediator forced.
         forced = p_y1 if forced_axis is None else np.take(p_y1, m_val, axis=forced_axis)
-        np.multiply(joint.probs, _on_joint_axes(forced, positions, n), out=weighted)
+        np.multiply(exposed, _on_joint_axes(forced, positions, n), out=weighted)
         for x_val in range(len(x_levels)):
             if p_qmx[1, m_val, x_val] <= 0.0 or p_qx[1, x_val] <= 0.0:
                 continue
             observational = p_qmxy[1, m_val, x_val, 1] / p_qmx[1, m_val, x_val]
             idx = [slice(None)] * n
-            idx[q_axis] = 1
             idx[x_axis] = x_val
             counterfactual = float(weighted[tuple(idx)].sum() / p_qx[1, x_val])
             cells.append(

@@ -140,9 +140,9 @@ def backdoor_valid_brute_force(nodes, edges, exposure, outcome, adjust, latent=(
     return valid, blocked, open_paths
 
 
-def random_dag(rng, max_nodes=8, edge_prob=0.4):
+def random_dag(rng, max_nodes=8, edge_prob=0.4, min_nodes=3):
     """A random DAG over letter-named nodes, edges respecting an order."""
-    n = int(rng.integers(3, max_nodes + 1))
+    n = int(rng.integers(min_nodes, max_nodes + 1))
     nodes = [f"n{i}" for i in range(n)]
     edges = []
     for i in range(n):

@@ -233,9 +233,13 @@ class TestAdjustment:
         cut = dag_module._backdoor_graph(dag, "Q")
         rebuilt = CausalDag(dag.nodes, tuple(e for e in dag.edges if e[0] != "Q"), dag.latent)
         assert cut == rebuilt
-        for n in dag.nodes:
-            assert (cut.parents(n), cut.children(n)) == (rebuilt.parents(n), rebuilt.children(n))
-        assert dag.children("Q") == {"M", "Y"} and dag.parents("Y") == {"Q", "X", "M"}
+        assert (cut._index, cut._parent_masks, cut._child_masks) == (
+            rebuilt._index,
+            rebuilt._parent_masks,
+            rebuilt._child_masks,
+        )
+        assert cut.descendants("Q") == set() and cut.ancestors("Y") == {"H", "X", "M"}
+        assert dag.descendants("Q") == {"M", "Y"} and dag.ancestors("Y") == {"H", "Q", "X", "M"}
         checks = []
         prepare = graphlib.TopologicalSorter.prepare
         monkeypatch.setattr(graphlib.TopologicalSorter, "prepare", lambda self: checks.append(1) or prepare(self))
@@ -267,6 +271,30 @@ class TestAdjustment:
                         expected_sets.append(subset)
             assert valid_adjustment_sets(dag, exposure, outcome) == tuple(expected_sets)
 
+    def test_search_matches_the_checked_subsets_at_benchmark_size(self):
+        # On 12-14 nodes with latent ones, the size of the benchmark's random
+        # DAGs: the search lists exactly the subsets of the candidates that
+        # is_valid_adjustment calls valid, in combinations order.
+        rng = np.random.default_rng(1214)
+        n_sets = 0
+        for _ in range(8):
+            nodes, edges = random_dag(rng, max_nodes=14, edge_prob=0.3, min_nodes=12)
+            exposure, outcome = (str(n) for n in rng.choice(nodes, size=2, replace=False))
+            others = [n for n in nodes if n not in (exposure, outcome)]
+            latent = {n for n in others if rng.random() < 0.2}
+            dag = CausalDag(tuple(nodes), tuple(edges), frozenset(latent))
+            forbidden = dag.descendants(exposure)
+            candidates = [n for n in others if n not in latent | forbidden]
+            expected = tuple(
+                subset
+                for size in range(len(candidates) + 1)
+                for subset in itertools.combinations(candidates, size)
+                if is_valid_adjustment(dag, exposure, outcome, subset).valid
+            )
+            assert valid_adjustment_sets(dag, exposure, outcome) == expected
+            n_sets += len(expected)
+        assert n_sets > 100
+
 
 class TestDSeparation:
     def test_chain_blocked_by_middle(self):
@@ -297,6 +325,35 @@ class TestDSeparation:
             d_separated(dag, "A", "A")
         with pytest.raises(DagError):
             d_separated(dag, "A", "B", {"A"})
+
+    def test_ancestors_and_descendants_refuse_an_unknown_node(self):
+        dag = dag_of([("A", "B")])
+        with pytest.raises(DagError, match="unknown node 'C'"):
+            dag.ancestors("C")
+        with pytest.raises(DagError, match="unknown node 'C'"):
+            dag.descendants("A", "C")
+
+    def test_matches_brute_force_wider_than_a_machine_word(self):
+        # 80 nodes, so most masks need more than 64 bits: a random tree, each
+        # node below a random earlier one, plus a few extra forward edges,
+        # which keeps the simple paths few enough to enumerate.
+        rng = np.random.default_rng(6480)
+        nodes = [f"n{i}" for i in range(80)]
+        edges = {(nodes[int(rng.integers(0, i))], nodes[i]) for i in range(1, 80)}
+        while len(edges) < 85:
+            i, j = sorted(int(k) for k in rng.choice(80, size=2, replace=False))
+            edges.add((nodes[i], nodes[j]))
+        edges = sorted(edges)
+        dag = CausalDag(tuple(nodes), tuple(edges))
+        verdicts = []
+        for _ in range(150):
+            a, b = (int(k) for k in rng.choice(range(40, 80), size=2, replace=False))
+            others = [n for n in nodes if n not in (nodes[a], nodes[b])]
+            z = {str(n) for n in rng.choice(others, size=int(rng.integers(0, 6)), replace=False)}
+            expected = dsep_brute_force(nodes, edges, nodes[a], nodes[b], z)
+            assert d_separated(dag, nodes[a], nodes[b], z) == expected
+            verdicts.append(expected)
+        assert 10 < sum(verdicts) < 140
 
     def test_matches_brute_force_on_random_dags(self):
         rng = np.random.default_rng(2024)

@@ -215,6 +215,14 @@ class TestEffects:
             total_effect(ds, ROLES, "weird")
 
     @pytest.mark.parametrize("variant", VARIANTS)
+    def test_estimator_without_an_outcome_model_is_refused(self, variant):
+        # With no outcome model asked for, the ps/ipw variants would hand
+        # back their propensity fit, named ('(Intercept)', 'x'), as one.
+        ds = sim_dataset(np.random.default_rng(2), 300)
+        with pytest.raises(InputError, match="include_mediators"):
+            VariantEstimator(ds, ROLES, variant, include_mediators=())
+
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_total_effect_ignores_a_covariate_shift(self, variant):
         # Every model centers its covariates, which takes any constant shift
         # out of them, so adding 1e4 to age moves the at-means effect and its
