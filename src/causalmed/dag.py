@@ -172,9 +172,17 @@ def _separated(dag: CausalDag, a: int, b: int, z: int, collider_open: int) -> bo
     return True
 
 
+def _node_set(names: Iterable[str], argument: str) -> frozenset[str]:
+    """``names`` as a set of nodes. One string is refused, not read as the
+    set of its characters."""
+    if isinstance(names, str):
+        raise DagError(f"{argument} must be a collection of node names, not one string")
+    return frozenset(names)
+
+
 def d_separated(dag: CausalDag, a: str, b: str, conditioned: Iterable[str] = ()) -> bool:
     """True iff every path between a and b is blocked given the conditioning set."""
-    z = frozenset(conditioned)
+    z = _node_set(conditioned, "conditioned")
     dag.require(a, b, *z)
     if a == b:
         raise DagError("query nodes must differ")
@@ -234,7 +242,7 @@ def backdoor_paths(
 ) -> tuple[PathReport, ...]:
     """All simple paths from exposure to outcome that start with an edge into
     the exposure, each annotated open/blocked under the conditioning set."""
-    conditioned = frozenset(conditioned)
+    conditioned = _node_set(conditioned, "conditioned")
     dag.require(exposure, outcome, *conditioned)
     if exposure == outcome:
         raise DagError("exposure and outcome must differ")
@@ -296,7 +304,7 @@ def is_valid_adjustment(
     outcome in the backdoor graph; the open paths are enumerated only when
     it does not, to name them in the report.
     """
-    z = frozenset(adjust)
+    z = _node_set(adjust, "adjust")
     dag.require(exposure, outcome, *z)
     if exposure in z or outcome in z:
         raise DagError("adjustment set cannot contain the exposure or outcome")
@@ -340,6 +348,8 @@ def valid_adjustment_sets(dag: CausalDag, exposure: str, outcome: str) -> tuple[
     in the backdoor graph) is found once: a subset's z ∪ An(z) is the OR of
     its members' masks, as An(Z) is the union of An(v) over v in Z."""
     dag.require(exposure, outcome)
+    if exposure == outcome:
+        raise DagError("exposure and outcome must differ")
     forbidden = {exposure, outcome} | dag.descendants(exposure)
     candidates = [n for n in dag.observed_nodes if n not in forbidden]
     backdoor = _backdoor_graph(dag, exposure)

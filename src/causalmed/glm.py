@@ -17,17 +17,19 @@ sandwich. A rank-deficient design is reported by naming, from left to
 right, each column that adds no rank to the columns before it.
 
 The package has one design object, :class:`PatternDesign`, which
-:func:`build_design` builds from a dataset in one pass: per distinct
-combination of the discrete columns, the blocks that turn a row's
-continuous values into its design row, so each Newton iteration needs only
-weighted sums per pattern. A model with discrete columns only is the case
-with no continuous values, and one with a continuous covariate, or a
-per-fit column such as a propensity score, carries them per row. The
+:func:`build_design` builds from a dataset in one pass: one table of
+blocks, slot by slot, that turn a row's continuous values into its design
+row for each distinct combination of the discrete columns, so each Newton
+iteration needs only weighted sums per pattern, all taken by one kernel
+(:meth:`PatternDesign._moments`). A model with discrete columns only is
+the case with no continuous values, and one with a continuous covariate,
+or a per-fit column such as a propensity score, carries them per row. The
 covariates are centered once, at the survey-weighted means; the exposure
 effect of a fit under other weights is read at their covariate means
-(:meth:`PatternDesign.contrast`) from the same per-pattern sums, so no
-covariate column is kept beside the design. Only the collinearity diagnosis
-and the balance diagnostics expand a design to its dense rows.
+(:meth:`PatternDesign.contrast`), the main columns of the score under
+those weights, each paired with its interaction column, so no covariate
+column is kept beside the design. Only the collinearity diagnosis and the
+balance diagnostics expand a design to its dense rows.
 """
 
 from __future__ import annotations
@@ -101,6 +103,8 @@ class ModelSpec:
                 raise InputError(f"exposure {self.exposure!r} cannot appear among terms")
             if term.interaction and self.exposure is None:
                 raise InputError("interaction terms require an exposure")
+            if term.interaction and main(term.column) not in self.terms:
+                raise InputError(f"interaction term {term.column!r} requires its main effect")
             if term in self.terms[:i]:
                 raise InputError(f"term {term} appears twice")
         if self.exposure is not None and self.exposure == self.outcome:
@@ -148,32 +152,32 @@ class PatternDesign:
     intercept, the exposure, covariate indicators and their products), or
     such a function times a continuous column. So row i of the design is
 
-        X_i = F[k_i, 0] + sum_j a[j, i] * F[k_i, j + 1],
+        X_i = F[0, k_i] + sum_j a[j, i] * F[j + 1, k_i],
 
     with ``pattern`` the rows' indices k_i into the K distinct combinations
     of the discrete columns, ``values`` the c continuous values a of each
     row, a (c, m) array, or (B, c, m) where they differ between the B fits
-    of a batch, and ``blocks`` the (K, c + 1, p) array F. A model with
-    discrete columns only has c = 0, and its rows are their blocks F[k, 0].
-    A fit on it works on per-pattern moments, the weighted sums of 1, a_j
-    and a_j * a_l over each pattern's rows, so it costs a few passes over
-    the m rows and products of K * p**2; only :meth:`dense` forms the
-    (m, p) matrix. The tables of the blocks that these products use are
-    built once per blocks and shared by the designs taken from them.
+    of a batch, and ``blocks`` the (s, K, p) array F of s = c + 1 slots, so
+    that its (s * K, p) reshape has the row j * K + k = F[j, k]. A model
+    with discrete columns only has c = 0, and its rows are their blocks
+    F[0, k]. A fit on it works on per-pattern moments (:meth:`_moments`),
+    the weighted sums of 1, a_j and a_j * a_l over each pattern's rows, so
+    it costs a few passes over the m rows and products of K * p**2; only
+    :meth:`dense` forms the (m, p) matrix. The table of the blocks that
+    :meth:`gram` uses is built once per blocks and shared by the designs
+    taken from them.
 
-    ``interactions``, for a model with exposure interactions, is a second
-    (K, c + 1, p) array: in each interaction column, the block of the
-    covariate that the exposure multiplies, taken before it does, and zero
-    in every other column. :meth:`contrast` reads the covariates' weighted
-    means from it. It is None for a model without interactions, and the
-    designs taken from this one share it.
+    ``interactions`` pairs each exposure interaction column with the main
+    column of the covariate that the exposure multiplies, as (interaction,
+    main) column indices; :meth:`contrast` reads the covariates' weighted
+    means from the main columns.
     """
 
     names: tuple[str, ...]
     pattern: np.ndarray
     values: np.ndarray
     blocks: np.ndarray
-    interactions: np.ndarray | None = None
+    interactions: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if not np.isfinite(self.values).all():
@@ -197,28 +201,23 @@ class PatternDesign:
 
     def _on(self, pattern, values) -> "PatternDesign":
         """The design with these blocks on other rows or fits. It shares the
-        tables of the blocks, built here once for every design taken from
-        this one, and, on the same rows, the cells :meth:`_sums` keeps."""
+        product table of the blocks, built here once for every design taken
+        from this one, and, on the same rows, the cells :meth:`_sums` keeps."""
         out = PatternDesign(self.names, pattern, values, self.blocks, self.interactions)
-        out.__dict__.update(_by_slot=self._by_slot, _products=self._products)
+        out.__dict__["_products"] = self._products
         if pattern is self.pattern and "_cells" in self.__dict__:
             out.__dict__["_cells"] = self._cells
         return out
 
     def with_column(self, at: int, name: str, values: np.ndarray) -> "PatternDesign":
         """The design with one more continuous column, equal to ``values``
-        ((m,), or (B, m) per fit), inserted at position ``at``."""
-        K, slots, p = self.blocks.shape
-
-        def widened(F):
-            out = np.zeros((K, slots + 1, p + 1))
-            out[:, :slots, :at] = F[..., :at]
-            out[:, :slots, at + 1 :] = F[..., at:]
-            return out
-
-        blocks = widened(self.blocks)
-        blocks[:, slots, at] = 1.0
-        interactions = None if self.interactions is None else widened(self.interactions)
+        ((m,), or (B, m) per fit), inserted at position ``at``: a zero column
+        in every slot, and a new slot that is 1 in that column."""
+        _, K, p = self.blocks.shape
+        slot = np.zeros((1, K, p + 1))
+        slot[..., at] = 1.0
+        blocks = np.concatenate([np.insert(self.blocks, at, 0.0, axis=-1), slot])
+        interactions = tuple(tuple(j + (j >= at) for j in pair) for pair in self.interactions)
         shared = np.broadcast_to(self.values, values.shape[:-1] + self.values.shape[-2:])
         names = self.names[:at] + (name,) + self.names[at:]
         values = np.concatenate([shared, values[..., None, :]], axis=-2)
@@ -229,9 +228,9 @@ class PatternDesign:
         filled a column at a time."""
         X = np.empty(self.shape)
         for col in range(X.shape[-1]):
-            X[..., col] = self.blocks[:, 0, col].take(self.pattern)
-            for j in range(1, self.blocks.shape[1]):
-                X[..., col] += self.values[..., j - 1, :] * self.blocks[:, j, col].take(self.pattern)
+            X[..., col] = self.blocks[0, :, col].take(self.pattern)
+            for j in range(1, len(self.blocks)):
+                X[..., col] += self.values[..., j - 1, :] * self.blocks[j, :, col].take(self.pattern)
         return X
 
     def _sums(self, v: np.ndarray) -> np.ndarray:
@@ -239,7 +238,7 @@ class PatternDesign:
         by fit: one bincount, a (B * K,) array. For a batch, its cells,
         pattern + K * b for each fit b, are kept for the next call, which
         takes as many or a prefix of them."""
-        K, m, B = len(self.blocks), self.pattern.size, len(v)
+        K, m, B = self.blocks.shape[1], self.pattern.size, len(v)
         cells = self.pattern
         if B > 1:
             cells = self.__dict__.get("_cells")
@@ -248,39 +247,36 @@ class PatternDesign:
             cells = cells[: B * m]
         return np.bincount(cells, v.ravel(), B * K)
 
-    def _side_by_side(self, sums: list[np.ndarray]) -> np.ndarray:
-        """:meth:`_sums` results of q arrays as one (B, q * K) array."""
-        q, K = len(sums), len(self.blocks)
-        return np.concatenate(sums).reshape(q, -1, K).swapaxes(0, 1).reshape(-1, q * K)
-
-    @cached_property
-    def _by_slot(self) -> np.ndarray:
-        """The blocks slot by slot, an (s * K, p) array: row j * K + k is
-        F[k, j]."""
-        return self.blocks.swapaxes(0, 1).reshape(-1, self.blocks.shape[-1])
+    def _moments(self, v: np.ndarray, order: int) -> np.ndarray:
+        """The per-pattern sums of v * a_j (a_0 = 1) for each row of the
+        (B, m) array ``v``, and for ``order`` 2 then those of v * a_i * a_j
+        (1 <= i <= j): a (B, q * K) array, the sums of one product after
+        another. Its first s * K columns are laid out as the rows of the
+        blocks' (s * K, p) reshape, and all q * K as those of
+        :attr:`_products`."""
+        a = [self.values[..., j, :] for j in range(self.values.shape[-2])]
+        va = [v * aj for aj in a]
+        sums = [self._sums(x) for x in [v, *va]]
+        if order == 2:
+            sums += [self._sums(x * aj) for i, x in enumerate(va) for aj in a[i:]]
+        K = self.blocks.shape[1]
+        return np.concatenate(sums).reshape(len(sums), -1, K).swapaxes(0, 1).reshape(len(v), -1)
 
     def eta(self, beta: np.ndarray) -> np.ndarray:
         """X @ beta for coefficients (p,) or (B, p): each pattern's F @ beta,
         gathered onto its rows and scaled by their values, a slot at a
         time."""
-        K, slots = self.blocks.shape[:2]
-        G = (beta @ self._by_slot.T).reshape(beta.shape[:-1] + (slots, K))
+        slots, K, p = self.blocks.shape
+        G = (beta @ self.blocks.reshape(-1, p).T).reshape(beta.shape[:-1] + (slots, K))
         eta = G[..., 0, :].take(self.pattern, axis=-1)
         for j in range(1, slots):
             eta += self.values[..., j - 1, :] * G[..., j, :].take(self.pattern, axis=-1)
         return eta
 
-    def _slot_sums(self, v: np.ndarray) -> np.ndarray:
-        """The per-pattern sums of v * a_j (a_0 = 1) for each row of the
-        (B, m) array ``v``, slot by slot: a (B, s * K) array laid out as the
-        rows of :attr:`_by_slot`."""
-        sums = [self._sums(v)] + [self._sums(v * self.values[..., j, :]) for j in range(self.values.shape[-2])]
-        return self._side_by_side(sums)
-
     def score(self, r: np.ndarray) -> np.ndarray:
         """X'r for each row of the (B, m) array ``r``: the per-pattern sums
         of r * a_j (a_0 = 1) times the blocks."""
-        return self._slot_sums(r) @ self._by_slot
+        return self._moments(r, 1) @ self.blocks.reshape(-1, self.blocks.shape[-1])
 
     def contrast(self, W: np.ndarray) -> np.ndarray:
         """The contrast g(W) that reads, as g(W)·β, the exposure effect at
@@ -288,9 +284,8 @@ class PatternDesign:
         under ``W``, m row weights or a (B, m) array of them.
 
         g is the unit vector on the exposure (column 1) plus, in each
-        interaction column, the W-weighted mean of the covariate column
-        that the exposure multiplies: the per-pattern sums of W and W * a_j
-        (as :meth:`score` takes them) times :attr:`interactions`, over the
+        interaction column, the W-weighted mean of the main column that the
+        exposure multiplies: that column of :meth:`score` under W, over the
         sum of W. Shifting a covariate by a constant only moves the
         intercept and the exposure coefficient, so this is the exposure
         coefficient of the fit whose covariates are centered at their
@@ -298,39 +293,36 @@ class PatternDesign:
         """
         g = np.zeros(W.shape[:-1] + (len(self.names),))
         g[..., 1] = 1.0
-        if self.interactions is not None:
-            F = self.interactions.swapaxes(0, 1).reshape(-1, len(self.names))
+        if self.interactions:
+            columns, mains = map(list, zip(*self.interactions))
             W2 = np.atleast_2d(W)
-            g += (self._slot_sums(W2) @ F / W2.sum(axis=1)[:, None]).reshape(g.shape)
+            means = self.score(W2)[:, mains] / W2.sum(axis=1)[:, None]
+            g[..., columns] = means.reshape(g.shape[:-1] + (-1,))
         return g
 
     @cached_property
     def _products(self) -> np.ndarray:
-        """For each pair of slots i <= j, in :meth:`gram`'s order, and each
-        pattern k, the flattened F[k, i]'F[k, j] plus its transpose where
-        i < j: a (q * K, p * p) table, built once per blocks."""
+        """For each pair of slots i <= j, in :meth:`_moments`' order, and
+        each pattern k, the flattened F[i, k]'F[j, k] plus its transpose
+        where i < j: a (q * K, p * p) table, built once per blocks."""
         F = self.blocks
-        K, slots, p = F.shape
+        slots, K, p = F.shape
         pairs = [(i, j) for i in range(slots) for j in range(i, slots)]
         out = np.empty((len(pairs), K, p, p))
         for table, (i, j) in zip(out, pairs):
-            np.multiply(F[:, i, :, None], F[:, j, None, :], out=table)
+            np.multiply(F[i, :, :, None], F[j, :, None, :], out=table)
             if i != j:
-                table += F[:, j, :, None] * F[:, i, None, :]
+                table += F[j, :, :, None] * F[i, :, None, :]
         return out.reshape(-1, p * p)
 
     def gram(self, v: np.ndarray) -> np.ndarray:
         """X'diag(v)X for ``v`` of m weights, or (B, p, p) for (B, m): the
-        per-pattern sums of v * a_i * a_j (i <= j, a_0 = 1), contracted with
-        the blocks' product table in one matrix product."""
+        second-order moments of v contracted with the blocks' product table
+        in one matrix product."""
         if v.ndim == 1:
             return self.gram(v[None])[0]
-        a = [self.values[..., j, :] for j in range(self.values.shape[-2])]
-        va = [v * aj for aj in a]
-        sums = [self._sums(v)] + [self._sums(x) for x in va]
-        sums += [self._sums(x * aj) for i, x in enumerate(va) for aj in a[i:]]
         p = self.blocks.shape[-1]
-        return (self._side_by_side(sums) @ self._products).reshape(len(v), p, p)
+        return (self._moments(v, 2) @ self._products).reshape(len(v), p, p)
 
 
 def build_design(ds: Dataset, spec: ModelSpec) -> PatternDesign:
@@ -351,8 +343,8 @@ def build_design(ds: Dataset, spec: ModelSpec) -> PatternDesign:
     and the discrete covariates, and the values the centered continuous
     covariates. Each block holds its pattern's discrete column values, or,
     for a continuous column, 1 (the exposure for an interaction) in the
-    column's own slot; the interaction table holds the same blocks before
-    the exposure multiplies them. The centered n-vectors are not kept.
+    column's own slot; each interaction column is paired with its
+    covariate's main column. The centered n-vectors are not kept.
     """
     n = ds.n_rows
     names, discrete, exposure = [INTERCEPT], [], None
@@ -373,20 +365,24 @@ def build_design(ds: Dataset, spec: ModelSpec) -> PatternDesign:
     discrete += [ds[c] for c in expanded if c not in continuous]
     first, pattern = row_patterns(discrete, n)
     p = len(names) + sum(len(expanded[term.column]) for term in spec.terms)
-    blocks = np.zeros((first.size, len(continuous) + 1, p))
-    blocks[:, 0, 0] = 1.0
+    blocks = np.zeros((len(continuous) + 1, first.size, p))
+    blocks[0, :, 0] = 1.0
     if exposure is not None:
-        blocks[:, 0, 1] = exposure[first]
-    interactions = np.zeros_like(blocks) if any(t.interaction and expanded[t.column] for t in spec.terms) else None
+        blocks[0, :, 1] = exposure[first]
+    # Each covariate column's main and interaction column indices.
+    mains, crossed = {}, []
     for term in spec.terms:
         slot = 1 + continuous.index(term.column) if term.column in continuous else 0
         for colname, vec in expanded[term.column]:
             j = len(names)
             names.append(f"{spec.exposure}:{colname}" if term.interaction else colname)
-            blocks[:, slot, j] = 1.0 if slot else vec[first]
+            blocks[slot, :, j] = 1.0 if slot else vec[first]
             if term.interaction:
-                interactions[:, slot, j] = blocks[:, slot, j]
-                blocks[:, slot, j] *= exposure[first]
+                blocks[slot, :, j] *= exposure[first]
+                crossed.append((j, (term.column, colname)))
+            else:
+                mains[term.column, colname] = j
+    interactions = tuple((j, mains[key]) for j, key in crossed)
     values = np.array([expanded[c][0][1] for c in continuous]).reshape(len(continuous), n)
     return PatternDesign(tuple(names), pattern, values, blocks, interactions)
 

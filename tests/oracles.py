@@ -240,5 +240,5 @@ def as_pattern_design(X, names):
     is the package's type; nothing here computes with it."""
     X = np.asarray(X, dtype=np.float64)
     n, p = X.shape[-2:]
-    blocks = np.concatenate([np.zeros((1, p)), np.eye(p)])[None]
-    return PatternDesign(tuple(names), np.zeros(n, dtype=np.intp), np.ascontiguousarray(np.swapaxes(X, -1, -2)), blocks)
+    blocks = np.concatenate([np.zeros((1, p)), np.eye(p)])[:, None]
+    return PatternDesign(tuple(names), np.zeros(n, dtype=np.intp), np.ascontiguousarray(np.swapaxes(X, -1, -2)), blocks, ())

@@ -87,7 +87,6 @@ SETTABLE = {
     "data.ingest_csv(weight_column)",
     "data.sgm_survey_rules(depression)",
     "data.sgm_survey_rules(orientation)",
-    "glm.PatternDesign.interactions",
     "glm.Term.interaction",
     "glm.fit_logistic(w)",
     "mediation.EffectTriple.bootstrap_failed",

@@ -211,6 +211,24 @@ class TestAdjustment:
         with pytest.raises(DagError):
             is_valid_adjustment(dag, "Q", "Y", {"Y"})
 
+    def test_one_string_is_not_a_set_of_nodes(self):
+        # "XM" names no node of the graph; it is not the set {X, M}.
+        dag = load_fixture("sgm_joint")
+        with pytest.raises(DagError, match="adjust must be a collection of node names"):
+            is_valid_adjustment(dag, "Q", "Y", "XM")
+        with pytest.raises(DagError, match="conditioned must be a collection of node names"):
+            d_separated(dag, "Q", "Y", "XM")
+        with pytest.raises(DagError, match="conditioned must be a collection of node names"):
+            backdoor_paths(dag, "Q", "Y", "X")
+        assert is_valid_adjustment(dag, "Q", "Y", ("X",)).valid
+
+    def test_search_refuses_exposure_as_outcome(self):
+        dag = load_fixture("sgm_joint")
+        with pytest.raises(DagError, match="exposure and outcome must differ"):
+            valid_adjustment_sets(dag, "Q", "Q")
+        with pytest.raises(DagError):
+            is_valid_adjustment(dag, "Q", "Q", ())
+
     def test_exhaustive_search_finds_minimal_sets(self):
         dag = load_fixture("sgm_joint")
         sets = valid_adjustment_sets(dag, "Q", "Y")

@@ -163,17 +163,22 @@ class TestModelSpec:
             ((main("x"), interaction("q")), "exposure 'q'"),
             ((main("x"), main("race"), main("x")), "appears twice"),
             ((main("x"), interaction("x"), interaction("x")), "appears twice"),
+            ((interaction("x"),), "interaction term 'x' requires its main effect"),
+            ((main("x"), interaction("race")), "interaction term 'race' requires its main effect"),
         ],
     )
     def test_refused_terms(self, terms, message):
-        # A term on the outcome or the exposure, or a repeated term. The last
-        # two would give a column collinear with another, which the fit
-        # could only report as rank deficient.
+        # A term on the outcome or the exposure, a repeated term, or an
+        # interaction without its main effect. A repeated term would give a
+        # column collinear with another, which the fit could only report as
+        # rank deficient, and the exposure contrast reads each covariate's
+        # mean from its main column.
         with pytest.raises(InputError, match=message):
             ModelSpec("y", "q", terms)
 
     def test_main_effect_and_interaction_of_one_covariate_accepted(self):
         assert ModelSpec("y", "q", (main("x"), interaction("x"))).terms == (main("x"), interaction("x"))
+        assert ModelSpec("y", "q", (interaction("x"), main("x"))).terms == (interaction("x"), main("x"))
 
 
 class TestFitLogistic:
@@ -513,7 +518,7 @@ class TestPatternDesign:
             assert np.array_equal(pattern.dense(), X)
         # race (3 levels), sex and q give at most 12 patterns; a discrete
         # design has no continuous values, each row its pattern's block.
-        assert len(pattern.blocks) <= 12
+        assert pattern.blocks.shape[1] <= 12
         assert (pattern.values.shape[-2] == 0) == (form == "discrete")
 
     @pytest.mark.parametrize("form", FORMS)
@@ -630,8 +635,7 @@ class TestExposureContrast:
         # main effect only. Each interaction entry is the W-weighted mean of
         # the covariate column the exposure multiplies, stacked by the
         # oracle; the exposure entry is 1 and every other entry 0. A batch
-        # of weight rows gives each row's contrast, and a score column
-        # inserted after the exposure gets a 0.
+        # of weight rows gives each row's contrast.
         rng = np.random.default_rng(13)
         ds = survey_dataset(rng, 300)
         design, X = build_design(ds, PATTERN_SPEC), design_by_stacking(ds, PATTERN_SPEC)
@@ -650,8 +654,32 @@ class TestExposureContrast:
             np.testing.assert_allclose(g[:, j], W @ covariate / W.sum(axis=1), rtol=0.0, atol=1e-13)
         assert (g[:, 1] == 1.0).all()
         assert (np.delete(g, [1, *inter], axis=1) == 0.0).all()
-        widened = design.with_column(2, "propensity_score", rng.uniform(0.05, 0.95, ds.n_rows))
-        np.testing.assert_allclose(widened.contrast(W), np.insert(g, 2, 0.0, axis=1), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("at", range(2, 10))
+    def test_contrast_of_a_widened_design_has_a_zero_in_the_new_column(self, at):
+        # A score column inserted at any position after the exposure (before,
+        # between and after the interaction columns, which are 6 to 8 of 9)
+        # gets a 0, and every other entry keeps its value: each interaction
+        # column stays paired with its covariate's main column.
+        rng = np.random.default_rng(13)
+        ds = survey_dataset(rng, 300)
+        design = build_design(ds, PATTERN_SPEC)
+        assert len(design.names) == 9
+        W = ds.weights() * rng.integers(0, 3, (4, ds.n_rows))
+        g = design.contrast(W)
+        widened = design.with_column(at, "propensity_score", rng.uniform(0.05, 0.95, ds.n_rows))
+        np.testing.assert_allclose(widened.contrast(W), np.insert(g, at, 0.0, axis=1), rtol=1e-14, atol=0.0)
+
+    def test_contrast_does_not_depend_on_the_order_of_the_terms(self):
+        # An interaction listed before its main effect is paired with it all
+        # the same: the contrast is the main-first one, its columns permuted.
+        rng = np.random.default_rng(14)
+        ds = survey_dataset(rng, 300)
+        first = build_design(ds, ModelSpec("y", "q", (main("x"), main("race"), interaction("x"), interaction("race"))))
+        later = build_design(ds, ModelSpec("y", "q", (interaction("race"), interaction("x"), main("race"), main("x"))))
+        W = ds.weights() * rng.integers(0, 3, (3, ds.n_rows))
+        order = [first.names.index(name) for name in later.names]
+        np.testing.assert_allclose(later.contrast(W), first.contrast(W)[:, order], rtol=1e-14, atol=0.0)
 
 
 class TestWaldInterval:
@@ -720,8 +748,8 @@ def test_package_runs_without_scipy():
         "from causalmed.errors import RankDeficiencyError\n"
         "x = np.linspace(0, 1, 50)\n"
         "X = np.column_stack([np.ones(50), x, 2 * x])\n"
-        "blocks = np.concatenate([np.zeros((1, 3)), np.eye(3)])[None]\n"
-        "design = glm.PatternDesign(('(Intercept)', 'x', 'x2'), np.zeros(50, dtype=int), X.T.copy(), blocks)\n"
+        "blocks = np.concatenate([np.zeros((1, 3)), np.eye(3)])[:, None]\n"
+        "design = glm.PatternDesign(('(Intercept)', 'x', 'x2'), np.zeros(50, dtype=int), X.T.copy(), blocks, ())\n"
         "try:\n"
         "    glm.fit_logistic(design, (x > 0.5) * 1.0)\n"
         "except RankDeficiencyError as err:\n"
