@@ -41,6 +41,9 @@ NONRESPONSE_TOKEN = "__NR__"
 #: Survey answers that :func:`sgm_survey_rules` recodes to non-response.
 NONRESPONSE_LABELS = ("Refused", "Don't know", "don't know")
 
+#: Most levels of a discrete kind: its codes are stored as int16, 0 to 32,767.
+MAX_LEVELS = np.iinfo(np.int16).max + 1
+
 
 # ---------------------------------------------------------------------------
 # Column kinds
@@ -64,6 +67,8 @@ class Categorical:
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise InputError("discrete kind needs at least one level")
+        if len(self.levels) > MAX_LEVELS:
+            raise InputError(f"discrete kind has {len(self.levels)} levels; at most {MAX_LEVELS} are stored")
         if len(set(self.levels)) != len(self.levels):
             raise InputError(f"duplicate levels: {self.levels}")
         for token in ("", NONRESPONSE_TOKEN):  # what write_csv writes for unobserved cells

@@ -209,19 +209,18 @@ class PatternDesign:
             out.__dict__["_cells"] = self._cells
         return out
 
-    def with_column(self, at: int, name: str, values: np.ndarray) -> "PatternDesign":
+    def with_column(self, name: str, values: np.ndarray) -> "PatternDesign":
         """The design with one more continuous column, equal to ``values``
-        ((m,), or (B, m) per fit), inserted at position ``at``: a zero column
-        in every slot, and a new slot that is 1 in that column."""
-        _, K, p = self.blocks.shape
-        slot = np.zeros((1, K, p + 1))
-        slot[..., at] = 1.0
-        blocks = np.concatenate([np.insert(self.blocks, at, 0.0, axis=-1), slot])
-        interactions = tuple(tuple(j + (j >= at) for j in pair) for pair in self.interactions)
+        ((m,), or (B, m) per fit), appended last: a zero column in every
+        slot, and a new slot that is 1 in that column. The other columns
+        keep their places, the exposure's among them."""
+        slots, K, p = self.blocks.shape
+        blocks = np.zeros((slots + 1, K, p + 1))
+        blocks[:slots, :, :p] = self.blocks
+        blocks[slots, :, p] = 1.0
         shared = np.broadcast_to(self.values, values.shape[:-1] + self.values.shape[-2:])
-        names = self.names[:at] + (name,) + self.names[at:]
         values = np.concatenate([shared, values[..., None, :]], axis=-2)
-        return PatternDesign(names, self.pattern, values, blocks, interactions)
+        return PatternDesign(self.names + (name,), self.pattern, values, blocks, self.interactions)
 
     def dense(self) -> np.ndarray:
         """The (m, p) design, or the (B, m, p) stack for per-fit values,

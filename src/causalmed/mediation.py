@@ -27,16 +27,17 @@ effects carry the Wald interval of that contrast
 (:func:`~causalmed.glm.wald_interval`, from the sandwich covariance); the
 indirect effect has no closed-form SE here, so its CI comes from a
 deterministic nonparametric bootstrap (:func:`bootstrap_ci`) that refits
-the same estimator under each replicate's row counts. One function turns a
-run of replicate seeds into their weights on the K distinct role-column
-patterns, and one loop fits blocks of up to :data:`BLOCK_CELLS` // K
-replicates together, with coefficients only, on the estimator taken to one
-row per pattern they drew. Where rows collapse so far that a block holds
-several replicates, the weights form one read-only (reps, K) table, drawn
-once and shared by the variants bootstrapped on the same dataset object at
-the same seed; otherwise (a continuous role column among them) each block
-draws its own. A replicate whose fit leaves the plain Newton path is drawn
-again and refit on the full rows.
+the same estimator under each replicate's row counts. One function, the
+only bootstrap draw, turns a run of replicate seeds into their weights on
+the K distinct role-column patterns; with a continuous role column each row
+is its own pattern, and K is the number of rows. One loop fits blocks of up
+to :data:`BLOCK_CELLS` // K replicates together, with coefficients only, on
+the estimator taken to one row per pattern they drew. Where a block holds
+several replicates (K at most :data:`BLOCK_CELLS` / 2), the weights form one
+read-only (reps, K) table, drawn once and shared by the variants
+bootstrapped on the same dataset object at the same seed; otherwise each
+block draws its own. A replicate whose fit leaves the plain Newton path is
+drawn again, each row its own pattern, and refit on the full rows.
 
 Note the total effect from the mediator-free model is the standard
 two-model quantity, not a collapsibility-corrected marginal effect.
@@ -71,7 +72,7 @@ from .glm import (
 VARIANTS = ("primary", "simple", "ps_regression", "ipw")
 
 #: Name of the ``ps_regression`` design column holding the fitted
-#: propensity scores, which sit right after the exposure.
+#: propensity scores, which is its last column.
 PS_COLUMN = "propensity_score"
 
 #: Largest share of bootstrap replicates that may fail before the interval
@@ -212,8 +213,8 @@ class VariantEstimator:
         """Every fit of the variant under each row of the (B, n) weight
         array ``W``: the one code that fits it. The ps/ipw variants fit the
         propensity model first, whose clipped scores become
-        ``ps_regression``'s column right after the exposure or ``ipw``'s
-        stabilized factor on ``W``; then each outcome model is fitted.
+        ``ps_regression``'s last column or ``ipw``'s stabilized factor on
+        ``W``; then each outcome model is fitted.
         Returns, per model, propensity first, its :func:`~causalmed.glm._irls`
         fits and the design, response and weights they were fitted on."""
         out, designs, fit_weights = [], self.designs, W
@@ -224,7 +225,7 @@ class VariantEstimator:
             if self.variant == "ipw":
                 fit_weights = W * ipw_weights(scores, self.treat, W)
             else:
-                designs = [design.with_column(2, PS_COLUMN, scores) for design in designs]
+                designs = [design.with_column(PS_COLUMN, scores) for design in designs]
         for design in designs:
             out.append((_irls(design, self.y, fit_weights, self.scale), design, self.y, fit_weights))
         return out
@@ -308,45 +309,40 @@ class BootstrapInterval:
 BLOCK_CELLS = 1 << 12
 
 
-def replicate_counts(n_rows: int, seed: int) -> np.ndarray:
-    """How often each of ``n_rows`` rows is drawn by the bootstrap
-    replicate with generator seed ``seed``, which draws ``n_rows`` row
-    indices with replacement. This is the only bootstrap draw."""
-    return np.bincount(np.random.default_rng(seed).integers(0, n_rows, n_rows), minlength=n_rows)
-
-
 def _replicate_weights(weights, pattern, n_patterns, seeds) -> np.ndarray:
-    """The (len(seeds), K) pattern weights of the replicates with generator
-    seeds ``seeds``: per replicate, the survey weights times its
-    :func:`replicate_counts`, summed within each of the K patterns that
-    ``pattern`` gives the rows, or per row when ``pattern`` is None. This is
-    the only place a replicate's counts become weights: the shared table,
-    the per-block draws and the full-row refits all call it."""
+    """The (len(seeds), K) pattern weights of the bootstrap replicates with
+    generator seeds ``seeds``. Replicate s draws n row indices with
+    replacement from ``default_rng(s)``; its weights are the survey weights
+    times how often each row was drawn, summed within each of the K
+    patterns that ``pattern`` gives the rows (the row numbers themselves
+    where each row is its own pattern). This is the package's only
+    bootstrap draw: the shared table, the per-block draws and the full-row
+    refits all call it."""
+    n = weights.size
     W = np.empty((len(seeds), n_patterns))
     for b, seed in enumerate(seeds):
-        w = weights * replicate_counts(weights.size, seed)
-        W[b] = w if pattern is None else np.bincount(pattern, w, n_patterns)
+        counts = np.bincount(np.random.default_rng(seed).integers(0, n, n), minlength=n)
+        W[b] = np.bincount(pattern, weights * counts, n_patterns)
     return W
 
 
-def _pattern_weight_table(ds, columns, pattern, n_patterns, reps, seed) -> np.ndarray:
+def _pattern_weight_table(ds, pattern, n_patterns, reps, seed) -> np.ndarray:
     """The read-only (reps, K) pattern weights of the bootstrap replicates
-    of ``ds`` over the discrete role ``columns``: row i is replicate
-    seed+i's weights on the K patterns that ``pattern`` gives the rows
-    (:func:`_replicate_weights`).
+    of ``ds``: row i is replicate seed+i's weights on the K patterns that
+    ``pattern`` gives the rows (:func:`_replicate_weights`).
 
     The variants bootstrapped on one dataset draw the same replicates, so
     the last table is kept on the ``ds`` object itself, in its instance
     dictionary, and handed out again when the same object comes back with
-    the same role columns, ``reps`` and ``seed``, and with weights and
-    patterns equal to those it was built from (a column edited in place
-    gets a new table). An equal but distinct dataset draws its own, and
-    the table goes with its dataset: it is scoped to one analysis, not to
-    equal data. (A weak dictionary would need the dataset as a hashable
-    key, and a dataset compares by value.) Two threads racing here at worst
-    both draw.
+    the same ``reps`` and ``seed``, and with weights and patterns equal to
+    those it was built from (a column edited in place, or other role
+    columns, get a new table). An equal but distinct dataset draws its
+    own, and the table goes with its dataset: it is scoped to one analysis,
+    not to equal data. (A weak dictionary would need the dataset as a
+    hashable key, and a dataset compares by value.) Two threads racing here
+    at worst both draw.
     """
-    weights, key = ds.weights(), (columns, reps, seed)
+    weights, key = ds.weights(), (reps, seed)
     kept = vars(ds).get("_replicate_table")
     if kept is not None and kept[0] == key and np.array_equal(kept[1], weights) and np.array_equal(kept[2], pattern):
         return kept[3]
@@ -366,19 +362,17 @@ def _bootstrap_interval(ds: Dataset, est: VariantEstimator, reps: int, seed: int
     if seed < 0:
         raise InputError(f"bootstrap seed must be non-negative, got {seed}")
     weights, n_rows = ds.weights(), ds.n_rows
-    columns = est.roles.all_columns()
-    continuous = any(isinstance(ds[c].kind, Continuous) for c in columns)
+    rows, columns = np.arange(n_rows), [ds[c] for c in est.roles.all_columns()]
     # Rows with a continuous value do not repeat: each is its own pattern.
-    first, pattern = (np.arange(n_rows), None) if continuous else row_patterns([ds[c] for c in columns], n_rows)
+    continuous = any(isinstance(c.kind, Continuous) for c in columns)
+    first, pattern = (rows, rows) if continuous else row_patterns(columns, n_rows)
     block_size = max(1, BLOCK_CELLS // first.size)
-    # The draws are shared where a block fits several replicates on few
-    # patterns, and drawing costs about as much as fitting. With one
-    # replicate per block (over BLOCK_CELLS / 2 patterns, or a continuous
-    # role) the fits dominate, and a (reps, K) table would near the (reps,
-    # n) count matrix, so each block draws its own.
-    table = None
-    if not continuous and block_size > 1:
-        table = _pattern_weight_table(ds, columns, pattern, first.size, reps, seed)
+    # The draws are shared where a block fits several replicates, and
+    # drawing costs about as much as fitting. With one replicate per block
+    # (over BLOCK_CELLS / 2 patterns) the fits dominate, and a (reps, K)
+    # table would near the (reps, n) count matrix, so each block draws its
+    # own. Either way no table holds more than reps * BLOCK_CELLS / 2 weights.
+    table = _pattern_weight_table(ds, pattern, first.size, reps, seed) if block_size > 1 else None
     stats = np.empty(reps)
     for start in range(0, reps, block_size):
         stop = min(start + block_size, reps)
@@ -389,7 +383,7 @@ def _bootstrap_interval(ds: Dataset, est: VariantEstimator, reps: int, seed: int
         drawn = np.flatnonzero(W.any(axis=0))
         coefs, plain = est.take(first[drawn]).coefs(W[:, drawn])
         for b in np.flatnonzero(~plain):
-            coefs[b] = est.coefs(_replicate_weights(weights, None, n_rows, [seed + start + b]))[0][0]
+            coefs[b] = est.coefs(_replicate_weights(weights, rows, n_rows, [seed + start + b]))[0][0]
         stats[start:stop] = coefs[:, 0] - coefs[:, 1]
     failed = np.isnan(stats)
     n_failed = int(failed.sum())
@@ -416,28 +410,28 @@ def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, see
     is refused), at least 100 replicates and a non-negative seed. Replicate
     i draws with generator seed+i. Rows collapse to their K distinct
     role-column patterns; with a continuous role column no row repeats, and
-    each row is its own pattern. One loop
-    takes the replicates in order, in blocks of :data:`BLOCK_CELLS` // K
-    (at least one). One function turns each replicate's row counts into its
-    K pattern weights, the survey weights times the counts summed within
-    each pattern, for the table, the blocks and the refits alike. With
-    discrete role columns and blocks of several replicates (K at most
-    :data:`BLOCK_CELLS` / 2), every replicate's weights are drawn once into
-    a read-only (reps, K) table, and a block takes its rows of it; the next
-    variant bootstrapped on the same ``ds`` object with the same role
-    columns, ``reps`` and ``seed`` takes its blocks from the same table, so
-    the variants of one analysis draw once. Otherwise (a continuous role
-    column among them) each block draws its replicates' weights itself, so
-    no (reps, K) array is formed. A block is fitted
-    (:meth:`VariantEstimator.coefs`), for the effects alone, on the one
-    estimator taken to one row per pattern that any of its replicates drew:
-    each pattern's first row, or, with a continuous role column, the drawn
-    rows themselves.
+    each row is its own pattern. One loop takes the replicates in order, in
+    blocks of :data:`BLOCK_CELLS` // K (at least one). One function, the
+    only draw, turns each replicate's row counts into its K pattern
+    weights, the survey weights times the counts summed within each
+    pattern, for the table, the blocks and the refits alike. Where a block
+    holds several replicates (K at most :data:`BLOCK_CELLS` / 2), every
+    replicate's weights are drawn once into a read-only (reps, K) table,
+    and a block takes its rows of it; the next variant bootstrapped on the
+    same ``ds`` object with the same ``reps`` and ``seed``, and equal
+    weights and patterns, takes its blocks from the same table, so the
+    variants of one analysis draw once. Otherwise each block draws its
+    replicates' weights itself, so no (reps, K) array is formed; either way
+    no table holds more than reps * :data:`BLOCK_CELLS` / 2 weights. A
+    block is fitted (:meth:`VariantEstimator.coefs`), for the effects
+    alone, on the one estimator taken to one row per pattern that any of
+    its replicates drew: each pattern's first row, or, with a continuous
+    role column, the drawn rows themselves.
     A replicate whose fit is not plain (it failed, was step-halved, passed
     the separation bound, or ended on an information matrix with condition
     number above :data:`~causalmed.glm.STACKED_MAX_CONDITION`) draws its
-    counts again and is refit on the full rows, and that fit decides its
-    statistic or its failure. A replicate whose fit fails (rank
+    weights again, each row its own pattern, and is refit on the full rows,
+    and that fit decides its statistic or its failure. A replicate whose fit fails (rank
     deficiency, separation, non-convergence) is dropped and counted in
     ``n_failed``; more than :data:`MAX_FAILURE_RATE` of them failing raises
     :class:`~causalmed.errors.BootstrapError`.
@@ -448,7 +442,8 @@ def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, see
     ``ps_regression``'s score column holds one value per replicate and
     row. With a continuous one, K is the number of rows; at survey scale
     the blocks hold one replicate each, fitted on the rows it drew, which
-    take only their pattern indices and continuous values.
+    take only their pattern indices and continuous values, and nothing is
+    shared.
     """
     return _bootstrap_interval(ds, VariantEstimator(ds, roles, variant), reps, seed)
 

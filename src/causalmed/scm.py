@@ -421,12 +421,19 @@ def replay(spec: ScmSpec, noise: Mapping[str, np.ndarray], interventions: Mappin
     variable, with forced level codes for ``interventions``. A logistic
     response takes level 1 where the uniform is below P(level 1); a table, the
     first level whose cumulative probability reaches it. Rows keep factual
-    draws where nothing upstream changed."""
+    draws where nothing upstream changed. Every variable needs its noise,
+    one uniform per row, as long as the first variable's."""
     for name in interventions:
         spec.variable(name)  # InputError for an unknown name
     values: dict[str, np.ndarray] = {}
+    n = None
     for var in spec.variables:
-        u = noise[var.name]
+        if var.name not in noise:
+            raise InputError(f"no noise given for variable {var.name!r}")
+        u = np.asarray(noise[var.name])
+        n = u.size if n is None else n
+        if u.shape != (n,):
+            raise InputError(f"noise of {var.name!r} has shape {u.shape}; expected ({n},), one uniform per row")
         if var.name in interventions:
             forced = np.broadcast_to(np.asarray(interventions[var.name]), u.shape)
             if not (np.array_equal(forced, np.trunc(forced)) and ((forced >= 0) & (forced < var.n_levels)).all()):

@@ -219,6 +219,17 @@ class TestRoundTrip:
         write_csv(ds, got)
         assert got.getvalue() == want.getvalue()
 
+    def test_kind_with_the_most_stored_levels_round_trips(self):
+        # Codes are int16: 32,768 levels, codes 0 to 32,767, all stored exactly.
+        kind = Categorical(tuple(f"l{i}" for i in range(32_768)), "l0")
+        ds = Dataset({"g": Column.build(kind, ["l32767", "l0", None, "l16384", NONRESPONSE])})
+        assert ds["g"].values[[0, 1, 3]].tolist() == [32_767, 0, 16_384]
+        buf = io.StringIO()
+        write_csv(ds, buf)
+        assert buf.getvalue().splitlines()[1] == "l32767"
+        buf.seek(0)
+        assert ingest_csv(buf, {"g": kind}) == ds
+
     def test_unwritable_path_is_data_error(self, tmp_path):
         ds = Dataset({"x": Column.build(Continuous(), [1.0])})
         with pytest.raises(DataError, match="cannot write"):
@@ -462,6 +473,12 @@ class TestDatasetInvariants:
     def test_role_list_as_one_string_rejected(self, role):
         with pytest.raises(InputError, match=f"{role} must be a collection of column names"):
             VariableRoles(exposure="q", outcome="y", baseline_support="x", **{role: "m1"})
+
+    def test_kind_with_more_levels_than_stored_codes_rejected(self):
+        # An int16 code of level 35,000 would wrap to -30,536.
+        levels = tuple(f"l{i}" for i in range(40_000))
+        with pytest.raises(InputError, match="discrete kind has 40000 levels; at most 32768 are stored"):
+            Categorical(levels, "l0")
 
     def test_build_unparseable_number_names_row(self):
         with pytest.raises(DataError, match=r"row 2: cannot parse 'abc' as a number"):

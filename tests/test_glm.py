@@ -480,17 +480,17 @@ def pattern_and_dense(ds, form, rows=None):
     """A pattern design on ``rows`` and the dense design it stands for,
     stacked column by column by the oracle: with one continuous column (x,
     PATTERN_SPEC), with none (DISCRETE_SPEC), or with two ("score",
-    SCORE_SPEC), x and a propensity-score column inserted after the
-    exposure as in ``ps_regression``. The scores are those of an exposure
-    model on x and race with fixed coefficients, far enough from linear in
-    x that the design is well conditioned (q does not depend on x here, so
-    fitted scores would be nearly so)."""
+    SCORE_SPEC), x and a propensity-score column appended last as in
+    ``ps_regression``. The scores are those of an exposure model on x and
+    race with fixed coefficients, far enough from linear in x that the
+    design is well conditioned (q does not depend on x here, so fitted
+    scores would be nearly so)."""
     pattern, X = build_design(ds, SPECS[form]), design_by_stacking(ds, SPECS[form])
     if form == "score":
         ps = build_design(ds, ModelSpec("q", None, (main("x"), main("race"))))
         scores = clipped_scores(ps, np.array([0.0, 0.2, 1.0, -1.0]))
-        pattern = pattern.with_column(2, "propensity_score", scores)
-        X = np.insert(X, 2, scores, axis=1)
+        pattern = pattern.with_column("propensity_score", scores)
+        X = np.column_stack([X, scores])
     if rows is None:
         return pattern, X
     return pattern.take(rows), X[rows]
@@ -545,8 +545,9 @@ class TestPatternDesign:
         rng = np.random.default_rng(23)
         ds = survey_dataset(rng, 600)
         scores = rng.uniform(0.05, 0.95, (3, ds.n_rows))
-        pattern = build_design(ds, PATTERN_SPEC).with_column(2, "propensity_score", scores)
-        X = np.insert(np.broadcast_to(design_by_stacking(ds, PATTERN_SPEC), (3, ds.n_rows, 9)), 2, scores, axis=-1)
+        pattern = build_design(ds, PATTERN_SPEC).with_column("propensity_score", scores)
+        X = np.broadcast_to(design_by_stacking(ds, PATTERN_SPEC), (3, ds.n_rows, 9))
+        X = np.concatenate([X, scores[..., None]], axis=-1)
         assert pattern.shape == X.shape
         assert np.array_equal(pattern.dense(), X)
         beta = rng.normal(0.0, 1.0, (3, X.shape[-1]))
@@ -655,20 +656,22 @@ class TestExposureContrast:
         assert (g[:, 1] == 1.0).all()
         assert (np.delete(g, [1, *inter], axis=1) == 0.0).all()
 
-    @pytest.mark.parametrize("at", range(2, 10))
-    def test_contrast_of_a_widened_design_has_a_zero_in_the_new_column(self, at):
-        # A score column inserted at any position after the exposure (before,
-        # between and after the interaction columns, which are 6 to 8 of 9)
-        # gets a 0, and every other entry keeps its value: each interaction
+    @pytest.mark.parametrize("form", SPECS)
+    def test_contrast_of_a_widened_design_has_a_zero_in_the_new_column(self, form):
+        # A score column appended after the interaction columns (with a
+        # continuous covariate, with two continuous columns, and with
+        # discrete columns only) gets a 0, and every other entry keeps its
+        # value: the exposure stays in column 1, and each interaction
         # column stays paired with its covariate's main column.
         rng = np.random.default_rng(13)
         ds = survey_dataset(rng, 300)
-        design = build_design(ds, PATTERN_SPEC)
-        assert len(design.names) == 9
+        design = build_design(ds, SPECS[form])
+        assert any(name.startswith("q:") for name in design.names)
         W = ds.weights() * rng.integers(0, 3, (4, ds.n_rows))
         g = design.contrast(W)
-        widened = design.with_column(at, "propensity_score", rng.uniform(0.05, 0.95, ds.n_rows))
-        np.testing.assert_allclose(widened.contrast(W), np.insert(g, at, 0.0, axis=1), rtol=1e-14, atol=0.0)
+        widened = design.with_column("propensity_score", rng.uniform(0.05, 0.95, ds.n_rows))
+        assert widened.names == design.names + ("propensity_score",)
+        np.testing.assert_allclose(widened.contrast(W), np.column_stack([g, np.zeros(4)]), rtol=1e-14, atol=0.0)
 
     def test_contrast_does_not_depend_on_the_order_of_the_terms(self):
         # An interaction listed before its main effect is paired with it all

@@ -28,7 +28,6 @@ from causalmed.mediation import (
     combine,
     direct_effect,
     effect_triple,
-    replicate_counts,
     total_effect,
 )
 
@@ -298,12 +297,12 @@ class TestBootstrap:
         rng = np.random.default_rng(11)
         ds = sim_dataset(rng, 30, weight=True)
         weights = ds.weights()
-        per_row = mediation._replicate_weights(weights, None, 30, range(11, 111))
+        # Each row its own pattern gives the per-row weights exactly.
+        per_row = mediation._replicate_weights(weights, np.arange(30), 30, range(11, 111))
         first, pattern = row_patterns([ds[c] for c in ROLES.all_columns()], 30)
         per_pattern = mediation._replicate_weights(weights, pattern, first.size, range(11, 111))
         for i in range(100):
             idx = np.random.default_rng(11 + i).integers(0, 30, 30)
-            np.testing.assert_array_equal(replicate_counts(30, 11 + i), np.bincount(idx, minlength=30))
             np.testing.assert_array_equal(per_row[i], weights * np.bincount(idx, minlength=30))
             np.testing.assert_array_equal(per_pattern[i], np.bincount(pattern, per_row[i], first.size))
         # With a continuous role each row is its own pattern, so 7 * 30
@@ -643,21 +642,22 @@ def edit_in_place(column, values):
 
 
 class TestSharedReplicateTable:
-    """With discrete role columns, the variants bootstrapped on one dataset
-    object take their replicates from one draw; any other call draws again
-    and gets the interval of a fresh dataset."""
+    """Where a block holds several replicates, the variants bootstrapped on
+    one dataset object take their replicates from one draw; any other call
+    draws again and gets the interval of a fresh dataset."""
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        """The number of :func:`replicate_counts` calls made so far."""
+        """The number of replicates drawn so far: the seeds passed to
+        :func:`mediation._replicate_weights`, the only draw."""
         count = {"n": 0}
-        draw = mediation.replicate_counts
+        draw = mediation._replicate_weights
 
-        def counted(n_rows, seed):
-            count["n"] += 1
-            return draw(n_rows, seed)
+        def counted(weights, pattern, n_patterns, seeds):
+            count["n"] += len(seeds)
+            return draw(weights, pattern, n_patterns, seeds)
 
-        monkeypatch.setattr(mediation, "replicate_counts", counted)
+        monkeypatch.setattr(mediation, "_replicate_weights", counted)
         return count
 
     def test_variants_share_one_draw(self, draws):
@@ -704,15 +704,39 @@ class TestSharedReplicateTable:
         assert draws["n"] - before >= reps
         assert got == bootstrap_ci(fresh(case), roles, "simple", reps, seed)
 
+    def test_continuous_role_variants_share_one_draw(self, draws, monkeypatch):
+        # Each of 200 rows with a continuous age is its own pattern, so a
+        # block holds 20 replicates and the four variants take their 100
+        # replicates from one (100, 200) table.
+        rng = np.random.default_rng(43)
+        ds = with_age(sim_dataset(rng, 200, bm=0.3, weight=True), rng)
+        got = [bootstrap_ci(ds, AGE_ROLES, variant, 100, 6) for variant in VARIANTS]
+        assert kept_table(ds).shape == (100, 200)
+        shared = draws["n"]
+        # Each fresh dataset draws its 100 replicates plus the same refits.
+        assert [bootstrap_ci(fresh(ds), AGE_ROLES, variant, 100, 6) for variant in VARIANTS] == got
+        assert draws["n"] - shared == shared + 3 * 100
+        # With one replicate per block nothing is shared, and each interval
+        # is the same but for the order of the blocks' sums.
+        monkeypatch.setattr(mediation, "BLOCK_CELLS", 1)
+        for variant, want in zip(VARIANTS, got):
+            interval = bootstrap_ci(ds, AGE_ROLES, variant, 100, 6)
+            assert (interval.n_failed, interval.reps) == (want.n_failed, want.reps)
+            assert rel_close(interval.lo, want.lo) and rel_close(interval.hi, want.hi)
+            assert rel_close(interval.se, want.se)
+
     @pytest.mark.parametrize("case", ["continuous age", "one replicate per block"])
     def test_unshared_bootstrap_draws_on_every_call(self, case, draws, monkeypatch):
         # No table where a block holds one replicate: the fits cost more
         # than the draws, and a (reps, K) table would near the count matrix.
+        # With a continuous age that takes over BLOCK_CELLS / 2 rows, each
+        # its own pattern, whatever the column kinds.
         rng = np.random.default_rng(43)
-        ds, roles = sim_dataset(rng, 200, bm=0.3, weight=True), ROLES
         if case == "continuous age":
-            ds, roles = with_age(ds, rng), AGE_ROLES
+            n_rows = mediation.BLOCK_CELLS // 2 + 1
+            ds, roles = with_age(sim_dataset(rng, n_rows, bm=0.3, weight=True), rng), AGE_ROLES
         else:
+            ds, roles = sim_dataset(rng, 200, bm=0.3, weight=True), ROLES
             monkeypatch.setattr(mediation, "BLOCK_CELLS", 1)
         counts = []
         for _ in range(2):
@@ -766,7 +790,7 @@ class TestFullRowComposition:
             spec = ModelSpec("y", "q", covariates + mediators + interactions)
             design, fit_weights = build_design(ds, spec), w
             if variant == "ps_regression":
-                design = design.with_column(2, PS_COLUMN, psfit.scores)
+                design = design.with_column(PS_COLUMN, psfit.scores)
             if variant == "ipw":
                 fit_weights = w * ipw_weights(psfit.scores, psfit.exposure, w)
             want = fit_logistic(design, y, fit_weights)

@@ -152,6 +152,12 @@ class TestEnumerate:
         with pytest.raises(InputError, match="variable 'A': duplicate levels"):
             make()
 
+    def test_more_levels_than_stored_codes_rejected(self):
+        # Replayed level codes are int16, so a variable holds 32,768 levels at most.
+        levels = tuple(f"l{i}" for i in range(32_769))
+        with pytest.raises(InputError, match="variable 'A': discrete kind has 32769 levels; at most 32768"):
+            CptVariable("A", levels, table=((1.0,) + (0.0,) * 32_768,))
+
 
 class TestRoles:
     def test_variable_in_two_roles_rejected(self):
@@ -374,6 +380,22 @@ class TestSampling:
         trace = sample_trace(spec, 100, 13)
         with pytest.raises(InputError):
             replay(spec, trace.noise, interventions)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda noise: noise.pop("Y"), "no noise given for variable 'Y'"),
+            (lambda noise: noise.update(Y=noise["Y"][:-1]), r"noise of 'Y' has shape \(99,\); expected \(100,\)"),
+            (lambda noise: noise.update(M=noise["M"][None]), r"noise of 'M' has shape \(1, 100\); expected \(100,\)"),
+        ],
+        ids=["missing", "short", "two-dimensional"],
+    )
+    def test_replay_refuses_noise_that_does_not_cover_every_variable_and_row(self, edit, message):
+        spec = load_fixture("mediation_binary")
+        noise = dict(sample_trace(spec, 100, 14).noise)
+        edit(noise)
+        with pytest.raises(InputError, match=message):
+            replay(spec, noise, {})
 
 
 class TestTextFormat:
