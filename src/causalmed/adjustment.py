@@ -4,7 +4,7 @@ The propensity model is a survey-weighted logistic regression of the
 exposure on the adjustment covariates; the mediators never enter it, as
 they are measured after the exposure. Stabilized weights multiply the
 inverse score by the marginal exposure probability and therefore average
-one.
+one. Covariate balance is read from the propensity design's moments.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ OVERLAP_BINS = 10
 class PropensityFit:
     """Fitted exposure model with per-row scores.
 
-    Scores are clipped into (0, 1) strictly. The design columns, centered
-    like every design, are retained for balance diagnostics.
+    Scores are clipped into (0, 1) strictly. The exposure-model design,
+    intercept first and its covariate columns centered like every design,
+    is kept for the balance diagnostics, which read its moments.
     """
 
     scores: np.ndarray
-    covariate_names: tuple[str, ...]
-    covariate_matrix: np.ndarray
+    design: PatternDesign
     exposure: np.ndarray
     base_weights: np.ndarray
 
@@ -63,8 +63,7 @@ def fit_propensity(ds: Dataset, roles: VariableRoles) -> PropensityFit:
     beta = fit_logistic(design, exposure, weights).beta
     return PropensityFit(
         scores=clipped_scores(design, beta),
-        covariate_names=design.names[1:],
-        covariate_matrix=design.dense()[:, 1:],
+        design=design,
         exposure=exposure,
         base_weights=weights,
     )
@@ -118,48 +117,37 @@ class DensitySummary:
         }
 
 
-def _weighted_smd(values, exposure, weights) -> float:
-    stats = {}
-    for group in (0.0, 1.0):
-        sel = exposure == group
-        w = weights[sel]
-        v = values[sel]
-        mean = float(np.average(v, weights=w))
-        var = float(np.average((v - mean) ** 2, weights=w))
-        stats[group] = (mean, var)
-    pooled = np.sqrt((stats[1.0][1] + stats[0.0][1]) / 2.0)
-    if pooled == 0.0:
-        return 0.0
-    return float(abs(stats[1.0][0] - stats[0.0][0]) / pooled)
-
-
 def overlap_diagnostics(psfit: PropensityFit, exposure: np.ndarray) -> DensitySummary:
     """Score histograms by exposure group over :data:`OVERLAP_BINS` equal
     bins of [0, 1], each summing to one, plus per-covariate standardized
     mean differences before and after stabilized inverse-probability
-    weighting. ``exposure`` must align with the fit's scores."""
+    weighting. ``exposure`` must align with the fit's scores.
+
+    Each group's weights, before and after, are one row of a stack W: a
+    column's group mean is its ``design.score(W)`` over the total weight, and
+    its variance the ``design.gram(W)`` diagonal over that total less the
+    squared mean, clamped at 0. The SMD is |m1 - m0| / sqrt((v1 + v0) / 2),
+    or 0 where that pooled standard deviation is 0."""
     exposure = np.asarray(exposure, dtype=np.float64)
     if exposure.shape != psfit.scores.shape:
         raise InputError("exposure vector does not align with the propensity scores")
     edges = np.linspace(0.0, 1.0, OVERLAP_BINS + 1)
     proportions = {}
-    for group in (0.0, 1.0):
-        sel = exposure == group
+    groups = [exposure == 0.0, exposure == 1.0]
+    for group, sel in enumerate(groups):
         if not sel.any():
-            raise InputError(f"exposure group {int(group)} is empty")
+            raise InputError(f"exposure group {group} is empty")
         if psfit.base_weights[sel].sum() == 0.0:
-            raise InputError(f"exposure group {int(group)} has zero total weight")
+            raise InputError(f"exposure group {group} has zero total weight")
         counts, _ = np.histogram(psfit.scores[sel], bins=edges)
-        proportions[str(int(group))] = counts / counts.sum()
+        proportions[str(group)] = counts / counts.sum()
     after_w = psfit.base_weights * ipw_weights(psfit.scores, exposure, psfit.base_weights)
-    smd_rows = []
-    for j, name in enumerate(psfit.covariate_names):
-        col = psfit.covariate_matrix[:, j]
-        smd_rows.append(
-            SmdRow(
-                covariate=name,
-                before=_weighted_smd(col, exposure, psfit.base_weights),
-                after=_weighted_smd(col, exposure, after_w),
-            )
-        )
-    return DensitySummary(edges, proportions, tuple(smd_rows))
+    # Rows: groups 0 and 1 before weighting, then both after it.
+    W = np.stack([w * sel for w in (psfit.base_weights, after_w) for sel in groups])
+    total = W.sum(axis=1, keepdims=True)
+    mean = psfit.design.score(W)[:, 1:] / total
+    var = np.maximum(np.diagonal(psfit.design.gram(W), axis1=1, axis2=2)[:, 1:] / total - mean**2, 0.0)
+    pooled = np.sqrt((var[0::2] + var[1::2]) / 2.0)
+    smd = np.divide(np.abs(mean[1::2] - mean[0::2]), pooled, out=np.zeros_like(pooled), where=pooled > 0.0)
+    rows = (SmdRow(name, float(before), float(after)) for name, before, after in zip(psfit.design.names[1:], *smd))
+    return DensitySummary(edges, proportions, tuple(rows))

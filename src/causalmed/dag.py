@@ -1,9 +1,9 @@
 """Causal DAGs: backdoor paths, d-separation, and adjustment-set checks.
 
 Graphs are immutable, small (tens of nodes) and checked once, when built:
-the backdoor graph of an adjustment query is cut from a checked graph and
-not checked again, as a subgraph of a DAG is a DAG. Queries are pure
-functions.
+the backdoor graph of an adjustment query is cut from a checked graph's
+masks, as two mask tables, and not checked again, as a subgraph of a DAG is
+a DAG. Queries are pure functions.
 
 A graph is stored as bit masks: each node has a position, and each position
 one mask of its parents and one of its children, with bit i set for the
@@ -23,7 +23,6 @@ reach Python's recursion limit.
 
 from __future__ import annotations
 
-import copy
 import graphlib
 import itertools
 from dataclasses import dataclass, field
@@ -31,6 +30,9 @@ from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DagError, InputError
+
+#: Most candidates :func:`valid_adjustment_sets` searches, testing all 2**k subsets.
+MAX_ADJUSTMENT_CANDIDATES = 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,8 +46,8 @@ class CausalDag:
     are built once, with the graph: ``_index`` maps each node to its
     position in ``nodes``, and ``_parent_masks[i]`` and ``_child_masks[i]``
     have a bit set for each parent and child of the node at position i. The
-    backdoor graph of an adjustment query is cut from them and not checked
-    again.
+    backdoor graph of an adjustment query is cut from them as two new mask
+    tables (:func:`_backdoor_masks`) and not checked again.
     """
 
     nodes: tuple[str, ...]
@@ -147,16 +149,16 @@ def _reach(mask: int, table: Sequence[int]) -> int:
     return out
 
 
-def _separated(dag: CausalDag, a: int, b: int, z: int, collider_open: int) -> bool:
-    """True iff no active trail joins positions ``a`` and ``b`` given the
-    conditioning mask ``z``, where ``collider_open`` is the mask of z ∪ An(z).
+def _separated(parents: Sequence[int], children: Sequence[int], a: int, b: int, z: int, collider_open: int) -> bool:
+    """True iff no active trail joins positions ``a`` and ``b`` of the graph
+    with these parent and child masks given the conditioning mask ``z``,
+    where ``collider_open`` is the mask of z ∪ An(z).
 
     Reachability over active trails, one frontier at a time: a node is
     entered either from a child (moving up) or from a parent (moving down).
     A node outside z passes on to its children either way, and to its
     parents when entered moving up; a collider, entered moving down, passes
     on to its parents exactly when it is in ``collider_open``."""
-    parents, children = dag._parent_masks, dag._child_masks
     target = 1 << b
     up = seen_up = 1 << a
     down = seen_down = 0
@@ -190,7 +192,7 @@ def d_separated(dag: CausalDag, a: str, b: str, conditioned: Iterable[str] = ())
         raise DagError("query nodes cannot be in the conditioning set")
     z_mask = dag._mask(z)
     collider_open = z_mask | _reach(z_mask, dag._parent_masks)
-    return _separated(dag, dag._index[a], dag._index[b], z_mask, collider_open)
+    return _separated(dag._parent_masks, dag._child_masks, dag._index[a], dag._index[b], z_mask, collider_open)
 
 
 @dataclass(frozen=True)
@@ -278,21 +280,16 @@ class AdjustmentReport:
         return self.valid
 
 
-def _backdoor_graph(dag: CausalDag, exposure: str) -> CausalDag:
-    """The graph without the exposure's out-edges: exposure and outcome are
-    d-separated in it by exactly the sets that block every backdoor path.
-
-    The edges are cut from the checked graph's parent and child masks, with
-    no second check: a subgraph of a DAG is a DAG."""
-    # CausalDag has slots, so the copy has no instance dictionary; setting
-    # the cut through one would take every attribute read in the kernel off
-    # CPython's specialized path.
-    cut = copy.copy(dag)
-    x = dag._index[exposure]
-    object.__setattr__(cut, "edges", tuple(e for e in dag.edges if e[0] != exposure))
-    object.__setattr__(cut, "_parent_masks", tuple(p & ~(1 << x) for p in dag._parent_masks))
-    object.__setattr__(cut, "_child_masks", tuple(0 if i == x else c for i, c in enumerate(dag._child_masks)))
-    return cut
+def _backdoor_masks(dag: CausalDag, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The parent and child masks of the backdoor graph, the graph without
+    the out-edges of the exposure at position ``x``: exposure and outcome
+    are d-separated in it by exactly the sets that block every backdoor
+    path. They are cut from the checked graph's masks, with no second
+    check: a subgraph of a DAG is a DAG."""
+    keep = ~(1 << x)
+    parents = tuple(p & keep for p in dag._parent_masks)
+    children = tuple(0 if i == x else c for i, c in enumerate(dag._child_masks))
+    return parents, children
 
 
 def is_valid_adjustment(
@@ -308,7 +305,12 @@ def is_valid_adjustment(
     dag.require(exposure, outcome, *z)
     if exposure in z or outcome in z:
         raise DagError("adjustment set cannot contain the exposure or outcome")
-    blocked = d_separated(_backdoor_graph(dag, exposure), exposure, outcome, z)
+    if exposure == outcome:
+        raise DagError("exposure and outcome must differ")
+    a, b = dag._index[exposure], dag._index[outcome]
+    parents, children = _backdoor_masks(dag, a)
+    z_mask = dag._mask(z)
+    blocked = _separated(parents, children, a, b, z_mask, z_mask | _reach(z_mask, parents))
     open_paths = () if blocked else tuple(r for r in backdoor_paths(dag, exposure, outcome, z) if r.is_open)
     descendants = z & dag.descendants(exposure)
     mediators = tuple(sorted(descendants & dag.ancestors(outcome)))
@@ -346,16 +348,19 @@ def valid_adjustment_sets(dag: CausalDag, exposure: str, outcome: str) -> tuple[
 
     Each candidate's closed ancestor mask (the candidate and its ancestors
     in the backdoor graph) is found once: a subset's z ∪ An(z) is the OR of
-    its members' masks, as An(Z) is the union of An(v) over v in Z."""
+    its members' masks, as An(Z) is the union of An(v) over v in Z. It
+    refuses more than :data:`MAX_ADJUSTMENT_CANDIDATES` candidates."""
     dag.require(exposure, outcome)
     if exposure == outcome:
         raise DagError("exposure and outcome must differ")
     forbidden = {exposure, outcome} | dag.descendants(exposure)
     candidates = [n for n in dag.observed_nodes if n not in forbidden]
-    backdoor = _backdoor_graph(dag, exposure)
-    bit = {n: 1 << dag._index[n] for n in candidates}
-    closed = {n: bit[n] | _reach(bit[n], backdoor._parent_masks) for n in candidates}
+    if len(candidates) > MAX_ADJUSTMENT_CANDIDATES:
+        raise DagError(f"{len(candidates)} candidates for adjustment, more than {MAX_ADJUSTMENT_CANDIDATES}")
     a, b = dag._index[exposure], dag._index[outcome]
+    parents, children = _backdoor_masks(dag, a)
+    bit = {n: 1 << dag._index[n] for n in candidates}
+    closed = {n: bit[n] | _reach(bit[n], parents) for n in candidates}
     valid = []
     for size in range(len(candidates) + 1):
         for subset in itertools.combinations(candidates, size):
@@ -363,7 +368,7 @@ def valid_adjustment_sets(dag: CausalDag, exposure: str, outcome: str) -> tuple[
             for n in subset:
                 z |= bit[n]
                 collider_open |= closed[n]
-            if _separated(backdoor, a, b, z, collider_open):
+            if _separated(parents, children, a, b, z, collider_open):
                 valid.append(subset)
     return tuple(valid)
 

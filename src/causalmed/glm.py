@@ -28,8 +28,8 @@ covariates are centered once, at the survey-weighted means; the exposure
 effect of a fit under other weights is read at their covariate means
 (:meth:`PatternDesign.contrast`), the main columns of the score under
 those weights, each paired with its interaction column, so no covariate
-column is kept beside the design. Only the collinearity diagnosis and the
-balance diagnostics expand a design to its dense rows.
+column is kept beside the design. Only the collinearity diagnosis expands
+a design to its dense rows; the balance diagnostics read its score and gram.
 """
 
 from __future__ import annotations

@@ -422,7 +422,8 @@ def replay(spec: ScmSpec, noise: Mapping[str, np.ndarray], interventions: Mappin
     response takes level 1 where the uniform is below P(level 1); a table, the
     first level whose cumulative probability reaches it. Rows keep factual
     draws where nothing upstream changed. Every variable needs its noise,
-    one uniform per row, as long as the first variable's."""
+    one uniform per row, as long as the first variable's; a forced value is
+    one code for every row or one per row."""
     for name in interventions:
         spec.variable(name)  # InputError for an unknown name
     values: dict[str, np.ndarray] = {}
@@ -435,7 +436,10 @@ def replay(spec: ScmSpec, noise: Mapping[str, np.ndarray], interventions: Mappin
         if u.shape != (n,):
             raise InputError(f"noise of {var.name!r} has shape {u.shape}; expected ({n},), one uniform per row")
         if var.name in interventions:
-            forced = np.broadcast_to(np.asarray(interventions[var.name]), u.shape)
+            forced = np.asarray(interventions[var.name])
+            if forced.shape not in ((), u.shape):
+                raise InputError(f"forced values of {var.name!r} have shape {forced.shape}, not () or ({n},)")
+            forced = np.broadcast_to(forced, u.shape)
             if not (np.array_equal(forced, np.trunc(forced)) and ((forced >= 0) & (forced < var.n_levels)).all()):
                 raise InputError(f"forced values of {var.name!r} must be level codes 0..{var.n_levels - 1}")
             values[var.name] = forced.astype(np.int16)

@@ -208,6 +208,27 @@ def design_by_stacking(ds, spec, weights=None):
 
 
 # ---------------------------------------------------------------------------
+# Covariate balance
+
+
+def weighted_smd_two_pass(values, exposure, weights):
+    """Standardized mean difference of one covariate column between the
+    exposure groups 1 and 0 under ``weights``: each group's weighted mean,
+    then its weighted variance about that mean in a second pass, and
+    |m1 - m0| over the root of the average variance, or 0 where that is 0."""
+    stats = {}
+    for group in (0.0, 1.0):
+        sel = exposure == group
+        mean = float(np.average(values[sel], weights=weights[sel]))
+        var = float(np.average((values[sel] - mean) ** 2, weights=weights[sel]))
+        stats[group] = (mean, var)
+    pooled = np.sqrt((stats[1.0][1] + stats[0.0][1]) / 2.0)
+    if pooled == 0.0:
+        return 0.0
+    return float(abs(stats[1.0][0] - stats[0.0][0]) / pooled)
+
+
+# ---------------------------------------------------------------------------
 # A dense referee for pattern designs: the products a fit needs, on the
 # (n, p) design matrix or the (B, n, p) stack of one per fit.
 

@@ -8,9 +8,13 @@ from causalmed.adjustment import (
     fit_propensity,
     ipw_weights,
     overlap_diagnostics,
+    propensity_spec,
 )
-from causalmed.data import Binary, CellState, Column, Continuous, Dataset, VariableRoles
+from causalmed.data import Binary, Categorical, CellState, Column, Continuous, Dataset, VariableRoles
 from causalmed.errors import DataError, InputError
+from causalmed.glm import PatternDesign
+
+from oracles import design_by_stacking, weighted_smd_two_pass
 
 ROLES = VariableRoles(exposure="q", outcome="y", baseline_support="x")
 
@@ -31,6 +35,42 @@ def confounded_dataset(rng, n, *, weight=False):
     return Dataset(cols, weight_column="w")
 
 
+def mixed_dataset(rng, n):
+    """Survey weights uniform on (0.5, 2), a continuous covariate a and a
+    three-level covariate g, both of which move the exposure."""
+    a = rng.normal(40.0, 12.0, n)
+    g = rng.integers(0, 3, n)
+    q = (rng.random(n) < 1.0 / (1.0 + np.exp(-(0.04 * (a - 40.0) + 0.6 * g - 0.5)))).astype(np.int16)
+    y = (rng.random(n) < 0.3).astype(np.int16)
+    unobserved = np.zeros(n, dtype=np.uint8)
+    cols = {
+        "q": binary_col(q),
+        "y": binary_col(y),
+        "a": Column(Continuous(), a, unobserved),
+        "g": Column(Categorical(("lo", "mid", "hi"), "lo"), g.astype(np.int16), unobserved),
+        "w": Column(Continuous(), rng.uniform(0.5, 2.0, n), unobserved),
+    }
+    return Dataset(cols, weight_column="w")
+
+
+MIXED_ROLES = VariableRoles(exposure="q", outcome="y", baseline_support="a", covariates=("g",))
+
+
+def referee_smds(ds, roles, psfit):
+    """(covariate, before, after) by the two-pass referee on each dense
+    covariate column of the propensity design."""
+    X = design_by_stacking(ds, propensity_spec(roles))[:, 1:]
+    after_w = psfit.base_weights * ipw_weights(psfit.scores, psfit.exposure, psfit.base_weights)
+    return [
+        (
+            name,
+            weighted_smd_two_pass(X[:, j], psfit.exposure, psfit.base_weights),
+            weighted_smd_two_pass(X[:, j], psfit.exposure, after_w),
+        )
+        for j, name in enumerate(psfit.design.names[1:])
+    ]
+
+
 class TestBalance:
     @pytest.mark.parametrize("weight", [False, True])
     def test_saturated_propensity_balances_exactly(self, weight):
@@ -43,6 +83,35 @@ class TestBalance:
         assert row.covariate == "x"
         assert row.before > 0.5
         assert row.after < 1e-6
+
+    @pytest.mark.parametrize(
+        "make, roles",
+        [
+            (lambda: mixed_dataset(np.random.default_rng(8), 3_000), MIXED_ROLES),
+            (lambda: confounded_dataset(np.random.default_rng(5), 2_000), ROLES),
+            (lambda: confounded_dataset(np.random.default_rng(5), 2_000, weight=True), ROLES),
+        ],
+        ids=["continuous-and-three-level", "saturated", "saturated-weighted"],
+    )
+    def test_moment_smds_match_the_two_pass_referee(self, make, roles):
+        ds = make()
+        psfit = fit_propensity(ds, roles)
+        rows = overlap_diagnostics(psfit, psfit.exposure).smd
+        expected = referee_smds(ds, roles, psfit)
+        assert [r.covariate for r in rows] == [name for name, _, _ in expected]
+        for row, (_, before, after) in zip(rows, expected):
+            assert row.before == pytest.approx(before, rel=0, abs=1e-12)
+            assert row.after == pytest.approx(after, rel=0, abs=1e-12)
+
+    def test_balance_never_expands_the_design(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a balance table expanded the design to its dense rows")
+
+        monkeypatch.setattr(PatternDesign, "dense", refuse)
+        ds = mixed_dataset(np.random.default_rng(9), 400)
+        psfit = fit_propensity(ds, MIXED_ROLES)
+        rows = overlap_diagnostics(psfit, psfit.exposure).smd
+        assert [r.covariate for r in rows] == ["a", "g=mid", "g=hi"]
 
 
 class TestFitPropensity:

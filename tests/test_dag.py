@@ -244,19 +244,15 @@ class TestAdjustment:
         assert "latent node adjusted for (H)" in report.explanation
 
     def test_backdoor_graph_is_cut_without_a_second_check(self, monkeypatch):
-        # The cut graph equals the graph built from the cut edges, the
-        # checked graph keeps its edges, and the adjustment queries run no
-        # cycle check: a subgraph of a DAG is a DAG.
+        # The cut masks equal those of the graph built from the cut edges,
+        # the checked graph keeps its edges, and the adjustment queries run
+        # no cycle check: a subgraph of a DAG is a DAG.
         dag = load_fixture("sgm_joint")
-        cut = dag_module._backdoor_graph(dag, "Q")
+        cut = dag_module._backdoor_masks(dag, dag._index["Q"])
         rebuilt = CausalDag(dag.nodes, tuple(e for e in dag.edges if e[0] != "Q"), dag.latent)
-        assert cut == rebuilt
-        assert (cut._index, cut._parent_masks, cut._child_masks) == (
-            rebuilt._index,
-            rebuilt._parent_masks,
-            rebuilt._child_masks,
-        )
-        assert cut.descendants("Q") == set() and cut.ancestors("Y") == {"H", "X", "M"}
+        assert rebuilt._index == dag._index
+        assert cut == (rebuilt._parent_masks, rebuilt._child_masks)
+        assert cut != (dag._parent_masks, dag._child_masks)
         assert dag.descendants("Q") == {"M", "Y"} and dag.ancestors("Y") == {"H", "Q", "X", "M"}
         checks = []
         prepare = graphlib.TopologicalSorter.prepare
@@ -266,6 +262,14 @@ class TestAdjustment:
         assert checks == []
         CausalDag(dag.nodes, dag.edges, dag.latent)
         assert checks == [1]
+
+    def test_search_refuses_more_candidates_than_its_bound(self):
+        # 21 free observed nodes: 2**21 subsets, refused before any is tested.
+        free = tuple(f"C{i}" for i in range(21))
+        dag = CausalDag(("Q", "Y", *free), (("Q", "Y"),))
+        with pytest.raises(DagError, match="21 candidates for adjustment"):
+            valid_adjustment_sets(dag, "Q", "Y")
+        assert dag_module.MAX_ADJUSTMENT_CANDIDATES == 20
 
     def test_single_rule_matches_path_enumeration_on_random_dags(self):
         rng = np.random.default_rng(405)

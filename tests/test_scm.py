@@ -382,6 +382,26 @@ class TestSampling:
             replay(spec, trace.noise, interventions)
 
     @pytest.mark.parametrize(
+        "forced, shape",
+        [(np.ones(99, dtype=np.int16), r"\(99,\)"), (np.ones((1, 100), dtype=np.int16), r"\(1, 100\)")],
+        ids=["short", "two-dimensional"],
+    )
+    def test_forcing_refuses_values_that_are_not_one_per_row(self, forced, shape):
+        spec = load_fixture("mediation_binary")
+        trace = sample_trace(spec, 100, 13)
+        with pytest.raises(InputError, match=rf"forced values of 'M' have shape {shape}, not \(\) or \(100,\)"):
+            replay(spec, trace.noise, {"M": forced})
+
+    def test_forced_scalar_is_every_row_code(self):
+        spec = load_fixture("mediation_binary")
+        trace = sample_trace(spec, 100, 13)
+        by_scalar = replay(spec, trace.noise, {"M": 1})
+        by_rows = replay(spec, trace.noise, {"M": np.ones(100, dtype=np.int16)})
+        for name in spec.names:
+            np.testing.assert_array_equal(by_scalar[name], by_rows[name])
+        assert by_scalar["M"].shape == (100,)
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda noise: noise.pop("Y"), "no noise given for variable 'Y'"),
