@@ -3,8 +3,10 @@
 Every cell is either observed, missing, or a survey non-response. The two
 unobserved states are deliberately distinct: non-response rows are excluded
 from every analysis, while rows with missing cells are dropped only by the
-complete-case row filter. Datasets are immutable after construction; all
-operations return new datasets.
+complete-case row filter. A dataset's columns and weights are immutable
+after construction, and all operations return new datasets. Only its
+instance dictionary changes: the bootstrap keeps its shared replicate table
+there (:func:`causalmed.mediation._pattern_weight_table`).
 
 Discrete cell values are stored as small integer codes into the column kind's
 level list; continuous values as float64. Unobserved cells carry code -1 /

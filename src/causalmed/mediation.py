@@ -14,15 +14,17 @@ this decomposition:
 * ``ipw``      - weighted regression under stabilized inverse-probability
   weights times the survey weights.
 
-Every variant is one estimator (:class:`VariantEstimator`): designs built
-and centered once from the dataset, fitted under row weights by one method,
+Every variant is one estimator (:class:`VariantEstimator`): its models,
+built and centered once from the dataset, are a first stage (the propensity
+model of ``ps_regression`` and ``ipw``, none for the others) and the outcome
+models, fitted under row weights by one method,
 :meth:`VariantEstimator._fit`, for the point estimates and the bootstrap
 replicates alike. A fit under any weights reads its exposure effect at
 their covariate means as one linear contrast of its coefficients
 (:meth:`~causalmed.glm.PatternDesign.contrast`), which is the exposure
 coefficient for every variant but ``primary``. Point estimates use the
 survey weights, each outcome fit read by :func:`~causalmed.glm._fit_result`
-and the propensity fit only checked for its failure, and total and direct
+and the first-stage fit only checked for its failure, and total and direct
 effects carry the Wald interval of that contrast
 (:func:`~causalmed.glm.wald_interval`, from the sandwich covariance); the
 indirect effect has no closed-form SE here, so its CI comes from a
@@ -69,7 +71,11 @@ from .glm import (
     wald_interval,
 )
 
-VARIANTS = ("primary", "simple", "ps_regression", "ipw")
+#: The variants that fit a propensity model first, under the same weights
+#: as their outcome models, and adjust through its scores alone.
+FIRST_STAGE = ("ps_regression", "ipw")
+
+VARIANTS = ("primary", "simple", *FIRST_STAGE)
 
 #: Name of the ``ps_regression`` design column holding the fitted
 #: propensity scores, which is its last column.
@@ -140,7 +146,7 @@ class EffectTriple:
 def _outcome_spec(roles, variant, include_mediators) -> ModelSpec:
     if include_mediators and not roles.mediators:
         raise InputError("direct effect requires at least one mediator column")
-    covariates = () if variant in ("ps_regression", "ipw") else roles.adjustment_columns()
+    covariates = () if variant in FIRST_STAGE else roles.adjustment_columns()
     terms = [main(c) for c in covariates]
     if include_mediators:
         terms.extend(main(m) for m in roles.mediators)
@@ -150,36 +156,32 @@ def _outcome_spec(roles, variant, include_mediators) -> ModelSpec:
 
 
 class VariantEstimator:
-    """One variant's estimator on one dataset: its design columns, built
-    once, fitted under row weights.
+    """One variant's estimator on one dataset: its models, built once,
+    fitted under row weights.
+
+    Each model is a (design, response) pair on the estimator's rows, in one
+    of two lists. ``first`` holds the first stage, the propensity model of
+    the :data:`FIRST_STAGE` variants (empty for the others); ``outcome``
+    holds one outcome model per entry of ``include_mediators``: the
+    mediator-free model for False, the mediator-adjusted model for True.
+    Each design is a :class:`~causalmed.glm.PatternDesign`, with discrete
+    columns only or with continuous ones.
 
     Calling it with a weight vector over the rows of ``ds`` (the survey
     weights, or the survey weights times a bootstrap replicate's row
-    counts) gives, per entry of ``include_mediators``, a
+    counts) checks the first-stage fit by
+    :func:`~causalmed.glm._raise_failure` and gives, per outcome model, a
     :class:`~causalmed.glm.FitResult` and the contrast that reads its
-    exposure effect: the mediator-free model for False, the
-    mediator-adjusted model for True. :meth:`coefs` reads the exposure
-    effects alone of the same fits under each row of a (B, n) weight array.
-    Both take the fits from :meth:`_fit` and each effect's contrast from
-    the design it was fitted on; a call fits a batch of one and reads each
-    outcome fit by :func:`~causalmed.glm._fit_result`, after checking the
-    propensity fit by :func:`~causalmed.glm._raise_failure`. The designs
-    are fixed; only two pieces depend on the weights, the propensity-score
-    column of ``ps_regression`` and the stabilized IPW factor of ``ipw``,
-    and both come from the mediator-free propensity model refit under the
-    same weights. Every fit scales its weights by the power of two of the
-    full-row weights (:func:`~causalmed.glm._weight_scale`), so a
+    exposure effect. :meth:`coefs` reads the exposure effects alone of the
+    same fits under each row of a (B, n) weight array. Both take the fits
+    from :meth:`_fit`. Every fit scales its weights by the power of two of
+    the full-row weights (:func:`~causalmed.glm._weight_scale`), so a
     bootstrap block on pattern sums scales as the full-row fits do.
 
     Under integer row counts the coefficients equal those of the refit on
     the resampled rows. The sandwich covariance does not, as it reads a
     weight as a sampling weight rather than repeated rows; a bootstrap
     replicate uses the coefficients only.
-
-    Every model is fitted on its :class:`~causalmed.glm.PatternDesign`,
-    built once, with discrete columns only or with continuous ones;
-    ``ps_regression``'s score column enters it at each fit as one more
-    continuous column, one per weight vector.
     """
 
     def __init__(self, ds: Dataset, roles: VariableRoles, variant: str, include_mediators=(False, True)):
@@ -189,69 +191,63 @@ class VariantEstimator:
             raise InputError("include_mediators must ask for at least one outcome model")
         roles.validate(ds)
         self.roles, self.variant = roles, variant
-        self.y = response_vector(ds, roles.outcome)
         self.scale = _weight_scale(ds.weights())
-        # Per model, its design on the estimator's rows.
-        self.designs = [build_design(ds, _outcome_spec(roles, variant, m)) for m in include_mediators]
-        if variant in ("ps_regression", "ipw"):
-            self.ps_design = build_design(ds, propensity_spec(roles))
-            self.treat = response_vector(ds, roles.exposure)
+        y = response_vector(ds, roles.outcome)
+        self.outcome = [(build_design(ds, _outcome_spec(roles, variant, m)), y) for m in include_mediators]
+        self.first = []
+        if variant in FIRST_STAGE:
+            self.first.append((build_design(ds, propensity_spec(roles)), response_vector(ds, roles.exposure)))
 
     def take(self, rows) -> "VariantEstimator":
         """The same estimator on the given rows only, with no dataset
-        rebuilt. The response, the exposure and the designs are sliced to
-        the rows, a design by its pattern indices and values alone."""
+        rebuilt: each model's response is sliced to the rows, and its
+        design by its pattern indices and values alone."""
         out = copy.copy(self)
-        out.y = self.y[rows]
-        out.designs = [p.take(rows) for p in self.designs]
-        if self.variant in ("ps_regression", "ipw"):
-            out.ps_design = self.ps_design.take(rows)
-            out.treat = self.treat[rows]
+        out.first, out.outcome = (
+            [(design.take(rows), y[rows]) for design, y in models] for models in (self.first, self.outcome)
+        )
         return out
 
-    def _fit(self, W: np.ndarray) -> list[tuple]:
+    def _fit(self, W: np.ndarray) -> tuple[list[tuple], list[tuple]]:
         """Every fit of the variant under each row of the (B, n) weight
-        array ``W``: the one code that fits it. The ps/ipw variants fit the
-        propensity model first, whose clipped scores become
-        ``ps_regression``'s last column or ``ipw``'s stabilized factor on
-        ``W``; then each outcome model is fitted.
-        Returns, per model, propensity first, its :func:`~causalmed.glm._irls`
-        fits and the design, response and weights they were fitted on."""
-        out, designs, fit_weights = [], self.designs, W
-        if self.variant in ("ps_regression", "ipw"):
-            ps = _irls(self.ps_design, self.treat, W, self.scale)
-            out.append((ps, self.ps_design, self.treat, W))
-            scores = clipped_scores(self.ps_design, ps.beta)
+        array ``W``: the one code that fits it. The first stage is fitted
+        under ``W``; its clipped scores become ``ps_regression``'s last
+        design column, or ``ipw``'s stabilized factor on ``W``. Then each
+        outcome model is fitted. Returns the first-stage and the outcome
+        fits, each as its :func:`~causalmed.glm._irls` fits with the
+        design, response and weights they were fitted on."""
+        outcome, fit_weights = self.outcome, W
+        first = [(_irls(design, treat, W, self.scale), design, treat, W) for design, treat in self.first]
+        for ps, design, treat, _ in first:
+            scores = clipped_scores(design, ps.beta)
             if self.variant == "ipw":
-                fit_weights = W * ipw_weights(scores, self.treat, W)
+                fit_weights = W * ipw_weights(scores, treat, W)
             else:
-                designs = [design.with_column(PS_COLUMN, scores) for design in designs]
-        for design in designs:
-            out.append((_irls(design, self.y, fit_weights, self.scale), design, self.y, fit_weights))
-        return out
+                outcome = [(model.with_column(PS_COLUMN, scores), y) for model, y in outcome]
+        return first, [(_irls(design, y, fit_weights, self.scale), design, y, fit_weights) for design, y in outcome]
 
     def __call__(self, weights: np.ndarray) -> tuple[tuple[FitResult, np.ndarray], ...]:
-        # The fits are read in order, so a failed propensity fit is the one
-        # raised; no effect reads it, so it is only checked.
+        # No effect reads a first-stage fit, so it is only checked, before
+        # any outcome fit is read.
         W = np.asarray(weights, dtype=np.float64)[None]
-        fits = self._fit(W)
-        for fit, design, _, w in fits[: -len(self.designs)]:
+        first, outcome = self._fit(W)
+        for fit, design, _, w in first:
             _raise_failure(design, w[0], fit.failure[0])
-        models = [(fit, design.fits(0), y, w[0]) for fit, design, y, w in fits[-len(self.designs) :]]
+        models = [(fit, design.fits(0), y, w[0]) for fit, design, y, w in outcome]
         return tuple((_fit_result(design, y, w, fit), design.contrast(W[0])) for fit, design, y, w in models)
 
     def coefs(self, W: np.ndarray):
-        """The exposure effect of every model under each row of the (B, n)
-        weight array ``W``, read through the contrast of the design each
-        model was fitted on from the coefficients of :meth:`_fit`, with no
-        covariances. Returns the (B, m) effects of the m models, NaN in a
-        row where any fit failed, the propensity fit included, and a (B,)
-        mask of the rows whose fits were all plain."""
-        fits = self._fit(W)
-        models = fits[-len(self.designs) :]
-        coefs = np.column_stack([(design.contrast(W) * fit.beta).sum(axis=1) for fit, design, *_ in models])
-        coefs[np.any([fit.failure != CONVERGED for fit, *_ in fits], axis=0)] = math.nan
-        return coefs, np.all([fit.plain for fit, *_ in fits], axis=0)
+        """The exposure effect of every outcome model under each row of the
+        (B, n) weight array ``W``, read through the contrast of the design
+        it was fitted on from the coefficients of :meth:`_fit`, with no
+        covariances. Returns the (B, m) effects of the m outcome models,
+        NaN in a row where any fit failed, the first stage included, and a
+        (B,) mask of the rows whose fits were all plain."""
+        first, outcome = self._fit(W)
+        coefs = np.column_stack([(design.contrast(W) * fit.beta).sum(axis=1) for fit, design, *_ in outcome])
+        fits = [fit for fit, *_ in first + outcome]
+        coefs[np.any([fit.failure != CONVERGED for fit in fits], axis=0)] = math.nan
+        return coefs, np.all([fit.plain for fit in fits], axis=0)
 
 
 def _estimates(ds: Dataset, est: VariantEstimator, kinds) -> list[EffectEstimate]:
@@ -353,7 +349,15 @@ def _pattern_weight_table(ds, pattern, n_patterns, reps, seed) -> np.ndarray:
 
 
 def _bootstrap_interval(ds: Dataset, est: VariantEstimator, reps: int, seed: int) -> BootstrapInterval:
-    """:func:`bootstrap_ci` from an estimator already built on the rows of ``ds``."""
+    """:func:`bootstrap_ci` from an estimator already built on the rows of
+    ``ds``. Each block of replicates is fitted for its effects alone
+    (:meth:`VariantEstimator.coefs`) on the estimator taken to one row per
+    pattern that any of its replicates drew: each pattern's first row, or,
+    with a continuous role column, the drawn rows themselves. A replicate
+    whose fit there is not plain (it failed, was step-halved, passed the
+    separation bound, or ended on an information matrix with condition
+    number above :data:`~causalmed.glm.STACKED_MAX_CONDITION`) is refit on
+    the full rows, and that fit decides its statistic or its failure."""
     for name, value in (("reps", reps), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise InputError(f"bootstrap {name} must be an integer, got {value!r}")
@@ -400,50 +404,19 @@ def bootstrap_ci(ds: Dataset, roles: VariableRoles, variant: str, reps: int, see
     """Percentile 95% bootstrap interval of the indirect odds ratio.
 
     A replicate draws n rows with replacement, and its statistic is the
-    indirect log odds ratio, total minus direct, from both outcome models
-    (and, for the ps/ipw variants, the propensity model) refit under the
-    survey weights times its row counts, which is the same fit as on the
-    resampled rows. The limits are percentiles of the replicate odds ratios
-    and ``se`` is the replicates' standard deviation on the log scale.
+    indirect log odds ratio, total minus direct, from the variant's models
+    refit under the survey weights times its row counts, which is the same
+    fit as on the resampled rows. The limits are percentiles of the
+    replicate odds ratios and ``se`` is the replicates' standard deviation
+    on the log scale.
 
     The arguments are checked first: integer ``reps`` and ``seed`` (a bool
     is refused), at least 100 replicates and a non-negative seed. Replicate
-    i draws with generator seed+i. Rows collapse to their K distinct
-    role-column patterns; with a continuous role column no row repeats, and
-    each row is its own pattern. One loop takes the replicates in order, in
-    blocks of :data:`BLOCK_CELLS` // K (at least one). One function, the
-    only draw, turns each replicate's row counts into its K pattern
-    weights, the survey weights times the counts summed within each
-    pattern, for the table, the blocks and the refits alike. Where a block
-    holds several replicates (K at most :data:`BLOCK_CELLS` / 2), every
-    replicate's weights are drawn once into a read-only (reps, K) table,
-    and a block takes its rows of it; the next variant bootstrapped on the
-    same ``ds`` object with the same ``reps`` and ``seed``, and equal
-    weights and patterns, takes its blocks from the same table, so the
-    variants of one analysis draw once. Otherwise each block draws its
-    replicates' weights itself, so no (reps, K) array is formed; either way
-    no table holds more than reps * :data:`BLOCK_CELLS` / 2 weights. A
-    block is fitted (:meth:`VariantEstimator.coefs`), for the effects
-    alone, on the one estimator taken to one row per pattern that any of
-    its replicates drew: each pattern's first row, or, with a continuous
-    role column, the drawn rows themselves.
-    A replicate whose fit is not plain (it failed, was step-halved, passed
-    the separation bound, or ended on an information matrix with condition
-    number above :data:`~causalmed.glm.STACKED_MAX_CONDITION`) draws its
-    weights again, each row its own pattern, and is refit on the full rows,
-    and that fit decides its statistic or its failure. A replicate whose fit fails (rank
+    i draws with generator seed+i. A replicate whose fit fails (rank
     deficiency, separation, non-convergence) is dropped and counted in
     ``n_failed``; more than :data:`MAX_FAILURE_RATE` of them failing raises
-    :class:`~causalmed.errors.BootstrapError`.
-
-    Every fit runs on pattern moments (:class:`~causalmed.glm.PatternDesign`)
-    of the rows it is given, and no design matrix is formed. With discrete
-    role columns only, a block's rows are its drawn role patterns, and
-    ``ps_regression``'s score column holds one value per replicate and
-    row. With a continuous one, K is the number of rows; at survey scale
-    the blocks hold one replicate each, fitted on the rows it drew, which
-    take only their pattern indices and continuous values, and nothing is
-    shared.
+    :class:`~causalmed.errors.BootstrapError`. How the replicates are drawn
+    and fitted is in the module docstring and :func:`_bootstrap_interval`.
     """
     return _bootstrap_interval(ds, VariantEstimator(ds, roles, variant), reps, seed)
 

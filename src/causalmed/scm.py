@@ -267,8 +267,10 @@ class OracleEstimands:
     baseline_contrast: float
 
 
-def oracle_estimands(spec: ScmSpec, joint: Joint | None = None) -> OracleEstimands:
-    """Exact total/direct/indirect risk differences per baseline stratum.
+def oracle_estimands(spec: ScmSpec, joint: Joint) -> OracleEstimands:
+    """Exact total/direct/indirect risk differences per baseline stratum,
+    read from ``joint``, the joint distribution of ``spec``
+    (:func:`enumerate_joint`).
 
     total[x] = E[Y|1,x] - E[Y|0,x] reads the margins P(q, x) and P(q, x, y);
     by Pearl's mediation formula, direct[x] = sum_m (E[Y|1,m,x] - E[Y|0,m,x])
@@ -279,7 +281,6 @@ def oracle_estimands(spec: ScmSpec, joint: Joint | None = None) -> OracleEstiman
     m_val, x, x_level)``, scanning x first and then m.
     """
     q, x, m, y = spec.require_roles("exposure", "baseline", "mediator", "outcome")
-    joint = joint or enumerate_joint(spec)
     if len(joint.levels[joint.axis(q)]) != 2 or len(joint.levels[joint.axis(y)]) != 2:
         raise InputError("exposure and outcome must be binary")
     x_levels = joint.levels[joint.axis(x)]

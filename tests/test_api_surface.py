@@ -108,7 +108,6 @@ SETTABLE = {
     "scm.ScmSpec.exposure",
     "scm.ScmSpec.mediator",
     "scm.ScmSpec.outcome",
-    "scm.oracle_estimands(joint)",
     "sensitivity.evalue(ci)",
 }
 

@@ -757,7 +757,8 @@ def test_package_runs_without_scipy():
         "    glm.fit_logistic(design, (x > 0.5) * 1.0)\n"
         "except RankDeficiencyError as err:\n"
         "    print(err.columns)\n"
-        "print(scm.oracle_estimands(scm.load_fixture('mediation_binary')).x_levels)\n"
+        "spec = scm.load_fixture('mediation_binary')\n"
+        "print(scm.oracle_estimands(spec, scm.enumerate_joint(spec)).x_levels)\n"
     )
     src = str(Path(causalmed.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)

@@ -580,35 +580,43 @@ class TestReplicateEquivalence:
             for mediators in ((), (main("m"),))
         ]
         for w, row in zip(W, coefs):
-            for spec, design, got in zip(specs, est.designs, row):
+            for spec, (design, y), got in zip(specs, est.outcome, row):
                 assert design.names == build_design(ds, spec).names
-                fit = fit_logistic(as_pattern_design(design_by_stacking(ds, spec, w), design.names), est.y, w)
+                fit = fit_logistic(as_pattern_design(design_by_stacking(ds, spec, w), design.names), y, w)
                 want = fit.beta[fit.names.index("q")]
                 assert abs(got - want) <= 1e-9 * abs(want)
 
-    def test_primary_estimator_keeps_no_covariate_rows(self):
-        # Row-length arrays reachable from the estimator are the response
-        # and each design's pattern indices and continuous values; no
-        # covariate column is kept beside them.
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_estimator_keeps_no_covariate_rows(self, variant):
+        # Row-length arrays reachable from the estimator are each model's
+        # response and its design's pattern indices and continuous values;
+        # no covariate column is kept beside them. The estimator taken to
+        # other rows holds the same arrays on those rows alone.
         rng = np.random.default_rng(20)
         ds = with_age(sim_dataset(rng, 300, bm=0.3, weight=True), rng)
-        est = VariantEstimator(ds, AGE_ROLES, "primary")
-        found = []
+        est = VariantEstimator(ds, AGE_ROLES, variant)
+        rows = rng.integers(0, ds.n_rows, ds.n_rows // 2)
 
         def walk(obj, path):
             if isinstance(obj, np.ndarray):
-                if ds.n_rows in obj.shape:
-                    found.append(path)
+                yield path, obj.shape
             elif isinstance(obj, (list, tuple)):
                 for i, item in enumerate(obj):
-                    walk(item, f"{path}[{i}]")
+                    yield from walk(item, f"{path}[{i}]")
             elif isinstance(obj, glm.PatternDesign):
                 for name, value in vars(obj).items():
-                    walk(value, f"{path}.{name}")
+                    yield from walk(value, f"{path}.{name}")
 
-        for name, value in vars(est).items():
-            walk(value, name)
-        assert sorted(found) == [f"designs[{i}].{f}" for i in (0, 1) for f in ("pattern", "values")] + ["y"]
+        def row_arrays(est, n):
+            arrays = (array for name, value in vars(est).items() for array in walk(value, name))
+            return sorted(path for path, shape in arrays if n in shape)
+
+        models = [f"outcome[{i}]" for i in (0, 1)] + (["first[0]"] if variant in ("ps_regression", "ipw") else [])
+        want = sorted(f"{model}{f}" for model in models for f in ("[0].pattern", "[0].values", "[1]"))
+        assert row_arrays(est, ds.n_rows) == want
+        taken = est.take(rows)
+        assert row_arrays(taken, rows.size) == want
+        assert row_arrays(taken, ds.n_rows) == []
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_draw_emptying_covariate_level_fails_alike(self, variant):
@@ -845,7 +853,7 @@ class TestPropensityCheck:
         monkeypatch.setattr(glm, "FitResult", lambda **fields: built.append(fields["names"]) or build(**fields))
         fits = est(ds.weights())
         assert built == [fit.names for fit, _ in fits]
-        assert len(built) == len(est.designs) == 2
+        assert len(built) == len(est.outcome) == 2
 
     @pytest.mark.parametrize("variant", ["ps_regression", "ipw"])
     @pytest.mark.parametrize(
@@ -874,7 +882,7 @@ class TestPropensityCheck:
         with pytest.raises(error) as got:
             est(w)
         with pytest.raises(error) as want:
-            fit_logistic(est.ps_design, est.treat, w)
+            fit_logistic(*est.first[0], w)
         assert type(got.value) is type(want.value) is error
         assert str(got.value) == str(want.value) == message
 

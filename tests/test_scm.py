@@ -184,7 +184,7 @@ class TestOracleEstimands:
             mediator="M",
             outcome="Y",
         )
-        est = oracle_estimands(spec)
+        est = oracle_estimands(spec, enumerate_joint(spec))
         np.testing.assert_allclose(est.indirect_rd, 0.0, atol=1e-15)
         np.testing.assert_allclose(est.direct_rd, est.total_rd, atol=1e-15)
 
@@ -202,7 +202,7 @@ class TestOracleEstimands:
             mediator="M",
             outcome="Y",
         )
-        est = oracle_estimands(spec)
+        est = oracle_estimands(spec, enumerate_joint(spec))
         np.testing.assert_allclose(est.direct_rd, 0.0, atol=1e-15)
         assert np.abs(est.indirect_rd).max() > 0.005
 
@@ -213,7 +213,7 @@ class TestOracleEstimands:
         specs = [random_mediation_scm(rng) for _ in range(200)]
         specs += [random_categorical_scm(rng) for _ in range(30)]
         for spec in specs:
-            est = oracle_estimands(spec)
+            est = oracle_estimands(spec, enumerate_joint(spec))
             gap = np.abs(est.total_rd - (est.direct_rd + est.indirect_rd)).max()
             assert gap < 1e-12
 
@@ -257,7 +257,7 @@ class TestOracleEstimands:
             outcome="Y",
         )
         with pytest.raises(PositivityError) as err:
-            oracle_estimands(spec)
+            oracle_estimands(spec, enumerate_joint(spec))
         assert "Q" in str(err.value)
 
     def test_mediator_level_the_exposed_never_reach_reported(self):
@@ -266,7 +266,7 @@ class TestOracleEstimands:
         y = CptVariable("Y", ("0", "1"), ("M",), ((0.7, 0.3), (0.2, 0.8)))
         spec = ScmSpec((fair("Q"), fair("X"), m, y), exposure="Q", baseline="X", mediator="M", outcome="Y")
         with pytest.raises(PositivityError) as err:
-            oracle_estimands(spec)
+            oracle_estimands(spec, enumerate_joint(spec))
         assert err.value.cell == ("Q", 1, "M", 1, "X", "0")
         assert [type(v) for v in err.value.cell] == [str, int, str, int, str, str]
 
